@@ -103,8 +103,8 @@ class TrialCase:
     behaviors: dict[int, str] = field(default_factory=dict)
     backend: str = "pure"
     workers: int = 1
-    #: Shard count for shard_equivalence trials: the sharded aggregation
-    #: at this K must be bit-identical to the flat aggregator.
+    #: Shard count for shard_equivalence trials: the aggregator at this
+    #: K must be bit-identical to itself at K=1.
     shards: int = 1
     #: Pool size for offline_equivalence trials — deliberately small so
     #: some trials exhaust their pools and exercise the same-chain

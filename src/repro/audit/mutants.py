@@ -25,7 +25,6 @@ from repro.crypto.polyring import RingElement
 from repro.dp import budget as budget_mod
 from repro.errors import PrivacyBudgetExceeded
 from repro.query import sensitivity as sensitivity_mod
-from repro.sharding import aggregate as shard_aggregate_mod
 
 
 @contextmanager
@@ -303,7 +302,7 @@ def _mutant_journal_double_apply():
 
 
 def _mutant_colluding_shard():
-    original = shard_aggregate_mod.shard_claimed_partial
+    original = aggregator_mod.shard_claimed_partial
 
     def bad(chunk_partials):
         claimed = original(chunk_partials)
@@ -313,7 +312,7 @@ def _mutant_colluding_shard():
             return bgv.add(claimed, list(chunk_partials)[0])
         return claimed
 
-    return _patched(shard_aggregate_mod, "shard_claimed_partial", bad)
+    return _patched(aggregator_mod, "shard_claimed_partial", bad)
 
 
 def _mutant_unquarantined_attacker():

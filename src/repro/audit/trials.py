@@ -14,10 +14,10 @@ Each trial family targets one slice of the protocol:
   committee threshold decryption against direct decryption.
 * ``mixnet`` — a full onion-routed query under injected faults must
   either match the degraded oracle or fail with a typed error.
-* ``shard_equivalence`` — the sharded aggregation path (per-shard
+* ``shard_equivalence`` — the aggregator at K shards (per-shard
   partial sums claim-checked at the reduction root) must be
-  bit-identical to the flat aggregator at any shard count, including
-  under Byzantine submissions.
+  bit-identical to itself at K=1 and to a plain left fold of the
+  accepted ciphertexts, including under Byzantine submissions.
 * ``offline_equivalence`` — the offline/online split: a run consuming
   precomputed encryption-randomness pools and prepared relin keys must
   serialize bit-identically to the inline run on the same derivation
@@ -41,6 +41,7 @@ names, so a patched module attribute is what the trial exercises.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -241,14 +242,13 @@ def _run_equivalence(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# Shard equivalence: sharded aggregation vs the flat aggregator
+# Shard equivalence: the aggregator at K shards vs the same class at K=1
 # ---------------------------------------------------------------------------
 
 
 def _run_shard_equivalence(
     case: TrialCase, bench: AuditBench
 ) -> list[CheckResult]:
-    from repro import sharding as sharding_mod
     from repro.errors import ShardIntegrityError
 
     results: list[CheckResult] = []
@@ -268,16 +268,16 @@ def _run_shard_equivalence(
         submissions = executor.run(
             graph, behaviors=behaviors, offline=set(case.offline)
         )
-        flat = QueryAggregator(
-            zk=bench.zk, relin_keys=bench.relin_keys, fabric=fabric
-        ).aggregate(submissions)
         try:
-            sharded = sharding_mod.ShardedAggregator(
-                zk=bench.zk,
-                relin_keys=bench.relin_keys,
-                num_shards=case.shards,
-                fabric=fabric,
-            ).aggregate(submissions)
+            flat, sharded = (
+                QueryAggregator(
+                    zk=bench.zk,
+                    relin_keys=bench.relin_keys,
+                    fabric=fabric,
+                    num_shards=num_shards,
+                ).aggregate(submissions)
+                for num_shards in (1, case.shards)
+            )
         except ShardIntegrityError as exc:
             # An honest run must never trip the root's claim check — a
             # shard aggregator lying about its partial sum lands here.
@@ -293,48 +293,27 @@ def _run_shard_equivalence(
         check("shard-equivalence.root-accepts-honest-partials", True)
     )
 
-    results.append(
-        check_equal(
-            "shard-equivalence.accepted",
-            tuple(sharded.accepted),
-            tuple(flat.accepted),
+    # Field for field against K=1 — floats included: every layout
+    # replays the same left fold in global submission order.
+    for field in (
+        "accepted",
+        "rejected",
+        "summation_root",
+        "verification_seconds",
+        "proofs_verified",
+    ):
+        results.append(
+            check_equal(
+                f"shard-equivalence.{field.replace('_', '-')}",
+                getattr(sharded, field),
+                getattr(flat, field),
+            )
         )
-    )
-    results.append(
-        check_equal(
-            "shard-equivalence.rejected",
-            tuple(sharded.rejected),
-            tuple(flat.rejected),
-        )
-    )
     results.append(
         check_equal(
             "shard-equivalence.rejected-match-oracle",
             frozenset(sharded.rejected),
             expectation.rejected_origins,
-        )
-    )
-    results.append(
-        check_equal(
-            "shard-equivalence.summation-root",
-            sharded.summation_root,
-            flat.summation_root,
-        )
-    )
-    # Exact float equality: the sharded path replays the flat left fold
-    # in global submission order.
-    results.append(
-        check_equal(
-            "shard-equivalence.verification-seconds",
-            sharded.verification_seconds,
-            flat.verification_seconds,
-        )
-    )
-    results.append(
-        check_equal(
-            "shard-equivalence.proofs-verified",
-            sharded.proofs_verified,
-            flat.proofs_verified,
         )
     )
 
@@ -353,6 +332,24 @@ def _run_shard_equivalence(
             "shard-equivalence.ciphertext-bit-identical",
             sharded.ciphertext.serialize() == flat.ciphertext.serialize(),
             f"K={case.shards} components diverge from the flat fold",
+        )
+    )
+    # Independent of the aggregator's tree: addition is exact, so a
+    # plain left fold of the accepted relinearized ciphertexts must land
+    # on the same components.
+    reference = functools.reduce(
+        bgv.add,
+        [
+            bgv.relinearize(s.ciphertext, bench.relin_keys)
+            for s in submissions
+            if s.origin in flat.accepted
+        ],
+    )
+    results.append(
+        check(
+            "shard-equivalence.matches-left-fold",
+            flat.ciphertext.serialize() == reference.serialize(),
+            "K=1 components diverge from a left fold of the accepted set",
         )
     )
     results.extend(

@@ -46,6 +46,7 @@ sync).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 
@@ -70,6 +71,18 @@ def _build_workload(people: int, degree: int, seed: int):
     return graph, rng
 
 
+def _runtime_from_args(args: argparse.Namespace):
+    """Explicit flags beat the MYCELIUM_* environment overrides."""
+    from repro.runtime import RuntimeConfig
+
+    flags = {
+        name: getattr(args, name)
+        for name in ("workers", "backend", "shards")
+        if getattr(args, name, None) is not None
+    }
+    return dataclasses.replace(RuntimeConfig.from_env(), **flags)
+
+
 def cmd_catalog(_args: argparse.Namespace) -> int:
     params = SystemParameters()
     print(f"{'id':<4} {'cts':>3} {'mults':>5} {'paper-feasible':>14}  description")
@@ -88,16 +101,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.core.system import MyceliumSystem
     from repro.query.ast import OutputKind
     from repro.query.schema import scaled_schema
-    from repro.runtime import RuntimeConfig
 
-    # Explicit flags beat the MYCELIUM_* environment overrides.
-    base = RuntimeConfig.from_env()
-    runtime = RuntimeConfig(
-        workers=args.workers if args.workers is not None else base.workers,
-        backend=args.backend if args.backend is not None else base.backend,
-        chunk_size=base.chunk_size,
-        shards=base.shards,
-    )
+    runtime = _runtime_from_args(args)
     query = CATALOG[args.query] if args.query in CATALOG else args.query
     graph, rng = _build_workload(args.people, args.degree, args.seed)
     params = SystemParameters(
@@ -192,16 +197,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from repro.core.aggregator import QueryAggregator
-    from repro.core.transport import MixnetTransport
-    from repro.crypto import bgv
-    from repro.crypto.zksnark import Groth16System
-    from repro.engine.plaintext import aggregate_coefficients
-    from repro.engine.zkcircuits import build_circuits
+    from repro import telemetry
+    from repro.core.system import MyceliumSystem
     from repro.mixnet.network import MixnetWorld
-    from repro.params import TEST
-    from repro.query.compiler import compile_query
-    from repro.query.parser import parse
     from repro.query.schema import scaled_schema
 
     graph, rng = _build_workload(args.people, 2, args.seed)
@@ -213,26 +211,26 @@ def cmd_demo(args: argparse.Namespace) -> int:
         params, num_devices=graph.num_vertices, rng=rng, rsa_bits=512,
         pseudonyms_per_device=2,
     )
-    secret, public = bgv.keygen(TEST, rng)
-    relin = bgv.make_relin_keys(secret, 6, rng)
-    zk = Groth16System.setup(build_circuits(), rng)
-    plan = compile_query(
-        parse("SELECT HISTO(COUNT(*)) FROM neigh(1) WHERE dest.inf"),
-        SystemParameters(degree_bound=2),
-        scaled_schema(),
+    system = MyceliumSystem.setup(
+        num_devices=graph.num_vertices, rng=rng, params=params,
+        schema=scaled_schema(), max_relin_power=6,
     )
-    transport = MixnetTransport(
-        world=world, graph=graph, plan=plan, public_key=public, zk=zk, rng=rng
-    )
-    submissions = transport.run()
-    aggregation = QueryAggregator(zk=zk, relin_keys=relin).aggregate(submissions)
-    plaintext = bgv.decrypt(secret, aggregation.ciphertext)
-    coeffs = list(plaintext.coeffs[: plan.layout.total_coefficients])
-    expected, _ = aggregate_coefficients(plan, graph)
-    print(f"C-rounds: {transport.crounds_used}")
-    print(f"proofs verified: {aggregation.proofs_verified}")
-    print(f"decrypted == plaintext oracle: {coeffs == expected}")
-    print(f"histogram: {coeffs}")
+    query = "SELECT HISTO(COUNT(*)) FROM neigh(1) WHERE dest.inf"
+    with telemetry.session() as collected:
+        result = system.run_query(
+            query, graph, epsilon=1.0, world=world, noiseless=True
+        )
+    released = [int(c) for group in result.groups for c in group.counts]
+    expected = [
+        c
+        for histogram in system.plaintext_answer(query, graph).histograms
+        for c in histogram.counts
+    ]
+    proofs = int(collected.metrics.value("aggregator.proofs.verified"))
+    print(f"C-rounds: {result.metadata.recovery.crounds}")
+    print(f"proofs verified: {proofs}")
+    print(f"decrypted == plaintext oracle: {released == expected}")
+    print(f"histogram: {released}")
     return 0
 
 
@@ -395,16 +393,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         KillSpec,
     )
     from repro.errors import CoordinatorCrash
-    from repro.runtime import RuntimeConfig
     from repro.workloads.epidemic import campaign_queries
 
-    base = RuntimeConfig.from_env()
-    runtime = RuntimeConfig(
-        workers=args.workers if args.workers is not None else base.workers,
-        backend=args.backend if args.backend is not None else base.backend,
-        chunk_size=base.chunk_size,
-        shards=args.shards if args.shards is not None else base.shards,
-    )
+    runtime = _runtime_from_args(args)
     kill = None
     if args.kill_at and args.kill_before:
         print("--kill-at and --kill-before are mutually exclusive")
@@ -546,16 +537,9 @@ def cmd_precompute(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.runtime import RuntimeConfig
     from repro.service import QueryService, ServiceConfig
 
-    base = RuntimeConfig.from_env()
-    runtime = RuntimeConfig(
-        workers=args.workers if args.workers is not None else base.workers,
-        backend=args.backend if args.backend is not None else base.backend,
-        chunk_size=base.chunk_size,
-        shards=args.shards if args.shards is not None else base.shards,
-    )
+    runtime = _runtime_from_args(args)
     config = ServiceConfig(
         master_seed=args.seed,
         people=args.people,

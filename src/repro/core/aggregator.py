@@ -14,17 +14,28 @@ The aggregator never holds a decryption key.  Per query it:
 
 ZKP verification dominates the aggregator's compute (Figure 9b); the
 cost model tallies the simulated Groth16 verification seconds.
+
+One shape at every scale (docs/SHARDING.md): the submission order is
+cut into ``num_shards`` contiguous ranges, each verified, relinearized
+and folded into :data:`SUM_CHUNK` chunk sums, and the root
+:class:`ReductionTree` re-checks each shard's claimed partial against
+its chunk evidence before reducing the partials into the one ciphertext
+the committee decrypts.  The flat aggregator is ``num_shards=1``.
+Addition is exact and contiguous shards preserve the submission order,
+so everything but the analytic noise tag is bit-identical at any K.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro import telemetry
 from repro.crypto import bgv, zksnark
 from repro.crypto.merkle import InclusionProof, MerkleTree, verify_inclusion
 from repro.engine.encrypted import OriginSubmission
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ShardIntegrityError
 from repro.runtime import TaskFabric
 
 #: Fixed fan-in of the first summation-tree level.  A module constant —
@@ -66,6 +77,152 @@ def _sum_chunk_task(context: None, chunk: list[bgv.Ciphertext]) -> bgv.Ciphertex
     return _pairwise_sum(chunk)
 
 
+def chunked_partials(
+    cts: list[bgv.Ciphertext],
+    fabric: TaskFabric | None = None,
+) -> list[bgv.Ciphertext]:
+    """First tree level: SUM_CHUNK-sized chunks, each reduced pairwise.
+
+    Chunk boundaries depend only on item order — never on the fabric —
+    so the partial list is identical at any worker count.
+    """
+    chunks = [cts[i : i + SUM_CHUNK] for i in range(0, len(cts), SUM_CHUNK)]
+    if fabric is not None and len(chunks) > 1:
+        return fabric.map(_sum_chunk_task, chunks, label="aggregator.sum")
+    return [_pairwise_sum(chunk) for chunk in chunks]
+
+
+def tree_reduce(
+    cts: list[bgv.Ciphertext],
+    fabric: TaskFabric | None = None,
+) -> bgv.Ciphertext | None:
+    """The fixed-shape SUM_CHUNK summation tree: chunks reduced pairwise,
+    then the chunk sums reduced pairwise in order.
+
+    Homomorphic addition is exact, and the fixed shape keeps even the
+    noise-bit *metadata* identical at any worker count (a balanced tree
+    also grows the noise estimate logarithmically where a left fold
+    grows it linearly).
+    """
+    if not cts:
+        return None
+    return _pairwise_sum(chunked_partials(cts, fabric))
+
+
+def shard_bounds(total: int, num_shards: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of the K balanced contiguous ranges over
+    ``total`` ordered items: the first ``total % K`` take one extra, and
+    ranges past the item count are empty.  The seeded
+    :class:`repro.sharding.planner.ShardPlanner` lays out on the same
+    bounds."""
+    base, extra = divmod(total, num_shards)
+    bounds = []
+    start = 0
+    for index in range(num_shards):
+        stop = start + base + (1 if index < extra else 0)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
+@dataclass(frozen=True)
+class ShardPartial:
+    """One shard's contribution to the root reduction.
+
+    Bookkeeping lists are in the shard's *submission* order; because
+    shards are contiguous ranges of the global order, concatenating them
+    in shard order replays the single-shard bookkeeping exactly
+    (accepted/rejected lists, Merkle leaves, verification-seconds fold).
+
+    ``chunk_partials`` is the integrity evidence: the SUM_CHUNK chunk
+    sums the shard claims ``partial`` was reduced from.  The root
+    recomputes the reduction before trusting the claim.
+    """
+
+    shard_index: int
+    accepted: tuple[int, ...]
+    rejected: tuple[int, ...]
+    accepted_digests: tuple[bytes, ...]
+    #: Per-submission simulated Groth16 seconds, shard submission order.
+    seconds: tuple[float, ...]
+    #: Per-submission proofs-verified counts, same order.
+    proofs: tuple[int, ...]
+    chunk_partials: tuple[bgv.Ciphertext, ...]
+    partial: bgv.Ciphertext | None
+
+    @property
+    def num_submissions(self) -> int:
+        return len(self.seconds)
+
+
+def shard_claimed_partial(
+    chunk_partials: Sequence[bgv.Ciphertext],
+) -> bgv.Ciphertext | None:
+    """The partial sum a shard aggregator *claims* for its chunk
+    evidence.  A module-level seam on purpose: the audit self-test's
+    colluding-shard mutant patches this to tamper, and the root's
+    independent recomputation must catch it."""
+    if not chunk_partials:
+        return None
+    return _pairwise_sum(list(chunk_partials))
+
+
+@dataclass
+class ReductionTree:
+    """Root combiner: verify each shard's claim, then tree-reduce.
+
+    The root recomputes every claimed partial from its chunk evidence
+    and refuses (:class:`~repro.errors.ShardIntegrityError`) a mismatch,
+    so a colluding shard aggregator cannot smuggle a tampered partial
+    into the committee's single decryption.  Verified evidence is
+    dropped at once: the root holds O(K) ciphertexts, never O(n).
+    """
+
+    fabric: TaskFabric | None = None
+    _partials: list[bgv.Ciphertext] = field(default_factory=list, init=False)
+    _shards_seen: int = field(default=0, init=False)
+
+    def add(self, partial: ShardPartial) -> None:
+        """Admit one shard's partial after recomputing its reduction."""
+        self._shards_seen += 1
+        if partial.partial is None:
+            if partial.chunk_partials or partial.accepted:
+                raise ShardIntegrityError(
+                    f"shard {partial.shard_index} claims no partial sum "
+                    "but presented accepted contributions"
+                )
+            return
+        recomputed = _pairwise_sum(list(partial.chunk_partials))
+        if recomputed.serialize() != partial.partial.serialize():
+            telemetry.count("sharding.integrity.failures")
+            raise ShardIntegrityError(
+                f"shard {partial.shard_index} claimed a partial sum that "
+                "does not reduce from its own chunk evidence"
+            )
+        telemetry.count("sharding.partials.verified")
+        self._partials.append(partial.partial)
+
+    def reduce(self) -> bgv.Ciphertext | None:
+        """Combine the verified shard partials through the summation
+        tree into the one ciphertext handed to the committee."""
+        if not self._shards_seen:
+            raise ProtocolError("no shard partials were added")
+        with telemetry.span(
+            "sharding.reduce",
+            shards=self._shards_seen,
+            partials=len(self._partials),
+        ):
+            started = time.perf_counter()
+            root = tree_reduce(self._partials, self.fabric)
+            telemetry.observe(
+                "sharding.reduce.seconds", time.perf_counter() - started
+            )
+            telemetry.count(
+                "sharding.partials.reduced", len(self._partials)
+            )
+        return root
+
+
 def _verify_relin_task(
     context: tuple[zksnark.Groth16System, bgv.RelinKeySet],
     submission: OriginSubmission,
@@ -77,10 +234,9 @@ def _verify_relin_task(
     sampling RNG, so any worker may run it.
     """
     zk, relin_keys = context
-    checker = QueryAggregator(zk=zk, relin_keys=relin_keys)
-    ok, seconds, proofs = checker.verify_submission(submission)
-    relin = bgv.relinearize(submission.ciphertext, relin_keys) if ok else None
-    return ok, seconds, proofs, relin
+    return QueryAggregator(zk=zk, relin_keys=relin_keys)._verify_relin(
+        submission
+    )
 
 
 @dataclass
@@ -102,14 +258,20 @@ class QueryAggregator:
     #: independently, so they shard cleanly — but only under full
     #: verification: spot-checking draws from a shared RNG whose
     #: consumption order must stay sequential, so it pins the serial
-    #: path.
+    #: in-order path (contiguous shards keep that order at any K).
     fabric: TaskFabric | None = None
+    #: K contiguous shards of the submission order, each verified and
+    #: folded independently, then combined by the claim-checked root.
+    #: A runtime knob like the worker count: never part of a result.
+    num_shards: int = 1
     _tree: MerkleTree | None = field(default=None, init=False)
     _accepted_digests: list[bytes] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.spot_check_fraction <= 1:
             raise ProtocolError("spot-check fraction must be in (0, 1]")
+        if self.num_shards < 1:
+            raise ProtocolError("QueryAggregator.num_shards must be >= 1")
 
     def _should_check(self) -> bool:
         if self.spot_check_fraction >= 1.0:
@@ -174,53 +336,90 @@ class QueryAggregator:
         input_digests = statement.public_inputs[1]
         return all(digest in verified for digest in input_digests)
 
-    def aggregate(
-        self, submissions: list[OriginSubmission]
-    ) -> AggregationResult:
-        """Verify, relinearize, and sum all submissions.
+    def _verify_relin(
+        self, submission: OriginSubmission
+    ) -> tuple[bool, float, int, bgv.Ciphertext | None]:
+        """Check one submission and relinearize it if it is accepted."""
+        ok, seconds, proofs = self.verify_submission(submission)
+        relin = (
+            bgv.relinearize(submission.ciphertext, self.relin_keys)
+            if ok
+            else None
+        )
+        return ok, seconds, proofs, relin
+
+    def aggregate_shard(
+        self, shard_index: int, submissions: list[OriginSubmission]
+    ) -> ShardPartial:
+        """One shard aggregator: verify, relinearize, fold, claim.
 
         Verification + relinearization of distinct submissions is
         independent work, sharded across :attr:`fabric` when one is set
-        and every proof is being checked (spot-checking consumes a
-        shared RNG and stays serial).  The global sum is a fixed-shape
-        summation tree (see :func:`_tree_sum`), not a left fold, so it
-        too can be chunked without changing the result.
+        and every proof is being checked; the shard's accepted
+        ciphertexts then fold into SUM_CHUNK chunk sums.
         """
-        accepted: list[int] = []
-        rejected: list[int] = []
-        total_seconds = 0.0
-        total_proofs = 0
-        self._accepted_digests = []
-        if self.fabric is not None and self.spot_check_fraction >= 1.0:
-            results = self.fabric.map(
+        telemetry.count("sharding.shard.submissions", len(submissions))
+        fabric = self.fabric if self.spot_check_fraction >= 1.0 else None
+        if fabric is not None:
+            results = fabric.map(
                 _verify_relin_task,
                 submissions,
                 context=(self.zk, self.relin_keys),
                 label="aggregator.verify",
             )
         else:
-            results = []
-            for submission in submissions:
-                ok, seconds, proofs = self.verify_submission(submission)
-                relin = (
-                    bgv.relinearize(submission.ciphertext, self.relin_keys)
-                    if ok
-                    else None
-                )
-                results.append((ok, seconds, proofs, relin))
+            results = [self._verify_relin(s) for s in submissions]
+        accepted: list[int] = []
+        rejected: list[int] = []
         relinearized: list[bgv.Ciphertext] = []
         for submission, (ok, seconds, proofs, relin) in zip(submissions, results):
             telemetry.count("aggregator.proofs.verified", proofs)
             telemetry.observe("aggregator.verify.seconds", seconds)
-            total_seconds += seconds
-            total_proofs += proofs
-            if not ok:
+            if ok:
+                accepted.append(submission.origin)
+                relinearized.append(relin)
+            else:
                 rejected.append(submission.origin)
-                continue
-            accepted.append(submission.origin)
-            relinearized.append(relin)
-            self._accepted_digests.append(relin.digest())
-        global_ct = self._tree_sum(relinearized)
+        chunk_partials = tuple(chunked_partials(relinearized, fabric))
+        return ShardPartial(
+            shard_index=shard_index,
+            accepted=tuple(accepted),
+            rejected=tuple(rejected),
+            accepted_digests=tuple(ct.digest() for ct in relinearized),
+            seconds=tuple(r[1] for r in results),
+            proofs=tuple(r[2] for r in results),
+            chunk_partials=chunk_partials,
+            partial=shard_claimed_partial(chunk_partials),
+        )
+
+    def aggregate(
+        self, submissions: list[OriginSubmission]
+    ) -> AggregationResult:
+        """Verify, relinearize, and sum all submissions.
+
+        Shards are consumed one at a time, so peak residency is one
+        shard's relinearized ciphertexts plus O(K) partials.
+        """
+        root = ReductionTree(fabric=self.fabric)
+        accepted: list[int] = []
+        rejected: list[int] = []
+        self._accepted_digests = []
+        total_seconds = 0.0
+        total_proofs = 0
+        bounds = shard_bounds(len(submissions), self.num_shards)
+        telemetry.count("sharding.shards.planned", len(bounds))
+        for index, (start, stop) in enumerate(bounds):
+            partial = self.aggregate_shard(index, submissions[start:stop])
+            root.add(partial)
+            accepted.extend(partial.accepted)
+            rejected.extend(partial.rejected)
+            self._accepted_digests.extend(partial.accepted_digests)
+            # One left fold in global submission order, whatever K is:
+            # the float total is bit-identical across layouts.
+            for seconds in partial.seconds:
+                total_seconds += seconds
+            total_proofs += sum(partial.proofs)
+        global_ct = root.reduce()
         telemetry.count("aggregator.submissions.accepted", len(accepted))
         telemetry.count("aggregator.submissions.rejected", len(rejected))
         self._tree = MerkleTree(self._accepted_digests or [b"empty"])
@@ -232,28 +431,6 @@ class QueryAggregator:
             verification_seconds=total_seconds,
             proofs_verified=total_proofs,
         )
-
-    def _tree_sum(self, cts: list[bgv.Ciphertext]) -> bgv.Ciphertext | None:
-        """Sum ciphertexts over a worker-count-independent tree.
-
-        Contributions are grouped into :data:`SUM_CHUNK`-sized chunks,
-        each chunk is reduced pairwise (sharded across the fabric when
-        there is more than one), and the partials are reduced pairwise
-        in order.  Homomorphic addition is exact, and the fixed shape
-        keeps even the noise-bit *metadata* identical at any worker
-        count (a balanced tree also grows the noise estimate
-        logarithmically where the old left fold grew it linearly).
-        """
-        if not cts:
-            return None
-        chunks = [cts[i : i + SUM_CHUNK] for i in range(0, len(cts), SUM_CHUNK)]
-        if self.fabric is not None and len(chunks) > 1:
-            partials = self.fabric.map(
-                _sum_chunk_task, chunks, label="aggregator.sum"
-            )
-        else:
-            partials = [_pairwise_sum(chunk) for chunk in chunks]
-        return _pairwise_sum(partials)
 
     def inclusion_proof(self, position: int) -> InclusionProof:
         """Summation-tree inclusion proof for an accepted contribution

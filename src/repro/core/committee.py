@@ -218,40 +218,6 @@ def threshold_decrypt(
     return plaintext
 
 
-def decrypt_with_liveness_retry(
-    committee: Committee,
-    ciphertext: bgv.Ciphertext,
-    rng: random.Random,
-    availability_schedule: list[list[int]],
-) -> tuple[RingElement, int]:
-    """§6.5: "If there aren't enough members for liveness, we simply
-    have to wait for some amount of time before enough members are back,
-    and retry the computation."
-
-    ``availability_schedule[i]`` lists the member device ids online in
-    attempt i.  Returns (plaintext, attempts used); raises
-    :class:`~repro.errors.LivenessQuorumError` if the schedule ends
-    without a quorum.
-
-    Only liveness misses are retried.  Any *other* ``ProtocolError`` —
-    a malformed ciphertext, a decode failure under corruption —
-    propagates immediately: retrying with the same members cannot fix a
-    lie, and silently waiting would mask a Byzantine fault as churn.
-    """
-    for attempt, online in enumerate(availability_schedule, start=1):
-        try:
-            plaintext = threshold_decrypt(
-                committee, ciphertext, rng, participating=online
-            )
-        except LivenessQuorumError:
-            continue
-        return plaintext, attempt
-    raise LivenessQuorumError(
-        "no attempt reached the liveness quorum of "
-        f"{committee.threshold} members"
-    )
-
-
 def shared_smudge_shares(
     members: list[CommitteeMember],
     profile: BGVProfile,
@@ -406,44 +372,52 @@ def robust_threshold_decrypt(
     return plaintext, flagged
 
 
-def robust_decrypt_with_liveness_retry(
+def decrypt_with_liveness_retry(
     committee: Committee,
     ciphertext: bgv.Ciphertext,
     rng: random.Random,
     availability_schedule: list[list[int]],
     corrupt=None,
 ) -> tuple[RingElement, int, set[int]]:
-    """Liveness retry *and* corruption tolerance in one loop.
+    """§6.5: "If there aren't enough members for liveness, we simply
+    have to wait for some amount of time before enough members are back,
+    and retry the computation."
 
-    Each attempt needs ``threshold + 1`` members online (error
-    detection needs redundancy); attempts short of that are liveness
-    misses and simply wait (§6.5).  Once a quorum is present the robust
-    decode runs: lying members are corrected through and flagged — the
-    emergency-reshare trigger's input — while a
-    :class:`~repro.errors.RobustDecodingError` (too many liars among
-    the *present* members) propagates immediately instead of being
-    retried as if it were churn.  Returns
-    ``(plaintext, attempts, flagged device ids)``.
+    ``availability_schedule[i]`` lists the member device ids online in
+    attempt i (no churn to model = a single attempt).  ``corrupt``, the
+    ``(device_id, value) -> value`` hook of a fault plan that names
+    corrupt members, selects the algorithm: without it
+    :func:`threshold_decrypt`, quorum ``threshold``; with it
+    :func:`robust_threshold_decrypt`, quorum ``threshold + 1`` (error
+    detection needs redundancy), which corrects through the liars and
+    flags them — the emergency-reshare trigger's input.
+
+    Only liveness misses are retried.  Any *other* ``ProtocolError`` —
+    a malformed ciphertext, a decode failure under corruption —
+    propagates immediately: retrying with the same members cannot fix a
+    lie, and silently waiting would mask a Byzantine fault as churn.
+    Returns ``(plaintext, attempts used, flagged device ids)``; raises
+    :class:`~repro.errors.LivenessQuorumError` if the schedule ends
+    without a quorum.
     """
-    needed = committee.threshold + 1
+    needed = committee.threshold + (1 if corrupt is not None else 0)
     for attempt, online in enumerate(availability_schedule, start=1):
         present = [
-            m.device_id
-            for m in committee.members
-            if m.device_id in online
+            m.device_id for m in committee.members if m.device_id in online
         ]
         if len(present) < needed:
             continue
+        if corrupt is None:
+            plaintext = threshold_decrypt(
+                committee, ciphertext, rng, participating=present
+            )
+            return plaintext, attempt, set()
         plaintext, flagged = robust_threshold_decrypt(
-            committee,
-            ciphertext,
-            rng,
-            corrupt=corrupt,
-            participating=present,
+            committee, ciphertext, rng, corrupt=corrupt, participating=present
         )
         return plaintext, attempt, flagged
     raise LivenessQuorumError(
-        f"no attempt reached the robust quorum of {needed} members"
+        f"no attempt reached the decryption quorum of {needed} members"
     )
 
 

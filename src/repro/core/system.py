@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from repro import telemetry
 from repro.core import committee as committee_mod
-from repro.core.aggregator import QueryAggregator
+from repro.core.aggregator import AggregationResult, QueryAggregator
 from repro.core.results import (
     GsumResult,
     HistogramResult,
@@ -64,6 +64,7 @@ from repro.runtime import (
 from repro.workloads.graphgen import ContactGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.report import RecoveryReport
     from repro.mixnet.network import MixnetWorld
 
 
@@ -199,40 +200,17 @@ class MyceliumSystem:
         can see which devices were shed (docs/RESILIENCE.md).
         """
         config = runtime if runtime is not None else get_runtime_config()
+        quarantined = set(quarantined or ())
         with backends.use_backend(config.backend), TaskFabric.from_config(
             config
-        ) as fabric:
-            return self._run_query_with_fabric(
-                query, graph, epsilon, behaviors, offline, rotate,
-                noiseless, world, fabric, shards=config.shards,
-                offline_store=offline_store, submission_seed=submission_seed,
-                quarantined=quarantined,
-            )
-
-    def _run_query_with_fabric(
-        self,
-        query: str | CatalogEntry,
-        graph: ContactGraph,
-        epsilon: float,
-        behaviors: dict[int, Behavior] | None,
-        offline: set[int] | None,
-        rotate: bool,
-        noiseless: bool,
-        world: MixnetWorld | None,
-        fabric: TaskFabric,
-        shards: int = 1,
-        offline_store=None,
-        submission_seed: int | None = None,
-        quarantined: set[int] | None = None,
-    ) -> QueryResult:
-        quarantined = set(quarantined or ())
-        with telemetry.span("query.run", epsilon=epsilon) as query_span:
+        ) as fabric, telemetry.span("query.run", epsilon=epsilon) as query_span:
             with telemetry.span("query.compile"):
                 plan = self.compile(query)
             label = str(plan.query)
             query_span.set_attribute("query", label)
             self.budget.charge(epsilon, label)
 
+            injector = recovery = None
             if world is not None:
                 if offline is not None or quarantined:
                     raise QueryError(
@@ -250,115 +228,64 @@ class MyceliumSystem:
                     zk=self.zk,
                     rng=self.rng,
                 )
-                transport_start_round = world.current_round
+                start_round = world.current_round
                 with telemetry.span("query.execute"):
                     submissions = transport.run(behaviors)
+                injector, recovery = world.fault_injector, transport.recovery
             else:
-                effective_offline = set(offline or ()) | quarantined
                 submissions = self.submit_phase(
                     plan, graph, self.rng, fabric,
                     behaviors=behaviors,
-                    offline=effective_offline if effective_offline else offline,
+                    offline=set(offline or ()) | quarantined,
                     offline_store=offline_store,
                     submission_seed=submission_seed,
                 )
             aggregation = self.aggregate_phase(
-                submissions, fabric, shards, offline_store=offline_store
+                submissions, fabric, config.shards, offline_store=offline_store
             )
 
-            injector = world.fault_injector if world is not None else None
-            with telemetry.span("query.decrypt"):
+            # Committee faults come from the world's fault plan: dropouts
+            # become an availability schedule, corrupt members a
+            # per-partial corruption hook (docs/RESILIENCE.md).
+            schedule = corrupt = None
+            if injector is not None:
                 member_ids = [m.device_id for m in self.committee.members]
-                decrypt_attempts = 1
-                flagged: set[int] = set()
-                if injector is not None and injector.plan.corrupt_committee:
+                if injector.plan.corrupt_committee:
                     injector.corrupt_members(member_ids)
-                    if injector.plan.committee_dropouts:
-                        schedule = injector.committee_schedule(member_ids)
-                        plaintext, decrypt_attempts, flagged = (
-                            committee_mod.robust_decrypt_with_liveness_retry(
-                                self.committee,
-                                aggregation.ciphertext,
-                                self.rng,
-                                schedule,
-                                corrupt=injector.corrupt_partial,
-                            )
-                        )
-                        if decrypt_attempts > 1:
-                            telemetry.count(
-                                "committee.decrypt.retries",
-                                decrypt_attempts - 1,
-                            )
-                    else:
-                        plaintext, flagged = (
-                            committee_mod.robust_threshold_decrypt(
-                                self.committee,
-                                aggregation.ciphertext,
-                                self.rng,
-                                corrupt=injector.corrupt_partial,
-                            )
-                        )
-                elif injector is not None and injector.plan.committee_dropouts:
+                    corrupt = injector.corrupt_partial
+                if injector.plan.committee_dropouts:
                     schedule = injector.committee_schedule(member_ids)
-                    plaintext, decrypt_attempts = (
-                        committee_mod.decrypt_with_liveness_retry(
-                            self.committee,
-                            aggregation.ciphertext,
-                            self.rng,
-                            schedule,
-                        )
-                    )
-                    if decrypt_attempts > 1:
-                        telemetry.count(
-                            "committee.decrypt.retries", decrypt_attempts - 1
-                        )
-                else:
-                    plaintext = committee_mod.threshold_decrypt(
-                        self.committee, aggregation.ciphertext, self.rng
-                    )
-                coefficients = [
-                    plaintext.coeffs[i]
-                    for i in range(plan.layout.total_coefficients)
-                ]
+            coefficients, attempts, flagged = self.decrypt_phase(
+                plan, aggregation.ciphertext, self.rng,
+                schedule=schedule, corrupt=corrupt,
+            )
 
-            recovery = None
-            num_complaints = 0
-            if world is not None:
-                complaint_texts = tuple(
+            if recovery is not None:
+                recovery.complaints = tuple(
                     c.decode("utf-8", errors="replace")
                     for c in world.complaints()
                 )
-                num_complaints = len(complaint_texts)
-                if num_complaints:
+                if recovery.complaints:
                     telemetry.count(
-                        "query.complaints.observed", num_complaints
+                        "query.complaints.observed", len(recovery.complaints)
                     )
-                recovery = transport.recovery
-                recovery.complaints = complaint_texts
-                recovery.decrypt_attempts = decrypt_attempts
+                recovery.decrypt_attempts = attempts
                 recovery.flagged_members = tuple(sorted(flagged))
-                recovery.crounds = world.current_round - transport_start_round
+                recovery.crounds = world.current_round - start_round
                 if injector is not None:
                     recovery.faults_injected = injector.fault_counts()
 
-            report = sensitivity_mod.analyze(plan)
-            scale = 0.0 if noiseless else report.sensitivity / epsilon
-            metadata = QueryMetadata(
-                query_text=label,
-                epsilon=epsilon,
-                sensitivity=report.sensitivity,
-                noise_scale=scale,
-                contributing_origins=aggregation.num_accepted,
-                rejected_origins=len(aggregation.rejected),
-                committee_epoch=self.committee.epoch,
-                verification_seconds=aggregation.verification_seconds,
-                complaints=num_complaints,
-                recovery=recovery,
-                quarantined_origins=tuple(sorted(quarantined)),
-                byzantine_origins=tuple(sorted(aggregation.rejected)),
+            sensitivity = sensitivity_mod.analyze(plan).sensitivity
+            scale = 0.0 if noiseless else sensitivity / epsilon
+            metadata = self.query_metadata(
+                label, epsilon, sensitivity, scale, aggregation,
+                recovery=recovery, quarantined=quarantined,
             )
             with telemetry.span("query.release"):
-                result = self._release(plan, coefficients, scale, metadata)
+                noise = self.compute_noise(plan, coefficients, scale)
+                result = self.release_with_noise(
+                    plan, coefficients, noise, metadata
+                )
             self.query_log.append(metadata)
             if rotate:
                 with telemetry.span("query.rotate"):
@@ -367,12 +294,12 @@ class MyceliumSystem:
 
     # -- explicit query phases -----------------------------------------------
     #
-    # The durable campaign runner (repro.durability) drives these same
-    # phase methods one at a time, journaling each boundary; run_query
-    # above is the single-shot composition.  Every method is a pure
-    # function of its arguments plus the system's long-lived state, so a
-    # resumed process that rebuilds the system and replays the journal
-    # re-enters any phase bit-identically.
+    # run_query above is the plain in-order composition of these phase
+    # methods; the durable campaign runner (repro.durability) drives the
+    # same methods one at a time, journaling each boundary.  Every
+    # method is a pure function of its arguments plus the system's
+    # long-lived state, so a resumed process that rebuilds the system
+    # and replays the journal re-enters any phase bit-identically.
 
     def submit_phase(
         self,
@@ -418,11 +345,11 @@ class MyceliumSystem:
     ):
         """Proof verification + relinearized summation at the aggregator.
 
-        ``shards > 1`` routes through K independent shard aggregators
-        and the claim-checked root reduction (docs/SHARDING.md); the
-        result is bit-identical to the flat path at any K, so the shard
-        count — like the worker count and backend — is a runtime knob,
-        never part of a query's identity.
+        ``shards`` is the aggregator's K (docs/SHARDING.md): K
+        independent shard folds under the claim-checked root reduction,
+        the flat aggregator being K=1.  The result is bit-identical at
+        any K, so the shard count — like the worker count and backend —
+        is a runtime knob, never part of a query's identity.
 
         ``offline_store`` swaps the relinearization keys for their
         :class:`~repro.crypto.bgv.PreparedRelinKeySet` wrapper, whose
@@ -433,20 +360,12 @@ class MyceliumSystem:
         if offline_store is not None:
             relin_keys = offline_store.relin_for(relin_keys)
         with telemetry.span("query.aggregate"):
-            if shards > 1:
-                from repro.sharding import ShardedAggregator
-
-                aggregator = ShardedAggregator(
-                    zk=self.zk,
-                    relin_keys=relin_keys,
-                    num_shards=shards,
-                    fabric=fabric,
-                )
-            else:
-                aggregator = QueryAggregator(
-                    zk=self.zk, relin_keys=relin_keys, fabric=fabric
-                )
-            aggregation = aggregator.aggregate(submissions)
+            aggregation = QueryAggregator(
+                zk=self.zk,
+                relin_keys=relin_keys,
+                fabric=fabric,
+                num_shards=shards,
+            ).aggregate(submissions)
         if aggregation.ciphertext is None:
             raise ProtocolError("no valid contributions to aggregate")
         return aggregation
@@ -456,41 +375,39 @@ class MyceliumSystem:
         plan: ExecutionPlan,
         ciphertext: bgv.Ciphertext,
         rng: random.Random,
+        *,
         participating: list[int] | None = None,
-    ) -> list[int]:
-        """Threshold decryption down to the plan's coefficient vector."""
+        schedule: list[list[int]] | None = None,
+        corrupt=None,
+    ) -> tuple[list[int], int, set[int]]:
+        """Threshold decryption down to the plan's coefficient vector.
+
+        The one decrypt entry for every driver.  ``schedule`` is a
+        per-attempt availability schedule (§6.5 wait-and-retry); without
+        one there is a single attempt by ``participating`` (default: the
+        whole committee).  ``corrupt`` is the fault injector's
+        per-partial corruption hook, present exactly when the fault plan
+        names corrupt members, and selects the robust single-pass
+        decoder.  Returns ``(coefficients, attempts, flagged device
+        ids)``.
+        """
+        if schedule is None:
+            if participating is None:
+                participating = [m.device_id for m in self.committee.members]
+            schedule = [participating]
         with telemetry.span("query.decrypt"):
-            plaintext = committee_mod.threshold_decrypt(
-                self.committee, ciphertext, rng, participating=participating
+            plaintext, attempts, flagged = (
+                committee_mod.decrypt_with_liveness_retry(
+                    self.committee, ciphertext, rng, schedule, corrupt=corrupt
+                )
             )
-            return [
+            if attempts > 1:
+                telemetry.count("committee.decrypt.retries", attempts - 1)
+            coefficients = [
                 plaintext.coeffs[i]
                 for i in range(plan.layout.total_coefficients)
             ]
-
-    def robust_decrypt_phase(
-        self,
-        plan: ExecutionPlan,
-        ciphertext: bgv.Ciphertext,
-        rng: random.Random,
-        participating: list[int] | None = None,
-        corrupt=None,
-    ) -> tuple[list[int], set[int]]:
-        """Single-pass robust decryption: same coefficients as
-        :meth:`decrypt_phase` plus the flagged (lying) device ids.
-        ``corrupt`` is the injector's per-value corruption hook."""
-        with telemetry.span("query.decrypt"):
-            plaintext, flagged = committee_mod.robust_threshold_decrypt(
-                self.committee,
-                ciphertext,
-                rng,
-                corrupt=corrupt,
-                participating=participating,
-            )
-            return [
-                plaintext.coeffs[i]
-                for i in range(plan.layout.total_coefficients)
-            ], flagged
+        return coefficients, attempts, flagged
 
     def compute_noise(
         self, plan: ExecutionPlan, coefficients: list[int], scale: float
@@ -502,20 +419,17 @@ class MyceliumSystem:
         after a crash reproduces the exact noise.
         """
         if plan.output is OutputKind.HISTO:
-            groups = histogram_mod.decode_histogram(coefficients, plan)
-            return [
-                committee_mod.committee_noise(
-                    self.committee, len(group.counts), scale
-                )
-                if scale
-                else [0.0] * len(group.counts)
-                for group in groups
+            widths = [
+                len(group.counts)
+                for group in histogram_mod.decode_histogram(coefficients, plan)
             ]
-        values = histogram_mod.decode_gsum(coefficients, plan)
+        else:
+            widths = [len(histogram_mod.decode_gsum(coefficients, plan))]
         return [
-            committee_mod.committee_noise(self.committee, len(values), scale)
+            committee_mod.committee_noise(self.committee, width, scale)
             if scale
-            else [0.0] * len(values)
+            else [0.0] * width
+            for width in widths
         ]
 
     def release_with_noise(
@@ -545,16 +459,33 @@ class MyceliumSystem:
             metadata=metadata,
         )
 
-    def _release(
+    def query_metadata(
         self,
-        plan: ExecutionPlan,
-        coefficients: list[int],
+        label: str,
+        epsilon: float,
+        sensitivity: float,
         scale: float,
-        metadata: QueryMetadata,
-    ) -> QueryResult:
-        """Committee-side final processing: decode, noise, release."""
-        noise = self.compute_noise(plan, coefficients, scale)
-        return self.release_with_noise(plan, coefficients, noise, metadata)
+        aggregation: AggregationResult,
+        *,
+        recovery: RecoveryReport | None = None,
+        quarantined: set[int] | frozenset[int] = frozenset(),
+    ) -> QueryMetadata:
+        """The bookkeeping released with an answer — the one assembly
+        site, so every driver reports the same fields."""
+        return QueryMetadata(
+            query_text=label,
+            epsilon=epsilon,
+            sensitivity=sensitivity,
+            noise_scale=scale,
+            contributing_origins=aggregation.num_accepted,
+            rejected_origins=len(aggregation.rejected),
+            committee_epoch=self.committee.epoch,
+            verification_seconds=aggregation.verification_seconds,
+            complaints=0 if recovery is None else len(recovery.complaints),
+            recovery=recovery,
+            quarantined_origins=tuple(sorted(quarantined)),
+            byzantine_origins=tuple(sorted(aggregation.rejected)),
+        )
 
     # -- committee lifecycle -----------------------------------------------------
 

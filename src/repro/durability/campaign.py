@@ -35,7 +35,6 @@ from typing import Any
 
 from repro import telemetry
 from repro.core import committee as committee_mod
-from repro.core.results import QueryMetadata
 from repro.core.rounds import CampaignClock, build_schedule
 from repro.core.system import MyceliumSystem
 from repro.durability import checkpoint as checkpoint_mod
@@ -664,10 +663,14 @@ class CampaignRunner:
                 "campaign.phase", query=query_index, phase=phase
             ):
                 if record is not None:
-                    self._restore_phase(query_index, phase, record.data, ctx)
+                    getattr(self, f"_restore_{phase}")(
+                        query_index, record.data, ctx
+                    )
                     telemetry.count("durability.resume.replayed")
                 else:
-                    data = self._run_phase(query_index, phase, ctx, fabric)
+                    data = getattr(self, f"_phase_{phase}")(
+                        query_index, ctx, fabric
+                    )
                     self._commit(
                         "phase",
                         phase,
@@ -675,22 +678,6 @@ class CampaignRunner:
                         {"query": query_index, "phase": phase, **data},
                     )
         telemetry.count("durability.campaign.queries")
-
-    def _run_phase(
-        self,
-        query_index: int,
-        phase: str,
-        ctx: dict[str, Any],
-        fabric: TaskFabric,
-    ) -> dict:
-        handler = getattr(self, f"_phase_{phase}")
-        return handler(query_index, ctx, fabric)
-
-    def _restore_phase(
-        self, query_index: int, phase: str, data: dict, ctx: dict[str, Any]
-    ) -> None:
-        handler = getattr(self, f"_restore_{phase}")
-        handler(query_index, data, ctx)
 
     # -- phase: compile -----------------------------------------------------
 
@@ -859,25 +846,19 @@ class CampaignRunner:
         rng = derive_rng(
             self.config.master_seed, "query", query_index, "decrypt"
         )
-        flagged: set[int] = set()
-        if (
-            self.injector is not None
+        corrupt = (
+            self.injector.corrupt_partial
+            if self.injector is not None
             and self.injector.plan.corrupt_committee
-        ):
-            coefficients, flagged = self.system.robust_decrypt_phase(
-                ctx["plan"],
-                ctx["aggregation"].ciphertext,
-                rng,
-                participating=list(report.live),
-                corrupt=self.injector.corrupt_partial,
-            )
-        else:
-            coefficients = self.system.decrypt_phase(
-                ctx["plan"],
-                ctx["aggregation"].ciphertext,
-                rng,
-                participating=list(report.live),
-            )
+            else None
+        )
+        coefficients, _, flagged = self.system.decrypt_phase(
+            ctx["plan"],
+            ctx["aggregation"].ciphertext,
+            rng,
+            participating=list(report.live),
+            corrupt=corrupt,
+        )
         ctx["coefficients"] = coefficients
         return {
             "coefficients": coefficients,
@@ -923,16 +904,12 @@ class CampaignRunner:
 
     def _phase_release(self, query_index, ctx, fabric) -> dict:
         assert self.system is not None
-        aggregation = ctx["aggregation"]
-        metadata = QueryMetadata(
-            query_text=ctx["label"],
-            epsilon=ctx["epsilon"],
-            sensitivity=ctx["sensitivity"],
-            noise_scale=ctx["scale"],
-            contributing_origins=aggregation.num_accepted,
-            rejected_origins=len(aggregation.rejected),
-            committee_epoch=self.system.committee.epoch,
-            verification_seconds=aggregation.verification_seconds,
+        metadata = self.system.query_metadata(
+            ctx["label"],
+            ctx["epsilon"],
+            ctx["sensitivity"],
+            ctx["scale"],
+            ctx["aggregation"],
         )
         result = self.system.release_with_noise(
             ctx["plan"], ctx["coefficients"], ctx["noise"], metadata

@@ -71,8 +71,9 @@ class EquivocationError(ProtocolError):
 class ShardIntegrityError(ProtocolError):
     """A shard aggregator's claimed partial sum does not equal the
     reduction of its own chunk evidence.  Raised by the root
-    :class:`repro.sharding.ReductionTree` before the bad partial can
-    contaminate the committee's single decryption (docs/SHARDING.md)."""
+    :class:`repro.core.aggregator.ReductionTree` before the bad partial
+    can contaminate the committee's single decryption
+    (docs/SHARDING.md)."""
 
 
 class MessageDroppedError(ProtocolError):

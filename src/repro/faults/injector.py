@@ -2,7 +2,9 @@
 
 The injector is consulted by :meth:`MixnetWorld.run_round` (churn, wire
 faults on deposit), :meth:`MixDevice.process_wire` (fetch-side loss),
-and :meth:`MyceliumSystem.run_query` (committee availability).  It is
+and :meth:`MyceliumSystem.run_query` (committee availability and
+corruption, handed to the one decrypt entry,
+:meth:`MyceliumSystem.decrypt_phase`).  It is
 duck-typed — attached as ``world.fault_injector`` — so the mixnet layer
 never imports this package and the dependency points one way.
 
@@ -164,8 +166,9 @@ class FaultInjector:
     # -- committee faults ---------------------------------------------------
 
     def committee_schedule(self, member_ids: list[int]) -> list[list[int]]:
-        """Availability schedule for ``decrypt_with_liveness_retry``:
-        dropouts sit out the first attempts, then everyone returns."""
+        """Availability schedule for ``decrypt_phase(schedule=...)``
+        (the ``decrypt_with_liveness_retry`` loop): dropouts sit out the
+        first attempts, then everyone returns."""
         away = [m for m in member_ids if m in self.plan.committee_dropouts]
         if not away:
             return [list(member_ids)]
@@ -176,8 +179,8 @@ class FaultInjector:
         return [list(present) for _ in range(attempts)] + [list(member_ids)]
 
     def corrupt_members(self, member_ids: list[int]) -> set[int]:
-        """Members that will submit bad partials, for
-        ``robust_threshold_decrypt``."""
+        """Members that will submit bad partials; records the fault.
+        The lie itself is :meth:`corrupt_partial`."""
         corrupt = {
             m for m in member_ids if m in self.plan.corrupt_committee
         }
@@ -189,7 +192,10 @@ class FaultInjector:
     def corrupt_partial(
         self, device_id: int, value: RingElement
     ) -> RingElement:
-        """Per-value corruption hook for ``robust_threshold_decrypt``.
+        """Per-value corruption hook: ``decrypt_phase(corrupt=...)``.
+
+        Passing it selects ``robust_threshold_decrypt`` behind the one
+        liveness loop and raises the quorum to ``threshold + 1``.
 
         Members named in ``plan.corrupt_committee`` have every partial
         decryption perturbed by a seed-derived nonzero constant, so the

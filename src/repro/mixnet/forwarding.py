@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro import telemetry
 from repro.crypto import aead
 from repro.errors import ProtocolError
+from repro.mixnet import onion
 from repro.mixnet.network import (
     MixnetWorld,
     SourcePathState,
@@ -72,32 +73,20 @@ def build_envelope(
 def _wrap_task(base_round: int, item: tuple[tuple[bytes, ...], bytes]) -> bytes:
     """Fabric task: onion-wrap one envelope under pre-derived hop keys.
 
-    Pure — no RNG, no shared state — so wraps shard freely across
-    workers; only the key derivation (trivial) and the mailbox deposits
-    (ordered) stay with the caller.
+    Hop j peels its layer with nonce ``base_round + j`` (its processing
+    round) and reads TAG_FORWARD first; the innermost peel at hop k
+    reveals the envelope, which hop k deposits into the destination's
+    mailbox.  Pure — no RNG, no shared state — so wraps shard freely
+    across workers; only the key derivation (trivial) and the mailbox
+    deposits (ordered) stay with the caller.
     """
     forward_keys, envelope = item
-    body = TAG_FORWARD + envelope
-    for j in range(len(forward_keys), 0, -1):
-        body = aead.senc(forward_keys[j - 1], base_round + j, body)
-        if j > 1:
-            body = TAG_FORWARD + body
-    return body
+    return onion.wrap(envelope, forward_keys, base_round + 1, TAG_FORWARD)
 
 
 def _forward_keys(path: SourcePathState) -> tuple[bytes, ...]:
     """The per-hop forwarding keys an onion for ``path`` wraps under."""
     return tuple(link_keys(hop_key)[0] for hop_key in path.hop_keys)
-
-
-def wrap_for_path(path: SourcePathState, envelope: bytes, base_round: int) -> bytes:
-    """Onion-wrap an envelope: every hop sees TAG_FORWARD after its peel.
-
-    Hop j peels its layer with nonce ``base_round + j`` (its processing
-    round); the innermost peel at hop k reveals the envelope, which hop k
-    deposits into the destination's mailbox.
-    """
-    return _wrap_task(base_round, (_forward_keys(path), envelope))
 
 
 class ForwardingDriver:

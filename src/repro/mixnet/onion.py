@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.crypto import aead
 from repro.errors import ProtocolError
@@ -50,15 +51,22 @@ class WireMessage:
         return cls(path_id=data[:PATH_ID_BYTES], body=data[PATH_ID_BYTES:])
 
 
-def wrap(payload: bytes, hop_keys: list[bytes], base_round: int) -> bytes:
+def wrap(
+    payload: bytes,
+    hop_keys: Sequence[bytes],
+    base_round: int,
+    tag: bytes = b"",
+) -> bytes:
     """Build the onion body handed to hop 1.
 
     ``hop_keys[i]`` is the key shared with hop i+1; layer i is encrypted
-    under the round number at which that hop will peel it.
+    under the round number at which that hop will peel it.  ``tag`` is
+    prepended to every layer's plaintext, so each hop reads it first
+    after its peel (the forwarding phase's one-byte dispatch tag).
     """
     body = payload
     for offset in reversed(range(len(hop_keys))):
-        body = aead.senc(hop_keys[offset], base_round + offset, body)
+        body = aead.senc(hop_keys[offset], base_round + offset, tag + body)
     return body
 
 

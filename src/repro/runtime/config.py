@@ -77,8 +77,9 @@ class RuntimeConfig:
         randomness) never depend on the pool size.
     ``shards``
         Aggregator shard count for the hierarchical reduction
-        (:mod:`repro.sharding`).  ``1`` runs the flat single-aggregator
-        path; results are bit-identical at any value (docs/SHARDING.md).
+        (:class:`repro.core.aggregator.QueryAggregator`'s
+        ``num_shards``).  ``1`` is the flat aggregator; results are
+        bit-identical at any value (docs/SHARDING.md).
     """
 
     workers: int = 1

@@ -1,33 +1,22 @@
-"""Sharded hierarchical aggregation (ROADMAP item 3).
+"""Sharded deployment around the aggregator (docs/SHARDING.md).
 
-Partition device origins into K deterministic contiguous shards
-(:mod:`repro.sharding.planner`), verify + relinearize each shard
-independently and fold it through the fixed-shape SUM_CHUNK tree
-(:mod:`repro.sharding.aggregate`), then combine the claim-checked shard
-partials into the one root ciphertext the committee decrypts
-(:mod:`repro.sharding.reduce`).  Per-shard mixnet worlds live in
-:mod:`repro.sharding.worlds`; the streaming 10^6-device live simulation
-in :mod:`repro.sharding.livesim`.  Design notes: docs/SHARDING.md.
+The aggregation itself — K contiguous shards, per-shard
+verify/relinearize/chunk, claim-checked root reduction — is
+:class:`repro.core.aggregator.QueryAggregator` with ``num_shards=K``.
+This package holds what surrounds it: the deterministic seeded shard
+layout (:mod:`repro.sharding.planner`), the streaming pairwise fold
+(:mod:`repro.sharding.reduce`), per-shard mixnet worlds
+(:mod:`repro.sharding.worlds`) and the streaming 10^6-device live
+simulation (:mod:`repro.sharding.livesim`).
 """
 
-from repro.sharding.aggregate import (
-    ShardedAggregator,
-    aggregate_shard,
-    shard_claimed_partial,
-)
 from repro.sharding.livesim import (
     ContributionBank,
     LiveSimReport,
     run_live_simulation,
 )
 from repro.sharding.planner import Shard, ShardPlan, ShardPlanner, plan_shards
-from repro.sharding.reduce import (
-    PairwiseAccumulator,
-    ReductionTree,
-    ShardPartial,
-    chunked_partials,
-    tree_reduce,
-)
+from repro.sharding.reduce import PairwiseAccumulator
 from repro.sharding.worlds import (
     ShardWorld,
     build_shard_world,
@@ -39,20 +28,13 @@ __all__ = [
     "ContributionBank",
     "LiveSimReport",
     "PairwiseAccumulator",
-    "ReductionTree",
     "Shard",
-    "ShardPartial",
     "ShardPlan",
     "ShardPlanner",
     "ShardWorld",
-    "ShardedAggregator",
-    "aggregate_shard",
     "build_shard_world",
-    "chunked_partials",
     "iter_shard_worlds",
     "plan_shards",
     "run_live_simulation",
-    "shard_claimed_partial",
     "shard_subgraph",
-    "tree_reduce",
 ]

@@ -29,13 +29,13 @@ import random
 from dataclasses import dataclass
 
 from repro import telemetry
-from repro.core.aggregator import SUM_CHUNK, _pairwise_sum
+from repro.core.aggregator import SUM_CHUNK, _pairwise_sum, tree_reduce
 from repro.crypto import bgv
 from repro.errors import ParameterError
 from repro.params import BGVProfile
 from repro.runtime.seeding import derive_rng
 from repro.sharding.planner import Shard, ShardPlan, plan_shards
-from repro.sharding.reduce import PairwiseAccumulator, tree_reduce
+from repro.sharding.reduce import PairwiseAccumulator
 
 #: TEST-sized ring with a plaintext modulus wide enough that a histogram
 #: bin can count every one of 10^6 (and with margin, 2 * 10^6) devices

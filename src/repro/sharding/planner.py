@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TypeVar
 
+from repro.core.aggregator import shard_bounds
 from repro.errors import ParameterError
 from repro.runtime.seeding import derive_seed
 
@@ -83,8 +84,9 @@ class ShardPlan:
 class ShardPlanner:
     """Lay out K balanced contiguous shards deterministically.
 
-    The first ``total % K`` shards take one extra item (the unique
-    balanced contiguous layout), so the plan is a pure function of
+    The ranges are the aggregator's own
+    (:func:`repro.core.aggregator.shard_bounds`: the first ``total % K``
+    shards take one extra item), so the plan is a pure function of
     ``(total, num_shards, master_seed)`` — identical on every resume and
     at any worker count or backend.
     """
@@ -98,22 +100,18 @@ class ShardPlanner:
     def plan(self, total: int, master_seed: int = 0) -> ShardPlan:
         if total < 0:
             raise ParameterError("cannot shard a negative item count")
-        base, extra = divmod(total, self.num_shards)
-        shards = []
-        start = 0
-        for index in range(self.num_shards):
-            size = base + (1 if index < extra else 0)
-            shards.append(
-                Shard(
-                    index=index,
-                    start=start,
-                    stop=start + size,
-                    seed=derive_seed(master_seed, "shard", index),
-                )
+        shards = tuple(
+            Shard(
+                index=index,
+                start=start,
+                stop=stop,
+                seed=derive_seed(master_seed, "shard", index),
             )
-            start += size
-        assert start == total
-        return ShardPlan(total=total, shards=tuple(shards))
+            for index, (start, stop) in enumerate(
+                shard_bounds(total, self.num_shards)
+            )
+        )
+        return ShardPlan(total=total, shards=shards)
 
 
 def plan_shards(

@@ -1,37 +1,17 @@
-"""The hierarchical reduction: shard partials into one root ciphertext.
+"""Streaming form of the aggregator's pairwise fold.
 
-Three pieces, all shape-fixed and therefore deterministic at any worker
-count, backend, or shard layout:
-
-* :class:`PairwiseAccumulator` — a streaming, O(log n)-memory evaluator
-  of the aggregator's in-order pairwise halving
-  (:func:`repro.core.aggregator._pairwise_sum`).  It is *bit-identical*
-  to the list-based fold — same association, same noise-bit metadata —
-  which is what lets a shard fold an unbounded device stream without
-  ever materializing the stream.
-* :func:`tree_reduce` — the fixed-shape SUM_CHUNK summation tree as a
-  free function (chunks reduced pairwise, partials reduced pairwise),
-  shared by the flat aggregator, the per-shard fold, and the root.
-* :class:`ReductionTree` — the root combiner.  Each shard hands it a
-  :class:`ShardPartial` carrying both the claimed partial sum *and* the
-  chunk-level evidence it was built from; the root recomputes the
-  reduction of the evidence and refuses (typed
-  :class:`~repro.errors.ShardIntegrityError`) any shard whose claim does
-  not match — a colluding shard aggregator cannot smuggle a tampered
-  partial into the committee's single decryption.  Verified evidence is
-  dropped immediately, so the root holds O(K) ciphertexts, never O(n).
+:class:`PairwiseAccumulator` is an O(log n)-memory evaluator of the
+in-order pairwise halving (:func:`repro.core.aggregator._pairwise_sum`).
+It is *bit-identical* to the list-based fold — same association, same
+noise-bit metadata — which is what lets a live-simulation shard fold an
+unbounded device stream without ever materializing it.  The fixed-shape
+summation tree and the claim-checked root
+(:class:`repro.core.aggregator.ReductionTree`) live with the aggregator.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
-from repro import telemetry
-from repro.core.aggregator import SUM_CHUNK, _pairwise_sum, _sum_chunk_task
 from repro.crypto import bgv
-from repro.errors import ProtocolError, ShardIntegrityError
-from repro.runtime import TaskFabric
 
 
 class PairwiseAccumulator:
@@ -71,116 +51,3 @@ class PairwiseAccumulator:
         for _, root in reversed(self._stack):
             total = root if total is None else bgv.add(root, total)
         return total
-
-
-def chunked_partials(
-    cts: list[bgv.Ciphertext],
-    fabric: TaskFabric | None = None,
-) -> list[bgv.Ciphertext]:
-    """First tree level: SUM_CHUNK-sized chunks, each reduced pairwise.
-
-    Chunk boundaries depend only on item order — never on the fabric —
-    so the partial list is identical at any worker count.
-    """
-    chunks = [cts[i : i + SUM_CHUNK] for i in range(0, len(cts), SUM_CHUNK)]
-    if fabric is not None and len(chunks) > 1:
-        return fabric.map(_sum_chunk_task, chunks, label="aggregator.sum")
-    return [_pairwise_sum(chunk) for chunk in chunks]
-
-
-def tree_reduce(
-    cts: list[bgv.Ciphertext],
-    fabric: TaskFabric | None = None,
-) -> bgv.Ciphertext | None:
-    """The fixed-shape SUM_CHUNK summation tree as a free function.
-
-    Identical shape to ``QueryAggregator._tree_sum``: used per shard
-    (over the shard's accepted ciphertexts) and at the root (over the
-    shard partials).
-    """
-    if not cts:
-        return None
-    return _pairwise_sum(chunked_partials(cts, fabric))
-
-
-@dataclass(frozen=True)
-class ShardPartial:
-    """One shard aggregator's contribution to the root reduction.
-
-    Bookkeeping lists are in the shard's *submission* order; because
-    shards are contiguous ranges of the global order, concatenating them
-    in shard order replays the unsharded aggregator's exact bookkeeping
-    (accepted/rejected lists, Merkle leaves, verification-seconds fold).
-
-    ``chunk_partials`` is the integrity evidence: the SUM_CHUNK chunk
-    sums the shard claims ``partial`` was reduced from.  The root
-    recomputes the reduction before trusting the claim.
-    """
-
-    shard_index: int
-    accepted: tuple[int, ...]
-    rejected: tuple[int, ...]
-    accepted_digests: tuple[bytes, ...]
-    #: Per-submission simulated Groth16 seconds, shard submission order.
-    seconds: tuple[float, ...]
-    #: Per-submission proofs-verified counts, same order.
-    proofs: tuple[int, ...]
-    chunk_partials: tuple[bgv.Ciphertext, ...]
-    partial: bgv.Ciphertext | None
-
-    @property
-    def num_submissions(self) -> int:
-        return len(self.seconds)
-
-
-@dataclass
-class ReductionTree:
-    """Root combiner: verify each shard's claim, then tree-reduce.
-
-    Holds only the verified claimed partials (O(K) ciphertexts); chunk
-    evidence is checked on :meth:`add` and dropped.
-    """
-
-    fabric: TaskFabric | None = None
-    _partials: list[bgv.Ciphertext] = field(default_factory=list, init=False)
-    _shards_seen: int = field(default=0, init=False)
-
-    def add(self, partial: ShardPartial) -> None:
-        """Admit one shard's partial after recomputing its reduction."""
-        self._shards_seen += 1
-        if partial.partial is None:
-            if partial.chunk_partials or partial.accepted:
-                raise ShardIntegrityError(
-                    f"shard {partial.shard_index} claims no partial sum "
-                    "but presented accepted contributions"
-                )
-            return
-        recomputed = _pairwise_sum(list(partial.chunk_partials))
-        if recomputed.serialize() != partial.partial.serialize():
-            telemetry.count("sharding.integrity.failures")
-            raise ShardIntegrityError(
-                f"shard {partial.shard_index} claimed a partial sum that "
-                "does not reduce from its own chunk evidence"
-            )
-        telemetry.count("sharding.partials.verified")
-        self._partials.append(partial.partial)
-
-    def reduce(self) -> bgv.Ciphertext | None:
-        """Combine the verified shard partials through the summation
-        tree into the one ciphertext handed to the committee."""
-        if not self._shards_seen:
-            raise ProtocolError("no shard partials were added")
-        with telemetry.span(
-            "sharding.reduce",
-            shards=self._shards_seen,
-            partials=len(self._partials),
-        ):
-            started = time.perf_counter()
-            root = tree_reduce(self._partials, self.fabric)
-            telemetry.observe(
-                "sharding.reduce.seconds", time.perf_counter() - started
-            )
-            telemetry.count(
-                "sharding.partials.reduced", len(self._partials)
-            )
-        return root

@@ -14,7 +14,7 @@ Trust boundary (docs/SHARDING.md): each shard aggregator is exactly as
 untrusted as the flat aggregator — devices inside a shard verify mailbox
 batches and receipts against their shard's committed roots, and the
 *cryptographic* output of a shard (its partial sum) is re-verified by the
-root :class:`~repro.sharding.reduce.ReductionTree`.  Sharding the mixnet
+root :class:`~repro.core.aggregator.ReductionTree`.  Sharding the mixnet
 therefore changes who operates the mailbox servers, not what any
 operator can get away with.
 

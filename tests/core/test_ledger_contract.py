@@ -1,0 +1,60 @@
+"""What the perf ledger (``perf/``, BENCHMARK.json) needs from ``src/``.
+
+Two cheap contracts a refactor can break without any other test
+noticing:
+
+* ``served_mix · setup_s`` is almost all import time, so the service
+  must not start pulling the live-simulation / mixnet stack in at
+  import;
+* ``perf/trace.py`` wraps its targets by name and hard-fails on a miss,
+  so every target must still resolve to a callable at its path.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+HEAVY = ("repro.sharding.livesim", "repro.sharding.worlds", "repro.mixnet.network")
+
+
+def test_importing_the_service_stays_off_the_mixnet_and_livesim_stack():
+    probe = (
+        "import sys, repro.service, repro.core.system\n"
+        f"print([m for m in {HEAVY!r} if m in sys.modules])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_every_ledger_trace_target_resolves_to_a_callable():
+    spec = importlib.util.spec_from_file_location(
+        "perf_trace_under_test", REPO_ROOT / "perf" / "trace.py"
+    )
+    trace = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = trace  # NamedTuple resolves its own module
+    try:
+        spec.loader.exec_module(trace)
+    finally:
+        del sys.modules[spec.name]
+    assert trace.TARGETS
+    for target in trace.TARGETS:
+        # The rule Tracer.install applies before it wraps anything.
+        module = importlib.import_module(target.module)
+        holder = getattr(module, target.owner) if target.owner else module
+        raw = inspect.getattr_static(holder, target.attr)
+        if isinstance(raw, (classmethod, staticmethod)):
+            raw = raw.__func__
+        assert callable(raw), f"{target.span} -> {target.module}:{target.attr}"

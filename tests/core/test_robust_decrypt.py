@@ -65,19 +65,25 @@ class TestRobustDecryption:
 
 
 class TestLivenessRetry:
+    """The single liveness wrapper without a corruption hook: plain
+    threshold decryption, quorum = threshold."""
+
     def test_retries_until_quorum(self, shared):
         """§6.5: wait for members to return, then retry."""
         rng, secret, _, committee, ct = shared
         schedule = [[1], [4], [1, 7]]  # two failed attempts, then quorum
-        plaintext, attempts = committee_mod.decrypt_with_liveness_retry(
-            committee, ct, rng, schedule
+        plaintext, attempts, flagged = (
+            committee_mod.decrypt_with_liveness_retry(
+                committee, ct, rng, schedule
+            )
         )
         assert attempts == 3
+        assert flagged == set()
         assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs
 
     def test_first_attempt_succeeds(self, shared):
         rng, secret, _, committee, ct = shared
-        plaintext, attempts = committee_mod.decrypt_with_liveness_retry(
+        plaintext, attempts, _ = committee_mod.decrypt_with_liveness_retry(
             committee, ct, rng, [[1, 4, 7, 9]]
         )
         assert attempts == 1
@@ -120,7 +126,16 @@ class TestLivenessRetry:
         assert not isinstance(info.value, LivenessQuorumError)
 
 
+def honest(device_id, value):
+    """A corruption hook that corrupts nobody: selects the robust
+    algorithm (and its redundant quorum) without injecting a lie."""
+    return value
+
+
 class TestRobustLivenessRetry:
+    """The same wrapper with a corruption hook: robust decoding,
+    quorum = threshold + 1."""
+
     def test_waits_for_redundant_quorum_then_flags(self, shared):
         """Robust retry needs threshold + 1 present (redundancy for
         error detection); once a quorum shows up the liar is corrected
@@ -128,7 +143,7 @@ class TestRobustLivenessRetry:
         rng, secret, _, committee, ct = shared
         schedule = [[1, 4], [1, 4, 7, 9]]  # t members is not enough
         plaintext, attempts, flagged = (
-            committee_mod.robust_decrypt_with_liveness_retry(
+            committee_mod.decrypt_with_liveness_retry(
                 committee, ct, rng, schedule,
                 corrupt=lambda d, v: v + type(v).constant(v.params, 3)
                 if d == 7 else v,
@@ -151,7 +166,7 @@ class TestRobustLivenessRetry:
             return value
 
         with pytest.raises(RobustDecodingError):
-            committee_mod.robust_decrypt_with_liveness_retry(
+            committee_mod.decrypt_with_liveness_retry(
                 committee, ct, rng,
                 [[1, 4, 7, 9], [1, 4, 7, 9]],
                 corrupt=corrupt,
@@ -161,6 +176,29 @@ class TestRobustLivenessRetry:
     def test_exhausted_schedule_raises_quorum_error(self, shared):
         rng, _, _, committee, ct = shared
         with pytest.raises(LivenessQuorumError):
-            committee_mod.robust_decrypt_with_liveness_retry(
+            committee_mod.decrypt_with_liveness_retry(
+                committee, ct, rng, [[1], [4, 7]], corrupt=honest
+            )
+
+    def test_quorum_follows_the_corruption_hook(self, shared):
+        """The same schedule that starves the robust decoder (t members
+        online, t + 1 needed) is a quorum for plain decryption: the
+        hook alone moves the bar."""
+        rng, secret, _, committee, ct = shared
+        plaintext, attempts, flagged = (
+            committee_mod.decrypt_with_liveness_retry(
                 committee, ct, rng, [[1], [4, 7]]
             )
+        )
+        assert (attempts, flagged) == (2, set())
+        assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs
+
+    def test_honest_hook_flags_nobody(self, shared):
+        rng, secret, _, committee, ct = shared
+        plaintext, attempts, flagged = (
+            committee_mod.decrypt_with_liveness_retry(
+                committee, ct, rng, [[1, 4, 7]], corrupt=honest
+            )
+        )
+        assert (attempts, flagged) == (1, set())
+        assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs

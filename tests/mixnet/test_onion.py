@@ -64,3 +64,59 @@ class TestOnionLayers:
 
     def test_dummy_matches_length(self):
         assert len(onion.dummy_body(77)) == 77
+
+
+class TestForwardingWrapIsOnionWrap:
+    """The forwarding driver wraps through ``onion.wrap`` with the
+    inter-layer ``TAG_FORWARD``; the bytes must equal the layering the
+    driver used to spell out by hand, reproduced here verbatim."""
+
+    KEYS = tuple(bytes([0xA0 + i]) * 32 for i in range(3))
+    ENVELOPE = bytes(range(97)) + b"\x00\xff envelope tail"
+    BASE_ROUND = 41
+
+    def _legacy_wrap(self, forward_keys, envelope, base_round):
+        from repro.crypto import aead
+        from repro.mixnet.network import TAG_FORWARD
+
+        body = TAG_FORWARD + envelope
+        for j in range(len(forward_keys), 0, -1):
+            body = aead.senc(forward_keys[j - 1], base_round + j, body)
+            if j > 1:
+                body = TAG_FORWARD + body
+        return body
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_wrap_task_bytes_match_the_handwritten_layering(self, hops):
+        from repro.mixnet.forwarding import _wrap_task
+
+        keys = self.KEYS[:hops]
+        expected = self._legacy_wrap(keys, self.ENVELOPE, self.BASE_ROUND)
+        assert _wrap_task(self.BASE_ROUND, (keys, self.ENVELOPE)) == expected
+        # One tag byte per layer still to peel.
+        assert len(expected) == len(self.ENVELOPE) + hops
+
+    def test_each_hop_reads_the_tag_first_after_its_peel(self):
+        from repro.mixnet.forwarding import _wrap_task
+        from repro.mixnet.network import TAG_FORWARD
+
+        body = _wrap_task(self.BASE_ROUND, (self.KEYS, self.ENVELOPE))
+        for j, key in enumerate(self.KEYS, start=1):
+            body = onion.peel(key, self.BASE_ROUND + j, body)
+            assert body[:1] == TAG_FORWARD
+            body = body[1:]
+        assert body == self.ENVELOPE
+
+    def test_wrap_task_goes_through_onion_wrap(self, monkeypatch):
+        from repro.mixnet import forwarding
+
+        calls = []
+        real = onion.wrap
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(onion, "wrap", spy)
+        forwarding._wrap_task(self.BASE_ROUND, (self.KEYS, self.ENVELOPE))
+        assert len(calls) == 1

@@ -8,17 +8,17 @@ import random
 
 import pytest
 
-from repro.core.aggregator import SUM_CHUNK, _pairwise_sum
-from repro.crypto import bgv
-from repro.errors import ProtocolError, ShardIntegrityError
-from repro.sharding import (
-    PairwiseAccumulator,
+from repro.core.aggregator import (
+    SUM_CHUNK,
     ReductionTree,
     ShardPartial,
+    _pairwise_sum,
     chunked_partials,
-    plan_shards,
     tree_reduce,
 )
+from repro.crypto import bgv
+from repro.errors import ProtocolError, ShardIntegrityError
+from repro.sharding import PairwiseAccumulator, plan_shards
 
 
 def fresh_cts(public_key, count, seed=1):
