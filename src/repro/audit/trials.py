@@ -19,8 +19,8 @@ Each trial family targets one slice of the protocol:
   bit-identical to itself at K=1 and to a plain left fold of the
   accepted ciphertexts, including under Byzantine submissions.
 * ``offline_equivalence`` — the offline/online split: a run consuming
-  precomputed encryption-randomness pools and prepared relin keys must
-  serialize bit-identically to the inline run on the same derivation
+  precomputed encryption-randomness pools must serialize
+  bit-identically to the inline run on the same derivation
   chain, including when small pools exhaust and refill mid-run.  Only
   a serialization comparison can catch a stale pool — wrong-seed
   entries still produce valid encryptions, proofs, and decryptions.
@@ -426,10 +426,8 @@ def _run_offline_equivalence(
         flat = QueryAggregator(
             zk=bench.zk, relin_keys=bench.relin_keys, fabric=fabric
         ).aggregate(inline)
-        prepared = QueryAggregator(
-            zk=bench.zk,
-            relin_keys=store.relin_for(bench.relin_keys),
-            fabric=fabric,
+        from_pools = QueryAggregator(
+            zk=bench.zk, relin_keys=bench.relin_keys, fabric=fabric
         ).aggregate(pooled)
 
     # Every online origin gets a pool, so every draw must be a pool hit
@@ -453,15 +451,15 @@ def _run_offline_equivalence(
     results.append(
         check_equal(
             "offline-equivalence.rejected",
-            tuple(prepared.rejected),
+            tuple(from_pools.rejected),
             tuple(flat.rejected),
         )
     )
-    if flat.ciphertext is None or prepared.ciphertext is None:
+    if flat.ciphertext is None or from_pools.ciphertext is None:
         results.append(
             check(
                 "offline-equivalence.both-empty",
-                flat.ciphertext is None and prepared.ciphertext is None,
+                flat.ciphertext is None and from_pools.ciphertext is None,
                 "one path produced a ciphertext and the other none",
             )
         )
@@ -469,8 +467,8 @@ def _run_offline_equivalence(
     results.append(
         check(
             "offline-equivalence.aggregate-bit-identical",
-            prepared.ciphertext.serialize() == flat.ciphertext.serialize(),
-            "prepared relinearization diverges from the sequential fold",
+            from_pools.ciphertext.serialize() == flat.ciphertext.serialize(),
+            "the aggregate over pooled submissions diverges from the inline one",
         )
     )
     return results

@@ -113,7 +113,11 @@ class MyceliumSystem:
                 replicas=2,
                 forwarder_fraction=0.3,
             )
-        with telemetry.span("system.setup", num_devices=num_devices):
+        # Genesis is a hundred-odd ring products (the relinearization
+        # pieces); run them on the configured backend like every query.
+        with backends.use_backend(get_runtime_config().backend), telemetry.span(
+            "system.setup", num_devices=num_devices
+        ):
             with telemetry.span("query.genesis"):
                 secret, public = bgv.keygen(profile, rng)
                 # Deferred relinearization means device outputs reach degree
@@ -240,9 +244,7 @@ class MyceliumSystem:
                     offline_store=offline_store,
                     submission_seed=submission_seed,
                 )
-            aggregation = self.aggregate_phase(
-                submissions, fabric, config.shards, offline_store=offline_store
-            )
+            aggregation = self.aggregate_phase(submissions, fabric, config.shards)
 
             # Committee faults come from the world's fault plan: dropouts
             # become an availability schedule, corrupt members a
@@ -341,7 +343,6 @@ class MyceliumSystem:
         submissions: list[OriginSubmission],
         fabric: TaskFabric,
         shards: int = 1,
-        offline_store=None,
     ):
         """Proof verification + relinearized summation at the aggregator.
 
@@ -350,19 +351,11 @@ class MyceliumSystem:
         the flat aggregator being K=1.  The result is bit-identical at
         any K, so the shard count — like the worker count and backend —
         is a runtime knob, never part of a query's identity.
-
-        ``offline_store`` swaps the relinearization keys for their
-        :class:`~repro.crypto.bgv.PreparedRelinKeySet` wrapper, whose
-        forward-transformed pieces the offline phase warmed — same
-        ciphertext bytes, fewer online transforms.
         """
-        relin_keys = self.relin_keys
-        if offline_store is not None:
-            relin_keys = offline_store.relin_for(relin_keys)
         with telemetry.span("query.aggregate"):
             aggregation = QueryAggregator(
                 zk=self.zk,
-                relin_keys=relin_keys,
+                relin_keys=self.relin_keys,
                 fabric=fabric,
                 num_shards=shards,
             ).aggregate(submissions)

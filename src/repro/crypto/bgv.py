@@ -26,11 +26,11 @@ Design points that mirror the paper:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
 import struct
-import threading
 from dataclasses import dataclass, field
 
 from repro.crypto.polyring import RingElement, RingParams
@@ -38,6 +38,10 @@ from repro.errors import CryptoError, NoiseBudgetExceeded, ParameterError
 from repro.params import BGVProfile
 from repro.runtime import backends
 from repro.telemetry.runtime import count as _count
+
+
+def _operands(*elements: RingElement) -> tuple[backends.Resident, ...]:
+    return tuple(backends.Resident(element.coeffs) for element in elements)
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,13 @@ class PublicKey:
     pk0: RingElement
     pk1: RingElement
 
+    @functools.cached_property
+    def resident(self) -> tuple[backends.Resident, ...]:
+        """(pk0, pk1) as backend operands: every encryption multiplies
+        by both, so their evaluation forms are built once and stay with
+        the key (never pickled — see :class:`backends.Resident`)."""
+        return _operands(self.pk0, self.pk1)
+
     def fingerprint(self) -> bytes:
         digest = hashlib.sha256()
         digest.update(_ring_bytes(self.pk0))
@@ -73,6 +84,14 @@ class RelinKey:
     base_bits: int
     pieces: tuple[tuple[RingElement, RingElement], ...]
 
+    @functools.cached_property
+    def resident(self) -> tuple[tuple[backends.Resident, ...], ...]:
+        """``pieces`` as backend operands.  The pieces never change, so
+        the first fold of this power builds their evaluation forms on the
+        active backend and every later fold reuses them; a power no
+        ciphertext reaches is never transformed."""
+        return tuple(_operands(b_i, a_i) for b_i, a_i in self.pieces)
+
 
 @dataclass(frozen=True)
 class RelinKeySet:
@@ -85,76 +104,11 @@ class RelinKeySet:
     def max_power(self) -> int:
         return max(self.keys) if self.keys else 1
 
-
-class PreparedRelinKeySet:
-    """A :class:`RelinKeySet` with its pieces forward-transformed for the
-    evaluation-domain fold.
-
-    Key pieces are fixed across every relinearization, so the offline
-    phase transforms each ``(b_i, a_i)`` once and :func:`relinearize`
-    then pays one transform per *digit* polynomial instead of one full
-    ring multiplication per piece half.  Prepared operands are
-    backend-specific opaque values, cached lazily per backend name (a
-    fabric worker re-prepares once per process — the cache is dropped on
-    pickling rather than shipped).
-    """
-
-    def __init__(self, rlk: RelinKeySet):
-        self.rlk = rlk
-        self._prepared: dict[tuple[str, int], tuple] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def profile(self) -> BGVProfile:
-        return self.rlk.profile
-
-    @property
-    def keys(self) -> dict[int, RelinKey]:
-        return self.rlk.keys
-
-    @property
-    def max_power(self) -> int:
-        return self.rlk.max_power
-
-    def prepared_pieces(self, power: int) -> tuple:
-        """``((b̂_i, â_i), ...)`` for the active backend, cached."""
-        name = backends.active_backend().name
-        cache_key = (name, power)
-        with self._lock:
-            cached = self._prepared.get(cache_key)
-        if cached is not None:
-            return cached
-        profile = self.rlk.profile
-        n, q = profile.n, profile.q
-        pairs = tuple(
-            (
-                backends.prepare_operand(b_i.coeffs, n, q),
-                backends.prepare_operand(a_i.coeffs, n, q),
-            )
-            for b_i, a_i in self.rlk.keys[power].pieces
-        )
-        with self._lock:
-            self._prepared.setdefault(cache_key, pairs)
-            return self._prepared[cache_key]
-
-    def warm(self, powers=None) -> int:
-        """Eagerly prepare pieces for ``powers`` (default: every power in
-        the set) on the *active* backend, so the first online
-        relinearization does not pay the transform cost lazily.  Returns
-        the number of powers now resident for this backend."""
-        name = backends.active_backend().name
-        chosen = sorted(powers) if powers is not None else sorted(self.rlk.keys)
-        for power in chosen:
-            self.prepared_pieces(power)
-        return sum(1 for key_name, _ in self._prepared if key_name == name)
-
-    def __getstate__(self) -> dict:
-        return {"rlk": self.rlk}
-
-    def __setstate__(self, state: dict) -> None:
-        self.rlk = state["rlk"]
-        self._prepared = {}
-        self._lock = threading.Lock()
+    def prepare(self, power: int) -> None:
+        """Build the evaluation forms of one power's pieces on the active
+        backend now — the offline phase's job — instead of inside the
+        first relinearization that folds that power."""
+        _fold(self.keys[power], RingElement.zero(self.profile.ring))
 
 
 @dataclass(frozen=True)
@@ -304,17 +258,40 @@ def encrypt(
     rand = randomness or EncryptionRandomness.generate(profile, rng)
     m_lifted = RingElement.from_coeffs(ring, [c % profile.t for c in plaintext.coeffs])
     if isinstance(rand, PreparedRandomness):
-        # The pk-dependent masks were computed offline; addition is
-        # associative mod q, so this is bit-identical to the inline
-        # expression below with zero online ring multiplications.
+        # The pk-dependent masks were computed offline: the same bytes
+        # with zero online ring multiplications.
         _count("bgv.encrypt.prepared")
-        c0 = rand.mask0 + m_lifted
-        c1 = rand.mask1
+        mask0, mask1 = rand.mask0, rand.mask1
     else:
-        c0 = pk.pk0 * rand.u + rand.e0.scale(profile.t) + m_lifted
-        c1 = pk.pk1 * rand.u + rand.e1.scale(profile.t)
+        mask0, mask1 = _masks(pk, rand)
     return Ciphertext(
-        profile, (c0, c1), noise_bits=_fresh_noise_bits(profile), fresh_factors=1
+        profile,
+        (mask0 + m_lifted, mask1),
+        noise_bits=_fresh_noise_bits(profile),
+        fresh_factors=1,
+    )
+
+
+def _product(
+    ring: RingParams, a: backends.Operand, b: backends.Operand
+) -> RingElement:
+    """``a * b`` in R_q for operands that several products share: a
+    :class:`~repro.runtime.backends.Resident` is transformed once, by the
+    first product that misses the product cache, however many follow."""
+    return RingElement(ring, tuple(backends.ring_multiply(a, b, ring.n, ring.q)))
+
+
+def _masks(
+    pk: PublicKey, rand: EncryptionRandomness
+) -> tuple[RingElement, RingElement]:
+    """``(pk0*u + t*e0, pk1*u + t*e1)``: one transform of ``u`` serves
+    both products, and the key halves keep theirs."""
+    ring, t = pk.profile.ring, pk.profile.t
+    u = backends.Resident(rand.u.coeffs)
+    pk0, pk1 = pk.resident
+    return (
+        _product(ring, pk0, u) + rand.e0.scale(t),
+        _product(ring, pk1, u) + rand.e1.scale(t),
     )
 
 
@@ -357,14 +334,8 @@ class PreparedRandomness(EncryptionRandomness):
     def prepare(
         cls, pk: PublicKey, rand: EncryptionRandomness
     ) -> PreparedRandomness:
-        t = pk.profile.t
-        return cls(
-            u=rand.u,
-            e0=rand.e0,
-            e1=rand.e1,
-            mask0=pk.pk0 * rand.u + rand.e0.scale(t),
-            mask1=pk.pk1 * rand.u + rand.e1.scale(t),
-        )
+        mask0, mask1 = _masks(pk, rand)
+        return cls(u=rand.u, e0=rand.e0, e1=rand.e1, mask0=mask0, mask1=mask1)
 
 
 def encrypt_monomial(
@@ -494,11 +465,14 @@ def multiply(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     _check_same_profile(a, b)
     profile = a.profile
     out_degree = a.degree + b.degree
-    zero = RingElement.zero(profile.ring)
-    components = [zero] * (out_degree + 1)
-    for i, ca in enumerate(a.components):
-        for j, cb in enumerate(b.components):
-            components[i + j] = components[i + j] + ca * cb
+    ring = profile.ring
+    components = [RingElement.zero(ring)] * (out_degree + 1)
+    # Each component meets every component of the other side: transform
+    # it once, not once per cross term.
+    right = _operands(*b.components)
+    for i, ca in enumerate(_operands(*a.components)):
+        for j, cb in enumerate(right):
+            components[i + j] = components[i + j] + _product(ring, ca, cb)
     noise = (
         a.noise_bits + b.noise_bits + math.log2(profile.t) + math.log2(profile.n) + 1
     )
@@ -549,18 +523,25 @@ def encrypt_zero_like(pk: PublicKey, rng: random.Random) -> Ciphertext:
     return encrypt(pk, RingElement.zero(pk.profile.plaintext_ring), rng)
 
 
-def relinearize(ct: Ciphertext, rlk: RelinKeySet | PreparedRelinKeySet) -> Ciphertext:
+def _fold(key: RelinKey, top: RingElement) -> tuple[RingElement, RingElement]:
+    """``(sum_i b_i*d_i, sum_i a_i*d_i)`` for the base-T digits ``d_i``
+    of ``top``: what ``top * s^power`` contributes to components 0, 1."""
+    ring = top.params
+    d0, d1 = backends.fold_multiply_accumulate(
+        key.resident, top.coeffs, key.base_bits, ring.n, ring.q
+    )
+    return RingElement(ring, tuple(d0)), RingElement(ring, tuple(d1))
+
+
+def relinearize(ct: Ciphertext, rlk: RelinKeySet) -> Ciphertext:
     """Reduce an arbitrary-degree ciphertext to degree 1.
 
     Performed once by the aggregator during global aggregation (§5).
     Folds the highest component repeatedly using the key for that power.
-
-    With a :class:`PreparedRelinKeySet` (an offline-phase artifact) and a
-    fold-capable backend, each fold runs in the evaluation domain: one
-    forward transform per digit polynomial, pointwise multiply-accumulate
-    against the pre-transformed key pieces, and a single inverse per
-    output component — bit-identical to the sequential per-piece products
-    because the NTT is linear mod q.
+    Each fold runs in the evaluation domain where the backend can
+    transform the ring: one transform per digit polynomial of the folded
+    component, pointwise multiply-accumulate against the key pieces'
+    resident forms, one inverse per output component.
     """
     if ct.degree <= 1:
         return ct
@@ -571,43 +552,17 @@ def relinearize(ct: Ciphertext, rlk: RelinKeySet | PreparedRelinKeySet) -> Ciphe
             f"relinearization keys cover powers up to {rlk.max_power}, "
             f"ciphertext has degree {ct.degree}"
         )
-    base_bits = profile.relin_base_bits
-    mask = (1 << base_bits) - 1
     components = list(ct.components)
     noise = ct.noise_bits
-    ring = profile.ring
-    use_fold = (
-        isinstance(rlk, PreparedRelinKeySet)
-        and base_bits <= backends.MAX_FOLD_DIGIT_BITS
-        and backends.supports_fold(profile.n, profile.q)
-    )
     while len(components) > 2:
-        power = len(components) - 1
-        top = components.pop()
-        key = rlk.keys[power]
-        # Decompose each coefficient of `top` in base T and accumulate the
-        # key pieces.
-        digits_per_piece: list[list[int]] = []
-        remaining = [c for c in top.coeffs]
-        for _ in key.pieces:
-            digits_per_piece.append([c & mask for c in remaining])
-            remaining = [c >> base_bits for c in remaining]
-        if use_fold:
-            _count("bgv.relinearize.fused")
-            d0, d1 = backends.fold_multiply_accumulate(
-                rlk.prepared_pieces(power), digits_per_piece, profile.n, profile.q
-            )
-            components[0] = components[0] + RingElement.from_coeffs(ring, d0)
-            components[1] = components[1] + RingElement.from_coeffs(ring, d1)
-        else:
-            for (b_i, a_i), digits in zip(key.pieces, digits_per_piece):
-                digit_poly = RingElement.from_coeffs(ring, digits)
-                components[0] = components[0] + b_i * digit_poly
-                components[1] = components[1] + a_i * digit_poly
+        key = rlk.keys[len(components) - 1]
+        d0, d1 = _fold(key, components.pop())
+        components[0] = components[0] + d0
+        components[1] = components[1] + d1
         # Each fold adds t * sum_i d_i * e_i: bounded by l * n * T * B.
         added = (
             math.log2(profile.t)
-            + base_bits
+            + key.base_bits
             + math.log2(profile.n)
             + math.log2(profile.error_bound)
             + math.log2(len(key.pieces))

@@ -784,10 +784,7 @@ class CampaignRunner:
     def _phase_aggregate(self, query_index, ctx, fabric) -> dict:
         assert self.system is not None
         aggregation = self.system.aggregate_phase(
-            ctx["submissions"],
-            fabric,
-            self._active_shards,
-            offline_store=self.offline_store,
+            ctx["submissions"], fabric, self._active_shards
         )
         ctx["aggregation"] = aggregation
         return {

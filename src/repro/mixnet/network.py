@@ -223,6 +223,11 @@ class MixDevice:
         in_pid = self.out_to_in[message.path_id]
         link = self.in_links[in_pid]
         if not message.body.startswith(TAG_REVERSE):
+            # Addressed to one of our links by path id and mailbox, yet
+            # not reverse traffic: dropping it silently would swallow a
+            # payload, so say so where the source will look (§3.4).
+            telemetry.count("mixnet.route.misdirected")
+            world.complain(self.device_id, b"misdirected")
             return
         _, _, k_rev = link_keys(link.base_key)
         wrapped = TAG_REVERSE + onion.peel(
@@ -477,12 +482,7 @@ class MixnetWorld:
                 for handle in device.handles:
                     batch = self.mailboxes.fetch(fetch_round, handle)
                     if not verify_batch(self.board, batch):
-                        telemetry.count("mixnet.complaints.total")
-                        self.board.post(
-                            f"device-{device.device_id}",
-                            COMPLAINT_TAG,
-                            b"mailbox-batch-invalid",
-                        )
+                        self.complain(device.device_id, b"mailbox-batch-invalid")
                         continue
                     num_fetched += len(batch.payloads)
                     for payload in batch.payloads:
@@ -544,11 +544,13 @@ class MixnetWorld:
                 except ProtocolError:
                     ok = False
                 if not ok:
-                    telemetry.count("mixnet.complaints.total")
-                    self.board.post(
-                        f"device-{device_id}", COMPLAINT_TAG, reason
-                    )
+                    self.complain(device_id, reason)
         return closed
+
+    def complain(self, device_id: int, reason: bytes) -> None:
+        """Post a public complaint to the bulletin board (§3.4)."""
+        telemetry.count("mixnet.complaints.total")
+        self.board.post(f"device-{device_id}", COMPLAINT_TAG, reason)
 
     def complaints(self) -> list[bytes]:
         return [e.payload for e in self.board.find(COMPLAINT_TAG)]

@@ -126,10 +126,15 @@ class TelescopeHandler:
         # it performs that lookup directly (§3.4) and can trivially
         # resample, and a source-as-first-hop link would alias its two
         # roles onto one path id.  Later hops get fresh link path ids,
-        # so self-selection there is harmless.
+        # so self-selection there is harmless.  The destination's
+        # pseudonym is excluded for the same reason at the other end:
+        # as last hop it would hold an in-link under the very mailbox
+        # the payload is addressed to, and take its own delivery for
+        # reverse traffic on that link.  The source knows
+        # ``dest_handle`` and resamples just as trivially.
         exclude: set[int] = {
             world.directory.index_of_handle(handle)
-            for handle in device.handles
+            for handle in (*device.handles, dest_handle)
         }
         hop_indices = []
         for position in range(1, k + 1):

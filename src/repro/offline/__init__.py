@@ -2,9 +2,10 @@
 
 The online hot path consumes artifacts this package materializes ahead
 of time — per-origin encryption-randomness pools, per-device dummy-onion
-byte streams, prepared relinearization key pieces, and warmed NTT
-context tables — all derived from seeds along stable label chains so the
-pooled path is bit-identical to the inline path.
+byte streams and warmed NTT context tables — all derived from seeds
+along stable label chains so the pooled path is bit-identical to the
+inline path.  (Relinearization keys carry their own evaluation forms;
+the offline phase only builds them early.)
 
 Import layering: :mod:`repro.offline.pools` and
 :mod:`repro.offline.store` sit *below* the engine (the engine imports

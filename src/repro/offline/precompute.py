@@ -278,8 +278,7 @@ class PrecomputeRunner:
                     "config lists relin powers but no relin keys were given"
                 )
             power = int(rest)
-            prepared = self.store.relin_for(self.relin_keys)
-            prepared.prepared_pieces(power)  # warm the per-backend cache
+            self.relin_keys.prepare(power)
             width = _ring_width(profile)
             return b"".join(
                 _ring_bytes(b, width) + _ring_bytes(a, width)

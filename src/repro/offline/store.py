@@ -2,12 +2,11 @@
 
 An :class:`OfflineStore` is what the online phase consumes: per-origin
 :class:`~repro.offline.pools.EncryptionPool` instances keyed by the
-submission seed they were derived for, per-device
-:class:`~repro.offline.pools.DummyStream` byte supplies, and a
-:class:`~repro.crypto.bgv.PreparedRelinKeySet` wrapping the query
-relinearization key.  A store is optional everywhere it is accepted —
-``None`` means the inline path, and by the pool derivation contract the
-two paths produce bit-identical results.
+submission seed they were derived for and per-device
+:class:`~repro.offline.pools.DummyStream` byte supplies.  A store is
+optional everywhere it is accepted — ``None`` means the inline path,
+and by the pool derivation contract the two paths produce bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -86,27 +85,6 @@ class OfflineStore:
         self.public_key = public_key
         self._encryption: dict[tuple[int, int], EncryptionPool] = {}
         self._dummy: dict[int, DummyStream] = {}
-        self._relin: bgv.PreparedRelinKeySet | None = None
-
-    # -- relinearization ----------------------------------------------------
-
-    def relin_for(self, keys):
-        """A prepared wrapper of ``keys`` (cached; identity-checked).
-
-        Accepts ``None`` (returns ``None``) and passes through a set
-        that is already prepared.
-        """
-        if keys is None:
-            return None
-        if isinstance(keys, bgv.PreparedRelinKeySet):
-            return keys
-        if self._relin is None or self._relin.rlk is not keys:
-            self._relin = bgv.PreparedRelinKeySet(keys)
-            # Preparing the pieces is the offline phase's job; warming
-            # here keeps the first online relinearization transform-free
-            # on the backend that is active when the store is populated.
-            self._relin.warm()
-        return self._relin
 
     # -- leaf-encryption pools ----------------------------------------------
 

@@ -23,22 +23,80 @@ fastest available), the ``--backend`` CLI flag, or the
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, Union, runtime_checkable
 
 from repro.crypto import ntt
 from repro.errors import ParameterError
 from repro.runtime.config import AUTO_BACKEND
 from repro.telemetry import runtime as telemetry
 
-#: Upper bound (log2) on one relinearization digit the fused fold
-#: accepts.  Every shipped profile decomposes in base 2^32;
-#: :func:`repro.crypto.bgv.relinearize` falls back to the sequential
-#: per-piece path (bit-identical) for wider bases, which lets backends
-#: size fold-specific tables — e.g. the NumPy kernel's narrow RNS
-#: basis — against this bound instead of the full q×q product.
-MAX_FOLD_DIGIT_BITS = 64
+
+class Resident:
+    """A ring operand that takes part in more than one product.
+
+    Holds the coefficients and, beside them, the evaluation forms that
+    backends have built from them: a backend transforms the operand the
+    first time it meets it and parks the result here under its own key,
+    so a public key or a relinearization-key piece is transformed once
+    per process and the two products of one encryption share one
+    transform of ``u``.  (The product cache files the operand's content
+    digest here too.)  Forms are backend-specific and several times the
+    size of the coefficients; pickling ships the coefficients alone and
+    a fabric worker rebuilds what it uses.
+    """
+
+    __slots__ = ("coeffs", "forms")
+
+    def __init__(self, coeffs: Sequence[int]):
+        self.coeffs = coeffs
+        self.forms: dict = {}
+
+    def form(self, key, build: Callable[[Sequence[int]], object]):
+        """The form filed under ``key``, built from the coefficients on
+        first request."""
+        found = self.forms.get(key)
+        if found is None:
+            found = self.forms[key] = build(self.coeffs)
+        return found
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __reduce__(self):
+        return Resident, (self.coeffs,)
+
+
+Operand = Union[Sequence[int], Resident]
+
+
+def fold_by_products(
+    backend: "ComputeBackend",
+    pairs: Sequence[tuple[Resident, Resident]],
+    coeffs: Sequence[int],
+    base_bits: int,
+    n: int,
+    q: int,
+) -> tuple[list[int], list[int]]:
+    """The fold by its definition, as a sum of ``backend`` products: the
+    reference kernel's fold, and what any backend runs for a ring it
+    cannot fold in the evaluation domain."""
+    mask = (1 << base_bits) - 1
+    acc0, acc1 = [0] * n, [0] * n
+    remaining = list(coeffs)
+    for b_i, a_i in pairs:
+        digits = Resident([c & mask for c in remaining])  # one transform, two products
+        remaining = [c >> base_bits for c in remaining]
+        term0 = backend.negacyclic_multiply(b_i, digits, n, q)
+        term1 = backend.negacyclic_multiply(a_i, digits, n, q)
+        acc0 = [(x + y) % q for x, y in zip(acc0, term0)]
+        acc1 = [(x + y) % q for x, y in zip(acc1, term1)]
+    return acc0, acc1
 
 
 @runtime_checkable
@@ -46,8 +104,10 @@ class ComputeBackend(Protocol):
     """The negacyclic-NTT/polyring kernel under every HE operation.
 
     Coefficient vectors are Python ``list[int]`` with entries in
-    ``[0, q)``; implementations must return exactly what the reference
-    backend returns for the same inputs.
+    ``[0, q)``; a product operand may also be a :class:`Resident`, whose
+    evaluation form the backend builds once and reuses.  Implementations
+    must return exactly what the reference backend returns for the same
+    inputs.
     """
 
     name: str
@@ -61,9 +121,23 @@ class ComputeBackend(Protocol):
         ...
 
     def negacyclic_multiply(
-        self, a: Sequence[int], b: Sequence[int], n: int, q: int
+        self, a: Operand, b: Operand, n: int, q: int
     ) -> list[int]:
         """Product in Z_q[x]/(x^n + 1) for *any* modulus q."""
+        ...
+
+    def fold_multiply_accumulate(
+        self,
+        pairs: Sequence[tuple[Resident, Resident]],
+        coeffs: Sequence[int],
+        base_bits: int,
+        n: int,
+        q: int,
+    ) -> tuple[list[int], list[int]]:
+        """``(sum_i b_i*d_i, sum_i a_i*d_i)`` over ``pairs[i] = (b_i,
+        a_i)``, where ``d_i`` is the ``i``-th base-``2^base_bits`` digit
+        polynomial of ``coeffs`` (each below ``2^(base_bits·len(pairs))``)
+        — one relinearization fold."""
         ...
 
 
@@ -78,48 +152,24 @@ class PureBackend:
     def inverse_ntt(self, values: Sequence[int], n: int, q: int) -> list[int]:
         return ntt.get_context(n, q).inverse(list(values))
 
+    def _form(self, ctx: ntt.NttContext, operand: Operand) -> list[int]:
+        if isinstance(operand, Resident):
+            return operand.form(self.name, lambda c: ctx.forward(list(c)))
+        return ctx.forward(list(operand))
+
     def negacyclic_multiply(
-        self, a: Sequence[int], b: Sequence[int], n: int, q: int
+        self, a: Operand, b: Operand, n: int, q: int
     ) -> list[int]:
-        if (q - 1) % (2 * n) == 0:
-            return ntt.get_context(n, q).multiply(list(a), list(b))
-        return ntt.negacyclic_multiply_schoolbook(list(a), list(b), q)
-
-    # -- evaluation-domain fold (prepared multiply-accumulate) ------------
-
-    def supports_fold(self, n: int, q: int) -> bool:
-        return (q - 1) % (2 * n) == 0
-
-    def prepare_operand(self, coeffs: Sequence[int], n: int, q: int):
-        """Forward-transform a fixed operand for repeated products."""
-        return ntt.get_context(n, q).forward(list(coeffs))
-
-    def fold_multiply_accumulate(
-        self,
-        prepared_pairs: Sequence[tuple],
-        digit_polys: Sequence[Sequence[int]],
-        n: int,
-        q: int,
-    ) -> tuple[list[int], list[int]]:
-        """Compute ``(sum_i b_i*d_i, sum_i a_i*d_i)`` in one pass.
-
-        ``prepared_pairs[i]`` is ``(prepare_operand(b_i), prepare_operand(a_i))``
-        and ``digit_polys[i]`` the coefficients of ``d_i``.  Each digit
-        poly is transformed once, multiply-accumulated pointwise against
-        both prepared key halves, and a single inverse per accumulator
-        closes the fold — the NTT is linear mod q, so the result is
-        bit-identical to summing the individual products.
-        """
+        if (q - 1) % (2 * n):
+            return ntt.negacyclic_multiply_schoolbook(list(a), list(b), q)
+        if len(a) != n or len(b) != n:
+            raise ParameterError("operands must have length n")
         ctx = ntt.get_context(n, q)
-        acc0 = [0] * n
-        acc1 = [0] * n
-        for (fb, fa), digits in zip(prepared_pairs, digit_polys):
-            fd = ctx.forward(list(digits))
-            for j in range(n):
-                d = fd[j]
-                acc0[j] = (acc0[j] + fb[j] * d) % q
-                acc1[j] = (acc1[j] + fa[j] * d) % q
-        return ctx.inverse(acc0), ctx.inverse(acc1)
+        fa, fb = self._form(ctx, a), self._form(ctx, b)
+        return ctx.inverse([(x * y) % q for x, y in zip(fa, fb)])
+
+    def fold_multiply_accumulate(self, pairs, coeffs, base_bits, n, q):
+        return fold_by_products(self, pairs, coeffs, base_bits, n, q)
 
 
 _factories: dict[str, Callable[[], ComputeBackend]] = {}
@@ -213,10 +263,10 @@ def use_backend(name: str):
         _active = previous
 
 
-#: Entries kept in the content-keyed product cache.  Keys hold operand
-#: *references* (tuples of the caller's int objects), so an entry costs
-#: little beyond the cached result coefficients; 128 entries bounds the
-#: worst case to tens of MB even at the SMALL ring.
+#: Entries kept in the content-keyed product cache.  An entry is its
+#: result coefficients and two operand digests — it keeps no operand
+#: alive — so 128 entries bound the worst case to ~20 MB at the SMALL
+#: ring.
 _MULTIPLY_CACHE_SIZE = 128
 
 _multiply_cache: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
@@ -229,24 +279,34 @@ def clear_multiply_cache() -> None:
         _multiply_cache.clear()
 
 
-def ring_multiply(a: Sequence[int], b: Sequence[int], n: int, q: int) -> list[int]:
+def _content_digest(operand: Operand, q: int) -> bytes:
+    """SHA-256 over the operand's coefficients (each in ``[0, q)``); a
+    :class:`Resident` computes its own once."""
+    if isinstance(operand, Resident):
+        return operand.form("digest", lambda coeffs: _content_digest(coeffs, q))
+    width = (q.bit_length() + 7) // 8
+    return hashlib.sha256(
+        b"".join(c.to_bytes(width, "little") for c in operand)
+    ).digest()
+
+
+def ring_multiply(a: Operand, b: Operand, n: int, q: int) -> list[int]:
     """Dispatch one negacyclic product to the active backend.
 
-    This is the single call site :mod:`repro.crypto.polyring` uses, so
-    the ``runtime.backend.multiplies`` counter sees every ring
-    multiplication the parent process performs.
+    This is the single call site for single products —
+    :mod:`repro.crypto.polyring` and the shared-operand products of
+    :mod:`repro.crypto.bgv` — so the ``runtime.backend.multiplies``
+    counter sees every ring multiplication the parent process performs.
 
-    Products are memoized by operand content (canonicalized for
-    commutativity, keyed per backend so the equivalence tests still
-    exercise each kernel).  The online phase repeats many exact
+    Products are memoized by operand content (digests, ordered because
+    the product commutes; keyed per backend so the equivalence tests
+    still exercise each kernel).  The online phase repeats many exact
     products — the ZK aggregate proof replays the origin compute — and
-    a hit returns the cached coefficients without touching the backend.
+    a hit returns the cached coefficients without touching the backend
+    or transforming a :class:`Resident` operand.
     """
     telemetry.count("runtime.backend.multiplies")
-    ka, kb = tuple(a), tuple(b)
-    if kb < ka:
-        ka, kb = kb, ka  # the ring product commutes
-    key = (_active.name, n, q, ka, kb)
+    key = (_active.name, n, q, *sorted((_content_digest(a, q), _content_digest(b, q))))
     with _multiply_lock:
         hit = _multiply_cache.get(key)
         if hit is not None:
@@ -263,32 +323,18 @@ def ring_multiply(a: Sequence[int], b: Sequence[int], n: int, q: int) -> list[in
     return result
 
 
-def supports_fold(n: int, q: int) -> bool:
-    """Whether the active backend can run the prepared evaluation-domain
-    fold for this ring (all shipped backends can when q is NTT-friendly)."""
-    probe = getattr(_active, "supports_fold", None)
-    return bool(probe is not None and probe(n, q))
-
-
-def prepare_operand(coeffs: Sequence[int], n: int, q: int):
-    """Forward-transform a fixed operand on the active backend.
-
-    The returned value is backend-specific and only meaningful when fed
-    back to :func:`fold_multiply_accumulate` on the *same* backend.
-    """
-    return _active.prepare_operand(coeffs, n, q)
-
-
 def fold_multiply_accumulate(
-    prepared_pairs: Sequence[tuple],
-    digit_polys: Sequence[Sequence[int]],
+    pairs: Sequence[tuple[Resident, Resident]],
+    coeffs: Sequence[int],
+    base_bits: int,
     n: int,
     q: int,
 ) -> tuple[list[int], list[int]]:
-    """Dispatch one prepared multiply-accumulate fold to the active backend.
+    """Dispatch one relinearization fold to the active backend (see
+    :meth:`ComputeBackend.fold_multiply_accumulate`).
 
-    Counts ``runtime.backend.fold_products`` — the products a sequential
-    relinearization would have paid as full ring multiplications.
+    Counts ``runtime.backend.fold_products`` — the ring products the
+    fold stands for, two per key piece.
     """
-    telemetry.count("runtime.backend.fold_products", 2 * len(digit_polys))
-    return _active.fold_multiply_accumulate(prepared_pairs, digit_polys, n, q)
+    telemetry.count("runtime.backend.fold_products", 2 * len(pairs))
+    return _active.fold_multiply_accumulate(pairs, coeffs, base_bits, n, q)

@@ -46,7 +46,7 @@ import numpy as np
 from repro.crypto import ntt
 from repro.crypto.modmath import is_prime
 from repro.errors import ParameterError
-from repro.runtime.backends import MAX_FOLD_DIGIT_BITS
+from repro.runtime.backends import Operand, Resident, fold_by_products
 
 #: Largest modulus the direct int64 transform can serve: butterfly
 #: products must stay below 2^63.
@@ -58,8 +58,10 @@ MAX_RNS_PRIME = 1 << 28
 
 _PLAN_CACHE_SIZE = 16
 
-#: Log2 of the maximum number of digit polynomials accumulated per fold.
-_FOLD_ACCUM_BITS = 10
+#: Elements per batched digit transform: enough rows to amortize NumPy's
+#: per-call overhead on a small ring, few enough that a large ring's
+#: batch (and its butterfly temporaries) stays a megabyte or two.
+_FOLD_BATCH_ELEMENTS = 1 << 17
 
 
 def _is_pow2(n: int) -> bool:
@@ -110,6 +112,8 @@ class _Plan:
         )
         primes = [q] if self.direct else _rns_primes(n, q, need_bits)
         self.primes = np.asarray(primes, dtype=np.int64)
+        #: Names the basis: what a Resident files this plan's forms under.
+        self.form_key = ("numpy", tuple(primes))
         k = len(primes)
         self.p_col = self.primes.reshape(k, 1, 1)
         self.p_flat = self.primes.reshape(k, 1)
@@ -154,6 +158,18 @@ class _Plan:
                 c_k = m_k * pow(m_k % p, -1, p)
                 crt[i] = [(c_k >> (16 * j)) & 0xFFFF for j in range(self.limbs)]
             self.crt_limbs = crt
+
+    def form(self, operand: Operand) -> np.ndarray:
+        """The evaluation form of ``operand`` on this basis (read-only:
+        a :class:`Resident` hands the same array to every product)."""
+        if isinstance(operand, Resident):
+            # Residues sit below 2^31: parked at half width, widened
+            # again by every product.
+            return operand.form(
+                self.form_key,
+                lambda c: self.forward(self.to_residues(c)).astype(np.int32),
+            )
+        return self.forward(self.to_residues(operand))
 
     # -- batched transforms (one row per RNS prime) -----------------------
 
@@ -316,7 +332,8 @@ class NumpyBackend:
         self._plans: OrderedDict[tuple, _Plan] = OrderedDict()
         self._lock = threading.Lock()
 
-    def _plan_for(self, key: tuple, n: int, q: int, product_bits=None) -> _Plan:
+    def _plan(self, n: int, q: int, product_bits: int | None = None) -> _Plan:
+        key = (n, q, product_bits)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -331,23 +348,27 @@ class NumpyBackend:
                 self._plans.popitem(last=False)
         return plan
 
-    def _plan(self, n: int, q: int) -> _Plan:
-        return self._plan_for((n, q), n, q)
+    def _fold_plan(self, n: int, q: int, base_bits: int, count: int) -> _Plan:
+        """Tables for a fold of ``count`` digit polynomials below
+        ``2^base_bits``.
 
-    def _fold_plan(self, n: int, q: int) -> _Plan:
-        """Tables for the relinearization fold: one operand is a digit
-        polynomial below ``2^MAX_FOLD_DIGIT_BITS``, so the RNS basis only
-        needs to cover ``2·n·q·2^64`` times the accumulation width —
-        roughly half the primes (and half the transform time) of the
-        general q×q basis."""
+        An output coefficient is a signed sum of ``count·n`` terms, each
+        a digit below ``2^base_bits`` times a key coefficient below
+        ``q``, and the centered CRT lift is exact once the basis product
+        exceeds twice that magnitude.  ``x < 2^x.bit_length()`` for each
+        factor, so the bound below holds at the worst case (every
+        coefficient ``q−1``, every digit ``2^base_bits − 1``).  With
+        32-bit digits it needs about half the primes — and half the
+        transform time — of the general q×q basis.
+        """
         bits = (
             q.bit_length()
-            + MAX_FOLD_DIGIT_BITS
+            + base_bits
             + n.bit_length()
-            + _FOLD_ACCUM_BITS
-            + 2
+            + count.bit_length()
+            + 1
         )
-        return self._plan_for(("fold", n, q), n, q, product_bits=bits)
+        return self._plan(n, q, product_bits=bits)
 
     def _directable(self, n: int, q: int) -> bool:
         return (
@@ -372,53 +393,47 @@ class NumpyBackend:
         return [int(x) for x in plan.inverse(plan.to_residues(values))[0]]
 
     def negacyclic_multiply(
-        self, a: Sequence[int], b: Sequence[int], n: int, q: int
+        self, a: Operand, b: Operand, n: int, q: int
     ) -> list[int]:
         if not _is_pow2(n):
             return ntt.negacyclic_multiply_schoolbook(list(a), list(b), q)
         plan = self._plan(n, q)
-        fa = plan.forward(plan.to_residues(a))
-        fb = plan.forward(plan.to_residues(b))
-        prod = (fa * fb) % plan.p_flat
+        prod = np.multiply(plan.form(a), plan.form(b), dtype=np.int64)
+        prod %= plan.p_flat
         return plan.from_residues(plan.inverse(prod))
-
-    # -- evaluation-domain fold (prepared multiply-accumulate) ------------
-
-    def supports_fold(self, n: int, q: int) -> bool:
-        return _is_pow2(n)
-
-    def prepare_operand(self, coeffs: Sequence[int], n: int, q: int) -> np.ndarray:
-        plan = self._fold_plan(n, q)
-        return plan.forward(plan.to_residues(coeffs))
 
     def fold_multiply_accumulate(
         self,
-        prepared_pairs: Sequence[tuple],
-        digit_polys: Sequence[Sequence[int]],
+        pairs: Sequence[tuple[Resident, Resident]],
+        coeffs: Sequence[int],
+        base_bits: int,
         n: int,
         q: int,
     ) -> tuple[list[int], list[int]]:
-        """One transform per digit poly on the *narrow fold basis*,
-        pointwise accumulate against the prepared key halves, one
-        inverse + CRT reconstruction per output.
-
-        Exactness: residues stay below 2^28, so each pointwise product
-        fits int64 (< 2^56) and the per-step ``% p`` keeps accumulators
-        below p.  The fold basis bound ``M > 2·n·q·2^(64+10)`` exceeds
-        the true magnitude of the accumulated sum (each term is a digit
-        below 2^64 times a key coefficient below q, convolved over n
-        positions, summed over at most 2^10 pieces), so the centered CRT
-        lift of the sum is exact and the result matches the sequential
-        per-piece products bit for bit.
-        """
-        plan = self._fold_plan(n, q)
-        shape = plan.p_flat.shape[0], n
+        """The digit polynomials are the machine words of each
+        coefficient's byte encoding; they go through batched transforms
+        on the basis :meth:`_fold_plan` sizes, are accumulated pointwise
+        against the key forms (residues below 2^31: every product fits
+        int64 and the per-step ``% p`` keeps the sums below p), and one
+        inverse + CRT reconstruction per output closes the fold."""
+        count = len(pairs)
+        if not _is_pow2(n) or base_bits not in (8, 16, 32):  # machine words
+            return fold_by_products(self, pairs, coeffs, base_bits, n, q)
+        plan = self._fold_plan(n, q, base_bits, count)
+        width = count * base_bits // 8
+        buf = b"".join(c.to_bytes(width, "little") for c in coeffs)
+        words = np.frombuffer(buf, dtype=f"<u{base_bits // 8}")
+        digits = words.reshape(n, count).T.astype(np.int64)[:, None, :]
+        shape = len(plan.primes), n
         acc0 = np.zeros(shape, dtype=np.int64)
         acc1 = np.zeros(shape, dtype=np.int64)
-        for (fb, fa), digits in zip(prepared_pairs, digit_polys):
-            fd = plan.forward(plan.to_residues(digits))
-            acc0 = (acc0 + fb * fd) % plan.p_flat
-            acc1 = (acc1 + fa * fd) % plan.p_flat
+        step = max(1, _FOLD_BATCH_ELEMENTS // (shape[0] * n))
+        for start in range(0, count, step):
+            batch = digits[start : start + step] % plan.p_flat
+            transformed = plan.forward(batch)  # (step, primes, n)
+            for (b_i, a_i), fd in zip(pairs[start : start + step], transformed):
+                acc0 = (acc0 + plan.form(b_i) * fd) % plan.p_flat
+                acc1 = (acc1 + plan.form(a_i) * fd) % plan.p_flat
         return (
             plan.from_residues(plan.inverse(acc0)),
             plan.from_residues(plan.inverse(acc1)),

@@ -101,6 +101,11 @@ METRICS: dict[str, MetricSpec] = _specs(
         "public complaints posted to the bulletin board",
     ),
     MetricSpec(
+        "mixnet.route.misdirected", COUNTER, "messages",
+        "messages that matched a hop's link by path id and mailbox but "
+        "carried the wrong direction tag (complained about, not relayed)",
+    ),
+    MetricSpec(
         "mixnet.send.messages", COUNTER, "messages",
         "end-to-end payloads deposited by ForwardingDriver.send_batch",
     ),
@@ -194,11 +199,6 @@ METRICS: dict[str, MetricSpec] = _specs(
     MetricSpec(
         "bgv.relinearize.count", COUNTER, "ops",
         "relinearizations of degree>1 ciphertexts back to degree 1",
-    ),
-    MetricSpec(
-        "bgv.relinearize.fused", COUNTER, "ops",
-        "relinearizations served by prepared key pieces through the "
-        "backend's fused multiply-accumulate fold",
     ),
     MetricSpec(
         "ntt.forward.count", COUNTER, "transforms",
@@ -323,8 +323,8 @@ METRICS: dict[str, MetricSpec] = _specs(
     ),
     MetricSpec(
         "runtime.backend.fold_products", COUNTER, "ops",
-        "ring products a fused multiply-accumulate fold replaced (the "
-        "sequential relinearization cost it avoided)",
+        "ring products the relinearization folds stand for: two per key "
+        "piece per fold, none of them a runtime.backend.multiplies call",
     ),
     MetricSpec(
         "runtime.backend.multiply_cache_hits", COUNTER, "ops",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +59,19 @@ def test_every_ledger_trace_target_resolves_to_a_callable():
         if isinstance(raw, (classmethod, staticmethod)):
             raw = raw.__func__
         assert callable(raw), f"{target.span} -> {target.module}:{target.attr}"
+
+
+def test_newest_committed_record_covers_every_workload_and_metric():
+    """``BENCH_<pr>.json`` at the repo root is the trajectory a later
+    change is compared against; a record that lost a workload, a metric
+    or a query is not one."""
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    records = sorted(
+        REPO_ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1])
+    )
+    assert records, "no BENCH_<pr>.json committed at the repo root"
+    ledger = json.loads(records[-1].read_text())
+    for workload in spec["workloads"]:
+        record = ledger["workloads"][workload["name"]]
+        assert record["failed"] == 0, workload["name"]
+        assert {m["name"] for m in spec["end_to_end"]} <= set(record["end_to_end"])

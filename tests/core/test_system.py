@@ -149,3 +149,35 @@ class TestByzantineIntegration:
             offline={2, 5},
         )
         assert result.metadata.contributing_origins == graph.num_vertices - 2
+
+
+class TestGenesisBackend:
+    def test_genesis_is_the_same_under_either_backend(self, monkeypatch):
+        """Genesis runs on the configured backend; the key material it
+        produces does not depend on which one that is."""
+        pytest.importorskip("numpy")
+        from repro.crypto import bgv
+        from repro.runtime import RuntimeConfig, active_backend, use_runtime
+
+        ran_on = []
+        keygen = bgv.keygen
+
+        def watched_keygen(profile, rng):
+            ran_on.append(active_backend().name)
+            return keygen(profile, rng)
+
+        monkeypatch.setattr(bgv, "keygen", watched_keygen)
+
+        def genesis(backend):
+            with use_runtime(RuntimeConfig(backend=backend)):
+                return build_system(seed=70, people=8, degree=2)
+
+        before = active_backend().name
+        pure, vectorized = genesis("pure"), genesis("numpy")
+        assert ran_on == ["pure", "numpy"]
+        assert active_backend().name == before  # scoped to setup
+        assert vectorized._genesis_secret == pure._genesis_secret
+        assert vectorized.public_key == pure.public_key
+        assert vectorized.relin_keys == pure.relin_keys
+        assert vectorized.committee.members == pure.committee.members
+        assert vectorized.committee.commitments == pure.committee.commitments

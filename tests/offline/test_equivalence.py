@@ -1,7 +1,7 @@
 """The offline/online bit-identity contract at the system level.
 
-A run consuming precomputed pools and prepared relinearization keys
-must be byte-for-byte identical to the inline run — at any backend, any
+A run consuming precomputed pools must be byte-for-byte identical to
+the inline run — at any backend, any
 worker count, any shard count, through pool exhaustion mid-batch, and
 through a full campaign under churn.
 """
@@ -111,7 +111,7 @@ class TestSystemBitIdentity:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_run_query_pooled_matches_inline(self, shards):
         """End to end through run_query: same noisy released result,
-        with pools, prepared relin keys, and sharded aggregation."""
+        with pools and sharded aggregation."""
         store = OfflineStore()
         system_a = build_system(people=10)
         store.public_key = system_a.public_key

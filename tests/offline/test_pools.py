@@ -171,11 +171,3 @@ class TestOfflineStore:
             public_key, MASTER + 1, range(1), POOL_LOW_WATER + 3
         )
         assert store.observe_levels() == 2
-
-    def test_relin_for_caches_and_passes_through(self, relin_keys):
-        store = OfflineStore()
-        prepared = store.relin_for(relin_keys)
-        assert isinstance(prepared, bgv.PreparedRelinKeySet)
-        assert store.relin_for(relin_keys) is prepared
-        assert store.relin_for(prepared) is prepared
-        assert store.relin_for(None) is None

@@ -19,6 +19,7 @@ from repro.errors import QueryError
 from repro.mixnet.network import MixnetWorld
 from repro.params import SystemParameters
 from repro.query.schema import scaled_schema
+from repro.runtime import RuntimeConfig, use_runtime
 from repro.telemetry.contract import documented_names, find_repo_root
 from repro.telemetry.export import (
     export_jsonl,
@@ -55,7 +56,9 @@ def traced_run():
         num_devices=10, hops=2, replicas=1, forwarder_fraction=0.45,
         degree_bound=2, pseudonyms_per_device=2,
     )
-    with telemetry.session() as session:
+    # The reference kernel is the one that reports ``ntt.*``; genesis and
+    # the query both follow the configured backend.
+    with use_runtime(RuntimeConfig(backend="pure")), telemetry.session() as session:
         system = MyceliumSystem.setup(
             num_devices=10, rng=rng, params=params, schema=scaled_schema()
         )
