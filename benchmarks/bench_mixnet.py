@@ -7,14 +7,11 @@ attacks), so mailbox traffic per round is the quantity that scales.
 
 import random
 
-import pytest
-
 from benchmarks.conftest import format_table
 from repro.mixnet.forwarding import ForwardingDriver, SendRequest
 from repro.mixnet.network import MixnetWorld
 from repro.mixnet.telescope import TelescopeDriver
 from repro.params import SystemParameters
-from repro.runtime import TaskFabric
 
 
 def _build_world(seed=7, devices=24, hops=2):
@@ -85,38 +82,6 @@ def test_forwarding_round(benchmark, report):
         f"forwarding round: {sum(sent.values())} messages sent, "
         f"{delivered} destinations reached, "
         f"{world.params.hops + 1} C-rounds of latency"
-    )
-    assert delivered == 2
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_forwarding_round_worker_sweep(benchmark, report, workers):
-    """Onion wrapping sharded across the fabric's worker sweep.
-
-    Delivery must be identical at every worker count; only the wrap
-    stage's wall time varies (chunk_size=1 so two sends really fan out
-    at workers=2).
-    """
-    world = _build_world(seed=8)
-    driver = TelescopeDriver(world)
-    dests = [world.devices[d].identity.primary().handle for d in (10, 11)]
-    requests = [(s, 0, 0, dest) for s, dest in zip((0, 1), dests)]
-    paths = driver.setup_paths(requests)
-    assert all(p.established for p in paths.values())
-
-    def forward():
-        with TaskFabric(workers=workers, chunk_size=1) as fabric:
-            fw = ForwardingDriver(world, fabric=fabric)
-            return fw.send_batch(
-                [SendRequest(0, (0, 0), b"q"), SendRequest(1, (0, 0), b"q")],
-                payload_bytes=64,
-            )
-
-    sent = benchmark.pedantic(forward, rounds=1, iterations=1)
-    delivered = sum(1 for d in (10, 11) if world.devices[d].received)
-    report(
-        f"forwarding round (workers={workers}): "
-        f"{sum(sent.values())} sent, {delivered} delivered"
     )
     assert delivered == 2
 

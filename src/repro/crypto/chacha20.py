@@ -5,14 +5,22 @@ outer onion layers use the bare stream cipher *without* a MAC so that
 forwarders can substitute random dummies that downstream adversaries
 cannot distinguish from real traffic (§3.5, "Generating dummies").
 
+:func:`chacha20_block` is the RFC 8439 block function, kept as the
+reference oracle.  Encryption asks the active compute backend
+(:mod:`repro.runtime.backends`) for its keystream — every block of
+every message of a batch in one request — and XORs each message with
+one big-integer operation.
+
 Validated against the RFC 8439 test vectors in the test suite.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Sequence
 
 from repro.errors import CryptoError
+from repro.runtime import backends
 
 KEY_BYTES = 32
 NONCE_BYTES = 12
@@ -61,6 +69,37 @@ def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
     return struct.pack("<16L", *out)
 
 
+def xor_bytes(data: bytes, keystream: bytes) -> bytes:
+    """``data`` XOR the leading ``len(data)`` bytes of ``keystream``."""
+    size = len(data)
+    return (
+        int.from_bytes(data, "little")
+        ^ int.from_bytes(keystream[:size], "little")
+    ).to_bytes(size, "little")
+
+
+def chacha20_xor_many(
+    items: Sequence[tuple[bytes, bytes, bytes]], initial_counter: int = 1
+) -> list[bytes]:
+    """:func:`chacha20_xor` of every ``(key, nonce, data)`` in ``items``,
+    on one keystream request to the active backend."""
+    for key, nonce, _ in items:
+        if len(key) != KEY_BYTES:
+            raise CryptoError("ChaCha20 keys are 32 bytes")
+        if len(nonce) != NONCE_BYTES:
+            raise CryptoError("ChaCha20 nonces are 12 bytes")
+    keystreams = backends.chacha20_keystreams(
+        [
+            (key, nonce, initial_counter, -(-len(data) // BLOCK_BYTES))
+            for key, nonce, data in items
+        ]
+    )
+    return [
+        xor_bytes(data, keystream)
+        for (_, _, data), keystream in zip(items, keystreams)
+    ]
+
+
 def chacha20_xor(
     key: bytes, nonce: bytes, data: bytes, initial_counter: int = 1
 ) -> bytes:
@@ -69,12 +108,4 @@ def chacha20_xor(
     Symmetric: applying it twice with the same key/nonce/counter returns
     the original data.
     """
-    out = bytearray(len(data))
-    counter = initial_counter
-    for block_start in range(0, len(data), BLOCK_BYTES):
-        keystream = chacha20_block(key, counter, nonce)
-        counter += 1
-        chunk = data[block_start : block_start + BLOCK_BYTES]
-        for i, byte in enumerate(chunk):
-            out[block_start + i] = byte ^ keystream[i]
-    return bytes(out)
+    return chacha20_xor_many([(key, nonce, data)], initial_counter)[0]

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 
 from repro import telemetry
-from repro.crypto import aead
+from repro.crypto import aead, rsa
 from repro.errors import ProtocolError
 from repro.mixnet import onion
 from repro.mixnet.network import (
@@ -32,7 +32,6 @@ from repro.mixnet.network import (
     TAG_PAYLOAD,
     link_keys,
 )
-from repro.runtime import TaskFabric
 
 
 @dataclass(frozen=True)
@@ -56,34 +55,6 @@ class ReliableSendResult:
     undelivered: tuple[tuple[int, tuple[int, int]], ...] = ()
 
 
-def build_envelope(
-    path: SourcePathState, payload: bytes, delivery_round: int, rng
-) -> bytes:
-    """The end-to-end protected payload the destination will open."""
-    from repro.crypto import rsa
-
-    if path.dest_pk is None:
-        raise ProtocolError("path has no destination key")
-    session_key = bytes(rng.randrange(256) for _ in range(32))
-    penc = rsa.encrypt(path.dest_pk, session_key, rng)
-    sealed = aead.ae_seal(session_key, delivery_round, payload)
-    return TAG_PAYLOAD + struct.pack(">H", len(penc)) + penc + sealed
-
-
-def _wrap_task(base_round: int, item: tuple[tuple[bytes, ...], bytes]) -> bytes:
-    """Fabric task: onion-wrap one envelope under pre-derived hop keys.
-
-    Hop j peels its layer with nonce ``base_round + j`` (its processing
-    round) and reads TAG_FORWARD first; the innermost peel at hop k
-    reveals the envelope, which hop k deposits into the destination's
-    mailbox.  Pure — no RNG, no shared state — so wraps shard freely
-    across workers; only the key derivation (trivial) and the mailbox
-    deposits (ordered) stay with the caller.
-    """
-    forward_keys, envelope = item
-    return onion.wrap(envelope, forward_keys, base_round + 1, TAG_FORWARD)
-
-
 def _forward_keys(path: SourcePathState) -> tuple[bytes, ...]:
     """The per-hop forwarding keys an onion for ``path`` wraps under."""
     return tuple(link_keys(hop_key)[0] for hop_key in path.hop_keys)
@@ -92,18 +63,13 @@ def _forward_keys(path: SourcePathState) -> tuple[bytes, ...]:
 class ForwardingDriver:
     """Run one vertex-program communication round for a batch of sends.
 
-    ``fabric`` shards the CPU-heavy onion wrapping (layered ChaCha20
-    over pure-Python primitives) across workers; it defaults to a fabric
-    built from the process-wide runtime config, i.e. in-process serial
-    execution unless the user opted into workers.  Envelope building
-    stays serial — it draws session keys from each device's RNG in
-    request order — and deposits land in request order, so batches are
-    byte-identical at any worker count.
+    Session keys and RSA padding are drawn from each device's RNG in
+    request order; the symmetric work — sealing the wave's envelopes and
+    the k onion layers over all of them — is k+1 batched cipher calls.
     """
 
-    def __init__(self, world: MixnetWorld, fabric: TaskFabric | None = None):
+    def __init__(self, world: MixnetWorld):
         self.world = world
-        self.fabric = fabric if fabric is not None else TaskFabric.from_config()
 
     def send_batch(
         self, sends: list[SendRequest], payload_bytes: int
@@ -120,11 +86,12 @@ class ForwardingDriver:
         base_round = world.current_round
         delivery_round = base_round + k + 1
         sent: dict[tuple[int, tuple[int, int]], bool] = {}
-        envelope_bytes = None
         with telemetry.span("mixnet.send_batch", sends=len(sends), hops=k):
-            # Stage 1 (serial): resolve paths and build envelopes, which
-            # draw session keys from each device's RNG in request order.
-            wrap_jobs: list[tuple[tuple[bytes, ...], bytes]] = []
+            # Stage 1 (serial): resolve paths and draw each envelope's
+            # session key and RSA padding from the device's RNG, in
+            # request order.
+            headers: list[bytes] = []
+            seals: list[tuple[bytes, int, bytes]] = []
             deposits: list[tuple[object, SourcePathState]] = []
             for request in sends:
                 device = world.devices[request.device_id]
@@ -141,17 +108,30 @@ class ForwardingDriver:
                     raise ProtocolError(
                         "payload exceeds the phase's fixed size"
                     )
+                if path.dest_pk is None:
+                    raise ProtocolError("path has no destination key")
+                rng = device.rng
+                session_key = bytes(rng.randrange(256) for _ in range(32))
+                penc = rsa.encrypt(path.dest_pk, session_key, rng)
+                headers.append(TAG_PAYLOAD + struct.pack(">H", len(penc)) + penc)
                 padded = request.payload.ljust(payload_bytes, b"\x00")
-                envelope = build_envelope(
-                    path, padded, delivery_round, device.rng
-                )
-                envelope_bytes = len(envelope)
-                wrap_jobs.append((_forward_keys(path), envelope))
+                seals.append((session_key, delivery_round, padded))
                 deposits.append((device, path))
                 sent[key] = True
-            # Stage 2 (parallel, pure): layered symmetric encryption.
-            bodies = self.fabric.map(
-                _wrap_task, wrap_jobs, context=base_round, label="mixnet.wrap"
+            # Stage 2 (batched, pure): seal every envelope, then wrap
+            # them all.  Hop j peels its layer with nonce base_round + j
+            # (its processing round) and reads TAG_FORWARD first; the
+            # innermost peel at hop k reveals the envelope, which hop k
+            # deposits into the destination's mailbox.
+            envelopes = [
+                header + sealed
+                for header, sealed in zip(headers, aead.ae_seal_many(seals))
+            ]
+            bodies = onion.wrap_many(
+                envelopes,
+                [_forward_keys(path) for _, path in deposits],
+                base_round + 1,
+                TAG_FORWARD,
             )
             # Stage 3 (serial): mailbox deposits in request order.
             for (device, path), body in zip(deposits, bodies):
@@ -161,12 +141,12 @@ class ForwardingDriver:
             # Arm dummy injection: a hop at position p that sees no message
             # on an expecting link in round base+p emits a dummy of matching
             # size.
-            if envelope_bytes is not None:
+            if envelopes:
                 world.forwarding_phase_start = base_round
                 # A hop at position p deposits bodies of exactly
                 # envelope + (k - p) bytes (one TAG_FORWARD byte per layer
                 # still to peel); emit_dummies matches that shape.
-                world.forwarding_body_bytes = envelope_bytes
+                world.forwarding_body_bytes = len(envelopes[-1])
             delivered = sum(1 for ok in sent.values() if ok)
             telemetry.count("mixnet.send.messages", delivered)
             for _ in range(delivered):

@@ -51,23 +51,43 @@ class WireMessage:
         return cls(path_id=data[:PATH_ID_BYTES], body=data[PATH_ID_BYTES:])
 
 
+def wrap_many(
+    payloads: Sequence[bytes],
+    hop_keys: Sequence[Sequence[bytes]],
+    base_round: int,
+    tag: bytes = b"",
+) -> list[bytes]:
+    """Build the onion bodies handed to hop 1, one per payload.
+
+    ``hop_keys[m][i]`` is the key message ``m`` shares with its hop
+    i+1, and every message of a wave has the same number of hops;
+    layer i is encrypted under the round number at which that hop will
+    peel it.  ``tag`` is prepended to every layer's plaintext, so each
+    hop reads it first after its peel (the forwarding phase's one-byte
+    dispatch tag).  Layer i of every message goes on in one batched
+    SEnc call, so a wave costs as many calls as it has hops.
+    """
+    bodies = list(payloads)
+    if len({len(keys) for keys in hop_keys}) > 1:
+        raise ProtocolError("the paths of one wave differ in depth")
+    for offset in reversed(range(len(hop_keys[0]) if hop_keys else 0)):
+        bodies = aead.senc_many(
+            [
+                (keys[offset], base_round + offset, tag + body)
+                for keys, body in zip(hop_keys, bodies)
+            ]
+        )
+    return bodies
+
+
 def wrap(
     payload: bytes,
     hop_keys: Sequence[bytes],
     base_round: int,
     tag: bytes = b"",
 ) -> bytes:
-    """Build the onion body handed to hop 1.
-
-    ``hop_keys[i]`` is the key shared with hop i+1; layer i is encrypted
-    under the round number at which that hop will peel it.  ``tag`` is
-    prepended to every layer's plaintext, so each hop reads it first
-    after its peel (the forwarding phase's one-byte dispatch tag).
-    """
-    body = payload
-    for offset in reversed(range(len(hop_keys))):
-        body = aead.senc(hop_keys[offset], base_round + offset, tag + body)
-    return body
+    """:func:`wrap_many` for one message."""
+    return wrap_many([payload], [hop_keys], base_round, tag)[0]
 
 
 def peel(hop_key: bytes, round_number: int, body: bytes) -> bytes:

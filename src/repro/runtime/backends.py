@@ -1,20 +1,23 @@
-"""Pluggable compute backends for the negacyclic polynomial kernel.
+"""Pluggable compute backends for the crypto kernels.
 
 Every BGV operation bottoms out in ring arithmetic in
-R_q = Z_q[x]/(x^n + 1); :class:`ComputeBackend` is the seam that lets
-that kernel be swapped without touching protocol code.  Two backends
-ship:
+R_q = Z_q[x]/(x^n + 1), and every SEnc/AE operation of the mixnet in
+ChaCha20 keystream blocks (:mod:`repro.crypto.chacha20`);
+:class:`ComputeBackend` is the seam that lets those kernels be swapped
+without touching protocol code.  Two backends ship:
 
 * ``pure`` — the reference implementation, delegating to the existing
   pure-Python :class:`repro.crypto.ntt.NttContext` (and the schoolbook
-  fallback for non-NTT-friendly moduli).  Always available.
+  fallback for non-NTT-friendly moduli) and to the RFC 8439 block
+  function.  Always available.
 * ``numpy`` — an exact vectorized kernel
   (:mod:`repro.runtime.numpy_backend`).  Registered only when NumPy
   imports; NumPy remains an optional dependency.
 
 Backends must be *bit-identical*: for the same inputs every backend
-returns the same coefficients (enforced by
-``tests/crypto/test_backend_equivalence.py``).  Selection is by name via
+returns the same coefficients and the same keystream bytes (enforced by
+``tests/crypto/test_backend_equivalence.py`` and
+``tests/crypto/test_chacha20_backends.py``).  Selection is by name via
 :class:`repro.runtime.config.RuntimeConfig` (``"auto"`` picks the
 fastest available), the ``--backend`` CLI flag, or the
 ``MYCELIUM_BACKEND`` environment variable.
@@ -74,6 +77,11 @@ class Resident:
 
 Operand = Union[Sequence[int], Resident]
 
+#: One ChaCha20 keystream request: ``(key, nonce, first_counter,
+#: blocks)`` — 32 and 12 bytes, then the block counter of the first
+#: 64-byte block and how many blocks to produce.
+KeystreamRequest = tuple[bytes, bytes, int, int]
+
 
 def fold_by_products(
     backend: "ComputeBackend",
@@ -101,7 +109,8 @@ def fold_by_products(
 
 @runtime_checkable
 class ComputeBackend(Protocol):
-    """The negacyclic-NTT/polyring kernel under every HE operation.
+    """The negacyclic-NTT/polyring kernel under every HE operation, and
+    the ChaCha20 keystream kernel under every SEnc/AE operation.
 
     Coefficient vectors are Python ``list[int]`` with entries in
     ``[0, q)``; a product operand may also be a :class:`Resident`, whose
@@ -140,9 +149,18 @@ class ComputeBackend(Protocol):
         — one relinearization fold."""
         ...
 
+    def chacha20_keystreams(
+        self, streams: Sequence[KeystreamRequest]
+    ) -> list[bytes]:
+        """One ``64·blocks``-byte RFC 8439 keystream per request; block
+        ``j`` of a stream runs under counter ``(first_counter + j) mod
+        2^32``.  Key and nonce lengths are the caller's to check."""
+        ...
+
 
 class PureBackend:
-    """Reference backend: the pure-Python NTT plus schoolbook fallback."""
+    """Reference backend: the pure-Python NTT plus schoolbook fallback,
+    and the RFC 8439 block function."""
 
     name = "pure"
 
@@ -170,6 +188,17 @@ class PureBackend:
 
     def fold_multiply_accumulate(self, pairs, coeffs, base_bits, n, q):
         return fold_by_products(self, pairs, coeffs, base_bits, n, q)
+
+    def chacha20_keystreams(self, streams):
+        # Not at module level: repro.crypto.chacha20 imports this module.
+        from repro.crypto.chacha20 import chacha20_block
+
+        return [
+            b"".join(
+                chacha20_block(key, first + j, nonce) for j in range(blocks)
+            )
+            for key, nonce, first, blocks in streams
+        ]
 
 
 _factories: dict[str, Callable[[], ComputeBackend]] = {}
@@ -338,3 +367,16 @@ def fold_multiply_accumulate(
     """
     telemetry.count("runtime.backend.fold_products", 2 * len(pairs))
     return _active.fold_multiply_accumulate(pairs, coeffs, base_bits, n, q)
+
+
+def chacha20_keystreams(streams: Sequence[KeystreamRequest]) -> list[bytes]:
+    """Dispatch one batch of keystream requests to the active backend
+    (see :meth:`ComputeBackend.chacha20_keystreams`).
+
+    Counts ``runtime.backend.chacha20_blocks`` — the 64-byte blocks the
+    batch stands for.
+    """
+    telemetry.count(
+        "runtime.backend.chacha20_blocks", sum(stream[3] for stream in streams)
+    )
+    return _active.chacha20_keystreams(streams)

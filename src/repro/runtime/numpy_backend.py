@@ -1,7 +1,9 @@
-"""Exact vectorized NumPy kernel for the negacyclic polynomial ring.
+"""Exact vectorized NumPy kernels: the negacyclic polynomial ring and
+the ChaCha20 keystream.
 
 Bit-identical to the pure-Python reference backend, at NumPy speed.
-Two regimes, chosen per ``(n, q)`` and cached as a :class:`_Plan`:
+The ring kernel has two regimes, chosen per ``(n, q)`` and cached as a
+:class:`_Plan`:
 
 * **direct** — ``q`` is an NTT-friendly prime below 2^31, so every
   butterfly product ``u * s`` stays under 2^62 and the whole
@@ -31,6 +33,11 @@ BLAS: operands are split into 14/16-bit digits whose dot products stay
 below 2^53, making ``float64`` accumulation exact; results are lifted
 back to ``int64`` and carry-propagated.
 
+The ChaCha20 kernel (:meth:`NumpyBackend.chacha20_keystreams`) lays the
+blocks of every requested stream out as the columns of one ``(16, B)``
+``uint32`` state, so the twenty rounds cost the same few hundred array
+operations for one block as for the thousands an onion wave asks for.
+
 This module imports NumPy at the top level; the backend registry treats
 the resulting ``ImportError`` as "backend unavailable".
 """
@@ -46,7 +53,12 @@ import numpy as np
 from repro.crypto import ntt
 from repro.crypto.modmath import is_prime
 from repro.errors import ParameterError
-from repro.runtime.backends import Operand, Resident, fold_by_products
+from repro.runtime.backends import (
+    KeystreamRequest,
+    Operand,
+    Resident,
+    fold_by_products,
+)
 
 #: Largest modulus the direct int64 transform can serve: butterfly
 #: products must stay below 2^63.
@@ -62,6 +74,95 @@ _PLAN_CACHE_SIZE = 16
 #: per-call overhead on a small ring, few enough that a large ring's
 #: batch (and its butterfly temporaries) stays a megabyte or two.
 _FOLD_BATCH_ELEMENTS = 1 << 17
+
+
+#: "expand 32-byte k", the first four words of every ChaCha20 state.
+_CHACHA_CONSTANTS = np.frombuffer(b"expand 32-byte k", dtype="<u4").astype(
+    np.uint32
+)[:, None]
+
+#: Left/right shift pairs of the quarter round's four rotations, as 0-d
+#: ``uint32`` arrays: the shifts then stay ``uint32`` under the promotion
+#: rules of NumPy 1 and of NumPy 2 alike.
+_CHACHA_ROTATIONS = tuple(
+    (np.array(n, dtype=np.uint32), np.array(32 - n, dtype=np.uint32))
+    for n in (16, 12, 8, 7)
+)
+
+#: Row orders that turn a four-row slab by one, two and three rows: what
+#: lines the diagonals of the state up as columns, and back.
+_TURN_1, _TURN_2, _TURN_3 = (
+    np.array([(row + turn) % 4 for row in range(4)]) for turn in (1, 2, 3)
+)
+
+
+def _chacha_state(streams: Sequence[KeystreamRequest], counts: list[int]) -> np.ndarray:
+    """The ``(16, B)`` initial states: one column per block, streams in
+    request order; only key, nonce and counter differ between columns."""
+    total = sum(counts)
+    state = np.empty((16, total), dtype=np.uint32)
+    state[:4] = _CHACHA_CONSTANTS
+    words = np.frombuffer(
+        b"".join([key + nonce for key, nonce, _, _ in streams]), dtype="<u4"
+    ).reshape(len(streams), 11)
+    per_block = np.repeat(words, counts, axis=0).T
+    state[4:12] = per_block[:8]
+    state[13:] = per_block[8:]
+    # Block j of a stream runs under (first + j) mod 2^32: summed in
+    # uint64, truncated by the cast.
+    first = np.array(
+        [first & 0xFFFFFFFF for _, _, first, _ in streams], dtype=np.uint64
+    )
+    starts = np.cumsum(counts, dtype=np.uint64) - np.array(counts, dtype=np.uint64)
+    state[12] = (
+        np.repeat(first - starts, counts) + np.arange(total, dtype=np.uint64)
+    ).astype(np.uint32)
+    return state
+
+
+def _chacha_blocks(state: np.ndarray) -> bytes:
+    """The keystream blocks of the initial states in ``state``'s columns.
+
+    Rows 0-3, 4-7, 8-11 and 12-15 are the ``a``, ``b``, ``c`` and ``d``
+    of four quarter rounds at once: a column round is one quarter round
+    on the four slabs, a diagonal round the same after turning ``b``,
+    ``c`` and ``d`` by one, two and three rows.  Every arithmetic
+    operation writes into an existing array."""
+    work = state.copy()
+    a, b, c, d = work[0:4], work[4:8], work[8:12], work[12:16]
+    spare = np.empty_like(a)
+    add, xor, bit_or = np.add, np.bitwise_xor, np.bitwise_or
+    shl, shr = np.left_shift, np.right_shift
+    (l16, r16), (l12, r12), (l8, r8), (l7, r7) = _CHACHA_ROTATIONS
+    for half_round in range(20):
+        add(a, b, a)
+        xor(d, a, d)
+        shl(d, l16, spare)
+        shr(d, r16, d)
+        bit_or(d, spare, d)  # d = (d ^ a) <<< 16
+        add(c, d, c)
+        xor(b, c, b)
+        shl(b, l12, spare)
+        shr(b, r12, b)
+        bit_or(b, spare, b)  # b = (b ^ c) <<< 12
+        add(a, b, a)
+        xor(d, a, d)
+        shl(d, l8, spare)
+        shr(d, r8, d)
+        bit_or(d, spare, d)  # d = (d ^ a) <<< 8
+        add(c, d, c)
+        xor(b, c, b)
+        shl(b, l7, spare)
+        shr(b, r7, b)
+        bit_or(b, spare, b)  # b = (b ^ c) <<< 7
+        if half_round % 2:  # after a diagonal round: back to columns
+            b, c, d = b[_TURN_3], c[_TURN_2], d[_TURN_1]
+        else:
+            b, c, d = b[_TURN_1], c[_TURN_2], d[_TURN_3]
+    work[4:8], work[8:12], work[12:16] = b, c, d
+    work += state
+    # Column-major bytes: block after block, sixteen words each.
+    return work.astype("<u4", copy=False).tobytes("F")
 
 
 def _is_pow2(n: int) -> bool:
@@ -438,3 +539,18 @@ class NumpyBackend:
             plan.from_residues(plan.inverse(acc0)),
             plan.from_residues(plan.inverse(acc1)),
         )
+
+    def chacha20_keystreams(
+        self, streams: Sequence[KeystreamRequest]
+    ) -> list[bytes]:
+        """Every block of every stream as one column of one state
+        array, through :func:`_chacha_blocks` in one pass."""
+        counts = [blocks for _, _, _, blocks in streams]
+        if not any(counts):
+            return [b""] * len(streams)
+        raw = _chacha_blocks(_chacha_state(streams, counts))
+        out, start = [], 0
+        for blocks in counts:
+            out.append(raw[start : start + 64 * blocks])
+            start += 64 * blocks
+        return out

@@ -332,6 +332,12 @@ METRICS: dict[str, MetricSpec] = _specs(
         "instead of the backend kernel (e.g. the ZK aggregate proof "
         "replaying the origin compute)",
     ),
+    MetricSpec(
+        "runtime.backend.chacha20_blocks", COUNTER, "blocks",
+        "64-byte ChaCha20 keystream blocks requested from the active "
+        "compute backend: every SEnc/AE operation of the mixnet, whole "
+        "send_batch waves in one request each",
+    ),
     # -- differential privacy ----------------------------------------------
     MetricSpec(
         "dp.budget.epsilon_spent", GAUGE, "epsilon",

@@ -7,7 +7,10 @@ noticing:
   must not start pulling the live-simulation / mixnet stack in at
   import;
 * ``perf/trace.py`` wraps its targets by name and hard-fails on a miss,
-  so every target must still resolve to a callable at its path.
+  so every target must still resolve to a callable at its path;
+* the ledger's ``chacha20_xor`` rows count cipher operations, so every
+  single-message entry point is exactly one ``chacha20_xor`` call and a
+  batched one is none.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def test_importing_the_service_stays_off_the_mixnet_and_livesim_stack():
     assert done.stdout.strip() == "[]"
 
 
-def test_every_ledger_trace_target_resolves_to_a_callable():
+def _load_perf_trace():
     spec = importlib.util.spec_from_file_location(
         "perf_trace_under_test", REPO_ROOT / "perf" / "trace.py"
     )
@@ -50,6 +53,11 @@ def test_every_ledger_trace_target_resolves_to_a_callable():
         spec.loader.exec_module(trace)
     finally:
         del sys.modules[spec.name]
+    return trace
+
+
+def test_every_ledger_trace_target_resolves_to_a_callable():
+    trace = _load_perf_trace()
     assert trace.TARGETS
     for target in trace.TARGETS:
         # The rule Tracer.install applies before it wraps anything.
@@ -59,6 +67,35 @@ def test_every_ledger_trace_target_resolves_to_a_callable():
         if isinstance(raw, (classmethod, staticmethod)):
             raw = raw.__func__
         assert callable(raw), f"{target.span} -> {target.module}:{target.attr}"
+
+
+def test_single_message_cipher_calls_are_one_traced_chacha20_xor_each():
+    """``perf/selftest.py`` requires it of ``senc``, and ``perf/run.py``
+    fails a mixnet query whose per-message sites stop reaching the
+    traced names; the ``_many`` forms go to the kernel directly."""
+    from repro.crypto import aead
+    from repro.mixnet import onion
+
+    trace = _load_perf_trace()
+    span = "crypto.chacha20.chacha20_xor"
+    tracer = trace.Tracer(tuple(t for t in trace.TARGETS if t.span == span))
+    key, items = b"k" * 32, [(b"k" * 32, 1, b"payload"), (b"j" * 32, 2, b"")]
+    with tracer:
+        sealed = aead.ae_seal(key, 1, b"payload")
+        singles = [
+            lambda: aead.senc(key, 1, b"payload"),
+            lambda: onion.peel(key, 1, b"payload"),
+            lambda: aead.ae_seal(key, 1, b"payload"),
+            lambda: aead.ae_open(key, 1, sealed),
+        ]
+        tracer.drain()
+        for call in singles:
+            call()
+            assert [s[trace.NAME] for s in tracer.drain()] == [span]
+        aead.senc_many(items)
+        aead.ae_seal_many(items)
+        onion.wrap_many([b"a", b"b"], [[key, key], [key, key]], 1, b"F")
+        assert tracer.drain() == []
 
 
 def test_newest_committed_record_covers_every_workload_and_metric():

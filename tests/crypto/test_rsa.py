@@ -83,3 +83,30 @@ class TestSerialization:
     def test_public_key_roundtrip(self, keypair):
         _, public = keypair
         assert rsa.RsaPublicKey.deserialize(public.serialize()) == public
+
+
+class TestCrtDecryption:
+    """``decrypt`` exponentiates mod p and mod q; the recombined value
+    must be the textbook ``c^d mod n`` for every key and ciphertext."""
+
+    @pytest.mark.parametrize("bits", [128, 257, 512])
+    def test_equals_the_full_size_exponentiation(self, bits):
+        rng = random.Random(bits)
+        for _ in range(3):
+            private, _ = rsa.generate_keypair(bits, rng)
+            assert private.p * private.q == private.n
+            values = [0, 1, private.p, private.q, private.n - 1]
+            values += [rng.randrange(private.n) for _ in range(20)]
+            for value in values:
+                assert rsa._private_power(private, value) == pow(
+                    value, private.d, private.n
+                )
+
+    def test_decrypt_agrees_with_the_textbook_path(self, keypair, rng):
+        private, public = keypair
+        for size in (0, 1, 32, public.max_message_bytes):
+            message = bytes(rng.randrange(256) for _ in range(size))
+            ciphertext = rsa.encrypt(public, message, rng)
+            plain = pow(int.from_bytes(ciphertext, "big"), private.d, private.n)
+            block = plain.to_bytes(public.modulus_bytes, "big")
+            assert rsa.decrypt(private, ciphertext) == rsa._unpad_pkcs1(block) == message

@@ -67,9 +67,10 @@ class TestOnionLayers:
 
 
 class TestForwardingWrapIsOnionWrap:
-    """The forwarding driver wraps through ``onion.wrap`` with the
-    inter-layer ``TAG_FORWARD``; the bytes must equal the layering the
-    driver used to spell out by hand, reproduced here verbatim."""
+    """The forwarding driver wraps a whole wave through
+    ``onion.wrap_many`` with the inter-layer ``TAG_FORWARD``; the bytes
+    must equal the layering the driver used to spell out by hand,
+    reproduced here verbatim."""
 
     KEYS = tuple(bytes([0xA0 + i]) * 32 for i in range(3))
     ENVELOPE = bytes(range(97)) + b"\x00\xff envelope tail"
@@ -86,37 +87,84 @@ class TestForwardingWrapIsOnionWrap:
                 body = TAG_FORWARD + body
         return body
 
-    @pytest.mark.parametrize("hops", [1, 2, 3])
-    def test_wrap_task_bytes_match_the_handwritten_layering(self, hops):
-        from repro.mixnet.forwarding import _wrap_task
-
-        keys = self.KEYS[:hops]
-        expected = self._legacy_wrap(keys, self.ENVELOPE, self.BASE_ROUND)
-        assert _wrap_task(self.BASE_ROUND, (keys, self.ENVELOPE)) == expected
-        # One tag byte per layer still to peel.
-        assert len(expected) == len(self.ENVELOPE) + hops
-
-    def test_each_hop_reads_the_tag_first_after_its_peel(self):
-        from repro.mixnet.forwarding import _wrap_task
+    def _driver_wrap(self, envelopes, forward_keys):
+        """What ``ForwardingDriver.send_batch`` calls for its wave."""
         from repro.mixnet.network import TAG_FORWARD
 
-        body = _wrap_task(self.BASE_ROUND, (self.KEYS, self.ENVELOPE))
+        return onion.wrap_many(
+            envelopes, forward_keys, self.BASE_ROUND + 1, TAG_FORWARD
+        )
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_batched_wrap_bytes_match_the_handwritten_layering(self, hops):
+        keys = self.KEYS[:hops]
+        expected = self._legacy_wrap(keys, self.ENVELOPE, self.BASE_ROUND)
+        assert self._driver_wrap([self.ENVELOPE], [keys]) == [expected]
+        # One tag byte per layer still to peel.
+        assert len(expected) == len(self.ENVELOPE) + hops
+        # A wave: every message under its own path's keys.
+        other_keys, other = keys[::-1], self.ENVELOPE[::-1]
+        assert self._driver_wrap(
+            [self.ENVELOPE, other, other], [keys, other_keys, keys]
+        ) == [
+            expected,
+            self._legacy_wrap(other_keys, other, self.BASE_ROUND),
+            self._legacy_wrap(keys, other, self.BASE_ROUND),
+        ]
+
+    def test_each_hop_reads_the_tag_first_after_its_peel(self):
+        from repro.mixnet.network import TAG_FORWARD
+
+        (body,) = self._driver_wrap([self.ENVELOPE], [self.KEYS])
         for j, key in enumerate(self.KEYS, start=1):
             body = onion.peel(key, self.BASE_ROUND + j, body)
             assert body[:1] == TAG_FORWARD
             body = body[1:]
         assert body == self.ENVELOPE
 
-    def test_wrap_task_goes_through_onion_wrap(self, monkeypatch):
-        from repro.mixnet import forwarding
+    def test_send_batch_goes_through_onion_wrap_many(self, monkeypatch):
+        from repro.mixnet.forwarding import ForwardingDriver, SendRequest
+        from repro.mixnet.network import TAG_FORWARD, MixnetWorld
+        from repro.mixnet.telescope import TelescopeDriver
+        from repro.params import SystemParameters
 
+        params = SystemParameters(
+            num_devices=10,
+            hops=2,
+            replicas=1,
+            forwarder_fraction=0.4,
+            degree_bound=2,
+            pseudonyms_per_device=2,
+        )
+        world = MixnetWorld(
+            params,
+            num_devices=10,
+            rng=random.Random(7),
+            rsa_bits=512,
+            pseudonyms_per_device=2,
+        )
+        destinations = [world.devices[d].identity.primary().handle for d in (5, 8)]
+        paths = TelescopeDriver(world).setup_paths(
+            [(0, 0, 0, destinations[0]), (3, 0, 0, destinations[1])]
+        )
+        assert all(path.established for path in paths.values())
+        base_round = world.current_round
         calls = []
-        real = onion.wrap
+        real = onion.wrap_many
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(onion, "wrap", spy)
-        forwarding._wrap_task(self.BASE_ROUND, (self.KEYS, self.ENVELOPE))
-        assert len(calls) == 1
+        monkeypatch.setattr(onion, "wrap_many", spy)
+        ForwardingDriver(world).send_batch(
+            [SendRequest(0, (0, 0), b"one"), SendRequest(3, (0, 0), b"two")],
+            payload_bytes=16,
+        )
+        assert len(calls) == 1  # the whole wave, once
+        envelopes, hop_keys, first_round, tag = calls[0]
+        assert len(envelopes) == len(hop_keys) == 2
+        assert all(len(keys) == params.hops for keys in hop_keys)
+        assert (first_round, tag) == (base_round + 1, TAG_FORWARD)
+        received = [world.devices[d].received for d in (5, 8)]
+        assert [r[0].plaintext.rstrip(b"\x00") for r in received] == [b"one", b"two"]
