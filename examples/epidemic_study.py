@@ -1,16 +1,19 @@
 """An epidemiological study over a synthetic outbreak (§2.1).
 
-Plays the role of the vetted analyst: runs several of the paper's
-catalog queries (secondary infections by age group, by exposure type,
-household vs non-household attack rates) over one epidemic, each charged
-against the shared privacy budget, and compares the noisy releases with
-the ground truth the analyst never sees.
+Plays the role of the vetted analyst through
+:class:`repro.core.analyst.Analyst`: previews what each of the paper's
+catalog queries (secondary infections by age group, household vs
+non-household attack rates, attack rates by disease stage) will cost,
+asks them over one epidemic, each charged against the shared privacy
+budget, and compares the noisy releases with the ground truth the
+analyst never sees.
 
 Run:  python examples/epidemic_study.py
 """
 
 import random
 
+from repro.core.analyst import Analyst
 from repro.core.system import MyceliumSystem
 from repro.params import SystemParameters
 from repro.query.builtins import STAGE_NAMES
@@ -59,12 +62,24 @@ def main() -> None:
         committee_threshold=2,
         total_epsilon=6.0,
     )
+    analyst = Analyst(system, name="epidemiologist")
+
+    def ask(qid: str):
+        """Preview a catalog query, then spend the budget on it."""
+        entry = CATALOG[qid]
+        preview = analyst.preview(entry, epsilon=1.5)
+        print(f"\n== {entry.qid}: {entry.description}")
+        print(
+            f"  preview: sensitivity {preview.sensitivity:g}, noise scale "
+            f"{preview.noise_scale:.2f}, "
+            f"{preview.ciphertexts_per_contribution} ciphertext(s) per "
+            f"contribution, affordable={preview.affordable}"
+        )
+        truth = system.plaintext_answer(entry, graph)
+        return truth, analyst.ask(entry, graph, epsilon=1.5)
 
     # -- Q6: secondary infections by age group --------------------------------
-    entry = CATALOG["Q6"]
-    print(f"\n== {entry.qid}: {entry.description}")
-    truth = system.plaintext_answer(entry, graph)
-    result = system.run_query(entry, graph, epsilon=1.5)
+    truth, result = ask("Q6")
     for decade in range(10):
         true_total = sum(
             v * c for v, c in enumerate(truth.histograms[decade].counts)
@@ -80,10 +95,7 @@ def main() -> None:
             )
 
     # -- Q8: household vs non-household attack rates ---------------------------
-    entry = CATALOG["Q8"]
-    print(f"\n== {entry.qid}: {entry.description}")
-    truth = system.plaintext_answer(entry, graph)
-    result = system.run_query(entry, graph, epsilon=1.5)
+    truth, result = ask("Q8")
     for group, label in enumerate(("non-household", "household")):
         print(
             f"  {label}: true clipped rate-sum {truth.gsums[group]:.2f}, "
@@ -91,20 +103,24 @@ def main() -> None:
         )
 
     # -- Q10: attack rates by disease stage ------------------------------------
-    entry = CATALOG["Q10"]
-    print(f"\n== {entry.qid}: {entry.description}")
-    truth = system.plaintext_answer(entry, graph)
-    result = system.run_query(entry, graph, epsilon=1.5)
+    truth, result = ask("Q10")
     for group, label in enumerate(STAGE_NAMES):
         print(
             f"  {label}: true clipped rate-sum {truth.gsums[group]:.2f}, "
             f"released {result.values[group]:+.2f}"
         )
 
+    print("\nstudy summary:")
+    for row in analyst.study_summary():
+        print(
+            f"  eps {row['epsilon']:.1f}  sensitivity {row['sensitivity']:g}  "
+            f"{row['contributing']} contributing / {row['rejected']} rejected"
+            f"  {row['query']}"
+        )
     print(
-        f"\nbudget: spent {system.budget.spent:.1f} of "
-        f"{system.budget.total_epsilon:.1f}; "
-        f"{len(system.query_log)} queries logged"
+        f"budget: {analyst.remaining_budget:.1f} of "
+        f"{system.budget.total_epsilon:.1f} left — "
+        f"{analyst.queries_left(1.5)} more query(ies) at epsilon 1.5"
     )
 
 

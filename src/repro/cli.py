@@ -30,9 +30,9 @@ campaign through the write-ahead journal — killable at any phase
 boundary (exit code 42) and resumable bit-identically with ``--resume``
 (see ``docs/RESILIENCE.md``); ``precompute`` runs the journaled
 *offline phase*, materializing query-independent crypto artifacts —
-encryption-randomness pools, dummy streams, relinearization key pieces,
-NTT tables — that the online hot path consumes for bit-identical results
-at a fraction of the latency (see ``docs/PERFORMANCE.md``), with the
+encryption-randomness pools, relinearization key pieces, NTT tables —
+that the online hot path consumes for bit-identical results at a
+fraction of the latency (see ``docs/PERFORMANCE.md``), with the
 same kill/resume contract as ``campaign``; ``serve`` runs the long-lived
 asyncio
 query service with DP admission control over a localhost socket (see
@@ -507,9 +507,6 @@ def cmd_precompute(args: argparse.Namespace) -> int:
             num_queries=args.num_queries,
             origins=tuple(range(args.people)),
             entries=args.entries,
-            dummy_seed=args.dummy_seed,
-            dummy_devices=tuple(range(args.dummy_devices)),
-            dummy_blocks=args.dummy_blocks,
             relin_powers=tuple(range(2, args.relin_powers + 1))
             if args.relin_powers >= 2
             else (),
@@ -528,7 +525,6 @@ def cmd_precompute(args: argparse.Namespace) -> int:
         return CRASH_EXIT_CODE
     pools = store.encryption_pools()
     print(f"pools: {len(pools)} ({sum(p.level for p in pools)} entries)")
-    print(f"dummy streams: {len(runner.config.dummy_devices)}")
     print(f"relin powers prepared: {len(runner.config.relin_powers)}")
     print(f"units journaled: {len(runner.completed)}")
     return 0
@@ -827,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     precompute = sub.add_parser(
         "precompute",
         help="journaled offline phase: materialize encryption-randomness "
-        "pools, dummy streams, relin key pieces, and NTT tables for an "
+        "pools, relin key pieces, and NTT tables for an "
         "upcoming campaign (docs/PERFORMANCE.md)",
     )
     precompute.add_argument(
@@ -861,15 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--relin-powers", type=int, default=0,
         help="prepare relin key pieces for powers 2..N (0 = skip)",
     )
-    precompute.add_argument(
-        "--dummy-seed", type=int, default=None,
-        help="also materialize dummy-onion byte streams from this seed",
-    )
-    precompute.add_argument(
-        "--dummy-devices", type=int, default=0,
-        help="dummy streams for devices 0..N-1 (needs --dummy-seed)",
-    )
-    precompute.add_argument("--dummy-blocks", type=int, default=1)
     precompute.add_argument(
         "--kill-at", default=None, metavar="POINT:UNIT",
         help="crash at a unit boundary, e.g. before:enc-0-1 or "

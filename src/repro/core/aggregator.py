@@ -113,7 +113,7 @@ def shard_bounds(total: int, num_shards: int) -> list[tuple[int, int]]:
     """``(start, stop)`` of the K balanced contiguous ranges over
     ``total`` ordered items: the first ``total % K`` take one extra, and
     ranges past the item count are empty.  The seeded
-    :class:`repro.sharding.planner.ShardPlanner` lays out on the same
+    :func:`repro.sharding.planner.plan_shards` lays out on the same
     bounds."""
     base, extra = divmod(total, num_shards)
     bounds = []

@@ -134,6 +134,8 @@ class MixnetTransport:
     #: to the result metadata by MyceliumSystem.run_query.
     recovery: RecoveryReport = field(default_factory=RecoveryReport)
     _phase_start_round: int = field(default=0, init=False)
+    #: Round the response wave began; collection ignores older payloads.
+    _response_round: int = field(default=0, init=False)
     #: vertex -> slot -> destination vertex (self for padding slots).
     _slots: dict[int, list[int]] = field(default_factory=dict, init=False)
 
@@ -326,9 +328,7 @@ class MixnetTransport:
                 self.plan.cross.num_buckets if self.plan.cross else 1
             )
             for received in device.received:
-                if received.round_number < getattr(
-                    self, "_response_round", 0
-                ):
+                if received.round_number < self._response_round:
                     continue
                 data = _unframe(received.plaintext)
                 if data is None:
@@ -383,18 +383,10 @@ class MixnetTransport:
         return submissions
 
     def run(
-        self,
-        behaviors: dict[int, Behavior] | None = None,
-        reuse_paths: bool = False,
+        self, behaviors: dict[int, Behavior] | None = None
     ) -> list[OriginSubmission]:
-        """The full communication schedule for one query.
-
-        ``reuse_paths`` skips telescoping when this transport already
-        established circuits — the steady state of §3.4, where path
-        setup "is run infrequently in order to let new devices join".
-        """
-        if not (reuse_paths and self._slots):
-            self.establish_paths()
+        """The full communication schedule for one query."""
+        self.establish_paths()
         self.flood_query()
         self.send_responses(behaviors)
         return self.collect_submissions()

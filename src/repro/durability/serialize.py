@@ -19,7 +19,6 @@ import hashlib
 
 from repro.core import committee as committee_mod
 from repro.core.results import (
-    GsumResult,
     HistogramResult,
     QueryMetadata,
     QueryResult,
@@ -28,7 +27,6 @@ from repro.crypto import bgv
 from repro.crypto.polyring import RingElement
 from repro.durability.journal import canonical_json
 from repro.engine.encrypted import OriginSubmission
-from repro.engine.histogram import GroupHistogram
 from repro.params import BGVProfile
 
 
@@ -147,24 +145,3 @@ def result_to_json(result: QueryResult) -> dict:
         "values": list(result.values),
         "metadata": metadata_to_json(result.metadata),
     }
-
-
-def result_from_json(data: dict) -> QueryResult:
-    metadata = metadata_from_json(data["metadata"])
-    if data["kind"] == "histo":
-        return HistogramResult(
-            groups=tuple(
-                GroupHistogram(
-                    group=g["group"],
-                    counts=tuple(g["counts"]),
-                    bin_edges=(
-                        None
-                        if g["bin_edges"] is None
-                        else tuple(g["bin_edges"])
-                    ),
-                )
-                for g in data["groups"]
-            ),
-            metadata=metadata,
-        )
-    return GsumResult(values=tuple(data["values"]), metadata=metadata)

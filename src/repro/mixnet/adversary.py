@@ -55,13 +55,6 @@ class AdversaryView:
     def deposits_into(self, mailbox: bytes) -> list[DepositEvent]:
         return [e for e in self.deposits() if e.mailbox == mailbox]
 
-    def deposits_by(self, device_id: int, round_number: int) -> list[DepositEvent]:
-        return [
-            e
-            for e in self.deposits()
-            if e.depositor == device_id and e.round_number == round_number
-        ]
-
     def deposits_received_by(
         self, device_id: int, round_number: int
     ) -> list[DepositEvent]:

@@ -117,9 +117,6 @@ class MixDevice:
         self.pending_deposits: list[tuple[bytes, bytes]] = []  # (mailbox, data)
         self._scheduled: list[tuple[int, str, bytes]] = []  # (round, action, pid)
         self.protocol_violations: list[str] = []
-        #: Seed-chained dummy byte supply (repro.offline.pools.DummyStream).
-        #: None keeps the historical per-device RNG draw.
-        self.dummy_source = None
 
     @property
     def device_id(self) -> int:
@@ -287,10 +284,7 @@ class MixDevice:
                 world.params.hops - link.position
             )
             telemetry.count("mixnet.round.dummies")
-            if self.dummy_source is not None:
-                body = self.dummy_source.take(length)
-            else:
-                body = onion.dummy_body(length, self.rng)
+            body = onion.dummy_body(length, self.rng)
             self.queue_deposit(link.next_mailbox, link.out_path_id, body)
 
     def _receive_payload(
@@ -385,24 +379,6 @@ class MixnetWorld:
         # Forwarding-phase bookkeeping (set by the forwarding driver).
         self.forwarding_phase_start: int | None = None
         self.forwarding_body_bytes: int = 0
-
-    def install_dummy_streams(self, dummy_seed: int, store=None) -> None:
-        """Switch every device's dummy-body supply to seed-chained
-        :class:`~repro.offline.pools.DummyStream` instances.
-
-        With an :class:`~repro.offline.store.OfflineStore` the streams
-        come precomputed (journaled by the offline phase); without one
-        they derive lazily from the same ``(dummy_seed, device_id)``
-        chains — byte-identical deposits either way, which is what makes
-        pooled and inline mixnet rounds comparable on the wiretap log.
-        """
-        from repro.offline.pools import DummyStream
-
-        for device_id, device in self.devices.items():
-            stream = store.dummy_stream(device_id) if store is not None else None
-            if stream is None:
-                stream = DummyStream(dummy_seed, device_id)
-            device.dummy_source = stream
 
     # -- directory plumbing --------------------------------------------------
 

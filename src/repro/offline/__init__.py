@@ -1,11 +1,11 @@
 """Offline/online phase split: precomputed query-independent crypto.
 
 The online hot path consumes artifacts this package materializes ahead
-of time — per-origin encryption-randomness pools, per-device dummy-onion
-byte streams and warmed NTT context tables — all derived from seeds
-along stable label chains so the pooled path is bit-identical to the
-inline path.  (Relinearization keys carry their own evaluation forms;
-the offline phase only builds them early.)
+of time — per-origin encryption-randomness pools and warmed NTT
+context tables — all derived from seeds along stable label chains so
+the pooled path is bit-identical to the inline path.  (Relinearization
+keys carry their own evaluation forms; the offline phase only builds
+them early.)
 
 Import layering: :mod:`repro.offline.pools` and
 :mod:`repro.offline.store` sit *below* the engine (the engine imports
@@ -14,11 +14,8 @@ layer; import precompute directly to avoid cycles.
 """
 
 from repro.offline.pools import (
-    DUMMY_BLOCK_BYTES,
-    DummyStream,
     EncryptionPool,
     LeafRandomnessSource,
-    dummy_block,
     leaf_randomness,
     prepared_leaf_randomness,
 )
@@ -31,15 +28,12 @@ from repro.offline.store import (
 )
 
 __all__ = [
-    "DUMMY_BLOCK_BYTES",
-    "DummyStream",
     "EncryptionPool",
     "LeafRandomnessSource",
     "OfflineStore",
     "POOL_LOW_WATER",
     "campaign_keys",
     "campaign_public_key",
-    "dummy_block",
     "leaf_randomness",
     "prepared_leaf_randomness",
     "submission_seed",

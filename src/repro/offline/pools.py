@@ -2,32 +2,25 @@
 
 The online hot path spends most of its time on work that does not
 depend on the query: sampling encryption randomness and multiplying it
-by the public key, and generating dummy-onion bodies for traffic-shape
-padding.  Both are pure functions of a seed and a stable label path
-(:func:`repro.runtime.seeding.derive_rng`), so the offline phase can
-materialize them ahead of time and the online phase merely *indexes*
-into them.
+by the public key.  That is a pure function of a seed and a stable
+label path (:func:`repro.runtime.seeding.derive_rng`), so the offline
+phase can materialize it ahead of time and the online phase merely
+*indexes* into it.
 
 The bit-identity contract: entry ``i`` of a pool is exactly what the
 inline path derives for index ``i``.  A run that consumes from a pool
-and a run that derives lazily therefore produce the same ciphertexts
-and the same wire bytes — and a pool that runs dry extends itself along
-the *same* derivation chain (block-and-refill) instead of falling back
-to a differently-seeded RNG, so exhaustion mid-batch cannot change a
-single output bit.
+and a run that derives lazily therefore produce the same ciphertexts —
+and a pool that runs dry extends itself along the *same* derivation
+chain (block-and-refill) instead of falling back to a
+differently-seeded RNG, so exhaustion mid-batch cannot change a single
+output bit.
 """
 
 from __future__ import annotations
 
-from repro import telemetry
 from repro.crypto import bgv
 from repro.params import BGVProfile
 from repro.runtime.seeding import derive_rng
-
-#: Bytes per derived dummy block.  A module constant: the block layout
-#: is part of the derivation chain, so it must not vary per run.
-DUMMY_BLOCK_BYTES = 4096
-
 
 # ---------------------------------------------------------------------------
 # Leaf-encryption randomness
@@ -154,84 +147,3 @@ class LeafRandomnessSource:
         return leaf_randomness(
             self.profile, self.master_seed, self.origin, index
         )
-
-
-# ---------------------------------------------------------------------------
-# Dummy-onion bodies
-# ---------------------------------------------------------------------------
-
-
-def dummy_block(
-    dummy_seed: int, device_id: int, index: int, block_bytes: int
-) -> bytes:
-    """Block ``index`` of one device's dummy byte stream."""
-    rng = derive_rng(dummy_seed, "dummy", device_id, index)
-    return rng.randbytes(block_bytes)
-
-
-class DummyStream:
-    """A device's supply of dummy-onion body bytes.
-
-    ``take(length)`` slices the next ``length`` bytes off a stream of
-    derived blocks; blocks past the materialized prefix are derived on
-    demand (block-and-refill on the same chain), counted under
-    ``offline.pool.refills``.  Devices run in the coordinator process,
-    so the stream counts telemetry directly.
-    """
-
-    def __init__(
-        self,
-        dummy_seed: int,
-        device_id: int,
-        block_bytes: int = DUMMY_BLOCK_BYTES,
-        blocks: tuple[bytes, ...] = (),
-    ):
-        for block in blocks:
-            if len(block) != block_bytes:
-                raise ValueError("materialized blocks must be block-sized")
-        self.dummy_seed = dummy_seed
-        self.device_id = device_id
-        self.block_bytes = block_bytes
-        self.blocks: list[bytes] = list(blocks)
-        self.offset = 0  # global byte offset consumed so far
-        self.refills = 0
-
-    @classmethod
-    def fill(
-        cls,
-        dummy_seed: int,
-        device_id: int,
-        num_blocks: int,
-        block_bytes: int = DUMMY_BLOCK_BYTES,
-    ) -> "DummyStream":
-        blocks = tuple(
-            dummy_block(dummy_seed, device_id, i, block_bytes)
-            for i in range(num_blocks)
-        )
-        return cls(dummy_seed, device_id, block_bytes, blocks)
-
-    def _ensure_block(self, index: int) -> None:
-        while index >= len(self.blocks):
-            self.blocks.append(
-                dummy_block(
-                    self.dummy_seed,
-                    self.device_id,
-                    len(self.blocks),
-                    self.block_bytes,
-                )
-            )
-            self.refills += 1
-            telemetry.count("offline.pool.refills")
-
-    def take(self, length: int) -> bytes:
-        """The next ``length`` bytes of the stream."""
-        out = bytearray()
-        while len(out) < length:
-            block_index, within = divmod(self.offset, self.block_bytes)
-            self._ensure_block(block_index)
-            chunk = self.blocks[block_index][
-                within : within + (length - len(out))
-            ]
-            out.extend(chunk)
-            self.offset += len(chunk)
-        return bytes(out)

@@ -2,8 +2,8 @@
 
 A precompute run walks a deterministic list of *units* — NTT context
 tables, relinearization key pieces, per-``(query, origin)`` encryption
-pools, per-device dummy streams — writing each artifact to disk and
-journaling its digest through :class:`repro.durability.journal.Journal`.
+pools — writing each artifact to disk and journaling its digest
+through :class:`repro.durability.journal.Journal`.
 A killed run resumes bit-identically: completed units reload from their
 artifacts (verified against the journaled digest) or re-derive and
 verify, and only the remaining units run.  The same runner doubles as
@@ -22,7 +22,7 @@ from repro.crypto import bgv, ntt
 from repro.crypto.polyring import RingElement
 from repro.durability.journal import Journal, load_records
 from repro.errors import CoordinatorCrash, DurabilityError
-from repro.offline.pools import DUMMY_BLOCK_BYTES, DummyStream, EncryptionPool
+from repro.offline.pools import EncryptionPool
 from repro.offline.store import OfflineStore, submission_seed
 from repro.params import PROFILES
 
@@ -45,9 +45,6 @@ class OfflineConfig:
     origins: tuple[int, ...]
     entries: int
     profile: str = "test"
-    dummy_seed: int | None = None
-    dummy_devices: tuple[int, ...] = ()
-    dummy_blocks: int = 1
     relin_powers: tuple[int, ...] = ()
 
     def to_json(self) -> dict:
@@ -57,23 +54,26 @@ class OfflineConfig:
             "origins": list(self.origins),
             "entries": self.entries,
             "profile": self.profile,
-            "dummy_seed": self.dummy_seed,
-            "dummy_devices": list(self.dummy_devices),
-            "dummy_blocks": self.dummy_blocks,
             "relin_powers": list(self.relin_powers),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "OfflineConfig":
+        if data.get("dummy_seed") is not None and data.get("dummy_devices"):
+            # Journals written before the dummy-stream units were removed
+            # list artifacts this runner can neither verify nor rebuild.
+            raise DurabilityError(
+                "journal records 'dummy-*' precompute units for devices "
+                f"{list(data['dummy_devices'])}; that unit kind was removed "
+                "(forwarding hops draw their own dummies) — start a fresh "
+                "precompute directory"
+            )
         return cls(
             master_seed=data["master_seed"],
             num_queries=data["num_queries"],
             origins=tuple(data["origins"]),
             entries=data["entries"],
             profile=data.get("profile", "test"),
-            dummy_seed=data.get("dummy_seed"),
-            dummy_devices=tuple(data.get("dummy_devices", ())),
-            dummy_blocks=data.get("dummy_blocks", 1),
             relin_powers=tuple(data.get("relin_powers", ())),
         )
 
@@ -248,11 +248,6 @@ class PrecomputeRunner:
                 units.append(
                     _Unit(f"enc-{qi}-{origin}", f"enc-{qi}-{origin}.bin")
                 )
-        if cfg.dummy_seed is not None:
-            units += [
-                _Unit(f"dummy-{d}", f"dummy-{d}.bin")
-                for d in cfg.dummy_devices
-            ]
         return units
 
     # -- derivations ---------------------------------------------------------
@@ -295,15 +290,6 @@ class PrecomputeRunner:
                 )
                 self.store.add_encryption_pool(pool)
             return encode_pool(pool)
-        if kind == "dummy":
-            device = int(rest)
-            stream = self.store.dummy_stream(device)
-            if stream is None:
-                stream = DummyStream.fill(
-                    cfg.dummy_seed, device, cfg.dummy_blocks
-                )
-                self.store.add_dummy_stream(stream)
-            return b"".join(stream.blocks)
         raise DurabilityError(f"unknown precompute unit {unit.label!r}")
 
     def _load_artifact(self, unit: _Unit, expected_digest: str) -> bool:
@@ -320,28 +306,13 @@ class PrecomputeRunner:
         raw = path.read_bytes()
         if hashlib.sha256(raw).hexdigest() != expected_digest:
             return False
-        cfg = self.config
-        kind, _, rest = unit.label.partition("-")
-        if kind == "enc":
-            qi_str, _, origin_str = rest.partition("-")
-            qi, origin = int(qi_str), int(origin_str)
-            seed = submission_seed(cfg.master_seed, qi)
-            self.store.add_encryption_pool(
-                decode_pool(self.public_key, seed, origin, raw)
-            )
-            return True
-        if kind == "dummy":
-            device = int(rest)
-            block_bytes = DUMMY_BLOCK_BYTES
-            blocks = tuple(
-                raw[i : i + block_bytes]
-                for i in range(0, len(raw), block_bytes)
-            )
-            self.store.add_dummy_stream(
-                DummyStream(cfg.dummy_seed, device, block_bytes, blocks)
-            )
-            return True
-        return False
+        # Only ``enc-<query>-<origin>`` units carry an artifact file.
+        _, qi_str, origin_str = unit.label.split("-")
+        seed = submission_seed(self.config.master_seed, int(qi_str))
+        self.store.add_encryption_pool(
+            decode_pool(self.public_key, seed, int(origin_str), raw)
+        )
+        return True
 
     # -- driver --------------------------------------------------------------
 
@@ -412,19 +383,4 @@ def run_precompute(
         relin_keys=relin_keys,
         kill=kill,
         fsync=fsync,
-    ).run()
-
-
-def resume_precompute(
-    directory,
-    *,
-    public_key: bgv.PublicKey,
-    relin_keys: bgv.RelinKeySet | None = None,
-    kill: str | None = None,
-) -> OfflineStore:
-    return PrecomputeRunner.resume(
-        directory,
-        public_key=public_key,
-        relin_keys=relin_keys,
-        kill=kill,
     ).run()

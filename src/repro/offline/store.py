@@ -2,18 +2,16 @@
 
 An :class:`OfflineStore` is what the online phase consumes: per-origin
 :class:`~repro.offline.pools.EncryptionPool` instances keyed by the
-submission seed they were derived for and per-device
-:class:`~repro.offline.pools.DummyStream` byte supplies.  A store is
-optional everywhere it is accepted — ``None`` means the inline path,
-and by the pool derivation contract the two paths produce bit-identical
-results.
+submission seed they were derived for.  A store is optional everywhere
+it is accepted — ``None`` means the inline path, and by the pool
+derivation contract the two paths produce bit-identical results.
 """
 
 from __future__ import annotations
 
 from repro import telemetry
 from repro.crypto import bgv
-from repro.offline.pools import DummyStream, EncryptionPool
+from repro.offline.pools import EncryptionPool
 from repro.runtime.seeding import derive_rng
 
 #: Pools at or below this many unconsumed entries count as "low" when a
@@ -84,7 +82,6 @@ class OfflineStore:
     def __init__(self, public_key: bgv.PublicKey | None = None):
         self.public_key = public_key
         self._encryption: dict[tuple[int, int], EncryptionPool] = {}
-        self._dummy: dict[int, DummyStream] = {}
 
     # -- leaf-encryption pools ----------------------------------------------
 
@@ -122,14 +119,6 @@ class OfflineStore:
             pool.extend_to(entries)
             derived += pool.level - before
         return derived
-
-    # -- dummy streams -------------------------------------------------------
-
-    def add_dummy_stream(self, stream: DummyStream) -> None:
-        self._dummy[stream.device_id] = stream
-
-    def dummy_stream(self, device_id: int) -> DummyStream | None:
-        return self._dummy.get(device_id)
 
     def retire(self, master_seed: int) -> None:
         """Drop pools keyed to a submission seed that has been consumed.

@@ -121,14 +121,6 @@ class ComputeBackend(Protocol):
 
     name: str
 
-    def forward_ntt(self, coeffs: Sequence[int], n: int, q: int) -> list[int]:
-        """Negacyclic (psi-twisted) forward NTT; requires 2n | q - 1."""
-        ...
-
-    def inverse_ntt(self, values: Sequence[int], n: int, q: int) -> list[int]:
-        """Inverse of :meth:`forward_ntt`."""
-        ...
-
     def negacyclic_multiply(
         self, a: Operand, b: Operand, n: int, q: int
     ) -> list[int]:
@@ -163,12 +155,6 @@ class PureBackend:
     and the RFC 8439 block function."""
 
     name = "pure"
-
-    def forward_ntt(self, coeffs: Sequence[int], n: int, q: int) -> list[int]:
-        return ntt.get_context(n, q).forward(list(coeffs))
-
-    def inverse_ntt(self, values: Sequence[int], n: int, q: int) -> list[int]:
-        return ntt.get_context(n, q).inverse(list(values))
 
     def _form(self, ctx: ntt.NttContext, operand: Operand) -> list[int]:
         if isinstance(operand, Resident):

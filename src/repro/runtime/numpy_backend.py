@@ -2,24 +2,16 @@
 the ChaCha20 keystream.
 
 Bit-identical to the pure-Python reference backend, at NumPy speed.
-The ring kernel has two regimes, chosen per ``(n, q)`` and cached as a
-:class:`_Plan`:
-
-* **direct** — ``q`` is an NTT-friendly prime below 2^31, so every
-  butterfly product ``u * s`` stays under 2^62 and the whole
-  Longa-Naehrig transform runs on ``int64`` arrays with ``%``
-  reductions.  Used for coefficient moduli small enough to vectorize
-  in one shot.
-
-* **rns** — ``q`` is too large for ``int64`` (the paper's 550-bit
-  modulus, the test profiles' 512/900-bit ones) or not NTT-friendly at
-  all (the plaintext modulus ``t``).  The product is computed *exactly*
-  over a residue number system: a basis of 28-bit NTT-friendly primes
-  ``p_k ≡ 1 (mod 2n)`` whose product ``M`` exceeds ``2·n·q²`` (the
-  worst-case magnitude of a centered negacyclic product), one batched
-  negacyclic NTT per prime, then CRT reconstruction with centering and
-  a final reduction mod ``q``.  No approximation anywhere: the result
-  equals the schoolbook product for every modulus.
+The ring moduli are too large for ``int64`` (the paper's 550-bit
+modulus, the test profiles' 512/900-bit ones) or not NTT-friendly at
+all (the plaintext modulus ``t``), so every product, whatever its
+``(n, q)``, is computed *exactly* over a residue number system, its
+tables cached as a :class:`_Plan`: a basis of 28-bit NTT-friendly primes
+``p_k ≡ 1 (mod 2n)`` whose product ``M`` exceeds ``2·n·q²`` (the
+worst-case magnitude of a centered negacyclic product), one batched
+negacyclic NTT per prime, then CRT reconstruction with centering and a
+final reduction mod ``q``.  No approximation anywhere: the result
+equals the schoolbook product for every modulus.
 
 The RNS transforms use the Harvey/Shoup lazy-butterfly scheme to avoid
 integer division entirely: twiddles carry a precomputed companion
@@ -59,10 +51,6 @@ from repro.runtime.backends import (
     Resident,
     fold_by_products,
 )
-
-#: Largest modulus the direct int64 transform can serve: butterfly
-#: products must stay below 2^63.
-MAX_DIRECT_MODULUS = 1 << 31
 
 #: Exclusive upper bound for RNS basis primes: the lazy butterflies keep
 #: coefficients in [0, 4p) and Shoup products x·s' below 2^62.
@@ -202,16 +190,13 @@ class _Plan:
     def __init__(self, n: int, q: int, product_bits: int | None = None):
         self.n = n
         self.q = q
-        self.direct = (
-            q < MAX_DIRECT_MODULUS and (q - 1) % (2 * n) == 0 and is_prime(q)
-        )
         general_bits = 2 * q.bit_length() + n.bit_length() + 2
         need_bits = (
             general_bits
             if product_bits is None
             else min(product_bits, general_bits)
         )
-        primes = [q] if self.direct else _rns_primes(n, q, need_bits)
+        primes = _rns_primes(n, q, need_bits)
         self.primes = np.asarray(primes, dtype=np.int64)
         #: Names the basis: what a Resident files this plan's forms under.
         self.form_key = ("numpy", tuple(primes))
@@ -231,34 +216,33 @@ class _Plan:
         self.psi_rev = psi_rev
         self.psi_inv_rev = psi_inv_rev
         self.n_inv = n_inv
-        if not self.direct:
-            # Shoup companions: floor(s << 32 / p), exact in int64
-            # because s < 2^28 keeps s << 32 below 2^60.
-            self.psi_rev_shoup = (psi_rev << 32) // self.p_flat
-            self.psi_inv_rev_shoup = (psi_inv_rev << 32) // self.p_flat
-            self.n_inv_shoup = (n_inv << 32) // self.p_flat[:, :1]
-            # Base-2^16 digits of the inputs convert to residues via one
-            # matmul with 2^(16j) mod p_k.
-            self.words = (q.bit_length() + 15) // 16
-            self.pow16 = np.asarray(
-                [
-                    [pow(2, 16 * (self.words - 1 - j), p) for p in primes]
-                    for j in range(self.words)
-                ],
-                dtype=np.float64,
-            )
-            m_total = 1
-            for p in primes:
-                m_total *= p
-            self.modulus = m_total
-            self.half_modulus = m_total >> 1
-            self.limbs = (m_total.bit_length() + 40) // 16 + 1
-            crt = np.empty((k, self.limbs), dtype=np.float64)
-            for i, p in enumerate(primes):
-                m_k = m_total // p
-                c_k = m_k * pow(m_k % p, -1, p)
-                crt[i] = [(c_k >> (16 * j)) & 0xFFFF for j in range(self.limbs)]
-            self.crt_limbs = crt
+        # Shoup companions: floor(s << 32 / p), exact in int64
+        # because s < 2^28 keeps s << 32 below 2^60.
+        self.psi_rev_shoup = (psi_rev << 32) // self.p_flat
+        self.psi_inv_rev_shoup = (psi_inv_rev << 32) // self.p_flat
+        self.n_inv_shoup = (n_inv << 32) // self.p_flat[:, :1]
+        # Base-2^16 digits of the inputs convert to residues via one
+        # matmul with 2^(16j) mod p_k.
+        self.words = (q.bit_length() + 15) // 16
+        self.pow16 = np.asarray(
+            [
+                [pow(2, 16 * (self.words - 1 - j), p) for p in primes]
+                for j in range(self.words)
+            ],
+            dtype=np.float64,
+        )
+        m_total = 1
+        for p in primes:
+            m_total *= p
+        self.modulus = m_total
+        self.half_modulus = m_total >> 1
+        self.limbs = (m_total.bit_length() + 40) // 16 + 1
+        crt = np.empty((k, self.limbs), dtype=np.float64)
+        for i, p in enumerate(primes):
+            m_k = m_total // p
+            c_k = m_k * pow(m_k % p, -1, p)
+            crt[i] = [(c_k >> (16 * j)) & 0xFFFF for j in range(self.limbs)]
+        self.crt_limbs = crt
 
     def form(self, operand: Operand) -> np.ndarray:
         """The evaluation form of ``operand`` on this basis (read-only:
@@ -281,52 +265,8 @@ class _Plan:
         through the butterfly stages in one set of vectorized ops, which
         is what makes the fused relinearization fold cheap (one batched
         transform for all digit polynomials instead of one call each).
+        Harvey butterflies: inputs < p, invariant < 4p, output < p.
         """
-        return self._forward_direct(a) if self.direct else self._forward_lazy(a)
-
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        """Gentleman-Sande inverse of :meth:`forward`, ``(..., k, n)``."""
-        return self._inverse_direct(a) if self.direct else self._inverse_lazy(a)
-
-    def _forward_direct(self, a: np.ndarray) -> np.ndarray:
-        *lead, k, n = a.shape
-        p = self.p_col
-        t, m = n, 1
-        while m < n:
-            t //= 2
-            a = a.reshape(*lead, k, m, 2, t)
-            s = self.psi_rev[:, m : 2 * m].reshape(k, m, 1)
-            u = a[..., 0, :]
-            v = (a[..., 1, :] * s) % p
-            lo = (u + v) % p
-            hi = (u - v) % p
-            a[..., 0, :] = lo
-            a[..., 1, :] = hi
-            a = a.reshape(*lead, k, n)
-            m *= 2
-        return a
-
-    def _inverse_direct(self, a: np.ndarray) -> np.ndarray:
-        *lead, k, n = a.shape
-        p = self.p_col
-        t, m = 1, n
-        while m > 1:
-            h = m // 2
-            a = a.reshape(*lead, k, h, 2, t)
-            s = self.psi_inv_rev[:, h : 2 * h].reshape(k, h, 1)
-            u = a[..., 0, :]
-            v = a[..., 1, :]
-            lo = (u + v) % p
-            hi = ((u - v) * s) % p
-            a[..., 0, :] = lo
-            a[..., 1, :] = hi
-            a = a.reshape(*lead, k, n)
-            t *= 2
-            m = h
-        return (a * self.n_inv) % self.p_flat
-
-    def _forward_lazy(self, a: np.ndarray) -> np.ndarray:
-        """Harvey CT butterflies: inputs < p, invariant < 4p, output < p."""
         *lead, k, n = a.shape
         p = self.p_col
         two_p = 2 * p
@@ -348,8 +288,9 @@ class _Plan:
         a = a - p2 * (a >= p2)
         return a - self.p_flat * (a >= self.p_flat)
 
-    def _inverse_lazy(self, a: np.ndarray) -> np.ndarray:
-        """Harvey GS butterflies: inputs < p, invariant < 2p, output < p."""
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        """Gentleman-Sande inverse of :meth:`forward`, ``(..., k, n)``.
+        Harvey butterflies: inputs < p, invariant < 2p, output < p."""
         *lead, k, n = a.shape
         p = self.p_col
         two_p = 2 * p
@@ -379,11 +320,6 @@ class _Plan:
     def to_residues(self, coeffs: Sequence[int]) -> np.ndarray:
         """Python ints in [0, q) -> int64 residue matrix (k, n)."""
         n = self.n
-        if self.direct:
-            q = self.q
-            return np.asarray(
-                [c % q for c in coeffs], dtype=np.int64
-            ).reshape(1, n)
         width = 2 * self.words
         buf = b"".join((c % self.q).to_bytes(width, "big") for c in coeffs)
         # Base-2^16 digits (n, words); digit · (2^16j mod p) < 2^44 and
@@ -396,8 +332,6 @@ class _Plan:
 
     def from_residues(self, res: np.ndarray) -> list[int]:
         """Residue matrix (k, n) -> centered exact product reduced mod q."""
-        if self.direct:
-            return [int(x) for x in res[0]]
         r = res.T.astype(np.float64)  # residues < 2^28
         # Split residues into 14-bit halves so every float64 dot product
         # (digit < 2^14 times limb < 2^16, <= 2^9 primes) stays < 2^39,
@@ -470,28 +404,6 @@ class NumpyBackend:
             + 1
         )
         return self._plan(n, q, product_bits=bits)
-
-    def _directable(self, n: int, q: int) -> bool:
-        return (
-            q < MAX_DIRECT_MODULUS
-            and _is_pow2(n)
-            and (q - 1) % (2 * n) == 0
-            and is_prime(q)
-        )
-
-    def forward_ntt(self, coeffs: Sequence[int], n: int, q: int) -> list[int]:
-        if not self._directable(n, q):
-            # Transforms mod a large q cannot be vectorized in int64;
-            # fall back to the reference tables (bit-identical anyway).
-            return ntt.get_context(n, q).forward(list(coeffs))
-        plan = self._plan(n, q)
-        return [int(x) for x in plan.forward(plan.to_residues(coeffs))[0]]
-
-    def inverse_ntt(self, values: Sequence[int], n: int, q: int) -> list[int]:
-        if not self._directable(n, q):
-            return ntt.get_context(n, q).inverse(list(values))
-        plan = self._plan(n, q)
-        return [int(x) for x in plan.inverse(plan.to_residues(values))[0]]
 
     def negacyclic_multiply(
         self, a: Operand, b: Operand, n: int, q: int

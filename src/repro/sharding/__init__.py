@@ -5,8 +5,7 @@ verify/relinearize/chunk, claim-checked root reduction — is
 :class:`repro.core.aggregator.QueryAggregator` with ``num_shards=K``.
 This package holds what surrounds it: the deterministic seeded shard
 layout (:mod:`repro.sharding.planner`), the streaming pairwise fold
-(:mod:`repro.sharding.reduce`), per-shard mixnet worlds
-(:mod:`repro.sharding.worlds`) and the streaming 10^6-device live
+(:mod:`repro.sharding.reduce`) and the streaming 10^6-device live
 simulation (:mod:`repro.sharding.livesim`).
 """
 
@@ -15,14 +14,8 @@ from repro.sharding.livesim import (
     LiveSimReport,
     run_live_simulation,
 )
-from repro.sharding.planner import Shard, ShardPlan, ShardPlanner, plan_shards
+from repro.sharding.planner import Shard, ShardPlan, plan_shards
 from repro.sharding.reduce import PairwiseAccumulator
-from repro.sharding.worlds import (
-    ShardWorld,
-    build_shard_world,
-    iter_shard_worlds,
-    shard_subgraph,
-)
 
 __all__ = [
     "ContributionBank",
@@ -30,11 +23,6 @@ __all__ = [
     "PairwiseAccumulator",
     "Shard",
     "ShardPlan",
-    "ShardPlanner",
-    "ShardWorld",
-    "build_shard_world",
-    "iter_shard_worlds",
     "plan_shards",
     "run_live_simulation",
-    "shard_subgraph",
 ]

@@ -460,11 +460,6 @@ METRICS: dict[str, MetricSpec] = _specs(
         "partials",
         buckets=TIME_BUCKETS,
     ),
-    MetricSpec(
-        "sharding.worlds.built", COUNTER, "worlds",
-        "per-shard mixnet worlds constructed (one at a time; peak "
-        "mixnet residency is bounded by the largest shard)",
-    ),
     # -- query service (repro.service) --------------------------------------
     MetricSpec(
         "service.submissions.total", COUNTER, "queries",
@@ -565,8 +560,8 @@ METRICS: dict[str, MetricSpec] = _specs(
     ),
     MetricSpec(
         "offline.precompute.units", COUNTER, "units",
-        "precompute units (NTT warm, relin prep, encryption pool, "
-        "dummy stream) journaled as durable by the offline phase",
+        "precompute units (NTT warm, relin prep, encryption pool) "
+        "journaled as durable by the offline phase",
     ),
     MetricSpec(
         "offline.precompute.resumed", COUNTER, "units",

@@ -25,7 +25,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-HEAVY = ("repro.sharding.livesim", "repro.sharding.worlds", "repro.mixnet.network")
+HEAVY = ("repro.sharding.livesim", "repro.mixnet.network")
 
 
 def test_importing_the_service_stays_off_the_mixnet_and_livesim_stack():

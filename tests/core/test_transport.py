@@ -151,11 +151,32 @@ class TestResponseCodec:
 
 
 class TestPathReuse:
+    def test_collect_on_a_fresh_transport_reads_from_round_zero(self, stack):
+        """``collect_submissions`` before any ``send_responses`` is
+        defined: every payload the world has delivered is in scope, so a
+        new transport over the used world decodes the same responses."""
+        graph, plan, secret, relin, zk, used, _ = stack
+        fresh = MixnetTransport(
+            world=used.world, graph=graph, plan=plan,
+            public_key=used.public_key, zk=zk, rng=random.Random(9),
+        )
+        assert fresh._response_round == 0
+        submissions = fresh.collect_submissions()
+        assert len(submissions) == graph.num_vertices
+        assert not fresh.recovery.defaulted_by_origin
+        result = QueryAggregator(zk=zk, relin_keys=relin).aggregate(submissions)
+        plain = bgv.decrypt(secret, result.ciphertext)
+        expected, _ = aggregate_coefficients(plan, graph)
+        assert list(plain.coeffs[: plan.layout.total_coefficients]) == expected
+
     def test_second_query_skips_telescoping(self, stack):
-        """§3.4 steady state: consecutive queries reuse circuits."""
+        """§3.4 steady state: consecutive queries reuse circuits — the
+        phase methods run again over the established slots."""
         graph, plan, secret, relin, zk, transport, _ = stack
         before = transport.world.current_round
-        submissions = transport.run(reuse_paths=True)
+        transport.flood_query()
+        transport.send_responses()
+        submissions = transport.collect_submissions()
         crounds = transport.world.current_round - before
         # Only the two communication waves ran: no k^2+2k setup.
         k = transport.world.params.hops

@@ -9,14 +9,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.crypto import bgv
 from repro.offline.pools import (
-    DummyStream,
     EncryptionPool,
     LeafRandomnessSource,
-    dummy_block,
     leaf_randomness,
     prepared_leaf_randomness,
 )
@@ -113,31 +109,6 @@ class TestLeafRandomnessSource:
         pool = EncryptionPool.fill(public_key, MASTER, ORIGIN, 1)
         source = LeafRandomnessSource(TEST, MASTER, ORIGIN, pool=pool)
         assert isinstance(source.next(), bgv.PreparedRandomness)
-
-
-class TestDummyStream:
-    def test_take_matches_block_chain(self):
-        stream = DummyStream(9, 4, block_bytes=16)
-        taken = stream.take(40)
-        expected = (
-            dummy_block(9, 4, 0, 16) + dummy_block(9, 4, 1, 16)
-            + dummy_block(9, 4, 2, 16)
-        )[:40]
-        assert taken == expected
-        assert stream.refills == 3
-
-    def test_prefilled_and_lazy_identical(self):
-        filled = DummyStream.fill(9, 4, 3, block_bytes=16)
-        lazy = DummyStream(9, 4, block_bytes=16)
-        # Uneven takes exercise the within-block offset arithmetic; the
-        # second take crosses the prefilled prefix into refill territory.
-        assert filled.take(23) == lazy.take(23)
-        assert filled.take(61) == lazy.take(61)
-        assert filled.refills > 0  # 3 blocks = 48 bytes < 84 consumed
-
-    def test_rejects_misshapen_blocks(self):
-        with pytest.raises(ValueError):
-            DummyStream(9, 4, block_bytes=16, blocks=(b"short",))
 
 
 class TestOfflineStore:

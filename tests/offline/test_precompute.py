@@ -10,8 +10,11 @@ import pytest
 
 from repro import telemetry
 from repro.crypto import bgv
+from repro.durability.journal import Journal, load_records
 from repro.errors import CoordinatorCrash, DurabilityError
 from repro.offline.precompute import (
+    START_RECORD,
+    UNIT_RECORD,
     OfflineConfig,
     PrecomputeRunner,
     decode_pool,
@@ -33,9 +36,6 @@ def small_config(**overrides) -> OfflineConfig:
         num_queries=2,
         origins=(0, 1, 2),
         entries=2,
-        dummy_seed=5,
-        dummy_devices=(0, 1),
-        dummy_blocks=1,
         relin_powers=(2, 3),
     )
     base.update(overrides)
@@ -43,7 +43,7 @@ def small_config(**overrides) -> OfflineConfig:
 
 
 def store_fingerprint(store) -> list[tuple]:
-    """Order-independent content digest of a store's pools + streams."""
+    """Order-independent content digest of a store's pools."""
     pools = sorted(
         (
             (p.master_seed, p.origin, hashlib.sha256(encode_pool(p)).hexdigest())
@@ -83,8 +83,6 @@ class TestPrecomputeRun:
             for origin in config.origins:
                 pool = store.encryption_pool(seed, origin)
                 assert pool is not None and pool.level == 2
-        assert store.dummy_stream(0) is not None
-        assert store.dummy_stream(1) is not None
 
     @pytest.mark.parametrize("kill", ["before:enc-1-1", "after:enc-0-2"])
     def test_kill_then_resume_is_bit_identical(
@@ -119,7 +117,7 @@ class TestPrecomputeRun:
                 tmp_path, public_key=public, relin_keys=relin_keys
             ).run()
         counters = active.snapshot()["counters"]
-        assert counters.get("offline.precompute.resumed") == 11
+        assert counters.get("offline.precompute.resumed") == 9
         assert "offline.precompute.units" not in counters
 
     def test_stale_artifact_rederives_and_verifies(
@@ -148,6 +146,69 @@ class TestPrecomputeRun:
             PrecomputeRunner.resume(
                 tmp_path, public_key=other_public, relin_keys=relin_keys
             ).run()
+
+
+class TestParentJournals:
+    """What a journal written before the dummy-stream units were removed
+    still promises, and what it can no longer be resumed for."""
+
+    #: SHA-256 over the sorted ``unit:digest`` lines of the seeded run
+    #: below, taken at the commit that still journaled ``dummy-*`` units.
+    PARENT_UNITS = (
+        "6190fda3fcd49cda5dd25888629c365692b80a14fe028cc59c065cc8027463e1"
+    )
+
+    def test_ntt_relin_and_enc_unit_digests_unchanged(self, tmp_path):
+        public, relin = campaign_keys(7, 3)
+        config = OfflineConfig(
+            master_seed=7, num_queries=2, origins=(0, 1, 2), entries=2,
+            relin_powers=(2, 3),
+        )
+        run_precompute(
+            config, tmp_path, public_key=public, relin_keys=relin, fsync=False
+        )
+        units = {
+            r.data["unit"]: r.data["digest"]
+            for r in load_records(tmp_path)
+            if r.type == UNIT_RECORD
+        }
+        assert sorted(units) == sorted(
+            ["ntt", "relin-2", "relin-3"]
+            + [f"enc-{q}-{o}" for q in range(2) for o in range(3)]
+        )
+        lines = "\n".join(f"{k}:{v}" for k, v in sorted(units.items()))
+        assert hashlib.sha256(lines.encode()).hexdigest() == self.PARENT_UNITS
+
+    def _parent_journal(self, directory, **dummy):
+        config = small_config().to_json()
+        config.update(
+            {"dummy_seed": 5, "dummy_devices": [0, 1], "dummy_blocks": 1, **dummy}
+        )
+        Journal.create(directory, fsync=False).append(
+            START_RECORD, {"version": 1, "config": config}
+        )
+
+    def test_resume_refuses_a_journal_that_names_dummy_devices(
+        self, tmp_path, public_key, relin_keys
+    ):
+        from repro.cli import main
+
+        self._parent_journal(tmp_path)
+        with pytest.raises(DurabilityError, match="'dummy-\\*'.*removed"):
+            PrecomputeRunner.resume(
+                tmp_path, public_key=public_key, relin_keys=relin_keys
+            )
+        with pytest.raises(DurabilityError, match="dummy"):
+            main(["precompute", "--dir", str(tmp_path), "--resume"])
+
+    def test_resume_accepts_a_parent_journal_without_dummy_units(
+        self, tmp_path, public_key, relin_keys
+    ):
+        self._parent_journal(tmp_path, dummy_seed=None, dummy_devices=[])
+        runner = PrecomputeRunner.resume(
+            tmp_path, public_key=public_key, relin_keys=relin_keys
+        )
+        assert runner.config == small_config()
 
 
 class TestSeedPrediction:

@@ -52,12 +52,6 @@ def test_registered_factories_instantiate_lazily():
     class _Fake:
         name = "fake"
 
-        def forward_ntt(self, coeffs, n, q):
-            return list(coeffs)
-
-        def inverse_ntt(self, values, n, q):
-            return list(values)
-
         def negacyclic_multiply(self, a, b, n, q):
             return list(a)
 

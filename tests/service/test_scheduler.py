@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro import telemetry
 from repro.errors import QueueFullRejected, ServiceShutdown
 from repro.query.catalog import CATALOG
 from repro.service import (
@@ -226,3 +227,40 @@ def test_failed_round_fails_its_whole_batch_and_keeps_epsilon_spent(tmp_path):
     # Conservative: a failed round's epsilon is NOT refunded.
     assert service.admission.spent == 1.0
     assert service.admission.conserved()
+
+
+# -- offline pools -----------------------------------------------------------
+
+
+async def _serve_one_round(tmp_path, tag: str, offline_pools: bool):
+    service = QueryService(
+        ServiceConfig(
+            master_seed=7,
+            people=8,
+            directory=str(tmp_path / tag),
+            fsync=False,
+            offline_pools=offline_pools,
+            pool_entries=2,
+        )
+    )
+    await service.start()
+    outcomes = await asyncio.gather(
+        service.submit("Q5", 0.5), service.submit("Q4", 0.5)
+    )
+    await service.shutdown()
+    return service, [o["result"] for o in outcomes]
+
+
+def test_offline_pools_round_releases_the_inline_values_and_retires(tmp_path):
+    """``ServiceConfig(offline_pools=True)``: the scheduler refills the
+    store for the round's predicted seeds, the campaign draws from it,
+    and the released values are those of the inline round at the same
+    master seed; the single-use pools are gone afterwards."""
+    _, inline = asyncio.run(_serve_one_round(tmp_path, "inline", False))
+    with telemetry.session() as active:
+        service, pooled = asyncio.run(_serve_one_round(tmp_path, "pooled", True))
+    assert pooled == inline
+    counters = active.snapshot()["counters"]
+    assert counters.get("offline.pool.hits", 0) > 0
+    assert counters.get("offline.precompute.units", 0) > 0
+    assert service.scheduler.offline_store.encryption_pools() == []

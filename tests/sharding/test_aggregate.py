@@ -148,7 +148,8 @@ def test_shard_partial_bookkeeping_is_contiguous(submissions):
     system, subs = submissions
     plan = plan_shards(len(subs), 3)
     reassembled = []
-    for shard, chunk in plan.split(subs):
+    for shard in plan.shards:
+        chunk = subs[shard.start : shard.stop]
         partial = aggregator(system).aggregate_shard(shard.index, list(chunk))
         assert partial.shard_index == shard.index
         assert partial.num_submissions == shard.size

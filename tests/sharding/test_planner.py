@@ -1,4 +1,4 @@
-"""ShardPlanner layout invariants: balance, contiguity, determinism."""
+"""``plan_shards`` layout invariants: balance, contiguity, determinism."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.runtime.seeding import derive_seed
-from repro.sharding import ShardPlanner, plan_shards
+from repro.sharding import plan_shards
 
 
 @pytest.mark.parametrize("total", [0, 1, 7, 8, 9, 64, 1001])
@@ -26,32 +26,6 @@ def test_layout_is_balanced_contiguous_and_complete(total, num_shards):
         assert shard.start == position
         position = shard.stop
     assert position == total
-
-
-def test_split_preserves_global_order():
-    plan = plan_shards(10, 3)
-    items = list(range(100, 110))
-    rejoined = []
-    for shard, chunk in plan.split(items):
-        assert list(chunk) == items[shard.start : shard.stop]
-        rejoined.extend(chunk)
-    assert rejoined == items
-
-
-def test_split_rejects_length_mismatch():
-    with pytest.raises(ParameterError):
-        list(plan_shards(4, 2).split([1, 2, 3]))
-
-
-def test_shard_of_round_trips():
-    plan = plan_shards(11, 4)
-    for position in range(11):
-        shard = plan.shard_of(position)
-        assert shard.start <= position < shard.stop
-    with pytest.raises(ParameterError):
-        plan.shard_of(11)
-    with pytest.raises(ParameterError):
-        plan.shard_of(-1)
 
 
 def test_more_shards_than_items_yields_empty_tail():
@@ -78,6 +52,6 @@ def test_plan_is_deterministic():
 
 def test_rejects_bad_parameters():
     with pytest.raises(ParameterError):
-        ShardPlanner(0)
+        plan_shards(4, 0)
     with pytest.raises(ParameterError):
         plan_shards(-1, 2)

@@ -79,7 +79,8 @@ def test_sharded_reduction_components_equal_flat(public_key, num_shards):
     cts = fresh_cts(public_key, 23, seed=7)
     flat = flat_tree_sum(cts)
     tree = ReductionTree()
-    for shard, chunk in plan_shards(len(cts), num_shards).split(cts):
+    for shard in plan_shards(len(cts), num_shards).shards:
+        chunk = cts[shard.start : shard.stop]
         chunks = chunked_partials(list(chunk))
         tree.add(
             ShardPartial(
