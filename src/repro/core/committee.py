@@ -611,18 +611,15 @@ def commit_rotation(
     """
     agreed = agreed_dealer_sets(committee, proposal)
     group = committee.group
-    per_member_values: list[list[int]] = [
-        [] for _ in proposal.new_member_ids
-    ]
+    new_indices = list(range(1, len(proposal.new_member_ids) + 1))
+    per_member_values: list[list[int]] = [[] for _ in new_indices]
     new_commitments = []
     for valid in agreed:
-        new_commitment = None
-        for i in range(len(proposal.new_member_ids)):
-            share, new_commitment = vsr.combine_packages(
-                valid, i + 1, committee.threshold, group
-            )
-            per_member_values[i].append(share.value)
-        assert new_commitment is not None
+        shares, new_commitment = vsr.combine_packages(
+            valid, new_indices, committee.threshold, group
+        )
+        for values, share in zip(per_member_values, shares):
+            values.append(share.value)
         new_commitments.append(new_commitment)
     members = [
         CommitteeMember(

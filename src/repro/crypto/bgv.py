@@ -187,13 +187,23 @@ class Ciphertext:
 # ---------------------------------------------------------------------------
 
 
+def _genesis_product(
+    ring: RingParams, a: RingElement, s: backends.Operand
+) -> RingElement:
+    """``a * s`` for the ternary secret ``s``.  Genesis meets ``s`` with
+    freshly drawn uniform ``a_i`` and with its own powers, each once, so
+    no such product can recur: they stay out of the product cache."""
+    product = backends.ring_multiply(a.coeffs, s, ring.n, ring.q, memoize=False)
+    return RingElement(ring, tuple(product))
+
+
 def keygen(profile: BGVProfile, rng: random.Random) -> tuple[SecretKey, PublicKey]:
     """Generate a BGV key pair."""
     ring = profile.ring
     s = RingElement.random_ternary(ring, rng)
     a = RingElement.random_uniform(ring, rng)
     e = RingElement.random_bounded(ring, profile.error_bound, rng)
-    pk0 = -(a * s) + e.scale(profile.t)
+    pk0 = -_genesis_product(ring, a, s.coeffs) + e.scale(profile.t)
     return SecretKey(profile, s), PublicKey(profile, pk0, a)
 
 
@@ -215,15 +225,20 @@ def make_relin_keys(
         profile.relin_base_bits
     )
     keys: dict[int, RelinKey] = {}
+    s = backends.Resident(secret.s.coeffs)  # one transform, every product
     s_power = secret.s
     for power in range(2, max_power + 1):
-        s_power = s_power * secret.s
+        s_power = _genesis_product(ring, s_power, s)
         pieces = []
         scale = 1
         for _ in range(num_pieces):
             a_i = RingElement.random_uniform(ring, rng)
             e_i = RingElement.random_bounded(ring, profile.error_bound, rng)
-            b_i = -(a_i * secret.s) + e_i.scale(profile.t) + s_power.scale(scale)
+            b_i = (
+                -_genesis_product(ring, a_i, s)
+                + e_i.scale(profile.t)
+                + s_power.scale(scale)
+            )
             pieces.append((b_i, a_i))
             scale = (scale * base) % profile.q
         keys[power] = RelinKey(power, profile.relin_base_bits, tuple(pieces))
@@ -284,8 +299,8 @@ def _product(
 def _masks(
     pk: PublicKey, rand: EncryptionRandomness
 ) -> tuple[RingElement, RingElement]:
-    """``(pk0*u + t*e0, pk1*u + t*e1)``: one transform of ``u`` serves
-    both products, and the key halves keep theirs."""
+    """``(pk0*u + t*e0, pk1*u + t*e1)``: one transform of the ternary
+    ``u`` serves both products, and the key halves keep theirs."""
     ring, t = pk.profile.ring, pk.profile.t
     u = backends.Resident(rand.u.coeffs)
     pk0, pk1 = pk.resident

@@ -38,7 +38,37 @@ class CommitmentGroup:
     generator: int
 
     def commit(self, exponent: int) -> int:
-        return pow(self.generator, exponent % self.order, self.modulus)
+        """``g^exponent mod P``.  The base never changes, so the group's
+        fixed-base table (:func:`_window_table`) turns the exponentiation
+        into one modular product per nonzero byte of the exponent."""
+        rows = _window_table(self)
+        digits = (exponent % self.order).to_bytes(len(rows), "little")
+        acc = 1
+        for row, digit in zip(rows, digits):
+            if digit:
+                acc = acc * row[digit] % self.modulus
+        return acc
+
+
+@lru_cache(maxsize=8)
+def _window_table(group: CommitmentGroup) -> tuple[tuple[int, ...], ...]:
+    """``rows[i][j] = g^(j · 256^i) mod P`` for every byte position ``i``
+    of an exponent below the order and every byte value ``j``: 256
+    entries a row (0.08 s and ~4 MB at the SMALL ring's 900-bit field).
+
+    Built once per group on first use and kept here, beside the group
+    rather than on it, so it is never pickled, serialized or compared.
+    """
+    p = group.modulus
+    rows = []
+    base = group.generator
+    for _ in range((group.order.bit_length() + 7) // 8):
+        row = [1] * 256
+        for j in range(1, 256):
+            row[j] = row[j - 1] * base % p
+        rows.append(tuple(row))
+        base = row[-1] * base % p  # g^(256^(i+1))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=16)

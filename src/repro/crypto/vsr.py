@@ -218,11 +218,12 @@ def batch_verify_packages(
 
 def combine_packages(
     packages: list[RedistributionPackage],
-    new_index: int,
+    new_indices: list[int],
     old_threshold: int,
     group: CommitmentGroup,
-) -> tuple[Share, PolynomialCommitment]:
-    """Steps 3-4: derive the new member's share and the epoch commitment.
+) -> tuple[list[Share], PolynomialCommitment]:
+    """Steps 3-4: derive every new member's share and, once, the epoch
+    commitment.
 
     ``packages`` must already be verified and must all come from distinct
     dealers; exactly ``old_threshold`` of them are used (every new member
@@ -237,14 +238,17 @@ def combine_packages(
     q = group.order
     indices = [p.dealer_index for p in chosen]
     lagrange = lagrange_coefficients_at_zero(indices, q)
-    value = 0
-    for package in chosen:
-        subshare = package.subshares.get(new_index)
-        if subshare is None:
-            raise SecretSharingError(
-                f"dealer {package.dealer_index} sent no subshare to {new_index}"
-            )
-        value = (value + lagrange[package.dealer_index] * subshare) % q
+    shares = []
+    for new_index in new_indices:
+        value = 0
+        for package in chosen:
+            subshare = package.subshares.get(new_index)
+            if subshare is None:
+                raise SecretSharingError(
+                    f"dealer {package.dealer_index} sent no subshare to {new_index}"
+                )
+            value = (value + lagrange[package.dealer_index] * subshare) % q
+        shares.append(Share(new_index, value))
     degree = max(p.commitment.degree for p in chosen)
     combined = []
     for k in range(degree + 1):
@@ -258,8 +262,7 @@ def combine_packages(
                 )
                 acc = (acc * term) % group.modulus
         combined.append(acc)
-    new_commitment = PolynomialCommitment(group, tuple(combined))
-    return Share(new_index, value), new_commitment
+    return shares, PolynomialCommitment(group, tuple(combined))
 
 
 def redistribute(
@@ -311,13 +314,6 @@ def redistribute(
             f"only {len(agreed)} dealers verified by all new members, "
             f"need {old_threshold}"
         )
-    new_shares = []
-    epoch_commitment: PolynomialCommitment | None = None
-    for new_index in range(1, new_size + 1):
-        share, commitment = combine_packages(
-            agreed, new_index, old_threshold, group
-        )
-        new_shares.append(share)
-        epoch_commitment = commitment
-    assert epoch_commitment is not None
-    return new_shares, epoch_commitment
+    return combine_packages(
+        agreed, list(range(1, new_size + 1)), old_threshold, group
+    )

@@ -49,6 +49,12 @@ class Resident:
     digest here too.)  Forms are backend-specific and several times the
     size of the coefficients; pickling ships the coefficients alone and
     a fabric worker rebuilds what it uses.
+
+    A backend may also file what it learned about the values: the NumPy
+    kernel records whether the operand is ternary (every coefficient
+    ``0``, ``1`` or ``q-1``, as the BGV secret ``s`` and the encryption
+    randomness ``u`` are by construction), which halves the basis of
+    every product it takes part in.
     """
 
     __slots__ = ("coeffs", "forms")
@@ -59,11 +65,10 @@ class Resident:
 
     def form(self, key, build: Callable[[Sequence[int]], object]):
         """The form filed under ``key``, built from the coefficients on
-        first request."""
-        found = self.forms.get(key)
-        if found is None:
-            found = self.forms[key] = build(self.coeffs)
-        return found
+        first request (a ``None`` answer is filed too)."""
+        if key not in self.forms:
+            self.forms[key] = build(self.coeffs)
+        return self.forms[key]
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -305,22 +310,32 @@ def _content_digest(operand: Operand, q: int) -> bytes:
     ).digest()
 
 
-def ring_multiply(a: Operand, b: Operand, n: int, q: int) -> list[int]:
+def ring_multiply(
+    a: Operand, b: Operand, n: int, q: int, *, memoize: bool = True
+) -> list[int]:
     """Dispatch one negacyclic product to the active backend.
 
     This is the single call site for single products —
     :mod:`repro.crypto.polyring` and the shared-operand products of
     :mod:`repro.crypto.bgv` — so the ``runtime.backend.multiplies``
     counter sees every ring multiplication the parent process performs.
+    A ternary operand (the secret ``s``, the encryption randomness
+    ``u``) may change how a backend computes the product — the NumPy
+    kernel finds it and uses a basis half as wide — never the product.
 
     Products are memoized by operand content (digests, ordered because
     the product commutes; keyed per backend so the equivalence tests
     still exercise each kernel).  The online phase repeats many exact
     products — the ZK aggregate proof replays the origin compute — and
     a hit returns the cached coefficients without touching the backend
-    or transforming a :class:`Resident` operand.
+    or transforming a :class:`Resident` operand.  ``memoize=False`` is
+    for a product that cannot recur — genesis multiplies the secret by
+    freshly sampled uniform polynomials — which would pay two digests
+    only to evict entries that can still be hit.
     """
     telemetry.count("runtime.backend.multiplies")
+    if not memoize:
+        return _active.negacyclic_multiply(a, b, n, q)
     key = (_active.name, n, q, *sorted((_content_digest(a, q), _content_digest(b, q))))
     with _multiply_lock:
         hit = _multiply_cache.get(key)

@@ -10,8 +10,11 @@ tables cached as a :class:`_Plan`: a basis of 28-bit NTT-friendly primes
 ``p_k ≡ 1 (mod 2n)`` whose product ``M`` exceeds ``2·n·q²`` (the
 worst-case magnitude of a centered negacyclic product), one batched
 negacyclic NTT per prime, then CRT reconstruction with centering and a
-final reduction mod ``q``.  No approximation anywhere: the result
-equals the schoolbook product for every modulus.
+final reduction mod ``q``.  A product with a ternary operand (every
+coefficient ``0``, ``1`` or ``q-1``) lifts that operand centered, into
+{-1, 0, 1}, and is bounded by ``n·q``: its basis is half as wide.  No
+approximation anywhere: the result equals the schoolbook product for
+every modulus.
 
 The RNS transforms use the Harvey/Shoup lazy-butterfly scheme to avoid
 integer division entirely: twiddles carry a precomputed companion
@@ -157,6 +160,27 @@ def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
+def _ternary_signs(operand: Operand, q: int) -> list[int] | None:
+    """The centered coefficients, each in {-1, 0, 1}, of an operand whose
+    coefficients all lie in {0, 1, q-1}; ``None`` for any other operand,
+    found at its first other coefficient (at once, for a uniform or key
+    operand).  A :class:`Resident` files the answer beside its forms."""
+
+    def scan(coeffs: Sequence[int]) -> list[int] | None:
+        lift = {0: 0, 1: 1, q - 1: -1}
+        signs = []
+        for c in coeffs:
+            sign = lift.get(c)
+            if sign is None:
+                return None
+            signs.append(sign)
+        return signs
+
+    if isinstance(operand, Resident):
+        return operand.form(("signs", q), scan)
+    return scan(operand)
+
+
 def _rns_primes(n: int, q: int, need_bits: int) -> list[int]:
     """28-bit primes ``p ≡ 1 (mod 2n)`` with product > ``2^need_bits``."""
     two_n = 2 * n
@@ -183,8 +207,9 @@ class _Plan:
     must exceed ``2^product_bits``.  The default covers the worst-case
     centered negacyclic product of two full-size operands
     (``2·n·q²``); callers whose operands are provably smaller (the
-    relinearization fold's digit polynomials) may pass a tighter bound
-    and get a proportionally smaller — and faster — basis.
+    relinearization fold's digit polynomials, a ternary operand) may
+    pass a tighter bound and get a proportionally smaller — and faster
+    — basis.
     """
 
     def __init__(self, n: int, q: int, product_bits: int | None = None):
@@ -246,15 +271,23 @@ class _Plan:
 
     def form(self, operand: Operand) -> np.ndarray:
         """The evaluation form of ``operand`` on this basis (read-only:
-        a :class:`Resident` hands the same array to every product)."""
+        a :class:`Resident` hands the same array to every product).  A
+        ternary operand is lifted centered, on every basis: ``q-1``
+        becomes ``-1``, whose residue is ``p_k - 1``."""
         if isinstance(operand, Resident):
             # Residues sit below 2^31: parked at half width, widened
             # again by every product.
             return operand.form(
                 self.form_key,
-                lambda c: self.forward(self.to_residues(c)).astype(np.int32),
+                lambda _: self.forward(self._lift(operand)).astype(np.int32),
             )
-        return self.forward(self.to_residues(operand))
+        return self.forward(self._lift(operand))
+
+    def _lift(self, operand: Operand) -> np.ndarray:
+        signs = _ternary_signs(operand, self.q)
+        if signs is not None:
+            return np.asarray(signs, dtype=np.int64) % self.p_flat
+        return self.to_residues(operand)
 
     # -- batched transforms (one row per RNS prime) -----------------------
 
@@ -405,12 +438,21 @@ class NumpyBackend:
         )
         return self._plan(n, q, product_bits=bits)
 
+    def _ternary_plan(self, n: int, q: int) -> _Plan:
+        """Tables for a product with a ternary operand: each output
+        coefficient is a signed sum of ``n`` coefficients below ``q``, so
+        ``|a·s|∞ ≤ n·q`` and ``q_bits + n_bits + 2`` bits of basis lift
+        it exactly — about half the primes of the general ``2·n·q²``
+        basis, the move :meth:`_fold_plan` makes for the fold's digits."""
+        return self._plan(n, q, product_bits=q.bit_length() + n.bit_length() + 2)
+
     def negacyclic_multiply(
         self, a: Operand, b: Operand, n: int, q: int
     ) -> list[int]:
         if not _is_pow2(n):
             return ntt.negacyclic_multiply_schoolbook(list(a), list(b), q)
-        plan = self._plan(n, q)
+        ternary = any(_ternary_signs(x, q) is not None for x in (a, b))
+        plan = self._ternary_plan(n, q) if ternary else self._plan(n, q)
         prod = np.multiply(plan.form(a), plan.form(b), dtype=np.int64)
         prod %= plan.p_flat
         return plan.from_residues(plan.inverse(prod))

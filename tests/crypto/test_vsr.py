@@ -127,4 +127,4 @@ class TestPackageVerification:
         rng = random.Random(41)
         package = vsr.redistribute_share(epoch0.shares[0], 3, 5, group, rng)
         with pytest.raises(SecretSharingError):
-            vsr.combine_packages([package], 1, old_threshold=3, group=group)
+            vsr.combine_packages([package], [1], old_threshold=3, group=group)

