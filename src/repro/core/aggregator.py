@@ -4,25 +4,27 @@ The aggregator never holds a decryption key.  Per query it:
 
 1. verifies every submitted zero-knowledge proof and discards
    contributions from origins whose proof stack does not check out;
-2. relinearizes the (deferred-relinearization) device outputs back to
-   degree-1 ciphertexts — the "one-time operation to reduce ciphertext
-   size before the decryption step" of §5;
-3. sums the accepted ciphertexts homomorphically;
-4. builds an Orchard-style summation tree over the accepted
-   contributions so every device can verify its data was included
-   exactly once (§4.2).
+2. sums the accepted (deferred-relinearization) device outputs
+   homomorphically, as submitted;
+3. relinearizes that one sum back to degree 1 — the "one-time operation
+   to reduce ciphertext size before the decryption step" of §5 — one
+   fold per power present, however many devices contributed;
+4. builds an Orchard-style summation tree over the accepted submitted
+   ciphertexts, so every device can verify its data was included
+   exactly once (§4.2) from the bytes it uploaded.
 
 ZKP verification dominates the aggregator's compute (Figure 9b); the
 cost model tallies the simulated Groth16 verification seconds.
 
 One shape at every scale (docs/SHARDING.md): the submission order is
-cut into ``num_shards`` contiguous ranges, each verified, relinearized
-and folded into :data:`SUM_CHUNK` chunk sums, and the root
-:class:`ReductionTree` re-checks each shard's claimed partial against
-its chunk evidence before reducing the partials into the one ciphertext
-the committee decrypts.  The flat aggregator is ``num_shards=1``.
-Addition is exact and contiguous shards preserve the submission order,
-so everything but the analytic noise tag is bit-identical at any K.
+cut into ``num_shards`` contiguous ranges, each verified and folded into
+:data:`SUM_CHUNK` chunk sums, and the root :class:`ReductionTree`
+re-checks each shard's claimed partial against its chunk evidence before
+reducing the partials into the one ciphertext it relinearizes for the
+committee.  The flat aggregator is ``num_shards=1``.  Addition is exact,
+contiguous shards preserve the submission order and the one fold is
+deterministic, so everything but the analytic noise tag is bit-identical
+at any K.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ class ReductionTree:
 
     def reduce(self) -> bgv.Ciphertext | None:
         """Combine the verified shard partials through the summation
-        tree into the one ciphertext handed to the committee."""
+        tree into the one sum the aggregator relinearizes."""
         if not self._shards_seen:
             raise ProtocolError("no shard partials were added")
         with telemetry.span(
@@ -223,20 +225,16 @@ class ReductionTree:
         return root
 
 
-def _verify_relin_task(
-    context: tuple[zksnark.Groth16System, bgv.RelinKeySet],
-    submission: OriginSubmission,
-) -> tuple[bool, float, int, bgv.Ciphertext | None]:
-    """Fabric task: full proof-stack check plus relinearization.
+def _verify_task(
+    zk: zksnark.Groth16System, submission: OriginSubmission
+) -> tuple[bool, float, int]:
+    """Fabric task: the full proof-stack check of one submission.
 
     Only dispatched under full verification (``spot_check_fraction`` of
     1.0), where the check is a pure function of the submission — no
     sampling RNG, so any worker may run it.
     """
-    zk, relin_keys = context
-    return QueryAggregator(zk=zk, relin_keys=relin_keys)._verify_relin(
-        submission
-    )
+    return QueryAggregator(zk=zk, relin_keys=None).verify_submission(submission)
 
 
 @dataclass
@@ -251,14 +249,16 @@ class QueryAggregator:
     """
 
     zk: zksnark.Groth16System
-    relin_keys: bgv.RelinKeySet
+    #: Folds the one root sum; ``None`` for a verify-only aggregator
+    #: (a fabric worker's).
+    relin_keys: bgv.RelinKeySet | None
     spot_check_fraction: float = 1.0
     spot_check_rng: object | None = None
-    #: Optional parallel fabric.  Submissions verify + relinearize
-    #: independently, so they shard cleanly — but only under full
-    #: verification: spot-checking draws from a shared RNG whose
-    #: consumption order must stay sequential, so it pins the serial
-    #: in-order path (contiguous shards keep that order at any K).
+    #: Optional parallel fabric.  Submissions verify independently, so
+    #: they shard cleanly — but only under full verification:
+    #: spot-checking draws from a shared RNG whose consumption order
+    #: must stay sequential, so it pins the serial in-order path
+    #: (contiguous shards keep that order at any K).
     fabric: TaskFabric | None = None
     #: K contiguous shards of the submission order, each verified and
     #: folded independently, then combined by the claim-checked root.
@@ -336,56 +336,41 @@ class QueryAggregator:
         input_digests = statement.public_inputs[1]
         return all(digest in verified for digest in input_digests)
 
-    def _verify_relin(
-        self, submission: OriginSubmission
-    ) -> tuple[bool, float, int, bgv.Ciphertext | None]:
-        """Check one submission and relinearize it if it is accepted."""
-        ok, seconds, proofs = self.verify_submission(submission)
-        relin = (
-            bgv.relinearize(submission.ciphertext, self.relin_keys)
-            if ok
-            else None
-        )
-        return ok, seconds, proofs, relin
-
     def aggregate_shard(
         self, shard_index: int, submissions: list[OriginSubmission]
     ) -> ShardPartial:
-        """One shard aggregator: verify, relinearize, fold, claim.
+        """One shard aggregator: verify, fold, claim.
 
-        Verification + relinearization of distinct submissions is
-        independent work, sharded across :attr:`fabric` when one is set
-        and every proof is being checked; the shard's accepted
-        ciphertexts then fold into SUM_CHUNK chunk sums.
+        Verification of distinct submissions is independent work,
+        sharded across :attr:`fabric` when one is set and every proof is
+        being checked; the shard's accepted ciphertexts then fold, as
+        submitted, into SUM_CHUNK chunk sums.
         """
         telemetry.count("sharding.shard.submissions", len(submissions))
         fabric = self.fabric if self.spot_check_fraction >= 1.0 else None
         if fabric is not None:
             results = fabric.map(
-                _verify_relin_task,
-                submissions,
-                context=(self.zk, self.relin_keys),
-                label="aggregator.verify",
+                _verify_task, submissions, context=self.zk, label="aggregator.verify"
             )
         else:
-            results = [self._verify_relin(s) for s in submissions]
+            results = [self.verify_submission(s) for s in submissions]
         accepted: list[int] = []
         rejected: list[int] = []
-        relinearized: list[bgv.Ciphertext] = []
-        for submission, (ok, seconds, proofs, relin) in zip(submissions, results):
+        ciphertexts: list[bgv.Ciphertext] = []
+        for submission, (ok, seconds, proofs) in zip(submissions, results):
             telemetry.count("aggregator.proofs.verified", proofs)
             telemetry.observe("aggregator.verify.seconds", seconds)
             if ok:
                 accepted.append(submission.origin)
-                relinearized.append(relin)
+                ciphertexts.append(submission.ciphertext)
             else:
                 rejected.append(submission.origin)
-        chunk_partials = tuple(chunked_partials(relinearized, fabric))
+        chunk_partials = tuple(chunked_partials(ciphertexts, fabric))
         return ShardPartial(
             shard_index=shard_index,
             accepted=tuple(accepted),
             rejected=tuple(rejected),
-            accepted_digests=tuple(ct.digest() for ct in relinearized),
+            accepted_digests=tuple(ct.digest() for ct in ciphertexts),
             seconds=tuple(r[1] for r in results),
             proofs=tuple(r[2] for r in results),
             chunk_partials=chunk_partials,
@@ -395,10 +380,10 @@ class QueryAggregator:
     def aggregate(
         self, submissions: list[OriginSubmission]
     ) -> AggregationResult:
-        """Verify, relinearize, and sum all submissions.
+        """Verify and sum all submissions, then relinearize the sum once.
 
         Shards are consumed one at a time, so peak residency is one
-        shard's relinearized ciphertexts plus O(K) partials.
+        shard's accepted ciphertexts plus O(K) partials.
         """
         root = ReductionTree(fabric=self.fabric)
         accepted: list[int] = []
@@ -420,6 +405,8 @@ class QueryAggregator:
                 total_seconds += seconds
             total_proofs += sum(partial.proofs)
         global_ct = root.reduce()
+        if global_ct is not None:
+            global_ct = bgv.relinearize(global_ct, self.relin_keys)
         telemetry.count("aggregator.submissions.accepted", len(accepted))
         telemetry.count("aggregator.submissions.rejected", len(rejected))
         self._tree = MerkleTree(self._accepted_digests or [b"empty"])

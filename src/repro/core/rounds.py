@@ -91,7 +91,7 @@ def build_schedule(
             name="aggregation + decryption",
             crounds=1,
             description=(
-                "aggregator verifies proofs, relinearizes and sums; the "
+                "aggregator verifies proofs, sums and relinearizes once; the "
                 "committee threshold-decrypts and noises within one round"
             ),
         )

@@ -344,7 +344,8 @@ class MyceliumSystem:
         fabric: TaskFabric,
         shards: int = 1,
     ):
-        """Proof verification + relinearized summation at the aggregator.
+        """Proof verification, summation and one relinearization at the
+        aggregator.
 
         ``shards`` is the aggregator's K (docs/SHARDING.md): K
         independent shard folds under the claim-checked root reduction,

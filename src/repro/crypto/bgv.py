@@ -145,7 +145,20 @@ class Ciphertext:
         return len(self.components) * per_element
 
     def serialize(self) -> bytes:
-        """Deterministic byte encoding (used for hashing and mailboxes)."""
+        """Deterministic byte encoding (used for hashing and mailboxes).
+
+        Encoded once per value — the components never change — and kept
+        beside the fields: not compared, not in ``repr``, not pickled,
+        and not carried over by :func:`dataclasses.replace`."""
+        return self._encoded
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_encoded", None)
+        return state
+
+    @functools.cached_property
+    def _encoded(self) -> bytes:
         width = (self.profile.q_bits + 7) // 8
         header = struct.pack(
             ">4sHIH", b"BGV1", len(self.components), self.profile.n, width
@@ -193,7 +206,7 @@ def _genesis_product(
     """``a * s`` for the ternary secret ``s``.  Genesis meets ``s`` with
     freshly drawn uniform ``a_i`` and with its own powers, each once, so
     no such product can recur: they stay out of the product cache."""
-    product = backends.ring_multiply(a.coeffs, s, ring.n, ring.q, memoize=False)
+    product = backends.ring_multiply([(a.coeffs, s)], ring.n, ring.q, memoize=False)
     return RingElement(ring, tuple(product))
 
 
@@ -287,13 +300,12 @@ def encrypt(
     )
 
 
-def _product(
-    ring: RingParams, a: backends.Operand, b: backends.Operand
-) -> RingElement:
-    """``a * b`` in R_q for operands that several products share: a
-    :class:`~repro.runtime.backends.Resident` is transformed once, by the
-    first product that misses the product cache, however many follow."""
-    return RingElement(ring, tuple(backends.ring_multiply(a, b, ring.n, ring.q)))
+def _product(ring: RingParams, pairs: list[backends.Pair]) -> RingElement:
+    """``sum_i a_i * b_i`` in R_q for operands that several products
+    share: a :class:`~repro.runtime.backends.Resident` is transformed
+    once, by the first product that misses the product cache, however
+    many follow."""
+    return RingElement(ring, tuple(backends.ring_multiply(pairs, ring.n, ring.q)))
 
 
 def _masks(
@@ -305,8 +317,8 @@ def _masks(
     u = backends.Resident(rand.u.coeffs)
     pk0, pk1 = pk.resident
     return (
-        _product(ring, pk0, u) + rand.e0.scale(t),
-        _product(ring, pk1, u) + rand.e1.scale(t),
+        _product(ring, [(pk0, u)]) + rand.e0.scale(t),
+        _product(ring, [(pk1, u)]) + rand.e1.scale(t),
     )
 
 
@@ -479,22 +491,23 @@ def multiply(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     _count("bgv.mul.count")
     _check_same_profile(a, b)
     profile = a.profile
-    out_degree = a.degree + b.degree
     ring = profile.ring
-    components = [RingElement.zero(ring)] * (out_degree + 1)
     # Each component meets every component of the other side: transform
-    # it once, not once per cross term.
+    # it once, not once per cross term.  The cross terms of one output
+    # component sum in the evaluation domain: one inverse per component.
+    terms: list[list[backends.Pair]] = [[] for _ in range(a.degree + b.degree + 1)]
     right = _operands(*b.components)
     for i, ca in enumerate(_operands(*a.components)):
         for j, cb in enumerate(right):
-            components[i + j] = components[i + j] + _product(ring, ca, cb)
+            terms[i + j].append((ca, cb))
+    components = tuple(_product(ring, pairs) for pairs in terms)
     noise = (
         a.noise_bits + b.noise_bits + math.log2(profile.t) + math.log2(profile.n) + 1
     )
     _guard_noise(profile, noise)
     return Ciphertext(
         profile,
-        tuple(components),
+        components,
         noise_bits=noise,
         fresh_factors=a.fresh_factors + b.fresh_factors,
     )

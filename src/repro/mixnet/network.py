@@ -163,6 +163,7 @@ class MixDevice:
         try:
             message = onion.WireMessage.decode(data)
         except ProtocolError:
+            telemetry.count("mixnet.route.undecodable")
             return
         # Routing is by (path id, mailbox): the same device may serve
         # two consecutive hop positions under different pseudonyms, in
@@ -298,10 +299,11 @@ class MixDevice:
             identity = self.identity.identity_for_handle(dest_handle)
         except ProtocolError:
             return
-        if len(body) < 2:
-            return
+        # A two-byte length header, then that many bytes of PEnc (a
+        # shorter body reads a header of 0 or 1 byte and fails too).
         penc_len = int.from_bytes(body[:2], "big")
         if len(body) < 2 + penc_len:
+            telemetry.count("mixnet.payload.malformed")
             return
         try:
             session_key = rsa.decrypt(identity.private_key, body[2 : 2 + penc_len])

@@ -82,10 +82,23 @@ class Resident:
 
 Operand = Union[Sequence[int], Resident]
 
+#: One term ``a * b`` of a product sum.
+Pair = tuple[Operand, Operand]
+
 #: One ChaCha20 keystream request: ``(key, nonce, first_counter,
 #: blocks)`` — 32 and 12 bytes, then the block counter of the first
 #: 64-byte block and how many blocks to produce.
 KeystreamRequest = tuple[bytes, bytes, int, int]
+
+
+def schoolbook_sum(pairs: Sequence[Pair], n: int, q: int) -> list[int]:
+    """``sum_i a_i*b_i`` by the O(n^2) definition: what every backend
+    runs for a ring it cannot transform."""
+    acc = [0] * n
+    for a, b in pairs:
+        term = ntt.negacyclic_multiply_schoolbook(list(a), list(b), q)
+        acc = [(x + y) % q for x, y in zip(acc, term)]
+    return acc
 
 
 def fold_by_products(
@@ -96,20 +109,23 @@ def fold_by_products(
     n: int,
     q: int,
 ) -> tuple[list[int], list[int]]:
-    """The fold by its definition, as a sum of ``backend`` products: the
+    """The fold by its definition, as two ``backend`` product sums: the
     reference kernel's fold, and what any backend runs for a ring it
     cannot fold in the evaluation domain."""
     mask = (1 << base_bits) - 1
-    acc0, acc1 = [0] * n, [0] * n
+    digits = []  # each transformed once, for both sums
     remaining = list(coeffs)
-    for b_i, a_i in pairs:
-        digits = Resident([c & mask for c in remaining])  # one transform, two products
+    for _ in pairs:
+        digits.append(Resident([c & mask for c in remaining]))
         remaining = [c >> base_bits for c in remaining]
-        term0 = backend.negacyclic_multiply(b_i, digits, n, q)
-        term1 = backend.negacyclic_multiply(a_i, digits, n, q)
-        acc0 = [(x + y) % q for x, y in zip(acc0, term0)]
-        acc1 = [(x + y) % q for x, y in zip(acc1, term1)]
-    return acc0, acc1
+    return (
+        backend.negacyclic_multiply(
+            [(b_i, d_i) for (b_i, _), d_i in zip(pairs, digits)], n, q
+        ),
+        backend.negacyclic_multiply(
+            [(a_i, d_i) for (_, a_i), d_i in zip(pairs, digits)], n, q
+        ),
+    )
 
 
 @runtime_checkable
@@ -127,9 +143,11 @@ class ComputeBackend(Protocol):
     name: str
 
     def negacyclic_multiply(
-        self, a: Operand, b: Operand, n: int, q: int
+        self, pairs: Sequence[Pair], n: int, q: int
     ) -> list[int]:
-        """Product in Z_q[x]/(x^n + 1) for *any* modulus q."""
+        """``sum_i a_i*b_i`` over ``pairs[i] = (a_i, b_i)`` in
+        Z_q[x]/(x^n + 1) for *any* modulus q: the products accumulate in
+        the evaluation domain and leave it once, whatever their number."""
         ...
 
     def fold_multiply_accumulate(
@@ -167,15 +185,18 @@ class PureBackend:
         return ctx.forward(list(operand))
 
     def negacyclic_multiply(
-        self, a: Operand, b: Operand, n: int, q: int
+        self, pairs: Sequence[Pair], n: int, q: int
     ) -> list[int]:
         if (q - 1) % (2 * n):
-            return ntt.negacyclic_multiply_schoolbook(list(a), list(b), q)
-        if len(a) != n or len(b) != n:
-            raise ParameterError("operands must have length n")
+            return schoolbook_sum(pairs, n, q)
         ctx = ntt.get_context(n, q)
-        fa, fb = self._form(ctx, a), self._form(ctx, b)
-        return ctx.inverse([(x * y) % q for x, y in zip(fa, fb)])
+        acc = [0] * n
+        for a, b in pairs:
+            if len(a) != n or len(b) != n:
+                raise ParameterError("operands must have length n")
+            fa, fb = self._form(ctx, a), self._form(ctx, b)
+            acc = [(z + x * y) % q for z, x, y in zip(acc, fa, fb)]
+        return ctx.inverse(acc)
 
     def fold_multiply_accumulate(self, pairs, coeffs, base_bits, n, q):
         return fold_by_products(self, pairs, coeffs, base_bits, n, q)
@@ -284,7 +305,7 @@ def use_backend(name: str):
 
 
 #: Entries kept in the content-keyed product cache.  An entry is its
-#: result coefficients and two operand digests — it keeps no operand
+#: result coefficients and its operands' digests — it keeps no operand
 #: alive — so 128 entries bound the worst case to ~20 MB at the SMALL
 #: ring.
 _MULTIPLY_CACHE_SIZE = 128
@@ -311,40 +332,51 @@ def _content_digest(operand: Operand, q: int) -> bytes:
 
 
 def ring_multiply(
-    a: Operand, b: Operand, n: int, q: int, *, memoize: bool = True
+    pairs: Sequence[Pair], n: int, q: int, *, memoize: bool = True
 ) -> list[int]:
-    """Dispatch one negacyclic product to the active backend.
+    """Dispatch one negacyclic product sum ``sum_i a_i*b_i`` to the
+    active backend.
 
-    This is the single call site for single products —
-    :mod:`repro.crypto.polyring` and the shared-operand products of
-    :mod:`repro.crypto.bgv` — so the ``runtime.backend.multiplies``
-    counter sees every ring multiplication the parent process performs.
-    A ternary operand (the secret ``s``, the encryption randomness
-    ``u``) may change how a backend computes the product — the NumPy
-    kernel finds it and uses a basis half as wide — never the product.
+    This is the single call site for ring products —
+    :mod:`repro.crypto.polyring`, encryption and genesis pass one pair,
+    :func:`repro.crypto.bgv.multiply` one call per output component — so
+    the ``runtime.backend.multiplies`` counter sees every ring
+    multiplication the parent process performs.  A ternary operand (the
+    secret ``s``, the encryption randomness ``u``) may change how a
+    backend computes the product — the NumPy kernel finds it and uses a
+    basis half as wide — never the product.
 
-    Products are memoized by operand content (digests, ordered because
-    the product commutes; keyed per backend so the equivalence tests
-    still exercise each kernel).  The online phase repeats many exact
-    products — the ZK aggregate proof replays the origin compute — and
-    a hit returns the cached coefficients without touching the backend
-    or transforming a :class:`Resident` operand.  ``memoize=False`` is
-    for a product that cannot recur — genesis multiplies the secret by
-    freshly sampled uniform polynomials — which would pay two digests
-    only to evict entries that can still be hit.
+    Product sums are memoized by operand content: the multiset of pairs,
+    each an ordered pair of digests because the product commutes, keyed
+    per backend so the equivalence tests still exercise each kernel.
+    The online phase repeats many exact products — the ZK aggregate
+    proof replays the origin compute — and a hit returns the cached
+    coefficients without touching the backend or transforming a
+    :class:`Resident` operand.  ``memoize=False`` is for a product that
+    cannot recur — genesis multiplies the secret by freshly sampled
+    uniform polynomials — which would pay the digests only to evict
+    entries that can still be hit.
     """
-    telemetry.count("runtime.backend.multiplies")
+    telemetry.count("runtime.backend.multiplies", len(pairs))
     if not memoize:
-        return _active.negacyclic_multiply(a, b, n, q)
-    key = (_active.name, n, q, *sorted((_content_digest(a, q), _content_digest(b, q))))
+        return _active.negacyclic_multiply(pairs, n, q)
+    key = (
+        _active.name,
+        n,
+        q,
+        *sorted(
+            tuple(sorted((_content_digest(a, q), _content_digest(b, q))))
+            for a, b in pairs
+        ),
+    )
     with _multiply_lock:
         hit = _multiply_cache.get(key)
         if hit is not None:
             _multiply_cache.move_to_end(key)
     if hit is not None:
-        telemetry.count("runtime.backend.multiply_cache_hits")
+        telemetry.count("runtime.backend.multiply_cache_hits", len(pairs))
         return list(hit)
-    result = _active.negacyclic_multiply(a, b, n, q)
+    result = _active.negacyclic_multiply(pairs, n, q)
     with _multiply_lock:
         _multiply_cache[key] = tuple(result)
         _multiply_cache.move_to_end(key)

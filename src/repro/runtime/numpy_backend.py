@@ -4,17 +4,18 @@ the ChaCha20 keystream.
 Bit-identical to the pure-Python reference backend, at NumPy speed.
 The ring moduli are too large for ``int64`` (the paper's 550-bit
 modulus, the test profiles' 512/900-bit ones) or not NTT-friendly at
-all (the plaintext modulus ``t``), so every product, whatever its
+all (the plaintext modulus ``t``), so every product sum, whatever its
 ``(n, q)``, is computed *exactly* over a residue number system, its
 tables cached as a :class:`_Plan`: a basis of 28-bit NTT-friendly primes
-``p_k ≡ 1 (mod 2n)`` whose product ``M`` exceeds ``2·n·q²`` (the
-worst-case magnitude of a centered negacyclic product), one batched
-negacyclic NTT per prime, then CRT reconstruction with centering and a
+``p_k ≡ 1 (mod 2n)`` whose product ``M`` exceeds twice the worst-case
+magnitude of the centered sum (``2·m·n·q²`` for ``m`` products), one
+batched negacyclic NTT per prime, the products accumulated pointwise,
+then one inverse NTT and one CRT reconstruction with centering and a
 final reduction mod ``q``.  A product with a ternary operand (every
 coefficient ``0``, ``1`` or ``q-1``) lifts that operand centered, into
 {-1, 0, 1}, and is bounded by ``n·q``: its basis is half as wide.  No
-approximation anywhere: the result equals the schoolbook product for
-every modulus.
+approximation anywhere: the result equals the sum of the schoolbook
+products for every modulus.
 
 The RNS transforms use the Harvey/Shoup lazy-butterfly scheme to avoid
 integer division entirely: twiddles carry a precomputed companion
@@ -39,6 +40,7 @@ the resulting ``ImportError`` as "backend unavailable".
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from typing import Sequence
@@ -51,8 +53,10 @@ from repro.errors import ParameterError
 from repro.runtime.backends import (
     KeystreamRequest,
     Operand,
+    Pair,
     Resident,
     fold_by_products,
+    schoolbook_sum,
 )
 
 #: Exclusive upper bound for RNS basis primes: the lazy butterflies keep
@@ -181,8 +185,9 @@ def _ternary_signs(operand: Operand, q: int) -> list[int] | None:
     return scan(operand)
 
 
-def _rns_primes(n: int, q: int, need_bits: int) -> list[int]:
-    """28-bit primes ``p ≡ 1 (mod 2n)`` with product > ``2^need_bits``."""
+@functools.lru_cache(maxsize=64)
+def _rns_primes(n: int, q: int, need_bits: int) -> tuple[int, ...]:
+    """28-bit primes ``p ≡ 1 (mod 2n)`` with product ≥ ``2^need_bits``."""
     two_n = 2 * n
     primes: list[int] = []
     got_bits = 0
@@ -197,31 +202,16 @@ def _rns_primes(n: int, q: int, need_bits: int) -> list[int]:
             primes.append(p)
             got_bits += p.bit_length() - 1  # product >= 2^got_bits
         c -= 1
-    return primes
+    return tuple(primes)
 
 
 class _Plan:
-    """Precomputed tables for one ``(n, q)`` pair.
+    """Precomputed tables for one ``(n, q)`` pair on one RNS basis,
+    ``primes`` (see :meth:`NumpyBackend._sum_plan` for its sizing)."""
 
-    ``product_bits`` sizes the RNS basis: the product of basis primes
-    must exceed ``2^product_bits``.  The default covers the worst-case
-    centered negacyclic product of two full-size operands
-    (``2·n·q²``); callers whose operands are provably smaller (the
-    relinearization fold's digit polynomials, a ternary operand) may
-    pass a tighter bound and get a proportionally smaller — and faster
-    — basis.
-    """
-
-    def __init__(self, n: int, q: int, product_bits: int | None = None):
+    def __init__(self, n: int, q: int, primes: Sequence[int]):
         self.n = n
         self.q = q
-        general_bits = 2 * q.bit_length() + n.bit_length() + 2
-        need_bits = (
-            general_bits
-            if product_bits is None
-            else min(product_bits, general_bits)
-        )
-        primes = _rns_primes(n, q, need_bits)
         self.primes = np.asarray(primes, dtype=np.int64)
         #: Names the basis: what a Resident files this plan's forms under.
         self.form_key = ("numpy", tuple(primes))
@@ -400,15 +390,19 @@ class NumpyBackend:
         self._plans: OrderedDict[tuple, _Plan] = OrderedDict()
         self._lock = threading.Lock()
 
-    def _plan(self, n: int, q: int, product_bits: int | None = None) -> _Plan:
-        key = (n, q, product_bits)
+    def _plan(self, n: int, q: int, product_bits: int) -> _Plan:
+        """Tables on the smallest basis whose product is at least
+        ``2^product_bits``; bounds that need the same primes share one
+        plan (and a :class:`Resident` one form)."""
+        primes = _rns_primes(n, q, product_bits)
+        key = (n, q, primes)
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
                 return plan
         # Built outside the lock; tables are read-only.
-        plan = _Plan(n, q, product_bits=product_bits)
+        plan = _Plan(n, q, primes)
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)
@@ -416,46 +410,48 @@ class NumpyBackend:
                 self._plans.popitem(last=False)
         return plan
 
-    def _fold_plan(self, n: int, q: int, base_bits: int, count: int) -> _Plan:
-        """Tables for a fold of ``count`` digit polynomials below
-        ``2^base_bits``.
+    def _sum_plan(self, n: int, q: int, factor_bits: int, terms: int) -> _Plan:
+        """Tables for a sum of ``terms`` negacyclic products, each of an
+        operand below ``q`` with one whose centered coefficients are at
+        most ``2^factor_bits`` in magnitude.
 
-        An output coefficient is a signed sum of ``count·n`` terms, each
-        a digit below ``2^base_bits`` times a key coefficient below
-        ``q``, and the centered CRT lift is exact once the basis product
-        exceeds twice that magnitude.  ``x < 2^x.bit_length()`` for each
-        factor, so the bound below holds at the worst case (every
-        coefficient ``q−1``, every digit ``2^base_bits − 1``).  With
-        32-bit digits it needs about half the primes — and half the
-        transform time — of the general q×q basis.
+        An output coefficient is a signed sum of ``terms·n`` such
+        coefficient products, and the centered CRT lift is exact once
+        the basis product exceeds twice that magnitude; ``x <
+        2^x.bit_length()`` for ``q``, ``n`` and ``terms``, so the bound
+        below holds at the worst case.  A general product takes
+        ``factor_bits = q_bits`` (the ``2·n·q²`` basis); a ternary one
+        takes 0 and a relinearization fold's digits take ``base_bits``,
+        each about half the primes — and half the transform time — of
+        the general basis.
         """
         bits = (
             q.bit_length()
-            + base_bits
+            + factor_bits
             + n.bit_length()
-            + count.bit_length()
+            + terms.bit_length()
             + 1
         )
-        return self._plan(n, q, product_bits=bits)
-
-    def _ternary_plan(self, n: int, q: int) -> _Plan:
-        """Tables for a product with a ternary operand: each output
-        coefficient is a signed sum of ``n`` coefficients below ``q``, so
-        ``|a·s|∞ ≤ n·q`` and ``q_bits + n_bits + 2`` bits of basis lift
-        it exactly — about half the primes of the general ``2·n·q²``
-        basis, the move :meth:`_fold_plan` makes for the fold's digits."""
-        return self._plan(n, q, product_bits=q.bit_length() + n.bit_length() + 2)
+        return self._plan(n, q, bits)
 
     def negacyclic_multiply(
-        self, a: Operand, b: Operand, n: int, q: int
+        self, pairs: Sequence[Pair], n: int, q: int
     ) -> list[int]:
         if not _is_pow2(n):
-            return ntt.negacyclic_multiply_schoolbook(list(a), list(b), q)
-        ternary = any(_ternary_signs(x, q) is not None for x in (a, b))
-        plan = self._ternary_plan(n, q) if ternary else self._plan(n, q)
-        prod = np.multiply(plan.form(a), plan.form(b), dtype=np.int64)
-        prod %= plan.p_flat
-        return plan.from_residues(plan.inverse(prod))
+            return schoolbook_sum(pairs, n, q)
+        ternary = all(
+            any(_ternary_signs(x, q) is not None for x in pair) for pair in pairs
+        )
+        plan = self._sum_plan(
+            n, q, 0 if ternary else q.bit_length(), len(pairs)
+        )
+        acc = np.zeros((len(plan.primes), n), dtype=np.int64)
+        for a, b in pairs:
+            prod = np.multiply(plan.form(a), plan.form(b), dtype=np.int64)
+            prod %= plan.p_flat
+            acc += prod  # each term below 2^28
+        acc %= plan.p_flat
+        return plan.from_residues(plan.inverse(acc))
 
     def fold_multiply_accumulate(
         self,
@@ -467,14 +463,14 @@ class NumpyBackend:
     ) -> tuple[list[int], list[int]]:
         """The digit polynomials are the machine words of each
         coefficient's byte encoding; they go through batched transforms
-        on the basis :meth:`_fold_plan` sizes, are accumulated pointwise
+        on the basis :meth:`_sum_plan` sizes, are accumulated pointwise
         against the key forms (residues below 2^31: every product fits
         int64 and the per-step ``% p`` keeps the sums below p), and one
         inverse + CRT reconstruction per output closes the fold."""
         count = len(pairs)
         if not _is_pow2(n) or base_bits not in (8, 16, 32):  # machine words
             return fold_by_products(self, pairs, coeffs, base_bits, n, q)
-        plan = self._fold_plan(n, q, base_bits, count)
+        plan = self._sum_plan(n, q, base_bits, count)
         width = count * base_bits // 8
         buf = b"".join(c.to_bytes(width, "little") for c in coeffs)
         words = np.frombuffer(buf, dtype=f"<u{base_bits // 8}")

@@ -1,7 +1,7 @@
 """Sharded deployment around the aggregator (docs/SHARDING.md).
 
 The aggregation itself — K contiguous shards, per-shard
-verify/relinearize/chunk, claim-checked root reduction — is
+verify/chunk, claim-checked root reduction, one relinearization — is
 :class:`repro.core.aggregator.QueryAggregator` with ``num_shards=K``.
 This package holds what surrounds it: the deterministic seeded shard
 layout (:mod:`repro.sharding.planner`), the streaming pairwise fold

@@ -106,6 +106,17 @@ METRICS: dict[str, MetricSpec] = _specs(
         "carried the wrong direction tag (complained about, not relayed)",
     ),
     MetricSpec(
+        "mixnet.route.undecodable", COUNTER, "messages",
+        "fetched mailbox frames too short to carry a path id (malformed "
+        "input; dropped)",
+    ),
+    MetricSpec(
+        "mixnet.payload.malformed", COUNTER, "messages",
+        "end-to-end payloads whose PEnc length header is short or runs "
+        "past the body (malformed input, such as a dummy that opens "
+        "with the payload tag; dropped)",
+    ),
+    MetricSpec(
         "mixnet.send.messages", COUNTER, "messages",
         "end-to-end payloads deposited by ForwardingDriver.send_batch",
     ),
@@ -599,7 +610,8 @@ SPANS: dict[str, SpanSpec] = {
         ),
         SpanSpec(
             "query.aggregate", "query.run",
-            "aggregator: proof verification, relinearization, global sum",
+            "aggregator: proof verification, global sum of the submitted "
+            "ciphertexts, one relinearization of that sum",
         ),
         SpanSpec(
             "query.decrypt", "query.run",
@@ -640,8 +652,8 @@ SPANS: dict[str, SpanSpec] = {
         SpanSpec(
             "sharding.reduce", "query.aggregate",
             "root reduction: claim-checked shard partials combined "
-            "through the fixed-shape summation tree into the one "
-            "ciphertext handed to the committee; "
+            "through the fixed-shape summation tree into the one sum the "
+            "aggregator relinearizes for the committee; "
             "attributes: shards, partials",
         ),
         SpanSpec(

@@ -6,6 +6,7 @@ pure-Python reference on identical inputs and requires *exact* equality
 whole module skips when NumPy is absent.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -14,7 +15,7 @@ np = pytest.importorskip("numpy")
 
 from repro.crypto import bgv, ntt
 from repro.params import SMALL, TEST
-from repro.runtime import resolve_backend, use_backend
+from repro.runtime import backends, resolve_backend, use_backend
 
 #: Small NTT-friendly rings: q prime, q ≡ 1 (mod 2n) — moduli the pure
 #: backend transforms directly and the NumPy kernel takes through RNS
@@ -42,8 +43,8 @@ def test_direct_multiply_matches_pure(n, q):
     pure = resolve_backend("pure")
     a = _random_coeffs(n, q, seed=2 * n)
     b = _random_coeffs(n, q, seed=2 * n + 1)
-    assert numpy_backend.negacyclic_multiply(a, b, n, q) == (
-        pure.negacyclic_multiply(a, b, n, q)
+    assert numpy_backend.negacyclic_multiply([(a, b)], n, q) == (
+        pure.negacyclic_multiply([(a, b)], n, q)
     )
 
 
@@ -53,8 +54,8 @@ def test_rns_multiply_matches_pure(n, q):
     pure = resolve_backend("pure")
     a = _random_coeffs(n, q, seed=3 * n)
     b = _random_coeffs(n, q, seed=3 * n + 1)
-    assert numpy_backend.negacyclic_multiply(a, b, n, q) == (
-        pure.negacyclic_multiply(a, b, n, q)
+    assert numpy_backend.negacyclic_multiply([(a, b)], n, q) == (
+        pure.negacyclic_multiply([(a, b)], n, q)
     )
 
 
@@ -66,8 +67,8 @@ def test_rns_multiply_matches_schoolbook_small_case():
     b = _random_coeffs(n, q, seed=6)
     expected = ntt.negacyclic_multiply_schoolbook(a, b, q)
     numpy_backend = resolve_backend("numpy")
-    assert numpy_backend.negacyclic_multiply(a, b, n, q) == expected
-    assert resolve_backend("pure").negacyclic_multiply(a, b, n, q) == expected
+    assert numpy_backend.negacyclic_multiply([(a, b)], n, q) == expected
+    assert resolve_backend("pure").negacyclic_multiply([(a, b)], n, q) == expected
 
 
 @pytest.mark.parametrize("profile", [TEST, SMALL], ids=lambda p: p.name)
@@ -103,3 +104,84 @@ def test_full_bgv_pipeline_bit_identical(profile):
     # Enc(x) + Enc(x^2) and Enc(x) * Enc(x^2) decode as expected.
     assert reference[4][1] == 1 and reference[4][2] == 1
     assert reference[5][3] == 1
+
+
+# -- the pair-sum kernel -------------------------------------------------------
+
+#: SHA-256 of the big-endian coefficients of one product of the seeded
+#: operands below, taken with the single-product kernel that preceded
+#: the pair sum: a one-pair sum must keep those bytes on either backend.
+SINGLE_PRODUCT_PINS = {
+    "test": "d8544291b0f8b893987a83cb74b1a170252abe83300c1d9f8127e9c564d56169",
+    "small": "595e3712af76e5e24024d61fb7b73200ed49fb32ebb0b099116e0d7b88e6aefe",
+}
+
+
+def _pin(coeffs, q):
+    width = (q.bit_length() + 7) // 8
+    return hashlib.sha256(
+        b"".join(c.to_bytes(width, "big") for c in coeffs)
+    ).hexdigest()
+
+
+def _ternary(n, q, seed):
+    rng = random.Random(seed)
+    return [rng.choice((0, 1, q - 1)) for _ in range(n)]
+
+
+def _summed(terms, q):
+    return [sum(column) % q for column in zip(*terms)]
+
+
+@pytest.mark.parametrize("profile", [TEST, SMALL], ids=lambda p: p.name)
+def test_one_pair_keeps_the_single_product_bytes(profile):
+    n, q = profile.n, profile.q
+    a, b = _random_coeffs(n, q, seed=26), _random_coeffs(n, q, seed=27)
+    for name in ("pure", "numpy"):
+        product = resolve_backend(name).negacyclic_multiply([(a, b)], n, q)
+        assert _pin(product, q) == SINGLE_PRODUCT_PINS[profile.name], name
+
+
+@pytest.mark.parametrize("profile", [TEST, SMALL], ids=lambda p: p.name)
+@pytest.mark.parametrize("terms", [2, 3])
+def test_pair_sum_is_the_sum_of_products(profile, terms):
+    """Full, ternary and mixed pairs, each a Resident or a plain list:
+    numpy equals pure, and both equal the products added mod q."""
+    n, q = profile.n, profile.q
+    full = [_random_coeffs(n, q, seed=40 + i) for i in range(terms + 1)]
+    ternary = [_ternary(n, q, seed=60 + i) for i in range(terms)]
+    shapes = {
+        "full": [(full[i], full[i + 1]) for i in range(terms)],
+        "ternary": [(full[i], ternary[i]) for i in range(terms)],
+        "mixed": [
+            (full[i], ternary[i] if i % 2 else full[i + 1])
+            for i in range(terms)
+        ],
+    }
+    pure, vectorized = resolve_backend("pure"), resolve_backend("numpy")
+    for shape, pairs in shapes.items():
+        singles = [pure.negacyclic_multiply([pair], n, q) for pair in pairs]
+        expected = _summed(singles, q)
+        assert pure.negacyclic_multiply(pairs, n, q) == expected, shape
+        resident = [
+            (backends.Resident(x), backends.Resident(y)) for x, y in pairs
+        ]
+        for operands in (pairs, resident):
+            assert vectorized.negacyclic_multiply(operands, n, q) == expected, shape
+
+
+@pytest.mark.parametrize("n,q", [(6, 1000), (12, 1001)])
+def test_pair_sum_schoolbook_fallback(n, q):
+    """A degree that is not a power of two takes the schoolbook sum on
+    both backends."""
+    pairs = [
+        (_random_coeffs(n, q, seed=7 + 2 * i), _random_coeffs(n, q, seed=8 + 2 * i))
+        for i in range(3)
+    ]
+    expected = _summed(
+        [ntt.negacyclic_multiply_schoolbook(a, b, q) for a, b in pairs], q
+    )
+    assert resolve_backend("numpy").negacyclic_multiply(pairs, n, q) == expected
+    assert resolve_backend("pure").negacyclic_multiply(pairs, n, q) == expected
+    assert resolve_backend("pure").negacyclic_multiply([], n, q) == [0] * n
+    assert resolve_backend("numpy").negacyclic_multiply([], 8, q) == [0] * 8

@@ -45,10 +45,10 @@ def test_worst_case_equals_the_closed_form_on_every_backend(profile):
     expected = _closed_form(n, q)
     for name in available_backends():
         backend = resolve_backend(name)
-        assert backend.negacyclic_multiply(a, _ternary(signs, q), n, q) == expected
-        assert backend.negacyclic_multiply(_ternary(signs, q), a, n, q) == expected
+        assert backend.negacyclic_multiply([(a, _ternary(signs, q))], n, q) == expected
+        assert backend.negacyclic_multiply([(_ternary(signs, q), a)], n, q) == expected
         plain = [s % q for s in signs]
-        assert backend.negacyclic_multiply(a, plain, n, q) == expected
+        assert backend.negacyclic_multiply([(a, plain)], n, q) == expected
 
 
 @pytest.mark.parametrize(
@@ -73,16 +73,17 @@ def test_numpy_equals_pure_for_random_ternary_operands(data):
     # Sometimes both operands are ternary.
     left = _ternary([x % 3 - 1 for x in a], q) if data.draw(st.booleans()) else a
     numpy_backend, pure = resolve_backend("numpy"), resolve_backend("pure")
-    assert numpy_backend.negacyclic_multiply(left, _ternary(signs, q), n, q) == (
-        pure.negacyclic_multiply(list(left), [s % q for s in signs], n, q)
+    assert numpy_backend.negacyclic_multiply([(left, _ternary(signs, q))], n, q) == (
+        pure.negacyclic_multiply([(list(left), [s % q for s in signs])], n, q)
     )
 
 
 def test_ternary_basis_is_half_width():
     np_backend = pytest.importorskip("repro.runtime.numpy_backend").NumpyBackend()
     for profile in (TEST, SMALL):
-        general = np_backend._plan(profile.n, profile.q)
-        ternary = np_backend._ternary_plan(profile.n, profile.q)
+        n, q = profile.n, profile.q
+        general = np_backend._sum_plan(n, q, q.bit_length(), 1)
+        ternary = np_backend._sum_plan(n, q, 0, 1)
         assert len(ternary.primes) <= (len(general.primes) + 1) // 2 + 1
         assert ternary.modulus > 2 * profile.n * profile.q
 
@@ -93,8 +94,8 @@ def test_the_basis_follows_the_operands_values():
     equal the reference product."""
     np_backend = pytest.importorskip("repro.runtime.numpy_backend").NumpyBackend()
     n, q = TEST.n, TEST.q
-    general = np_backend._plan(n, q).form_key
-    half = np_backend._ternary_plan(n, q).form_key
+    general = np_backend._sum_plan(n, q, q.bit_length(), 1).form_key
+    half = np_backend._sum_plan(n, q, 0, 1).form_key
     rng = random.Random(8)
     a = backends.Resident([rng.randrange(q) for _ in range(n)])
     signs = [rng.choice((-1, 0, 1)) for _ in range(n)]
@@ -103,8 +104,8 @@ def test_the_basis_follows_the_operands_values():
     ternary, mixed = _ternary(signs, q), _ternary(nearly, q)
     pure = resolve_backend("pure")
     for operand, key in ((ternary, half), (mixed, general)):
-        product = np_backend.negacyclic_multiply(a, operand, n, q)
-        assert product == pure.negacyclic_multiply(list(a), list(operand), n, q)
+        product = np_backend.negacyclic_multiply([(a, operand)], n, q)
+        assert product == pure.negacyclic_multiply([(list(a), list(operand))], n, q)
         assert key in operand.forms and key in a.forms
     assert general not in ternary.forms and half not in mixed.forms
     # The scan's answer is filed with the forms, a negative one too.

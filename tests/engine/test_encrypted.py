@@ -84,10 +84,14 @@ class TestHonestRunProperties:
         aggregator = QueryAggregator(zk=zk, relin_keys=relin)
         result = aggregator.aggregate(submissions)
         proof = aggregator.inclusion_proof(0)
-        relin_first = bgv.relinearize(
-            submissions[0].ciphertext, relin
+        # A leaf is the ciphertext the device uploaded: it checks its
+        # inclusion from its own bytes, without the relinearization keys.
+        submitted = submissions[0].ciphertext
+        assert submitted.degree > 1
+        assert aggregator.verify_inclusion(0, submitted.digest(), proof)
+        assert not aggregator.verify_inclusion(
+            0, bgv.relinearize(submitted, relin).digest(), proof
         )
-        assert aggregator.verify_inclusion(0, relin_first.digest(), proof)
 
     def test_leaf_max_exponent(self, setup):
         plan = compile_query(

@@ -136,3 +136,29 @@ def test_wrong_direction_on_a_link_is_counted_and_complained_about():
     assert "mixnet.route.misdirected" not in counters
     assert len(device.pending_deposits) == 1
     assert world.complaints() == [b"misdirected"]
+
+
+def test_malformed_frames_and_payloads_are_counted():
+    """A frame too short to hold a path id, and a payload whose PEnc
+    length header is short or runs past the body, are dropped — and
+    counted, not swallowed."""
+    world = make_world(7)
+    device = world.devices[3]
+    handle = device.handles[0]
+    unknown = onion.new_path_id(random.Random(5))
+
+    def deliver(data):
+        with telemetry.session() as session:
+            device.process_wire(world, 1, handle, data)
+            return session.snapshot()["counters"]
+
+    counters = deliver(b"\x17" * (onion.PATH_ID_BYTES - 1))
+    assert counters == {"mixnet.route.undecodable": 1}
+
+    for body in (b"", b"\x01", b"\x00\x40" + b"\x00" * 63):
+        counters = deliver(
+            onion.WireMessage(unknown, TAG_PAYLOAD + body).encode()
+        )
+        assert counters == {"mixnet.payload.malformed": 1}, body
+    assert not device.received and not device.pending_deposits
+    assert not world.complaints()

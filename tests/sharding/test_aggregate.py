@@ -6,8 +6,9 @@ the one aggregator class reproduces its own K=1 ciphertext components,
 accepted/rejected lists, Merkle summation root, verification-seconds
 float fold, and proof counts, including when Byzantine submissions are
 rejected mid-stream.  K=1 itself is anchored to an independent
-reference: a pairwise fold over SUM_CHUNK chunk sums written out here
-with ``bgv.add`` only.
+reference: one ``bgv.relinearize`` of a pairwise fold over SUM_CHUNK
+chunk sums of the submitted ciphertexts, written out here with
+``bgv.add`` only.
 """
 
 from __future__ import annotations
@@ -73,20 +74,18 @@ def pairwise(cts):
 
 
 def test_k1_matches_independent_chunked_pairwise_fold(submissions, flat):
-    """The K=1 root equals chunk sums folded pairwise, recomputed here
-    without any aggregator code — components and noise metadata."""
+    """The K=1 root equals one relinearization of the submitted
+    ciphertexts' chunk sums folded pairwise, recomputed here without any
+    aggregator code — components and noise metadata."""
     system, subs = submissions
-    relinearized = [
-        bgv.relinearize(s.ciphertext, system.relin_keys)
-        for s in subs
-        if s.origin in set(flat.accepted)
-    ]
+    submitted = [s.ciphertext for s in subs if s.origin in set(flat.accepted)]
     chunk_sums = [
-        pairwise(relinearized[i : i + SUM_CHUNK])
-        for i in range(0, len(relinearized), SUM_CHUNK)
+        pairwise(submitted[i : i + SUM_CHUNK])
+        for i in range(0, len(submitted), SUM_CHUNK)
     ]
     assert len(chunk_sums) > 1  # the fixture exercises both tree levels
-    reference = pairwise(chunk_sums)
+    reference = bgv.relinearize(pairwise(chunk_sums), system.relin_keys)
+    assert flat.ciphertext.degree == 1
     assert flat.ciphertext.serialize() == reference.serialize()
     assert flat.ciphertext.noise_bits == reference.noise_bits
     assert 3 in flat.rejected  # the forged proof never reaches the sum
@@ -94,16 +93,19 @@ def test_k1_matches_independent_chunked_pairwise_fold(submissions, flat):
 
 @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 8, 64])
 def test_bit_identical_to_flat_at_any_k(submissions, flat, num_shards):
+    """On every backend, against the K=1 run on the pure reference."""
     system, subs = submissions
-    sharded = aggregator(system, num_shards=num_shards).aggregate(subs)
-    assert sharded.ciphertext.serialize() == flat.ciphertext.serialize()
-    assert sharded.accepted == flat.accepted
-    assert sharded.rejected == flat.rejected
-    assert sharded.summation_root == flat.summation_root
-    # Exact float equality: every layout replays the same left fold in
-    # the same global submission order.
-    assert sharded.verification_seconds == flat.verification_seconds
-    assert sharded.proofs_verified == flat.proofs_verified
+    for backend in backends.available_backends():
+        with backends.use_backend(backend):
+            sharded = aggregator(system, num_shards=num_shards).aggregate(subs)
+        assert sharded.ciphertext.serialize() == flat.ciphertext.serialize()
+        assert sharded.accepted == flat.accepted
+        assert sharded.rejected == flat.rejected
+        assert sharded.summation_root == flat.summation_root
+        # Exact float equality: every layout replays the same left fold
+        # in the same global submission order.
+        assert sharded.verification_seconds == flat.verification_seconds
+        assert sharded.proofs_verified == flat.proofs_verified
 
 
 def test_k1_matches_flat_noise_metadata_too(submissions, flat):
