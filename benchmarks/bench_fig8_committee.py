@@ -25,7 +25,7 @@ from repro.analysis.committee_model import (
     privacy_failure_probability,
 )
 from repro.core import committee as committee_mod
-from repro.crypto import bgv, shamir
+from repro.crypto import bgv
 from repro.crypto.polyring import RingElement
 from repro.params import TEST
 
@@ -82,38 +82,35 @@ def test_fig8_cost_side(benchmark, report):
     assert costs[0][2] == 4.5
 
 
+def _lie(corrupt):
+    """The corruption hook: each listed member's partial is off by one."""
+    return lambda device_id, value: (
+        value + RingElement.constant(value.params, 1)
+        if device_id in corrupt
+        else value
+    )
+
+
 def _subset_enumeration_decrypt(committee, ciphertext, rng, corrupt):
     """The pre-robust baseline, preserved here for comparison: decrypt
-    with every threshold-sized member subset and majority-vote.  One
-    "round" is one full combine — C(n, t) of them."""
-    profile = committee.profile
+    with every threshold-sized member subset (no redundancy, so no
+    detection) and majority-vote.  One "round" is one full decryption —
+    C(n, t) of them."""
     votes: dict[tuple, int] = {}
     rounds = 0
     for subset in combinations(committee.members, committee.threshold):
         rounds += 1
-        indices = [m.share_index for m in subset]
-        lagrange = shamir.lagrange_coefficients_at_zero(
-            indices, profile.q
-        )
-        partials = []
-        for member in subset:
-            partial = committee_mod.partial_decrypt(
-                member, ciphertext, profile,
-                lagrange[member.share_index], rng,
-            )
-            if member.device_id in corrupt:
-                partial = committee_mod.PartialDecryption(
-                    partial.share_index,
-                    partial.value
-                    + RingElement.constant(profile.ring, 1),
-                )
-            partials.append(partial)
-        plaintext = committee_mod.combine_partials(
-            ciphertext, partials, profile
+        plaintext, _ = committee_mod.threshold_decrypt(
+            committee, ciphertext, rng,
+            participating=[m.device_id for m in subset],
+            corrupt=_lie(corrupt),
         )
         votes[plaintext.coeffs] = votes.get(plaintext.coeffs, 0) + 1
     majority = max(votes, key=lambda k: votes[k])
-    return RingElement(profile.plaintext_ring, majority), rounds
+    return (
+        RingElement(committee.profile.plaintext_ring, majority),
+        rounds,
+    )
 
 
 def test_robust_decode_vs_subset_enumeration(benchmark, report):
@@ -140,9 +137,9 @@ def test_robust_decode_vs_subset_enumeration(benchmark, report):
         old_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        new_plain, flagged = committee_mod.robust_threshold_decrypt(
+        new_plain, flagged = committee_mod.threshold_decrypt(
             committee, ciphertext, random.Random(7),
-            corrupt_members=corrupt,
+            corrupt=_lie(corrupt),
         )
         new_seconds = time.perf_counter() - start
 
@@ -165,9 +162,9 @@ def test_robust_decode_vs_subset_enumeration(benchmark, report):
         rng=random.Random(9),
     )
     benchmark(
-        lambda: committee_mod.robust_threshold_decrypt(
+        lambda: committee_mod.threshold_decrypt(
             committee, ciphertext, random.Random(7),
-            corrupt_members={committee.members[0].device_id},
+            corrupt=_lie({committee.members[0].device_id}),
         )
     )
     report(

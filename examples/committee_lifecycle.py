@@ -9,11 +9,12 @@ pooling is useless, and exercises a cheating dealer during a handoff.
 Run:  python examples/committee_lifecycle.py
 """
 
+import dataclasses
 import random
 
 from repro.core import committee as committee_mod
 from repro.core.system import MyceliumSystem
-from repro.crypto import bgv, shamir
+from repro.crypto import bgv
 from repro.params import SystemParameters, TEST
 from repro.query.catalog import CATALOG
 from repro.query.schema import scaled_schema
@@ -56,16 +57,11 @@ def main() -> None:
 
     # Cross-epoch shares do not combine.
     ct = bgv.encrypt_monomial(system.public_key, 3, rng)
-    lagrange = shamir.lagrange_coefficients_at_zero([1, 2], TEST.q)
-    mixed = [
-        committee_mod.partial_decrypt(
-            old_committee.members[0], ct, TEST, lagrange[1], rng
-        ),
-        committee_mod.partial_decrypt(
-            system.committee.members[1], ct, TEST, lagrange[2], rng
-        ),
-    ]
-    garbage = committee_mod.combine_partials(ct, mixed, TEST)
+    mixed = dataclasses.replace(
+        old_committee,
+        members=[old_committee.members[0], system.committee.members[1]],
+    )
+    garbage, _ = committee_mod.threshold_decrypt(mixed, ct, rng)
     print(
         "\nmixing an epoch-0 share with a current share decrypts "
         f"garbage: {sum(1 for c in garbage.coeffs if c)} of {TEST.n} "
@@ -78,7 +74,7 @@ def main() -> None:
         corrupt_dealers={before.members[0].device_id}
     )
     check = bgv.encrypt_monomial(system.public_key, 9, rng)
-    plain = committee_mod.threshold_decrypt(system.committee, check, rng)
+    plain, _ = committee_mod.threshold_decrypt(system.committee, check, rng)
     print(
         "rotation with a cheating dealer: Feldman checks excluded it; "
         f"new committee still decrypts correctly: "

@@ -97,7 +97,7 @@ def main() -> None:
     )
 
     # -- committee: threshold-decrypt and noise --------------------------------
-    plaintext = committee_mod.threshold_decrypt(
+    plaintext, _ = committee_mod.threshold_decrypt(
         committee, aggregated.ciphertext, rng
     )
     coefficients = list(plaintext.coeffs[: plan.layout.total_coefficients])

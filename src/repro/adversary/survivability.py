@@ -35,6 +35,7 @@ from repro.crypto import bgv
 from repro.engine import histogram as histogram_mod
 from repro.engine import plaintext as plaintext_mod
 from repro.errors import MyceliumError, RobustDecodingError
+from repro.faults.injector import FaultInjector
 from repro.params import SystemParameters
 from repro.query.schema import scaled_schema
 from repro.runtime import derive_rng
@@ -172,12 +173,17 @@ def _committee_probe(
     ciphertext = bgv.encrypt_monomial(system.public_key, exponent, rng)
     oracle = bgv.decrypt(system._genesis_secret, ciphertext)
     radius = (len(member_ids) - system.committee.threshold) // 2
+    injector = FaultInjector(
+        profile.fault_plan(
+            seed, system.num_devices, committee_members=member_ids
+        )
+    )
     try:
-        plain, flagged = committee_mod.robust_threshold_decrypt(
+        plain, flagged = committee_mod.threshold_decrypt(
             system.committee,
             ciphertext,
             derive_rng(seed, "adversary", profile.name, "probe-decrypt"),
-            corrupt_members=corrupt,
+            corrupt=injector.corrupt_partial,
         )
     except RobustDecodingError:
         # Past the unique decoding radius the specified behaviour is a

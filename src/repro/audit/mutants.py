@@ -168,14 +168,17 @@ def _crash_case(seed: int) -> TrialCase:
 def _mutant_drop_coefficient():
     original = committee_mod.threshold_decrypt
 
-    def bad(committee, ciphertext, rng, participating=None):
-        plain = original(committee, ciphertext, rng, participating=participating)
+    def bad(committee, ciphertext, rng, participating=None, corrupt=None):
+        plain, flagged = original(
+            committee, ciphertext, rng, participating=participating,
+            corrupt=corrupt,
+        )
         coeffs = list(plain.coeffs)
         for i, c in enumerate(coeffs):
             if c:
                 coeffs[i] = 0
                 break
-        return RingElement(plain.params, tuple(coeffs))
+        return RingElement(plain.params, tuple(coeffs)), flagged
 
     return _patched(committee_mod, "threshold_decrypt", bad)
 
@@ -255,19 +258,16 @@ def _mutant_lagrange_shifted():
 
 
 def _mutant_wrong_share():
-    original = committee_mod.robust_partial_decrypt
+    original = committee_mod.partial_decrypt
 
     def bad(member, ciphertext, profile, smudge_share):
         partial = original(member, ciphertext, profile, smudge_share)
         if member.share_index == 1:
             # the bug: one member's partial decryption is off by one
-            return committee_mod.PartialDecryption(
-                partial.share_index,
-                partial.value + RingElement.constant(profile.ring, 1),
-            )
+            return partial + RingElement.constant(profile.ring, 1)
         return partial
 
-    return _patched(committee_mod, "robust_partial_decrypt", bad)
+    return _patched(committee_mod, "partial_decrypt", bad)
 
 
 def _mutant_stale_pool():

@@ -58,6 +58,7 @@ from repro.engine import plaintext as plaintext_mod
 from repro.engine.encrypted import EncryptedExecutor
 from repro.engine.malicious import Behavior
 from repro.errors import MyceliumError, PrivacyBudgetExceeded
+from repro.faults import FaultInjector, FaultPlan
 from repro.query import sensitivity as sensitivity_mod
 from repro.query.ast import OutputKind
 from repro.query.compiler import compile_query
@@ -217,7 +218,7 @@ def _run_equivalence(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
     results.extend(
         _noise_checks(bench, "equivalence.aggregate", aggregation.ciphertext)
     )
-    plain = committee_mod.threshold_decrypt(
+    plain, _ = committee_mod.threshold_decrypt(
         bench.committee,
         aggregation.ciphertext,
         derive_rng(case.seed, "decrypt"),
@@ -355,7 +356,7 @@ def _run_shard_equivalence(
     results.extend(
         _noise_checks(bench, "shard-equivalence.aggregate", sharded.ciphertext)
     )
-    plain = committee_mod.threshold_decrypt(
+    plain, _ = committee_mod.threshold_decrypt(
         bench.committee,
         sharded.ciphertext,
         derive_rng(case.seed, "decrypt"),
@@ -514,7 +515,7 @@ def _encrypted_round(
     total = plan.layout.total_coefficients
     if aggregation.ciphertext is None:
         return aggregation, (0,) * total
-    plain = committee_mod.threshold_decrypt(
+    plain, _ = committee_mod.threshold_decrypt(
         bench.committee,
         aggregation.ciphertext,
         derive_rng(case.seed, tag, "decrypt", query_index),
@@ -946,7 +947,7 @@ def _run_shamir(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
     # Committee threshold decryption must agree with direct decryption.
     exponent = rng.randrange(bench.profile.n)
     ciphertext = bgv.encrypt_monomial(bench.public, exponent, rng)
-    plain = committee_mod.threshold_decrypt(
+    plain, _ = committee_mod.threshold_decrypt(
         bench.committee, ciphertext, derive_rng(case.seed, "decrypt")
     )
     results.append(
@@ -979,6 +980,12 @@ def _robust_committee(case: TrialCase, bench: AuditBench, rng: random.Random):
     return trial_committee, corrupt_ids
 
 
+def _lie(corrupt_ids: set[int]):
+    """The corrupt-partial fault kind's hook for ``corrupt_ids``."""
+    plan = FaultPlan(seed=0, corrupt_committee=tuple(sorted(corrupt_ids)))
+    return FaultInjector(plan).corrupt_partial
+
+
 def _run_robust(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
     results: list[CheckResult] = []
     rng = random.Random(case.seed)
@@ -987,11 +994,11 @@ def _run_robust(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
     ciphertext = bgv.encrypt_monomial(bench.public, exponent, rng)
     oracle = bgv.decrypt(bench.secret, ciphertext)
 
-    plain, flagged = committee_mod.robust_threshold_decrypt(
+    plain, flagged = committee_mod.threshold_decrypt(
         trial_committee,
         ciphertext,
         derive_rng(case.seed, "decrypt"),
-        corrupt_members=corrupt_ids,
+        corrupt=_lie(corrupt_ids),
     )
     results.append(
         check_equal(
@@ -1058,7 +1065,7 @@ def _run_flagging(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
 
     # An all-honest committee must flag nobody — a decoder (or a partial
     # computation) that silently perturbs a share is caught right here.
-    plain, flagged = committee_mod.robust_threshold_decrypt(
+    plain, flagged = committee_mod.threshold_decrypt(
         trial_committee,
         ciphertext,
         derive_rng(case.seed, "decrypt"),
@@ -1076,11 +1083,11 @@ def _run_flagging(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
 
     # At the full decoding radius, every flagged member must really be
     # corrupt (soundness) and the plaintext must still be exact.
-    plain, flagged = committee_mod.robust_threshold_decrypt(
+    plain, flagged = committee_mod.threshold_decrypt(
         trial_committee,
         ciphertext,
         derive_rng(case.seed, "decrypt", "corrupt"),
-        corrupt_members=corrupt_ids,
+        corrupt=_lie(corrupt_ids),
     )
     results.append(
         check(
@@ -1104,11 +1111,11 @@ def _run_flagging(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
         m.device_id for m in trial_committee.members[: radius + 1]
     }
     try:
-        plain, _ = committee_mod.robust_threshold_decrypt(
+        plain, _ = committee_mod.threshold_decrypt(
             trial_committee,
             ciphertext,
             derive_rng(case.seed, "decrypt", "overload"),
-            corrupt_members=overload,
+            corrupt=_lie(overload),
         )
     except RobustDecodingError:
         results.append(check("flagging.overload-never-wrong", True))
@@ -1201,7 +1208,6 @@ def _run_crash(case: TrialCase) -> list[CheckResult]:
 
 def _run_mixnet(case: TrialCase) -> list[CheckResult]:
     from repro.core.system import MyceliumSystem
-    from repro.faults import FaultInjector, FaultPlan
     from repro.mixnet.network import MixnetWorld
     from repro.params import SystemParameters
     from repro.query.schema import scaled_schema

@@ -8,14 +8,20 @@ degree-1 ciphertext is *linear* in s —
 
     m = ((c0 + c1 * s) mod q centered) mod t
 
-— each member computes a partial decryption c1 * s_i locally and any
-``threshold`` of them recombine with Lagrange coefficients, which is
-exactly the arithmetic the paper's SCALE-MAMBA MPC performs.  Members
-add t-multiples of small smudging noise to their partials so the
-recombination transcript hides s.
+— each member computes a partial decryption c1 * s_i locally, plus its
+Shamir share of one jointly sampled small smudge E scaled by t, so the
+transcript hides s.  Coefficient j of the partials is then a
+Reed-Solomon codeword with constant term (c1*s + t*E)_j, and there is
+one decryption algorithm: open every ring coefficient as one batch
+(:func:`repro.crypto.robust.batch_robust_reconstruct`).  With
+``threshold`` members that is Lagrange interpolation, the arithmetic
+the paper's SCALE-MAMBA MPC performs; each member past the threshold
+is redundancy, so ``c + 1`` honest members detect — and more correct
+and flag — wrong partials (§5).
 
 Laplace noise for differential privacy is sampled *inside* the MPC: each
-member contributes a secret seed share, the XOR of all shares drives the
+member contributes a secret seed share derived from its key share and
+the draw (epoch, query, output group), the XOR of all shares drives the
 sampler, and only the noised aggregate leaves the committee.
 
 Between queries the committee hands the key to its successor with
@@ -26,11 +32,12 @@ at genesis, no matter how many queries run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import telemetry
 from repro.telemetry import clock
 from repro.crypto import bgv, feldman, robust, shamir, vsr
+from repro.crypto.hashes import hash_to_int
 from repro.crypto.polyring import RingElement
 from repro.dp.laplace import sample_laplace
 from repro.errors import (
@@ -128,96 +135,6 @@ def genesis_share_key(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialDecryption:
-    """One member's lambda_i * c1 * s_i + t * e_i, a ring element.
-
-    The Lagrange coefficient is applied by the member itself (the
-    participating set, hence lambda_i, is public) so the smudging term
-    t * e_i stays *small* in the combined phase — scaling the smudge by
-    lambda afterwards would blow it past the noise bound.
-    """
-
-    share_index: int
-    value: RingElement
-
-
-def partial_decrypt(
-    member: CommitteeMember,
-    ciphertext: bgv.Ciphertext,
-    profile: BGVProfile,
-    lagrange_coefficient: int,
-    rng: random.Random,
-) -> PartialDecryption:
-    """Local computation on a member's share — no interaction needed
-    because decryption is linear in the key."""
-    if ciphertext.degree != 1:
-        raise ProtocolError(
-            "threshold decryption needs a relinearized (degree-1) ciphertext"
-        )
-    ring = profile.ring
-    share_poly = RingElement.from_coeffs(ring, list(member.key_share.values))
-    smudge = RingElement.random_bounded(ring, profile.error_bound, rng)
-    value = (ciphertext.components[1] * share_poly).scale(
-        lagrange_coefficient
-    ) + smudge.scale(profile.t)
-    return PartialDecryption(share_index=member.share_index, value=value)
-
-
-def combine_partials(
-    ciphertext: bgv.Ciphertext,
-    partials: list[PartialDecryption],
-    profile: BGVProfile,
-) -> RingElement:
-    """Sum the (already lambda-scaled) partials and reduce to the
-    plaintext."""
-    if len(partials) < 1:
-        raise SecretSharingError("no partial decryptions")
-    acc = ciphertext.components[0]
-    for partial in partials:
-        acc = acc + partial.value
-    plain = acc.lift_mod(profile.t)
-    return RingElement.from_coeffs(profile.plaintext_ring, plain)
-
-
-def threshold_decrypt(
-    committee: Committee,
-    ciphertext: bgv.Ciphertext,
-    rng: random.Random,
-    participating: list[int] | None = None,
-) -> RingElement:
-    """Full decryption flow with any ``threshold`` members online."""
-    start = clock.perf_counter()
-    members = committee.members
-    if participating is not None:
-        members = [m for m in members if m.device_id in participating]
-    if len(members) < committee.threshold:
-        raise LivenessQuorumError(
-            f"only {len(members)} members available, need "
-            f"{committee.threshold} for liveness"
-        )
-    chosen = members[: committee.threshold]
-    lagrange = shamir.lagrange_coefficients_at_zero(
-        [m.share_index for m in chosen], committee.profile.q
-    )
-    partials = [
-        partial_decrypt(
-            member,
-            ciphertext,
-            committee.profile,
-            lagrange[member.share_index],
-            rng,
-        )
-        for member in chosen
-    ]
-    plaintext = combine_partials(ciphertext, partials, committee.profile)
-    telemetry.count("committee.decrypt.partials", len(partials))
-    telemetry.observe(
-        "committee.decrypt.seconds", clock.perf_counter() - start
-    )
-    return plaintext
-
-
 def shared_smudge_shares(
     members: list[CommitteeMember],
     profile: BGVProfile,
@@ -226,10 +143,10 @@ def shared_smudge_shares(
 ) -> dict[int, RingElement]:
     """Shamir shares of one jointly-sampled smudging element.
 
-    For robust decoding the partials themselves must form a Reed-Solomon
-    codeword, so per-member *independent* smudging noise is out — it
-    would add a random offset at every index and look like n errors.
-    Instead the committee samples the smudge **inside the MPC** (the
+    The partials themselves must form a Reed-Solomon codeword, so
+    per-member *independent* smudging noise is out — it would add a
+    random offset at every index and look like n errors.  Instead the
+    committee samples the smudge **inside the MPC** (the
     paper's SCALE-MAMBA committee already runs joint sampling for the
     Laplace noise, §5): one small ring element E plus ``threshold - 1``
     uniform masking elements U_d define the share polynomial
@@ -255,98 +172,86 @@ def shared_smudge_shares(
     return shares
 
 
-def robust_partial_decrypt(
+def partial_decrypt(
     member: CommitteeMember,
     ciphertext: bgv.Ciphertext,
     profile: BGVProfile,
     smudge_share: RingElement,
-) -> PartialDecryption:
-    """One member's *codeword* partial: ``c1 * s_i + t * e_i``.
-
-    Unlike :func:`partial_decrypt` no Lagrange coefficient is applied —
-    the robust decoder interpolates through the raw share evaluations,
-    so coefficient j of the returned value is h_j(share_index) for the
-    degree-(t-1) polynomial h_j with h_j(0) = (c1*s)_j + t*E_j.
-    """
+) -> RingElement:
+    """One member's codeword partial ``c1 * s_i + t * E_i``, computed
+    locally on its share — no interaction needed because decryption is
+    linear in the key.  Coefficient j is h_j(share_index) for the
+    degree-(t-1) polynomial h_j with h_j(0) = (c1*s)_j + t*E_j."""
     if ciphertext.degree != 1:
         raise ProtocolError(
             "threshold decryption needs a relinearized (degree-1) ciphertext"
         )
     ring = profile.ring
     share_poly = RingElement.from_coeffs(ring, list(member.key_share.values))
-    value = (ciphertext.components[1] * share_poly) + smudge_share.scale(
+    return (ciphertext.components[1] * share_poly) + smudge_share.scale(
         profile.t
     )
-    return PartialDecryption(share_index=member.share_index, value=value)
 
 
-def robust_threshold_decrypt(
+def threshold_decrypt(
     committee: Committee,
     ciphertext: bgv.Ciphertext,
     rng: random.Random,
-    corrupt_members: set[int] | None = None,
-    corrupt=None,
     participating: list[int] | None = None,
+    corrupt=None,
 ) -> tuple[RingElement, set[int]]:
-    """Actively-secure decryption in a single pass (§5).
+    """Decrypt with the members in ``participating`` (default: all).
 
-    With Shamir sharing at threshold t < C/2 the secret is
-    over-determined: each ring coefficient of the members' partials is a
-    Reed-Solomon codeword, so Gao decoding reconstructs the plaintext
+    Every given member contributes a codeword partial and all ``ring.n``
+    coefficients are opened as one batch against the same share-index
+    set (:func:`repro.crypto.robust.batch_robust_reconstruct`).  With
+    exactly ``threshold`` members that is interpolation; each member
+    past it is redundancy, and Gao decoding reconstructs the plaintext
     through up to ``(n - t) // 2`` wrong partials and identifies exactly
-    the lying members — no subset enumeration, no identification
-    round-trip.  All ``ring.n`` coefficients are opened as one batch
-    against the same share-index set, paying for a single error-locator
-    computation (:func:`repro.crypto.robust.batch_robust_reconstruct`).
+    the lying members with a single error-locator computation — no
+    subset enumeration, no identification round-trip.
 
-    ``corrupt_members`` injects a simple deterministic perturbation for
-    those device ids (tests); ``corrupt`` is an injector-style callable
-    ``(device_id, value) -> value`` applied to every partial — the
+    ``corrupt`` is an injector-style hook ``(device_id, value) ->
+    value`` applied to every partial — the
     :meth:`repro.faults.injector.FaultInjector.corrupt_partial` fault
     kind.  Returns ``(plaintext, flagged device ids)``; raises
-    :class:`~repro.errors.RobustDecodingError` if more members lie than
-    the code can correct (never a wrong plaintext).
+    :class:`~repro.errors.LivenessQuorumError` below ``threshold``
+    members and :class:`~repro.errors.RobustDecodingError` if more
+    members lie than the code can correct (never a wrong plaintext).
     """
     start = clock.perf_counter()
     members = committee.members
     if participating is not None:
         members = [m for m in members if m.device_id in participating]
-    if len(members) < committee.threshold + 1:
-        raise ProtocolError(
-            "error detection needs more members than the threshold"
+    if len(members) < committee.threshold:
+        raise LivenessQuorumError(
+            f"only {len(members)} members available, need "
+            f"{committee.threshold} for liveness"
         )
     profile = committee.profile
     ring = profile.ring
     with telemetry.span(
-        "committee.robust_decode",
+        "committee.decode",
         members=len(members),
         width=ring.n,
     ):
         smudges = shared_smudge_shares(
             members, profile, committee.threshold, rng
         )
-        bad = corrupt_members or set()
-        partials: list[PartialDecryption] = []
+        partials = []
         for member in members:
-            partial = robust_partial_decrypt(
+            value = partial_decrypt(
                 member, ciphertext, profile, smudges[member.share_index]
             )
-            value = partial.value
-            if member.device_id in bad:
-                value = value + RingElement.constant(
-                    ring, member.device_id + 1
-                )
             if corrupt is not None:
                 value = corrupt(member.device_id, value)
-            partials.append(
-                PartialDecryption(member.share_index, value)
-            )
-        indices = [p.share_index for p in partials]
-        rows = [
-            [p.value.coeffs[j] for p in partials] for j in range(ring.n)
-        ]
+            partials.append(value.coeffs)
+        # Row j holds every member's coefficient j: one codeword each.
         secrets, flagged_indices, stats = robust.batch_robust_reconstruct(
-            indices, rows, committee.threshold, profile.q
+            [m.share_index for m in members],
+            list(zip(*partials)),
+            committee.threshold,
+            profile.q,
         )
         coeffs = [
             (c0 + s) % profile.q
@@ -354,8 +259,9 @@ def robust_threshold_decrypt(
         ]
         plain = RingElement.from_coeffs(ring, coeffs).lift_mod(profile.t)
         plaintext = RingElement.from_coeffs(profile.plaintext_ring, plain)
-        device_by_index = {m.share_index: m.device_id for m in members}
-        flagged = {device_by_index[i] for i in flagged_indices}
+        flagged = {
+            m.device_id for m in members if m.share_index in flagged_indices
+        }
         telemetry.count("committee.decrypt.partials", len(partials))
         telemetry.count(
             "committee.robust.errors", stats.errors_corrected
@@ -367,7 +273,7 @@ def robust_threshold_decrypt(
                 stats.locator_computations - 1,
             )
         telemetry.observe(
-            "committee.robust.decode.seconds", clock.perf_counter() - start
+            "committee.decrypt.seconds", clock.perf_counter() - start
         )
     return plaintext, flagged
 
@@ -386,11 +292,12 @@ def decrypt_with_liveness_retry(
     ``availability_schedule[i]`` lists the member device ids online in
     attempt i (no churn to model = a single attempt).  ``corrupt``, the
     ``(device_id, value) -> value`` hook of a fault plan that names
-    corrupt members, selects the algorithm: without it
-    :func:`threshold_decrypt`, quorum ``threshold``; with it
-    :func:`robust_threshold_decrypt`, quorum ``threshold + 1`` (error
-    detection needs redundancy), which corrects through the liars and
-    flags them — the emergency-reshare trigger's input.
+    corrupt members, sets the quorum of the one
+    :func:`threshold_decrypt`: without it the first ``threshold``
+    present members; with it every present member and at least
+    ``threshold + 1`` (error detection needs redundancy), so the decoder
+    corrects through the liars and flags them — the emergency-reshare
+    trigger's input.
 
     Only liveness misses are retried.  Any *other* ``ProtocolError`` —
     a malformed ciphertext, a decode failure under corruption —
@@ -408,12 +315,9 @@ def decrypt_with_liveness_retry(
         if len(present) < needed:
             continue
         if corrupt is None:
-            plaintext = threshold_decrypt(
-                committee, ciphertext, rng, participating=present
-            )
-            return plaintext, attempt, set()
-        plaintext, flagged = robust_threshold_decrypt(
-            committee, ciphertext, rng, corrupt=corrupt, participating=present
+            present = present[: committee.threshold]
+        plaintext, flagged = threshold_decrypt(
+            committee, ciphertext, rng, participating=present, corrupt=corrupt
         )
         return plaintext, attempt, flagged
     raise LivenessQuorumError(
@@ -431,15 +335,28 @@ def committee_noise(
     num_values: int,
     scale: float,
     member_seeds: dict[int, int] | None = None,
+    *,
+    query_index: int,
+    group: int,
 ) -> list[float]:
     """Laplace draws agreed inside the MPC.
 
     Each member contributes a seed share; the XOR of shares seeds the
     sampler, so no single member (or the aggregator) controls or
-    predicts the noise.
+    predicts the noise.  A member's share hashes its secret key share
+    with the draw's coordinates (epoch, query ordinal, output group):
+    it cannot be recomputed from public values, no two draws repeat,
+    and a replayed phase reproduces the exact noise.  ``member_seeds``
+    replaces the shares.
     """
+    draw = [x.to_bytes(8, "big") for x in (committee.epoch, query_index, group)]
     seeds = member_seeds or {
-        m.device_id: random.Random(m.device_id ^ committee.epoch).getrandbits(64)
+        m.device_id: hash_to_int(
+            b"committee-noise-seed",
+            *draw,
+            *(v.to_bytes((v.bit_length() + 7) // 8, "big")
+              for v in m.key_share.values),
+        )
         for m in committee.members
     }
     combined = 0

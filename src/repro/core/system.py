@@ -370,7 +370,6 @@ class MyceliumSystem:
         ciphertext: bgv.Ciphertext,
         rng: random.Random,
         *,
-        participating: list[int] | None = None,
         schedule: list[list[int]] | None = None,
         corrupt=None,
     ) -> tuple[list[int], int, set[int]]:
@@ -378,17 +377,15 @@ class MyceliumSystem:
 
         The one decrypt entry for every driver.  ``schedule`` is a
         per-attempt availability schedule (§6.5 wait-and-retry); without
-        one there is a single attempt by ``participating`` (default: the
-        whole committee).  ``corrupt`` is the fault injector's
-        per-partial corruption hook, present exactly when the fault plan
-        names corrupt members, and selects the robust single-pass
-        decoder.  Returns ``(coefficients, attempts, flagged device
-        ids)``.
+        one there is a single attempt by the whole committee.
+        ``corrupt`` is the fault injector's per-partial corruption hook,
+        present exactly when the fault plan names corrupt members, and
+        raises the quorum to every present member (at least threshold +
+        1) so the decoder can correct and flag.  Returns
+        ``(coefficients, attempts, flagged device ids)``.
         """
         if schedule is None:
-            if participating is None:
-                participating = [m.device_id for m in self.committee.members]
-            schedule = [participating]
+            schedule = [[m.device_id for m in self.committee.members]]
         with telemetry.span("query.decrypt"):
             plaintext, attempts, flagged = (
                 committee_mod.decrypt_with_liveness_retry(
@@ -408,9 +405,13 @@ class MyceliumSystem:
     ) -> list[list[float]]:
         """The committee's in-MPC Laplace draws, one list per output group.
 
-        Deterministic given the committee epoch (the member seed shares
-        are derived from device id XOR epoch), so replaying this phase
-        after a crash reproduces the exact noise.
+        Each member's seed share hashes its secret key share with the
+        epoch, the query ordinal (``len(query_log)``, the campaign's
+        query index) and the group index, so no draw repeats and none
+        can be recomputed from public values.  Deterministic given the
+        committee's shares, so replaying this phase after a crash — or
+        the direct path beside the campaign — reproduces the exact
+        noise.
         """
         if plan.output is OutputKind.HISTO:
             widths = [
@@ -419,11 +420,15 @@ class MyceliumSystem:
             ]
         else:
             widths = [len(histogram_mod.decode_gsum(coefficients, plan))]
+        query_index = len(self.query_log)
         return [
-            committee_mod.committee_noise(self.committee, width, scale)
+            committee_mod.committee_noise(
+                self.committee, width, scale,
+                query_index=query_index, group=group,
+            )
             if scale
             else [0.0] * width
-            for width in widths
+            for group, width in enumerate(widths)
         ]
 
     def release_with_noise(

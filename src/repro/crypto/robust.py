@@ -5,12 +5,10 @@ Reed-Solomon codeword with minimum distance n - t + 1, so up to
 ``(n - t) // 2`` wrong shares can be corrected — and the wrong indices
 identified — in a single pass, with no identification round-trip and no
 subset enumeration (§5: "c + 1 honest nodes can detect any errors
-introduced by dishonest nodes").  This module implements:
+introduced by dishonest nodes").  With exactly ``t`` shares there is
+no redundancy, every received word is a codeword, and decoding *is*
+Lagrange interpolation.  This module implements:
 
-* :func:`robust_reconstruct` — Gao's decoder for one codeword: returns
-  ``(secret, flagged_indices)`` or raises
-  :class:`~repro.errors.RobustDecodingError` when too few honest shares
-  remain (never a wrong secret).
 * :class:`BatchOpener` — the amortized half: all per-index-set work
   (Lagrange weights at zero, evaluation weights at every non-base
   index) is computed once and reused across arbitrarily many openings
@@ -185,30 +183,6 @@ def _gao_decode(
     return message, flagged
 
 
-def robust_reconstruct(
-    shares: Sequence, threshold: int, field: int
-) -> tuple[int, set[int]]:
-    """Reconstruct a secret from ``n`` shares tolerating up to
-    ``(n - t) // 2`` wrong values, in one pass.
-
-    ``shares`` is any sequence of objects with ``.index``/``.value``
-    (e.g. :class:`repro.crypto.shamir.Share`) or ``(index, value)``
-    pairs.  Returns ``(secret, flagged_indices)`` where the flagged set
-    is exactly the indices whose values disagree with the decoded
-    polynomial.  Raises :class:`~repro.errors.RobustDecodingError` when
-    too few honest shares remain — never a wrong secret.
-    """
-    pairs = [
-        (s.index, s.value) if hasattr(s, "value") else (s[0], s[1])
-        for s in shares
-    ]
-    xs = [p[0] for p in pairs]
-    ys = [p[1] % field for p in pairs]
-    _validate_indices(xs, threshold)
-    message, flagged = _gao_decode(xs, ys, threshold, field)
-    return _poly_eval(message, 0, field), flagged
-
-
 # ---------------------------------------------------------------------------
 # Batch opening: amortize per-index-set work across many codewords
 # ---------------------------------------------------------------------------
@@ -334,6 +308,10 @@ def batch_robust_reconstruct(
     :class:`BatchOpener` weights, and each row's deviations are
     re-verified exactly so the flagged set is deterministic, not just
     overwhelmingly probable.
+
+    With exactly ``threshold`` indices there is no redundancy: every
+    word is a codeword, so each row is opened by interpolation, nothing
+    is flagged and no error locator is computed.
     """
     xs = list(indices)
     _validate_indices(xs, threshold)
@@ -347,6 +325,9 @@ def batch_robust_reconstruct(
             raise SecretSharingError(
                 f"row {j} has {len(row)} values for {n} share indices"
             )
+    if n == threshold:
+        opener = BatchOpener(xs, threshold, q)
+        return [opener.open(row) for row in rows], set(), BatchStats(width, 0, 0)
 
     weights = _fiat_shamir_weights(xs, rows, q, width)
     combined = [

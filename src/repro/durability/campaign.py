@@ -853,7 +853,7 @@ class CampaignRunner:
             ctx["plan"],
             ctx["aggregation"].ciphertext,
             rng,
-            participating=list(report.live),
+            schedule=[list(report.live)],
             corrupt=corrupt,
         )
         ctx["coefficients"] = coefficients

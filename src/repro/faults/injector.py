@@ -194,8 +194,9 @@ class FaultInjector:
     ) -> RingElement:
         """Per-value corruption hook: ``decrypt_phase(corrupt=...)``.
 
-        Passing it selects ``robust_threshold_decrypt`` behind the one
-        liveness loop and raises the quorum to ``threshold + 1``.
+        Passing it raises the quorum of the one liveness loop to every
+        present member, and at least ``threshold + 1``, so the decoder
+        has the redundancy to correct and flag.
 
         Members named in ``plan.corrupt_committee`` have every partial
         decryption perturbed by a seed-derived nonzero constant, so the

@@ -77,7 +77,7 @@ class FaultPlan:
     committee_dropouts: tuple[int, ...] = ()
     committee_offline_attempts: int = 2
     #: Committee members that return corrupted partial decryptions,
-    #: routed into ``robust_threshold_decrypt`` (§5).
+    #: corrected and flagged by ``threshold_decrypt`` (§5).
     corrupt_committee: tuple[int, ...] = ()
     #: Process-level coordinator kills: ``(query_index, phase)`` pairs.
     #: The campaign runner raises :class:`repro.errors.CoordinatorCrash`

@@ -286,12 +286,6 @@ METRICS: dict[str, MetricSpec] = _specs(
         buckets=(1.0, 16.0, 64.0, 256.0, 1024.0, 4096.0),
     ),
     MetricSpec(
-        "committee.robust.decode.seconds", HISTOGRAM, "seconds",
-        "wall-clock duration of one robust batch decode (partials, "
-        "error locator, and batch opening)",
-        buckets=TIME_BUCKETS,
-    ),
-    MetricSpec(
         "committee.robust.fallbacks", COUNTER, "rows",
         "batch rows that failed the shared-locator consistency check "
         "and needed their own Gao decode (extra error locators)",
@@ -618,11 +612,12 @@ SPANS: dict[str, SpanSpec] = {
             "committee threshold decryption of the global ciphertext",
         ),
         SpanSpec(
-            "committee.robust_decode", "query.decrypt",
-            "single-pass Reed-Solomon robust decode of all ring "
-            "coefficients as one batch: codeword partials, shared error "
-            "locator, flagged-member identification; "
-            "attributes: members, width",
+            "committee.decode", "query.decrypt",
+            "the one threshold decryption: codeword partials from every "
+            "given member, all ring coefficients opened as one "
+            "Reed-Solomon batch (interpolation at exactly threshold "
+            "members; one shared error locator and flagged-member "
+            "identification above it); attributes: members, width",
         ),
         SpanSpec(
             "query.release", "query.run",

@@ -1,12 +1,13 @@
 """Committee tests: threshold decryption, in-MPC noise, VSR rotation."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.core import committee as committee_mod
 from repro.crypto import bgv
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, RobustDecodingError
 from repro.params import TEST
 
 
@@ -49,15 +50,18 @@ class TestThresholdDecryption:
     def test_matches_direct_decryption(self, shared, rng):
         secret, public, committee = shared
         ct = bgv.encrypt_monomial(public, 9, rng)
-        via_committee = committee_mod.threshold_decrypt(committee, ct, rng)
+        via_committee, flagged = committee_mod.threshold_decrypt(
+            committee, ct, rng
+        )
         direct = bgv.decrypt(secret, ct)
         assert via_committee.coeffs == direct.coeffs
+        assert flagged == set()
 
     def test_any_threshold_subset_works(self, shared, rng):
         secret, public, committee = shared
         ct = bgv.encrypt_monomial(public, 5, rng)
         for participating in ([3, 8], [8, 11], [3, 11]):
-            plain = committee_mod.threshold_decrypt(
+            plain, _ = committee_mod.threshold_decrypt(
                 committee, ct, rng, participating=participating
             )
             assert plain.coeffs == bgv.decrypt(secret, ct).coeffs
@@ -75,7 +79,7 @@ class TestThresholdDecryption:
         total = bgv.encrypt_monomial(public, 2, rng)
         for _ in range(4):
             total = bgv.add(total, bgv.encrypt_monomial(public, 2, rng))
-        plain = committee_mod.threshold_decrypt(committee, total, rng)
+        plain, _ = committee_mod.threshold_decrypt(committee, total, rng)
         assert plain.coeffs[2] == 5
 
     def test_requires_degree_one(self, shared, rng):
@@ -88,31 +92,57 @@ class TestThresholdDecryption:
             committee_mod.threshold_decrypt(committee, prod, rng)
 
 
+def noise(committee, seeds=None, query_index=0, group=0, count=5, scale=2.0):
+    return committee_mod.committee_noise(
+        committee, count, scale, seeds, query_index=query_index, group=group
+    )
+
+
 class TestCommitteeNoise:
     def test_deterministic_for_same_seeds(self, shared):
         _, _, committee = shared
         seeds = {3: 111, 8: 222, 11: 333}
-        a = committee_mod.committee_noise(committee, 5, 2.0, seeds)
-        b = committee_mod.committee_noise(committee, 5, 2.0, seeds)
-        assert a == b
+        assert noise(committee, seeds) == noise(committee, seeds)
+
+    def test_deterministic_for_same_draw(self, shared):
+        _, _, committee = shared
+        assert noise(committee, query_index=4, group=2) == noise(
+            committee, query_index=4, group=2
+        )
 
     def test_single_member_cannot_control(self, shared):
         """Changing any one member's seed changes the noise — no member
         can steer it alone."""
         _, _, committee = shared
         base = {3: 1, 8: 2, 11: 3}
-        reference = committee_mod.committee_noise(committee, 3, 2.0, base)
+        reference = noise(committee, base, count=3)
         for member in base:
             changed = dict(base)
             changed[member] = 999
-            assert committee_mod.committee_noise(
-                committee, 3, 2.0, changed
-            ) != reference
+            assert noise(committee, changed, count=3) != reference
 
     def test_count_and_zero_scale(self, shared):
         _, _, committee = shared
-        noise = committee_mod.committee_noise(committee, 7, 0.0)
-        assert noise == [0.0] * 7
+        assert noise(committee, count=7, scale=0.0) == [0.0] * 7
+
+    def test_every_draw_coordinate_changes_the_noise(self, shared):
+        _, _, committee = shared
+        reference = noise(committee)
+        assert noise(committee, query_index=1) != reference
+        assert noise(committee, group=1) != reference
+        rotated = dataclasses.replace(committee, epoch=1)
+        assert noise(rotated) != reference
+
+    def test_geneses_with_the_same_member_ids_draw_different_noise(
+        self, shared
+    ):
+        """The seed shares come from the secret key shares, not from the
+        public member ids."""
+        secret, _, committee = shared
+        other = committee_mod.genesis_share_key(
+            secret, member_ids=[3, 8, 11], threshold=2, rng=random.Random(78)
+        )
+        assert noise(other) != noise(committee)
 
 
 class TestRotation:
@@ -122,30 +152,42 @@ class TestRotation:
         new = committee_mod.rotate_committee(
             committee, new_member_ids=[1, 5, 9], new_threshold=2, rng=rng
         )
-        plain = committee_mod.threshold_decrypt(new, ct, rng)
+        plain, _ = committee_mod.threshold_decrypt(new, ct, rng)
         assert plain.coeffs == bgv.decrypt(secret, ct).coeffs
         assert new.epoch == committee.epoch + 1
 
-    def test_cross_epoch_shares_useless(self, shared, rng):
-        """Members of different committees cannot pool shares (§4.2)."""
+    def _mixed_epochs(self, shared, rng, old_members):
+        """A committee pooling ``old_members`` of epoch 0 with the
+        next-index member of epoch 1."""
         secret, public, committee = shared
         new = committee_mod.rotate_committee(
             committee, new_member_ids=[1, 5, 9], new_threshold=2, rng=rng
         )
-        ct = bgv.encrypt_monomial(public, 7, rng)
-        from repro.crypto import shamir
+        mixed = dataclasses.replace(
+            committee,
+            members=[
+                *committee.members[:old_members],
+                new.members[old_members],
+            ],
+        )
+        return secret, bgv.encrypt_monomial(public, 7, rng), mixed
 
-        mixed_partials = []
-        lagrange = shamir.lagrange_coefficients_at_zero([1, 2], TEST.q)
-        for member, coeff in (
-            (committee.members[0], lagrange[1]),
-            (new.members[1], lagrange[2]),
-        ):
-            mixed_partials.append(
-                committee_mod.partial_decrypt(member, ct, TEST, coeff, rng)
-            )
-        plain = committee_mod.combine_partials(ct, mixed_partials, TEST)
+    def test_cross_epoch_shares_decode_wrong_at_threshold(
+        self, shared, rng
+    ):
+        """Members of different committees cannot pool shares (§4.2):
+        with no redundancy every word decodes, to the wrong plaintext."""
+        secret, ct, mixed = self._mixed_epochs(shared, rng, 1)
+        plain, flagged = committee_mod.threshold_decrypt(mixed, ct, rng)
         assert plain.coeffs != bgv.decrypt(secret, ct).coeffs
+        assert flagged == set()
+
+    def test_cross_epoch_shares_refused_above_threshold(self, shared, rng):
+        """One member past the threshold detects the pooled shares: no
+        degree-1 polynomial explains the word, so decoding refuses."""
+        _, ct, mixed = self._mixed_epochs(shared, rng, 2)
+        with pytest.raises(RobustDecodingError):
+            committee_mod.threshold_decrypt(mixed, ct, rng)
 
     def test_corrupt_dealer_tolerated(self, shared, rng):
         secret, public, committee = shared
@@ -157,7 +199,7 @@ class TestRotation:
             corrupt_dealers={committee.members[0].device_id},
         )
         ct = bgv.encrypt_monomial(public, 4, rng)
-        plain = committee_mod.threshold_decrypt(new, ct, rng)
+        plain, _ = committee_mod.threshold_decrypt(new, ct, rng)
         assert plain.coeffs == bgv.decrypt(secret, ct).coeffs
 
     def test_new_shares_verify(self, shared, rng):

@@ -27,10 +27,22 @@ def shared():
     return rng, secret, public, committee, ct
 
 
+def lie(*liars):
+    """A corruption hook: each listed member's partial is off by its
+    device id plus one."""
+
+    def corrupt(device_id, value):
+        if device_id in liars:
+            return value + type(value).constant(value.params, device_id + 1)
+        return value
+
+    return corrupt
+
+
 class TestRobustDecryption:
     def test_all_honest(self, shared):
         rng, secret, _, committee, ct = shared
-        plaintext, flagged = committee_mod.robust_threshold_decrypt(
+        plaintext, flagged = committee_mod.threshold_decrypt(
             committee, ct, rng
         )
         assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs
@@ -38,8 +50,8 @@ class TestRobustDecryption:
 
     def test_one_corrupt_member_detected(self, shared):
         rng, secret, _, committee, ct = shared
-        plaintext, flagged = committee_mod.robust_threshold_decrypt(
-            committee, ct, rng, corrupt_members={4}
+        plaintext, flagged = committee_mod.threshold_decrypt(
+            committee, ct, rng, corrupt=lie(4)
         )
         assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs
         assert flagged == {4}
@@ -49,24 +61,27 @@ class TestRobustDecryption:
         (4 - 2) // 2 = 1: one lying member is corrected through — and
         the answer is always the true plaintext."""
         rng, secret, _, committee, ct = shared
-        plaintext, flagged = committee_mod.robust_threshold_decrypt(
-            committee, ct, rng, corrupt_members={9}
+        plaintext, flagged = committee_mod.threshold_decrypt(
+            committee, ct, rng, corrupt=lie(9)
         )
         assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs
         assert 9 in flagged
 
     def test_too_small_committee_rejected(self, shared):
+        """A corruption hook needs threshold + 1 members to detect."""
         rng, secret, _, _, ct = shared
         tiny = committee_mod.genesis_share_key(
             secret, member_ids=[1, 2], threshold=2, rng=random.Random(5)
         )
         with pytest.raises(ProtocolError):
-            committee_mod.robust_threshold_decrypt(tiny, ct, rng)
+            committee_mod.decrypt_with_liveness_retry(
+                tiny, ct, rng, [[1, 2]], corrupt=lie()
+            )
 
 
 class TestLivenessRetry:
-    """The single liveness wrapper without a corruption hook: plain
-    threshold decryption, quorum = threshold."""
+    """The single liveness wrapper without a corruption hook: the first
+    threshold present members decode, quorum = threshold."""
 
     def test_retries_until_quorum(self, shared):
         """§6.5: wait for members to return, then retry."""
@@ -113,7 +128,9 @@ class TestLivenessRetry:
         ``except ProtocolError: continue`` behaviour."""
         rng, _, _, committee, ct = shared
 
-        def poisoned(committee, ciphertext, rng, participating=None):
+        def poisoned(
+            committee, ciphertext, rng, participating=None, corrupt=None
+        ):
             raise ProtocolError("decode failed under corruption")
 
         monkeypatch.setattr(
@@ -127,14 +144,14 @@ class TestLivenessRetry:
 
 
 def honest(device_id, value):
-    """A corruption hook that corrupts nobody: selects the robust
-    algorithm (and its redundant quorum) without injecting a lie."""
+    """A corruption hook that corrupts nobody: raises the quorum to the
+    redundant one without injecting a lie."""
     return value
 
 
 class TestRobustLivenessRetry:
-    """The same wrapper with a corruption hook: robust decoding,
-    quorum = threshold + 1."""
+    """The same wrapper with a corruption hook: every present member
+    decodes, quorum = threshold + 1."""
 
     def test_waits_for_redundant_quorum_then_flags(self, shared):
         """Robust retry needs threshold + 1 present (redundancy for
@@ -181,9 +198,9 @@ class TestRobustLivenessRetry:
             )
 
     def test_quorum_follows_the_corruption_hook(self, shared):
-        """The same schedule that starves the robust decoder (t members
-        online, t + 1 needed) is a quorum for plain decryption: the
-        hook alone moves the bar."""
+        """The same schedule that starves a hooked decode (t members
+        online, t + 1 needed) is a quorum without the hook: the hook
+        alone moves the bar."""
         rng, secret, _, committee, ct = shared
         plaintext, attempts, flagged = (
             committee_mod.decrypt_with_liveness_retry(

@@ -38,7 +38,7 @@ def _decrypts_correctly(secret, public, committee, rng) -> None:
     ids = [m.device_id for m in committee.members]
     for drop in range(len(ids)):
         participating = ids[:drop] + ids[drop + 1 :]
-        plain = committee_mod.threshold_decrypt(
+        plain, _ = committee_mod.threshold_decrypt(
             committee, ct, rng, participating=participating
         )
         assert plain.coeffs == expected, (

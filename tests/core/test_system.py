@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from repro.core import committee as committee_mod
 from repro.engine.malicious import Behavior
 from repro.errors import NoiseBudgetExceeded, PrivacyBudgetExceeded
 from repro.query.ast import OutputKind
@@ -77,6 +78,69 @@ class TestEndToEnd:
         before = len(system.query_log)
         system.run_query(CATALOG["Q4"], graph, epsilon=0.5, noiseless=True)
         assert len(system.query_log) == before + 1
+
+
+class TestReleaseNoise:
+    """The committee's Laplace noise is secret and never repeats: it
+    cannot be recomputed from public values, and no two draws of one
+    committee coincide."""
+
+    @pytest.fixture(scope="class")
+    def releases(self):
+        system = build_system(seed=70, people=8, degree=2)
+        graph = build_epidemic_graph(seed=71, people=8, degree=2)
+        truth = system.run_query(
+            CATALOG["Q5"], graph, epsilon=0.5, noiseless=True
+        )
+        noisy = [
+            system.run_query(CATALOG["Q5"], graph, epsilon=0.5)
+            for _ in range(2)
+        ]
+        noise = [
+            [
+                [r - t for r, t in zip(group.counts, true.counts)]
+                for group, true in zip(result.groups, truth.groups)
+            ]
+            for result in noisy
+        ]
+        return system, noisy, noise
+
+    def test_queries_in_one_epoch_draw_different_noise(self, releases):
+        system, noisy, noise = releases
+        assert system.committee.epoch == 0
+        assert noisy[0].metadata.noise_scale > 0
+        assert noise[0] != noise[1]
+
+    def test_groups_of_one_query_draw_different_noise(self, releases):
+        _, _, noise = releases
+        groups = noise[0]
+        assert len(groups) > 1
+        assert all(a != b for a, b in zip(groups, groups[1:]))
+
+    def test_public_values_do_not_remove_the_noise(self, releases):
+        """Seeds computable from the member ids and the epoch (the
+        published committee) leave non-integers in the release."""
+        system, noisy, _ = releases
+        committee = system.committee
+        public_seeds = {
+            m.device_id: random.Random(
+                m.device_id ^ committee.epoch
+            ).getrandbits(64)
+            for m in committee.members
+        }
+        residue = [
+            c - n
+            for group in noisy[0].groups
+            for c, n in zip(
+                group.counts,
+                committee_mod.committee_noise(
+                    committee, len(group.counts),
+                    noisy[0].metadata.noise_scale,
+                    public_seeds, query_index=0, group=0,
+                ),
+            )
+        ]
+        assert any(r != round(r) for r in residue)
 
 
 class TestBudgetEnforcement:

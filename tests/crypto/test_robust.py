@@ -4,7 +4,7 @@ The decoder's contract is sharp — correct through exactly
 ``(n - t) // 2`` wrong shares and flag their indices, *raise* (never
 answer wrongly) past that radius, reject malformed index sets, and
 amortize the error-locator work to one Gao run per batch regardless of
-width.
+width (none at all at exactly ``t`` shares).
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 from repro.core import committee as committee_mod
 from repro.crypto import bgv, robust, shamir
 from repro.errors import RobustDecodingError, SecretSharingError
-from repro.params import TEST
+from repro.params import SMALL, TEST
 from repro.runtime import TaskFabric, backends
 
 #: A small prime large enough that random collisions cannot fake a
@@ -24,6 +24,15 @@ FIELD = (1 << 61) - 1
 
 def _shares(secret, threshold, n, rng):
     return shamir.share_secret(secret, threshold, n, FIELD, rng)
+
+
+def _decode_one(points, threshold):
+    """Decode a single codeword as a width-1 batch."""
+    indices = [x for x, _ in points]
+    secrets, flagged, _ = robust.batch_robust_reconstruct(
+        indices, [[y for _, y in points]], threshold, FIELD
+    )
+    return secrets[0], flagged
 
 
 class TestUniqueDecodingRadius:
@@ -41,9 +50,7 @@ class TestUniqueDecodingRadius:
                 else (s.index, s.value)
                 for i, s in enumerate(shares)
             ]
-            decoded, flagged = robust.robust_reconstruct(
-                corrupted, threshold, FIELD
-            )
+            decoded, flagged = _decode_one(corrupted, threshold)
             assert decoded == secret
             assert flagged == {shares[i].index for i in bad}
 
@@ -66,9 +73,7 @@ class TestUniqueDecodingRadius:
                 for i, s in enumerate(shares)
             ]
             try:
-                decoded, _ = robust.robust_reconstruct(
-                    corrupted, threshold, FIELD
-                )
+                decoded, _ = _decode_one(corrupted, threshold)
             except RobustDecodingError:
                 raised += 1
             else:
@@ -84,13 +89,15 @@ class TestUniqueDecodingRadius:
             (x, (a[0] + a[1] * x) % FIELD) for x in (1, 2, 3)
         ] + [(x, (b[0] + b[1] * x) % FIELD) for x in (4, 5)]
         with pytest.raises(RobustDecodingError):
-            robust.robust_reconstruct(points, 2, FIELD)
+            _decode_one(points, 2)
 
     def test_honest_shares_flag_nothing(self):
         rng = random.Random(17)
         secret = rng.randrange(FIELD)
         shares = _shares(secret, 3, 8, rng)
-        decoded, flagged = robust.robust_reconstruct(shares, 3, FIELD)
+        decoded, flagged = _decode_one(
+            [(s.index, s.value) for s in shares], 3
+        )
         assert decoded == secret
         assert flagged == set()
 
@@ -98,27 +105,21 @@ class TestUniqueDecodingRadius:
 class TestDegenerateIndexSets:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(SecretSharingError):
-            robust.robust_reconstruct(
-                [(1, 5), (2, 6), (2, 7), (4, 8)], 2, FIELD
-            )
+            _decode_one([(1, 5), (2, 6), (2, 7), (4, 8)], 2)
 
     def test_zero_index_rejected(self):
         """Index 0 would place a share at the secret's own evaluation
         point."""
         with pytest.raises(SecretSharingError):
-            robust.robust_reconstruct(
-                [(0, 5), (1, 6), (2, 7)], 2, FIELD
-            )
+            _decode_one([(0, 5), (1, 6), (2, 7)], 2)
 
     def test_negative_index_rejected(self):
         with pytest.raises(SecretSharingError):
-            robust.robust_reconstruct(
-                [(-1, 5), (1, 6), (2, 7)], 2, FIELD
-            )
+            _decode_one([(-1, 5), (1, 6), (2, 7)], 2)
 
     def test_too_few_shares_raise_decoding_error(self):
         with pytest.raises(RobustDecodingError):
-            robust.robust_reconstruct([(1, 5)], 2, FIELD)
+            _decode_one([(1, 5)], 2)
 
     def test_batch_duplicate_indices_rejected(self):
         with pytest.raises(SecretSharingError):
@@ -173,6 +174,17 @@ class TestBatchOpening:
         assert stats.locator_computations == 1
         assert stats.errors_corrected == 3 * 4096
 
+    def test_exactly_threshold_shares_need_no_locator(self):
+        """No redundancy: every word is a codeword, so the opening is
+        interpolation — nothing flagged, no Gao run."""
+        secrets, indices, rows, _ = self._batch(64, 3, 3, 0, seed=37)
+        decoded, flagged, stats = robust.batch_robust_reconstruct(
+            indices, rows, 3, FIELD
+        )
+        assert decoded == secrets
+        assert flagged == set()
+        assert (stats.width, stats.locator_computations) == (64, 0)
+
     def test_empty_batch(self):
         decoded, flagged, stats = robust.batch_robust_reconstruct(
             [1, 2, 3], [], 2, FIELD
@@ -187,11 +199,85 @@ class TestBatchOpening:
             robust.batch_robust_reconstruct(indices, rows, 2, FIELD)
 
 
+@pytest.fixture(
+    scope="module",
+    params=[
+        pytest.param(TEST, id="test"),
+        pytest.param(SMALL, id="small", marks=pytest.mark.slow),
+    ],
+)
+def genesis(request):
+    """A 2-of-3 committee sharing a fresh key, and one ciphertext."""
+    setup = random.Random(431)
+    secret, public = bgv.keygen(request.param, setup)
+    committee = committee_mod.genesis_share_key(
+        secret, member_ids=[4, 6, 9], threshold=2, rng=setup
+    )
+    return secret, committee, bgv.encrypt_monomial(public, 17, setup)
+
+
+class TestOneDecoder:
+    """The one decryption algorithm against the two independent
+    oracles: Shamir reconstruction of every coefficient, and direct
+    secret-key decryption."""
+
+    @pytest.mark.parametrize("backend", backends.available_backends())
+    def test_threshold_members_open_by_interpolation(
+        self, genesis, backend
+    ):
+        secret, committee, ct = genesis
+        profile = committee.profile
+        chosen = committee.members[: committee.threshold]
+        with backends.use_backend(backend):
+            smudges = committee_mod.shared_smudge_shares(
+                chosen, profile, committee.threshold, random.Random(5)
+            )
+            partials = [
+                committee_mod.partial_decrypt(
+                    m, ct, profile, smudges[m.share_index]
+                )
+                for m in chosen
+            ]
+            plain, flagged = committee_mod.threshold_decrypt(
+                committee, ct, random.Random(5),
+                participating=[m.device_id for m in chosen],
+            )
+        indices = [m.share_index for m in chosen]
+        rows = [
+            [p.coeffs[j] for p in partials] for j in range(profile.n)
+        ]
+        opened, flagged_indices, stats = robust.batch_robust_reconstruct(
+            indices, rows, committee.threshold, profile.q
+        )
+        assert opened == [
+            shamir.reconstruct_secret(
+                [shamir.Share(i, v) for i, v in zip(indices, row)],
+                profile.q,
+            )
+            for row in rows
+        ]
+        assert (flagged_indices, stats.locator_computations) == (set(), 0)
+        assert flagged == set()
+        assert plain.coeffs == bgv.decrypt(secret, ct).coeffs
+
+    @pytest.mark.parametrize("backend", backends.available_backends())
+    def test_redundant_members_match_direct_decryption(
+        self, genesis, backend
+    ):
+        secret, committee, ct = genesis
+        with backends.use_backend(backend):
+            plain, flagged = committee_mod.threshold_decrypt(
+                committee, ct, random.Random(6)
+            )
+        assert plain.coeffs == bgv.decrypt(secret, ct).coeffs
+        assert flagged == set()
+
+
 class TestCrossBackendDeterminism:
     def test_bit_identical_across_backends_and_workers(self):
-        """The full robust decryption path — partials, smudging, batch
-        decode — must produce the same plaintext bits and flagged set
-        on every compute backend at every worker count."""
+        """The full decryption path — partials, smudging, batch decode —
+        must produce the same plaintext bits and flagged set on every
+        compute backend at every worker count."""
         setup = random.Random(643)
         secret, public = bgv.keygen(TEST, setup)
         committee = committee_mod.genesis_share_key(
@@ -199,19 +285,19 @@ class TestCrossBackendDeterminism:
         )
         ct = bgv.encrypt_monomial(public, 9, setup)
 
+        def lie(device_id, value):
+            if device_id == 5:
+                return value + type(value).constant(value.params, 6)
+            return value
+
         outcomes = []
         for backend in backends.available_backends():
             for workers in (1, 2):
                 with backends.use_backend(backend), TaskFabric(
                     workers=workers, chunk_size=2
                 ):
-                    plaintext, flagged = (
-                        committee_mod.robust_threshold_decrypt(
-                            committee,
-                            ct,
-                            random.Random(99),
-                            corrupt_members={5},
-                        )
+                    plaintext, flagged = committee_mod.threshold_decrypt(
+                        committee, ct, random.Random(99), corrupt=lie
                     )
                 outcomes.append((tuple(plaintext.coeffs), flagged))
         assert len(outcomes) >= 2

@@ -5,9 +5,10 @@ thing, because they are the same phase methods (ROADMAP 6a, first slice).
 campaign journals one at a time, and both assemble ``QueryMetadata``
 through ``MyceliumSystem.query_metadata``.  Same master seed, same
 catalog query, same epsilon ⇒ the serialized releases are equal field
-for field: committee noise is a function of members and epoch, and
-homomorphic sums are exact, so the differing encryption randomness
-cannot show.
+for field: committee noise is a function of the members' key shares,
+the epoch, the query ordinal and the output group — all equal on both
+paths — and homomorphic sums are exact, so the differing encryption
+randomness cannot show.
 """
 
 from __future__ import annotations

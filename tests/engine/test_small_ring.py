@@ -65,5 +65,5 @@ def test_small_ring_threshold_decryption():
         secret, member_ids=[1, 2, 3], threshold=2, rng=rng
     )
     ct = bgv.encrypt_monomial(public, 321, rng)
-    plain = committee_mod.threshold_decrypt(committee, ct, rng)
+    plain, _ = committee_mod.threshold_decrypt(committee, ct, rng)
     assert plain.coeffs[321] == 1
