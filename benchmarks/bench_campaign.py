@@ -61,7 +61,6 @@ def _no_journal_baseline() -> None:
             forwarder_fraction=0.3,
         ),
         schema=scaled_schema(),
-        keep_genesis_secret=False,
     )
     graph = build_campaign_graph(PEOPLE, DEGREE, derive_rng(SEED, "workload"))
     for name, epsilon in QUERIES:

@@ -4,12 +4,8 @@ Covers the whole §4 stack at simulation scale: encrypted vertex
 program, proof verification, relinearization + summation, threshold
 decryption, noise, release.
 
-The offline/online split axis (``test_offline_online_split``) measures
-the served-latency lever of ``src/repro/offline``: the same query, once
-paying all query-independent crypto inline and once consuming
-precomputed pools.  Full mode runs at the SMALL ring, quick mode (the
-CI smoke) at the TEST ring; both check bit-identity and report the
-ratio::
+The inline-ring axis (``test_inline_query_at_ring``) times the same
+one-hop query at the SMALL ring (quick mode: the TEST ring)::
 
     PYTHONPATH=src python benchmarks/bench_e2e_query.py --quick
 """
@@ -85,22 +81,12 @@ def _quick() -> bool:
     return os.environ.get("MYCELIUM_BENCH_QUICK") == "1"
 
 
-def test_offline_online_split(benchmark, report):
-    """Inline vs offline+online latency for one full private query.
-
-    Both arms run ``noiseless=True`` with a pinned ``submission_seed``,
-    so the released group values must be *identical* — the offline
-    phase's bit-identity contract, asserted here end to end.  The
-    content-keyed product cache is cleared before each timed arm so
-    neither inherits the other's work.  The ratio is reported, not
-    gated: the inline arm relinearizes in the evaluation domain too, so
-    what the split still buys is the leaf encryptions' ring products
-    (the perf ledger, ``perf/``, is where speed is gated).
-    """
+def test_inline_query_at_ring(benchmark, report):
+    """One full private query, every leaf encrypted inline, at the
+    SMALL ring (TEST in quick mode), with a pinned ``submission_seed``."""
     import random
 
     from repro.core.system import MyceliumSystem
-    from repro.offline.store import OfflineStore
     from repro.params import SMALL, TEST, SystemParameters
     from repro.query.schema import scaled_schema
     from repro.runtime import backends
@@ -121,53 +107,30 @@ def test_offline_online_split(benchmark, report):
         total_epsilon=1000.0,
     )
     graph = build_epidemic_graph(seed=71, people=people, degree=3)
-
-    backends.clear_multiply_cache()
-    started = time.perf_counter()
-    inline_result = system.run_query(
-        query, graph, epsilon=1.0, noiseless=True, runtime=runtime,
-        submission_seed=master,
-    )
-    inline_seconds = time.perf_counter() - started
-
-    # The offline phase: pools of per-origin encryption randomness,
-    # outside the timed window.  (Relinearization folds against the key
-    # set's own resident forms in both arms.)
-    store = OfflineStore(system.public_key)
-    started = time.perf_counter()
-    store.ensure_encryption_pools(
-        system.public_key, master, range(people), 4
-    )
-    offline_seconds = time.perf_counter() - started
-
     backends.clear_multiply_cache()
 
-    def run_online():
+    def run():
         return system.run_query(
             query, graph, epsilon=1.0, noiseless=True, runtime=runtime,
-            offline_store=store, submission_seed=master,
+            submission_seed=master,
         )
 
     started = time.perf_counter()
-    pooled_result = benchmark.pedantic(run_online, rounds=1, iterations=1)
-    online_seconds = time.perf_counter() - started
-
-    speedup = inline_seconds / online_seconds
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    seconds = time.perf_counter() - started
     mode = "quick" if _quick() else "full"
     report(
         *format_table(
-            f"Offline/online split ({mode}, {profile.name.upper()} ring, "
+            f"Inline query ({mode}, {profile.name.upper()} ring, "
             f"backend={backend}, {people} devices)",
-            ["arm", "seconds"],
+            ["metric", "value"],
             [
-                ["inline (no offline phase)", inline_seconds],
-                ["offline precompute (untimed arm)", offline_seconds],
-                ["online (pools)", online_seconds],
-                ["speedup (inline / online)", speedup],
+                ["seconds", seconds],
+                ["contributing origins", result.metadata.contributing_origins],
             ],
         )
     )
-    assert pooled_result.groups == inline_result.groups
+    assert result.metadata.contributing_origins == graph.num_vertices
 
 
 def test_end_to_end_ratio_query(benchmark, report):
@@ -202,7 +165,7 @@ if __name__ == "__main__":
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="TEST-ring smoke for CI (the offline split runs at TEST, not SMALL)",
+        help="TEST-ring smoke (the inline-ring axis runs at TEST, not SMALL)",
     )
     cli_args = parser.parse_args()
     if cli_args.quick:

@@ -32,6 +32,7 @@ from repro.analysis.goodput import message_success
 from repro.core import committee as committee_mod
 from repro.core.system import MyceliumSystem
 from repro.crypto import bgv
+from repro.crypto.polyring import RingElement
 from repro.engine import histogram as histogram_mod
 from repro.engine import plaintext as plaintext_mod
 from repro.errors import MyceliumError, RobustDecodingError
@@ -171,7 +172,8 @@ def _committee_probe(
     rng = derive_rng(seed, "adversary", profile.name, "probe")
     exponent = rng.randrange(system.profile.n)
     ciphertext = bgv.encrypt_monomial(system.public_key, exponent, rng)
-    oracle = bgv.decrypt(system._genesis_secret, ciphertext)
+    # The probe encrypted x^exponent itself: that monomial is the oracle.
+    oracle = RingElement.monomial(system.profile.plaintext_ring, exponent)
     radius = (len(member_ids) - system.committee.threshold) // 2
     injector = FaultInjector(
         profile.fault_plan(

@@ -15,8 +15,8 @@ from repro.workloads.graphgen import ContactGraph
 #: The trial families the harness audits.
 TRIAL_KINDS = (
     "equivalence", "budget", "sensitivity", "shamir", "mixnet", "crash",
-    "robust", "flagging", "shard_equivalence", "offline_equivalence",
-    "byzantine_survival", "quarantine_soundness",
+    "robust", "flagging", "shard_equivalence", "byzantine_survival",
+    "quarantine_soundness",
 )
 
 
@@ -106,10 +106,6 @@ class TrialCase:
     #: Shard count for shard_equivalence trials: the aggregator at this
     #: K must be bit-identical to itself at K=1.
     shards: int = 1
-    #: Pool size for offline_equivalence trials — deliberately small so
-    #: some trials exhaust their pools and exercise the same-chain
-    #: refill path mid-run.
-    pool_entries: int = 4
     # -- budget ------------------------------------------------------------
     total_epsilon: float = 1.0
     epsilons: tuple[float, ...] = ()
@@ -148,7 +144,6 @@ class TrialCase:
             "backend": self.backend,
             "workers": self.workers,
             "shards": self.shards,
-            "pool_entries": self.pool_entries,
             "total_epsilon": self.total_epsilon,
             "epsilons": list(self.epsilons),
             "per_query_epsilon": self.per_query_epsilon,
@@ -181,7 +176,6 @@ class TrialCase:
             backend=data.get("backend", "pure"),
             workers=int(data.get("workers", 1)),
             shards=int(data.get("shards", 1)),
-            pool_entries=int(data.get("pool_entries", 4)),
             total_epsilon=float(data.get("total_epsilon", 1.0)),
             epsilons=tuple(float(e) for e in data.get("epsilons", ())),
             per_query_epsilon=float(data.get("per_query_epsilon", 0.1)),

@@ -121,8 +121,6 @@ def _kind_for_index(index: int) -> str:
         return "flagging"
     if index % 12 == 2:
         return "shard_equivalence"
-    if index % 12 == 4:
-        return "offline_equivalence"
     if index % 24 == 8:
         return "byzantine_survival"
     if index % 24 == 20:
@@ -276,22 +274,13 @@ def generate_case(
     )
     offline: tuple[int, ...] = ()
     behaviors: dict[int, str] = {}
-    if (
-        kind in ("equivalence", "shard_equivalence", "offline_equivalence")
-        and plan.hops == 1
-    ):
+    if kind in ("equivalence", "shard_equivalence") and plan.hops == 1:
         offline, behaviors = _random_faults(rng, len(graph.vertices))
     backend = rng.choice(_backends()) if _backends() else "pure"
-    workers = 2 if (
-        kind in ("equivalence", "offline_equivalence")
-        and rng.random() < 0.2
-    ) else 1
+    workers = 2 if kind == "equivalence" and rng.random() < 0.2 else 1
     # Deliberately allowed to exceed the vertex count: trailing empty
     # shards must be a no-op at the reduction root.
     shards = rng.choice((2, 3, 5, 8)) if kind == "shard_equivalence" else 1
-    # Small enough that multi-hop trials exhaust their pools and refill
-    # along the same derivation chain mid-run.
-    pool_entries = rng.choice((1, 2, 4)) if kind == "offline_equivalence" else 4
     return TrialCase(
         kind=kind,
         seed=seed,
@@ -303,5 +292,4 @@ def generate_case(
         backend=backend,
         workers=workers,
         shards=shards,
-        pool_entries=pool_entries,
     )

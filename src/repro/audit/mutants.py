@@ -119,18 +119,6 @@ def _shard_equivalence_case(seed: int, shards: int = 3) -> TrialCase:
     )
 
 
-def _offline_equivalence_case(seed: int, pool_entries: int = 2) -> TrialCase:
-    # pool_entries below the per-origin draw count, so the same-chain
-    # refill path is part of what the mutant must not be able to hide in.
-    return TrialCase(
-        kind="offline_equivalence",
-        seed=seed,
-        query="SELECT HISTO(COUNT(*)) FROM neigh(1)",
-        graph=_k4_graph(),
-        pool_entries=pool_entries,
-    )
-
-
 def _quarantine_case(seed: int) -> TrialCase:
     # One persistent forged-proof attacker and one claim tamperer over
     # three queries: both must be quarantined by query 2, so a ledger
@@ -270,24 +258,6 @@ def _mutant_wrong_share():
     return _patched(committee_mod, "partial_decrypt", bad)
 
 
-def _mutant_stale_pool():
-    from repro.offline import pools as pools_mod
-
-    original = pools_mod.leaf_randomness
-
-    def bad(pk, master_seed, origin, index):
-        # the bug: the *pool-fill* path (prepared_leaf_randomness is
-        # only called by EncryptionPool) derives from a shifted seed —
-        # every entry is still valid randomness (encryptions, proofs,
-        # and decryptions all succeed), so only the offline-vs-inline
-        # serialization comparison can catch it
-        return bgv.PreparedRandomness.prepare(
-            pk, original(pk.profile, master_seed + 1, origin, index)
-        )
-
-    return _patched(pools_mod, "prepared_leaf_randomness", bad)
-
-
 def _mutant_journal_double_apply():
     from repro.durability import campaign as campaign_mod
 
@@ -413,12 +383,6 @@ MUTANTS: tuple[Mutant, ...] = (
         description="a shard aggregator tampers its claimed partial sum",
         patch=_mutant_colluding_shard,
         cases=(_shard_equivalence_case(1201),),
-    ),
-    Mutant(
-        name="stale-pool",
-        description="precomputed pool entries derive from a shifted seed",
-        patch=_mutant_stale_pool,
-        cases=(_offline_equivalence_case(1301),),
     ),
     Mutant(
         name="unquarantined-attacker",

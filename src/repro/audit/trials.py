@@ -18,12 +18,6 @@ Each trial family targets one slice of the protocol:
   partial sums claim-checked at the reduction root) must be
   bit-identical to itself at K=1 and to a plain left fold of the
   accepted ciphertexts, including under Byzantine submissions.
-* ``offline_equivalence`` — the offline/online split: a run consuming
-  precomputed encryption-randomness pools must serialize
-  bit-identically to the inline run on the same derivation
-  chain, including when small pools exhaust and refill mid-run.  Only
-  a serialization comparison can catch a stale pool — wrong-seed
-  entries still produce valid encryptions, proofs, and decryptions.
 * ``byzantine_survival`` — a multi-query run under forged-proof
   attackers feeding the suspicion ledger: every answer must match the
   degraded oracle, and the honest devices' answer must be bit-identical
@@ -96,8 +90,6 @@ def run_trial(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
         return _run_flagging(case, bench)
     if case.kind == "shard_equivalence":
         return _run_shard_equivalence(case, bench)
-    if case.kind == "offline_equivalence":
-        return _run_offline_equivalence(case, bench)
     if case.kind == "byzantine_survival":
         return _run_byzantine_survival(case, bench)
     if case.kind == "quarantine_soundness":
@@ -369,107 +361,6 @@ def _run_shard_equivalence(
             "shard-equivalence.coefficients",
             decrypted,
             expectation.coefficients,
-        )
-    )
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Offline equivalence: precomputed pools vs the inline derivation chain
-# ---------------------------------------------------------------------------
-
-
-def _run_offline_equivalence(
-    case: TrialCase, bench: AuditBench
-) -> list[CheckResult]:
-    from repro.durability.serialize import submissions_digest
-    from repro.offline import store as offline_store_mod
-
-    results: list[CheckResult] = []
-    plan = compile_case_plan(case)
-    graph = case.graph.build()
-    behaviors = {d: Behavior(v) for d, v in case.behaviors.items()}
-    master = derive_rng(case.seed, "offline-audit").getrandbits(64)
-
-    with backends.use_backend(case.backend), TaskFabric(
-        workers=case.workers, chunk_size=2
-    ) as fabric:
-        inline = EncryptedExecutor(
-            plan, bench.public, bench.zk, random.Random(case.seed), fabric=fabric
-        ).run(
-            graph,
-            behaviors=behaviors,
-            offline=set(case.offline),
-            master_seed=master,
-        )
-        # The offline phase: pools derived through the store module so
-        # the stale-pool mutant can poison the derivation chain.
-        store = offline_store_mod.OfflineStore(bench.public)
-        store.ensure_encryption_pools(
-            bench.public, master, range(graph.num_vertices), case.pool_entries
-        )
-        pooled_executor = EncryptedExecutor(
-            plan,
-            bench.public,
-            bench.zk,
-            random.Random(case.seed),
-            fabric=fabric,
-            offline_store=store,
-        )
-        pooled = pooled_executor.run(
-            graph,
-            behaviors=behaviors,
-            offline=set(case.offline),
-            master_seed=master,
-        )
-        stats = pooled_executor.stats
-
-        flat = QueryAggregator(
-            zk=bench.zk, relin_keys=bench.relin_keys, fabric=fabric
-        ).aggregate(inline)
-        from_pools = QueryAggregator(
-            zk=bench.zk, relin_keys=bench.relin_keys, fabric=fabric
-        ).aggregate(pooled)
-
-    # Every online origin gets a pool, so every draw must be a pool hit
-    # (hits may be zero only when nothing was encrypted at all — e.g.
-    # every vertex offline).
-    results.append(
-        check(
-            "offline-equivalence.pool-consumed",
-            stats.pool_misses == 0,
-            f"hits={stats.pool_hits} misses={stats.pool_misses} — "
-            "draws bypassed the precomputed pools",
-        )
-    )
-    results.append(
-        check_equal(
-            "offline-equivalence.submissions-digest",
-            submissions_digest(pooled),
-            submissions_digest(inline),
-        )
-    )
-    results.append(
-        check_equal(
-            "offline-equivalence.rejected",
-            tuple(from_pools.rejected),
-            tuple(flat.rejected),
-        )
-    )
-    if flat.ciphertext is None or from_pools.ciphertext is None:
-        results.append(
-            check(
-                "offline-equivalence.both-empty",
-                flat.ciphertext is None and from_pools.ciphertext is None,
-                "one path produced a ciphertext and the other none",
-            )
-        )
-        return results
-    results.append(
-        check(
-            "offline-equivalence.aggregate-bit-identical",
-            from_pools.ciphertext.serialize() == flat.ciphertext.serialize(),
-            "the aggregate over pooled submissions diverges from the inline one",
         )
     )
     return results

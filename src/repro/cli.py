@@ -11,7 +11,6 @@
     python -m repro adversary --profile combined --intensities 0,1,1.5
     python -m repro campaign --dir /tmp/c --num-queries 3
     python -m repro campaign --dir /tmp/c --resume
-    python -m repro precompute --dir /tmp/p --num-queries 3 --entries 8
     python -m repro serve --port 7844 --max-inflight 64
 
 ``run`` generates a synthetic epidemic workload, stands up a deployment
@@ -28,13 +27,7 @@ quarantines, and exactness under attack (see ``docs/RESILIENCE.md``);
 ``campaign`` runs a durable multi-query
 campaign through the write-ahead journal — killable at any phase
 boundary (exit code 42) and resumable bit-identically with ``--resume``
-(see ``docs/RESILIENCE.md``); ``precompute`` runs the journaled
-*offline phase*, materializing query-independent crypto artifacts —
-encryption-randomness pools, relinearization key pieces, NTT tables —
-that the online hot path consumes for bit-identical results at a
-fraction of the latency (see ``docs/PERFORMANCE.md``), with the
-same kill/resume contract as ``campaign``; ``serve`` runs the long-lived
-asyncio
+(see ``docs/RESILIENCE.md``); ``serve`` runs the long-lived asyncio
 query service with DP admission control over a localhost socket (see
 ``docs/SERVICE.md``).
 
@@ -461,75 +454,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_relin_power(degree: int, hops: int = 2) -> int:
-    """Mirror of ``MyceliumSystem.setup``'s default relin power."""
-    neighborhood = 1 + sum(degree**i for i in range(1, hops + 1))
-    return max(2, neighborhood + 2)
-
-
-def cmd_precompute(args: argparse.Namespace) -> int:
-    from repro.errors import CoordinatorCrash
-    from repro.offline.precompute import OfflineConfig, PrecomputeRunner
-    from repro.offline.store import campaign_keys
-
-    kill = None
-    if args.kill_at:
-        kill = args.kill_at
-        if ":" not in kill or kill.split(":", 1)[0] not in ("before", "after"):
-            print("--kill-at expects before:UNIT or after:UNIT")
-            return 2
-
-    max_power = _campaign_relin_power(args.degree)
-    if args.resume:
-        from repro.durability.journal import load_records
-        from repro.offline.precompute import START_RECORD
-
-        records = load_records(args.dir, drop_torn_tail=True)
-        if not records or records[0].type != START_RECORD:
-            print(f"no resumable precompute journal under {args.dir}")
-            return 2
-        config = OfflineConfig.from_json(records[0].data["config"])
-        # Relin keys are prefix-stable in max power, so covering the
-        # journaled powers can only add keys, never change them.
-        max_power = max(max_power, *config.relin_powers, 2)
-        public_key, relin_keys = campaign_keys(
-            config.master_seed, max_power
-        )
-        runner = PrecomputeRunner.resume(
-            args.dir, public_key=public_key, relin_keys=relin_keys,
-            kill=kill,
-        )
-    else:
-        max_power = max(max_power, args.relin_powers)
-        public_key, relin_keys = campaign_keys(args.seed, max_power)
-        config = OfflineConfig(
-            master_seed=args.seed,
-            num_queries=args.num_queries,
-            origins=tuple(range(args.people)),
-            entries=args.entries,
-            relin_powers=tuple(range(2, args.relin_powers + 1))
-            if args.relin_powers >= 2
-            else (),
-        )
-        runner = PrecomputeRunner.start(
-            config, args.dir, public_key=public_key,
-            relin_keys=relin_keys, kill=kill, fsync=not args.no_fsync,
-        )
-    try:
-        store = runner.run()
-    except CoordinatorCrash as exc:
-        print(f"precompute crashed: {exc}")
-        print(
-            f"journal is resumable: repro precompute --resume --dir {args.dir}"
-        )
-        return CRASH_EXIT_CODE
-    pools = store.encryption_pools()
-    print(f"pools: {len(pools)} ({sum(p.level for p in pools)} entries)")
-    print(f"relin powers prepared: {len(runner.config.relin_powers)}")
-    print(f"units journaled: {len(runner.completed)}")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -819,54 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results are bit-identical at any K (docs/SHARDING.md)",
     )
     campaign.set_defaults(fn=cmd_campaign)
-
-    precompute = sub.add_parser(
-        "precompute",
-        help="journaled offline phase: materialize encryption-randomness "
-        "pools, relin key pieces, and NTT tables for an "
-        "upcoming campaign (docs/PERFORMANCE.md)",
-    )
-    precompute.add_argument(
-        "--dir", required=True,
-        help="precompute directory (journal.jsonl + binary artifacts)",
-    )
-    precompute.add_argument(
-        "--resume", action="store_true",
-        help="resume a crashed precompute from its journal "
-        "(bit-identical to an uninterrupted run)",
-    )
-    precompute.add_argument(
-        "--seed", type=int, default=7,
-        help="campaign master seed the artifacts are derived for",
-    )
-    precompute.add_argument("--people", type=int, default=12)
-    precompute.add_argument(
-        "--degree", type=int, default=3,
-        help="degree bound of the target campaign (fixes the mirrored "
-        "relinearization key derivation)",
-    )
-    precompute.add_argument(
-        "--num-queries", type=int, default=3,
-        help="pool randomness for this many upcoming queries",
-    )
-    precompute.add_argument(
-        "--entries", type=int, default=8,
-        help="encryption-randomness entries per (query, origin) pool",
-    )
-    precompute.add_argument(
-        "--relin-powers", type=int, default=0,
-        help="prepare relin key pieces for powers 2..N (0 = skip)",
-    )
-    precompute.add_argument(
-        "--kill-at", default=None, metavar="POINT:UNIT",
-        help="crash at a unit boundary, e.g. before:enc-0-1 or "
-        f"after:relin-2 (exit code {CRASH_EXIT_CODE})",
-    )
-    precompute.add_argument(
-        "--no-fsync", action="store_true",
-        help="skip the per-record fsync barrier (benchmarking only)",
-    )
-    precompute.set_defaults(fn=cmd_precompute)
 
     serve = sub.add_parser(
         "serve",

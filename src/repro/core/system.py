@@ -82,9 +82,6 @@ class MyceliumSystem:
     budget: PrivacyBudget
     rng: random.Random
     num_devices: int
-    #: Kept only for test oracles; the deployed system never holds this
-    #: outside the genesis ceremony.
-    _genesis_secret: bgv.SecretKey | None = field(default=None, repr=False)
     query_log: list[QueryMetadata] = field(default_factory=list)
 
     # -- setup -----------------------------------------------------------------
@@ -101,7 +98,6 @@ class MyceliumSystem:
         committee_threshold: int = 2,
         total_epsilon: float = 10.0,
         max_relin_power: int | None = None,
-        keep_genesis_secret: bool = True,
     ) -> MyceliumSystem:
         """Run the genesis ceremony and elect the first committee."""
         if params is None:
@@ -147,7 +143,6 @@ class MyceliumSystem:
             budget=PrivacyBudget(total_epsilon),
             rng=rng,
             num_devices=num_devices,
-            _genesis_secret=secret if keep_genesis_secret else None,
         )
 
     # -- compilation ---------------------------------------------------------
@@ -174,7 +169,6 @@ class MyceliumSystem:
         noiseless: bool = False,
         world: MixnetWorld | None = None,
         runtime: RuntimeConfig | None = None,
-        offline_store=None,
         submission_seed: int | None = None,
         quarantined: set[int] | None = None,
     ) -> QueryResult:
@@ -197,6 +191,10 @@ class MyceliumSystem:
         :func:`repro.runtime.get_runtime_config`).  Results are
         bit-identical at any worker count and across backends; see
         docs/PERFORMANCE.md.
+
+        ``submission_seed`` pins the encrypted executor's master seed,
+        from which every origin's leaf-encryption stream derives; by
+        default it is drawn from the system RNG.
 
         ``quarantined`` lists origins the suspicion ledger has demoted:
         they are treated as offline (their contribution defaults to
@@ -241,7 +239,6 @@ class MyceliumSystem:
                     plan, graph, self.rng, fabric,
                     behaviors=behaviors,
                     offline=set(offline or ()) | quarantined,
-                    offline_store=offline_store,
                     submission_seed=submission_seed,
                 )
             aggregation = self.aggregate_phase(submissions, fabric, config.shards)
@@ -311,25 +308,17 @@ class MyceliumSystem:
         fabric: TaskFabric,
         behaviors: dict[int, Behavior] | None = None,
         offline: set[int] | None = None,
-        offline_store=None,
         submission_seed: int | None = None,
     ) -> list[OriginSubmission]:
         """Per-origin encrypted execution over the in-process transport.
 
-        ``offline_store`` supplies precomputed leaf-encryption pools
-        (:mod:`repro.offline`); ``submission_seed`` pins the run's master
-        seed so a caller holding the offline phase's seed prediction can
-        bind the run to its pools.  Both default to the inline path,
-        which is bit-identical.
+        ``submission_seed`` pins the executor's master seed (otherwise
+        drawn from ``rng``), making the leaf ciphertexts an explicit
+        function of it.
         """
         with telemetry.span("query.execute"):
             executor = EncryptedExecutor(
-                plan,
-                self.public_key,
-                self.zk,
-                rng,
-                fabric=fabric,
-                offline_store=offline_store,
+                plan, self.public_key, self.zk, rng, fabric=fabric
             )
             return executor.run(
                 graph,

@@ -104,12 +104,6 @@ class RelinKeySet:
     def max_power(self) -> int:
         return max(self.keys) if self.keys else 1
 
-    def prepare(self, power: int) -> None:
-        """Build the evaluation forms of one power's pieces on the active
-        backend now — the offline phase's job — instead of inside the
-        first relinearization that folds that power."""
-        _fold(self.keys[power], RingElement.zero(self.profile.ring))
-
 
 @dataclass(frozen=True)
 class Ciphertext:
@@ -277,24 +271,26 @@ def encrypt(
 
     ``randomness`` pins the ephemeral values; the zero-knowledge layer uses
     this to re-derive a ciphertext from a witness.
+
+    The ciphertext is ``(pk0*u + t*e0 + m, pk1*u + t*e1)``: one transform
+    of the ternary ``u`` serves both products, and the key halves keep
+    theirs.
     """
     profile = pk.profile
     if plaintext.params.n != profile.n:
         raise ParameterError("plaintext degree does not match profile")
     _count("bgv.encrypt.count")
-    ring = profile.ring
+    ring, t = profile.ring, profile.t
     rand = randomness or EncryptionRandomness.generate(profile, rng)
-    m_lifted = RingElement.from_coeffs(ring, [c % profile.t for c in plaintext.coeffs])
-    if isinstance(rand, PreparedRandomness):
-        # The pk-dependent masks were computed offline: the same bytes
-        # with zero online ring multiplications.
-        _count("bgv.encrypt.prepared")
-        mask0, mask1 = rand.mask0, rand.mask1
-    else:
-        mask0, mask1 = _masks(pk, rand)
+    m_lifted = RingElement.from_coeffs(ring, [c % t for c in plaintext.coeffs])
+    u = backends.Resident(rand.u.coeffs)
+    pk0, pk1 = pk.resident
     return Ciphertext(
         profile,
-        (mask0 + m_lifted, mask1),
+        (
+            _product(ring, [(pk0, u)]) + rand.e0.scale(t) + m_lifted,
+            _product(ring, [(pk1, u)]) + rand.e1.scale(t),
+        ),
         noise_bits=_fresh_noise_bits(profile),
         fresh_factors=1,
     )
@@ -306,20 +302,6 @@ def _product(ring: RingParams, pairs: list[backends.Pair]) -> RingElement:
     once, by the first product that misses the product cache, however
     many follow."""
     return RingElement(ring, tuple(backends.ring_multiply(pairs, ring.n, ring.q)))
-
-
-def _masks(
-    pk: PublicKey, rand: EncryptionRandomness
-) -> tuple[RingElement, RingElement]:
-    """``(pk0*u + t*e0, pk1*u + t*e1)``: one transform of the ternary
-    ``u`` serves both products, and the key halves keep theirs."""
-    ring, t = pk.profile.ring, pk.profile.t
-    u = backends.Resident(rand.u.coeffs)
-    pk0, pk1 = pk.resident
-    return (
-        _product(ring, [(pk0, u)]) + rand.e0.scale(t),
-        _product(ring, [(pk1, u)]) + rand.e1.scale(t),
-    )
 
 
 @dataclass(frozen=True)
@@ -339,30 +321,6 @@ class EncryptionRandomness:
             e0=RingElement.random_bounded(ring, profile.error_bound, rng),
             e1=RingElement.random_bounded(ring, profile.error_bound, rng),
         )
-
-
-@dataclass(frozen=True)
-class PreparedRandomness(EncryptionRandomness):
-    """Encryption randomness with its pk-dependent masks precomputed.
-
-    ``mask0 = pk0*u + t*e0`` and ``mask1 = pk1*u + t*e1`` are *derived*
-    from ``(u, e0, e1)`` by :meth:`prepare` — never free inputs — so a
-    ciphertext built from the masks is exactly the ciphertext the plain
-    path would build, and a leaf witness carrying this object replays to
-    the identical bytes.  Encrypting with it costs one ring addition
-    instead of two ring multiplications; the offline phase fills pools
-    of these per origin.
-    """
-
-    mask0: RingElement
-    mask1: RingElement
-
-    @classmethod
-    def prepare(
-        cls, pk: PublicKey, rand: EncryptionRandomness
-    ) -> PreparedRandomness:
-        mask0, mask1 = _masks(pk, rand)
-        return cls(u=rand.u, e0=rand.e0, e1=rand.e1, mask0=mask0, mask1=mask1)
 
 
 def encrypt_monomial(

@@ -3,8 +3,10 @@
 Adding Laplace(sensitivity / epsilon) noise to each released value gives
 epsilon-differential privacy.  In Mycelium the committee samples this
 noise inside the decryption MPC, so no single party ever sees the
-un-noised aggregate; :mod:`repro.core.committee` splits the sample into
-per-member shares, and this module provides the underlying sampler.
+un-noised aggregate: each member contributes a seed share, and one
+sampler draws from the XOR of the shares
+(:func:`repro.core.committee.committee_noise`).  This module provides
+that sampler.
 """
 
 from __future__ import annotations
@@ -16,12 +18,19 @@ from repro.errors import ParameterError
 
 
 def sample_laplace(scale: float, rng: random.Random) -> float:
-    """One draw from Laplace(0, scale) via inverse-CDF sampling."""
+    """One draw from Laplace(0, scale) via inverse-CDF sampling.
+
+    ``rng.random()`` lies in [0, 1); its one value ``0.0`` would take
+    ``log(0)``, so that draw (and only that one) is redrawn.
+    """
     if scale < 0:
         raise ParameterError("Laplace scale must be non-negative")
     if scale == 0:
         return 0.0
-    u = rng.random() - 0.5
+    r = rng.random()
+    while r == 0.0:
+        r = rng.random()
+    u = r - 0.5
     return -scale * math.copysign(math.log(1 - 2 * abs(u)), u)
 
 

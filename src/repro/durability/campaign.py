@@ -232,18 +232,12 @@ class CampaignRunner:
         records: list[JournalRecord],
         runtime: RuntimeConfig | None = None,
         kill: KillSpec | None = None,
-        offline_store=None,
     ):
         self.config = config
         self.directory = Path(directory)
         self.journal = journal
         self.runtime = runtime
         self.kill = kill
-        #: Optional repro.offline.store.OfflineStore of precomputed
-        #: pools.  Never journaled: journaled digests are identical with
-        #: and without it, so a campaign may crash with a store and
-        #: resume without one (or vice versa) bit-identically.
-        self.offline_store = offline_store
         self.resumed = bool(records[1:])  # anything beyond campaign-start
         #: Index of already-durable records, keyed by identity.
         self._existing: dict[tuple, JournalRecord] = {}
@@ -290,15 +284,12 @@ class CampaignRunner:
         runtime: RuntimeConfig | None = None,
         kill: KillSpec | None = None,
         fsync: bool = True,
-        offline_store=None,
     ) -> CampaignRunner:
         journal = Journal.create(directory, fsync=fsync)
         record = journal.append(
             "campaign-start", {"version": 1, "config": config.to_json()}
         )
-        return cls(
-            config, directory, journal, [record], runtime, kill, offline_store
-        )
+        return cls(config, directory, journal, [record], runtime, kill)
 
     @classmethod
     def resume(
@@ -307,7 +298,6 @@ class CampaignRunner:
         runtime: RuntimeConfig | None = None,
         kill: KillSpec | None = None,
         fsync: bool = True,
-        offline_store=None,
     ) -> CampaignRunner:
         journal, records = Journal.resume(directory, fsync=fsync)
         if not records or records[0].type != "campaign-start":
@@ -315,9 +305,7 @@ class CampaignRunner:
                 "journal does not begin with a campaign-start record"
             )
         config = CampaignConfig.from_json(records[0].data["config"])
-        return cls(
-            config, directory, journal, records, runtime, kill, offline_store
-        )
+        return cls(config, directory, journal, records, runtime, kill)
 
     # -- journal plumbing ---------------------------------------------------
 
@@ -389,7 +377,6 @@ class CampaignRunner:
             committee_size=cfg.committee_size,
             committee_threshold=cfg.committee_threshold,
             total_epsilon=cfg.total_epsilon,
-            keep_genesis_secret=False,
         )
 
     def _build_faults(self) -> None:
@@ -754,7 +741,6 @@ class CampaignRunner:
             rng,
             fabric,
             offline=offline or None,
-            offline_store=self.offline_store,
         )
         ctx["submissions"] = submissions
         return {
@@ -1060,12 +1046,10 @@ def run_campaign(
     runtime: RuntimeConfig | None = None,
     kill: KillSpec | None = None,
     fsync: bool = True,
-    offline_store=None,
 ) -> CampaignResult:
     """Convenience one-shot: start and run a fresh campaign."""
     return CampaignRunner.start(
-        config, directory, runtime=runtime, kill=kill, fsync=fsync,
-        offline_store=offline_store,
+        config, directory, runtime=runtime, kill=kill, fsync=fsync
     ).run()
 
 
@@ -1074,10 +1058,8 @@ def resume_campaign(
     runtime: RuntimeConfig | None = None,
     kill: KillSpec | None = None,
     fsync: bool = True,
-    offline_store=None,
 ) -> CampaignResult:
     """Convenience one-shot: resume a crashed campaign to completion."""
     return CampaignRunner.resume(
-        directory, runtime=runtime, kill=kill, fsync=fsync,
-        offline_store=offline_store,
+        directory, runtime=runtime, kill=kill, fsync=fsync
     ).run()

@@ -15,6 +15,7 @@ aggregation and compare digests".
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ from repro.crypto.polyring import RingElement
 from repro.engine import semantics, zkcircuits
 from repro.engine.malicious import Behavior
 from repro.errors import ProofError, ProtocolError
-from repro.offline.pools import LeafRandomnessSource
+from repro.params import BGVProfile
 from repro.query import ast
 from repro.query.plans import ExecutionPlan
 from repro.runtime import TaskFabric, derive_rng
@@ -77,12 +78,6 @@ class RunStats:
     origin_filtered_leaves: int = 0
     #: Selected neighbors whose term defaulted to Enc(x^0) (§4.4).
     defaulted_members: int = 0
-    #: Leaf-randomness pool traffic (offline/online split; see
-    #: :mod:`repro.offline.pools`).  Accumulated here because fabric
-    #: workers run with telemetry inactive; the parent counts them once.
-    pool_hits: int = 0
-    pool_misses: int = 0
-    pool_refills: int = 0
     behaviors_applied: dict[str, int] = field(default_factory=dict)
 
 
@@ -104,6 +99,25 @@ def leaf_max_exponent(plan: ExecutionPlan) -> int:
 # ---------------------------------------------------------------------------
 # Destination side
 # ---------------------------------------------------------------------------
+
+
+def leaf_randomness(
+    profile: BGVProfile, master_seed: int, origin: int, index: int
+) -> bgv.EncryptionRandomness:
+    """Entry ``index`` of one origin's leaf-encryption stream.
+
+    Derived from ``(master_seed, origin, index)`` alone, so a leaf's
+    ciphertext does not depend on worker count, execution order, or how
+    much randomness any other draw consumed.
+    """
+    rng = derive_rng(master_seed, "origin", origin, "leaf-enc", index)
+    return bgv.EncryptionRandomness.generate(profile, rng)
+
+
+def _leaf_stream(profile: BGVProfile, master_seed: int, origin: int):
+    """One origin's leaf randomness, entries 0, 1, 2, … in order."""
+    for index in itertools.count():
+        yield leaf_randomness(profile, master_seed, origin, index)
 
 
 def _prove_leaf(
@@ -145,8 +159,7 @@ def _encrypt_leaf(
     Returns (ciphertext, claimed exponent, randomness, needs_forgery):
     behaviours that break well-formedness cannot produce honest proofs.
     ``randomness`` lets a leaf-randomness source supply the ephemeral
-    values (possibly mask-prepared by the offline phase); the default
-    draws them from ``rng`` as the standalone path always has.
+    values; the default draws them from ``rng``.
     """
     if randomness is None:
         randomness = bgv.EncryptionRandomness.generate(pk.profile, rng)
@@ -186,10 +199,10 @@ def dest_compute(
     """The destination's answer for one neighbor slot (§4.3, §4.5).
 
     Returns None for :attr:`Behavior.DROP_MESSAGE` (and for offline
-    devices, which callers model the same way).  ``leaf_source`` is a
-    :class:`repro.offline.pools.LeafRandomnessSource` supplying each
-    leaf's encryption randomness from a seed-stable chain; without one,
-    randomness comes from ``rng`` (the historical stream).
+    devices, which callers model the same way).  ``leaf_source`` is an
+    iterator (:func:`_leaf_stream`) supplying each leaf's encryption
+    randomness from a seed-stable chain; without one, randomness comes
+    from ``rng``.
     """
     if behavior is Behavior.DROP_MESSAGE:
         return None
@@ -210,7 +223,7 @@ def dest_compute(
             rng,
             behavior,
             max_exponent,
-            randomness=leaf_source.next() if leaf_source is not None else None,
+            randomness=next(leaf_source) if leaf_source is not None else None,
         )
         messages.append(
             _prove_leaf(
@@ -405,35 +418,22 @@ def _run_origin_task(
     Builds a throwaway executor around an RNG derived from the run's
     master seed and the origin id, so the submission is a pure function
     of ``(context, origin)`` — independent of worker count, execution
-    order, and of how much randomness other origins consumed.
-
-    Leaf encryption randomness always flows through a
-    :class:`~repro.offline.pools.LeafRandomnessSource` on the
-    ``(master_seed, origin)`` chain: with an offline store the entries
-    come precomputed (mask-prepared), without one they derive lazily —
-    the two are bit-identical by construction.
+    order, and of how much randomness other origins consumed.  Leaf
+    encryption randomness comes from the origin's own
+    ``(master_seed, origin, "leaf-enc", index)`` chain.
     """
-    plan, pk, zk, graph, behaviors, offline, master_seed, store = context
-    pool = (
-        store.encryption_pool(master_seed, origin)
-        if store is not None
-        else None
-    )
-    source = LeafRandomnessSource(pk.profile, master_seed, origin, pool=pool)
+    plan, pk, zk, graph, behaviors, offline, master_seed = context
     worker = EncryptedExecutor(
         plan,
         pk,
         zk,
         derive_rng(master_seed, "origin", origin),
-        leaf_source=source,
+        leaf_source=_leaf_stream(pk.profile, master_seed, origin),
     )
     if plan.hops == 1:
         submission = worker._run_one_hop(graph, origin, behaviors, offline)
     else:
         submission = worker._run_multi_hop(graph, origin, behaviors, offline)
-    worker.stats.pool_hits = source.hits
-    worker.stats.pool_misses = source.misses
-    worker.stats.pool_refills = source.refills
     return submission, worker.stats
 
 
@@ -447,7 +447,6 @@ class EncryptedExecutor:
         zk: zksnark.Groth16System,
         rng: random.Random,
         fabric: TaskFabric | None = None,
-        offline_store=None,
         leaf_source=None,
     ):
         self.plan = plan
@@ -455,9 +454,6 @@ class EncryptedExecutor:
         self.zk = zk
         self.rng = rng
         self.fabric = fabric if fabric is not None else TaskFabric()
-        #: :class:`repro.offline.store.OfflineStore` of precomputed
-        #: artifacts for :meth:`run`, or None for the inline path.
-        self.offline_store = offline_store
         #: Per-origin leaf randomness stream (set on worker executors by
         #: :func:`_run_origin_task`); None means draw from ``rng``.
         self.leaf_source = leaf_source
@@ -471,9 +467,6 @@ class EncryptedExecutor:
         self.stats.multiplications += other.multiplications
         self.stats.origin_filtered_leaves += other.origin_filtered_leaves
         self.stats.defaulted_members += other.defaulted_members
-        self.stats.pool_hits += other.pool_hits
-        self.stats.pool_misses += other.pool_misses
-        self.stats.pool_refills += other.pool_refills
         for name, hits in other.behaviors_applied.items():
             self.stats.behaviors_applied[name] = (
                 self.stats.behaviors_applied.get(name, 0) + hits
@@ -494,9 +487,7 @@ class EncryptedExecutor:
         id): the output is bit-identical at any worker count, and the
         whole run stays a deterministic function of the executor's RNG
         state, exactly as the sequential implementation was.  Passing
-        ``master_seed`` pins that draw instead (the offline phase pools
-        randomness for a seed it predicts, so callers that hold the
-        prediction can make the run an explicit function of it).
+        ``master_seed`` pins that draw instead.
         """
         behaviors = behaviors or {}
         offline = offline or set()
@@ -509,35 +500,22 @@ class EncryptedExecutor:
             master_seed = self.rng.getrandbits(64)
         context = (
             self.plan, self.pk, self.zk, graph, behaviors, offline,
-            master_seed, self.offline_store,
+            master_seed,
         )
         results = self.fabric.map(
             _run_origin_task, origins, context=context, label="engine.origins"
         )
         submissions = []
         defaulted = 0
-        pool_hits = pool_misses = pool_refills = 0
         for submission, stats in results:
             submissions.append(submission)
             self._merge_stats(stats)
             defaulted += stats.defaulted_members
-            pool_hits += stats.pool_hits
-            pool_misses += stats.pool_misses
-            pool_refills += stats.pool_refills
         if self.fabric.last_out_of_process and defaulted:
             # Worker processes run with telemetry inactive; account for
             # their defaulted-contribution counts here.  The in-process
             # path already counted them inside build_origin_submission.
             telemetry.count("engine.defaults.total", defaulted)
-        # Pool traffic is never counted in workers (their telemetry is
-        # inactive and in-process sources only track attributes), so the
-        # parent is the single point of accounting.
-        if pool_hits:
-            telemetry.count("offline.pool.hits", pool_hits)
-        if pool_misses:
-            telemetry.count("offline.pool.misses", pool_misses)
-        if pool_refills:
-            telemetry.count("offline.pool.refills", pool_refills)
         return submissions
 
     def _collect_leaf(
@@ -703,7 +681,7 @@ class EncryptedExecutor:
                 behavior,
                 max_exponent,
                 randomness=(
-                    self.leaf_source.next()
+                    next(self.leaf_source)
                     if self.leaf_source is not None
                     else None
                 ),

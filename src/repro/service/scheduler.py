@@ -111,8 +111,6 @@ class Scheduler:
         max_batch: int = 4,
         fsync: bool = True,
         runtime: RuntimeConfig | None = None,
-        offline_store=None,
-        pool_entries: int = 8,
         admission=None,
         max_retries: int = 1,
     ):
@@ -128,13 +126,6 @@ class Scheduler:
         self.max_batch = max(1, max_batch)
         self.fsync = fsync
         self.runtime = runtime
-        #: Optional repro.offline.store.OfflineStore the scheduler
-        #: refills between rounds: round seeds are predictable
-        #: (derive_seed(master, "service", n) then the per-query
-        #: submission-seed chain), so pools can be topped up for round
-        #: n+1 while round n's results stream out.
-        self.offline_store = offline_store
-        self.pool_entries = max(1, pool_entries)
         #: The service's AdmissionController, when attached: deadline
         #: drops that never executed refund their epsilon through it.
         self.admission = admission
@@ -201,69 +192,17 @@ class Scheduler:
             checkpoint_every=0,
         )
 
-    def _refill_pools(self, config: CampaignConfig) -> None:
-        """Top up the offline store for this round's predicted seeds.
-
-        Runs synchronously before the round launches — the round *blocks*
-        on the refill rather than starting with dry pools, so exhaustion
-        inside the batch can only happen if consumption outruns
-        ``pool_entries`` (and then the pools extend their own chains; see
-        :class:`repro.offline.pools.EncryptionPool`).
-        """
-        store = self.offline_store
-        if store is None:
-            return
-        from repro.offline.store import campaign_public_key, submission_seed
-
-        with telemetry.span("offline.precompute") as span:
-            store.observe_levels()  # counts offline.pool.low per dry pool
-            # Each round's campaign regenerates its keys from the round
-            # seed; mirror that derivation so the masks match.
-            public_key = campaign_public_key(config.master_seed)
-            store.public_key = public_key
-            derived = 0
-            for qi in range(len(config.queries)):
-                seed = submission_seed(config.master_seed, qi)
-                derived += store.ensure_encryption_pools(
-                    public_key,
-                    seed,
-                    range(self.people),
-                    self.pool_entries,
-                )
-            span.set_attribute("units", derived)
-            if derived:
-                telemetry.count("offline.precompute.units", derived)
-
-    def _retire_pools(self, config: CampaignConfig) -> None:
-        """Drop pools for a completed round's single-use seeds."""
-        store = self.offline_store
-        if store is None:
-            return
-        from repro.offline.store import submission_seed
-
-        for qi in range(len(config.queries)):
-            store.retire(submission_seed(config.master_seed, qi))
-
     def _run_campaign(self, config: CampaignConfig, directory: Path):
         """Executed in a worker thread; the only place service spans may
         open, so they nest cleanly around the campaign's own spans."""
-        self._refill_pools(config)
         with telemetry.span(
             "service.round",
             round=self.rounds_run,
             batch=len(config.queries),
         ):
-            runner = CampaignRunner.start(
-                config,
-                directory,
-                runtime=self.runtime,
-                fsync=self.fsync,
-                offline_store=self.offline_store,
-            )
-            try:
-                return runner.run()
-            finally:
-                self._retire_pools(config)
+            return CampaignRunner.start(
+                config, directory, runtime=self.runtime, fsync=self.fsync
+            ).run()
 
     def _drop_expired_before_round(
         self, batch: list[Submission]

@@ -44,8 +44,7 @@ from typing import Any
 
 from repro import telemetry
 from repro.dp.budget import PrivacyBudget
-from repro.errors import QueueFullRejected, ServiceShutdown
-from repro.offline.store import OfflineStore
+from repro.errors import ParameterError, QueueFullRejected, ServiceShutdown
 from repro.params import SystemParameters
 from repro.query.catalog import CATALOG
 from repro.query.compiler import compile_query
@@ -81,12 +80,9 @@ class ServiceConfig:
     directory: str | None = None
     #: Per-record fsync in the round journals (disable for benchmarks).
     fsync: bool = True
-    #: Precompute ``pool_entries`` leaf-randomness entries per (query,
-    #: origin) before each round (the offline/online split; see
-    #: docs/PERFORMANCE.md).  The scheduler blocks the round on the
-    #: refill and retires consumed pools afterwards.
+    #: Accepts only ``False``: the offline phase was removed and every
+    #: round encrypts inline (docs/PERFORMANCE.md).
     offline_pools: bool = False
-    pool_entries: int = 8
     #: Default per-query deadline in seconds (``None`` = none); a
     #: submission may override it per request.  Enforced end to end:
     #: before the round launches (epsilon refunded) and after decode
@@ -95,6 +91,13 @@ class ServiceConfig:
     #: How many aborted rounds a submission survives by re-queueing
     #: (blast-radius isolation; 1 = re-queue once with a fresh seed).
     max_round_retries: int = 1
+
+    def __post_init__(self) -> None:
+        if self.offline_pools:
+            raise ParameterError(
+                "offline_pools=True is not supported: the offline phase "
+                "was removed and every round encrypts inline"
+            )
 
 
 class QueryService:
@@ -131,10 +134,6 @@ class QueryService:
             max_batch=self.config.max_batch,
             fsync=self.config.fsync,
             runtime=runtime,
-            offline_store=(
-                OfflineStore() if self.config.offline_pools else None
-            ),
-            pool_entries=self.config.pool_entries,
             admission=self.admission,
             max_retries=self.config.max_round_retries,
         )

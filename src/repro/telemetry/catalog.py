@@ -185,12 +185,6 @@ METRICS: dict[str, MetricSpec] = _specs(
         "bgv.encrypt.count", COUNTER, "ops", "fresh BGV encryptions",
     ),
     MetricSpec(
-        "bgv.encrypt.prepared", COUNTER, "ops",
-        "encryptions served by precomputed public-key masks (the "
-        "offline fast path: one ring addition instead of two "
-        "multiplies)",
-    ),
-    MetricSpec(
         "bgv.decrypt.count", COUNTER, "ops", "secret-key decryptions",
     ),
     MetricSpec(
@@ -535,44 +529,6 @@ METRICS: dict[str, MetricSpec] = _specs(
         "survivability-sweep queries that failed outright under attack "
         "(a typed MyceliumError instead of a released answer)",
     ),
-    # -- offline precomputation (repro.offline) ------------------------------
-    MetricSpec(
-        "offline.pool.hits", COUNTER, "entries",
-        "leaf-encryption randomness served from a precomputed pool "
-        "(masked fast-path encryptions)",
-    ),
-    MetricSpec(
-        "offline.pool.misses", COUNTER, "entries",
-        "leaf-encryption randomness derived inline because no pool "
-        "covered the run's submission seed",
-    ),
-    MetricSpec(
-        "offline.pool.refills", COUNTER, "entries",
-        "pool entries derived on demand after exhaustion — the "
-        "block-and-refill path that continues the pool's own derivation "
-        "chain instead of falling back to a differently-seeded RNG",
-    ),
-    MetricSpec(
-        "offline.pool.level", HISTOGRAM, "entries",
-        "pool fill level observed when the service scheduler checks "
-        "pools before a round",
-        buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-    ),
-    MetricSpec(
-        "offline.pool.low", COUNTER, "pools",
-        "pools found below the scheduler's low watermark before a "
-        "round (each triggers a blocking refill)",
-    ),
-    MetricSpec(
-        "offline.precompute.units", COUNTER, "units",
-        "precompute units (NTT warm, relin prep, encryption pool) "
-        "journaled as durable by the offline phase",
-    ),
-    MetricSpec(
-        "offline.precompute.resumed", COUNTER, "units",
-        "units restored from journaled artifacts (not re-derived) "
-        "while resuming a crashed offline phase",
-    ),
 )
 
 
@@ -686,11 +642,6 @@ SPANS: dict[str, SpanSpec] = {
             "service.admit", None,
             "one atomic admission decision: budget check, charge, and "
             "enqueue under the admission lock; attributes: epsilon",
-        ),
-        SpanSpec(
-            "offline.precompute", None,
-            "one journaled offline-precomputation pass (fresh, resumed, "
-            "or a between-round pool refill); attributes: units",
         ),
         SpanSpec(
             "adversary.sweep", None,

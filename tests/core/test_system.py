@@ -240,7 +240,6 @@ class TestGenesisBackend:
         pure, vectorized = genesis("pure"), genesis("numpy")
         assert ran_on == ["pure", "numpy"]
         assert active_backend().name == before  # scoped to setup
-        assert vectorized._genesis_secret == pure._genesis_secret
         assert vectorized.public_key == pure.public_key
         assert vectorized.relin_keys == pure.relin_keys
         assert vectorized.committee.members == pure.committee.members

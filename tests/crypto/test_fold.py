@@ -196,13 +196,6 @@ def test_forms_attach_per_power_used_and_never_pickle(secret_key, public_key):
     )
 
 
-def test_prepare_transforms_one_power_ahead_of_the_first_fold(secret_key):
-    rlk = bgv.make_relin_keys(secret_key, 3, random.Random(9))
-    rlk.prepare(3)
-    assert all(forms for pair in rlk.keys[3].resident for forms in _forms(pair))
-    assert not any(forms for pair in rlk.keys[2].resident for forms in _forms(pair))
-
-
 def test_two_workers_aggregate_the_bytes_one_worker_does():
     system = build_system(seed=61, people=8, degree=2)
     graph = build_epidemic_graph(seed=62, people=8, degree=2)

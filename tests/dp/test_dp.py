@@ -34,6 +34,22 @@ class TestLaplace:
         positive = sum(1 for s in samples if s > 0)
         assert 0.45 < positive / len(samples) < 0.55
 
+    def test_zero_uniform_draw_is_redrawn(self):
+        """``random()`` may return exactly 0.0, where the inverse CDF is
+        ``log(0)``: the sampler redraws that value and uses the next."""
+
+        class ZeroFirst(random.Random):
+            def __init__(self, values):
+                super().__init__(0)
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+        sample = laplace.sample_laplace(2.0, ZeroFirst([0.0, 0.75]))
+        assert sample == laplace.sample_laplace(2.0, ZeroFirst([0.75]))
+        assert sample == pytest.approx(-2.0 * -math.log(0.5))
+
     def test_add_noise_length(self, rng):
         noised = laplace.add_noise([1.0, 2.0, 3.0], 0.5, rng)
         assert len(noised) == 3

@@ -7,7 +7,12 @@ import pytest
 
 from repro.core.aggregator import QueryAggregator
 from repro.crypto import bgv, zksnark
-from repro.engine.encrypted import EncryptedExecutor, leaf_max_exponent
+from repro.engine import semantics
+from repro.engine.encrypted import (
+    EncryptedExecutor,
+    leaf_max_exponent,
+    leaf_randomness,
+)
 from repro.engine.malicious import Behavior
 from repro.engine.plaintext import aggregate_coefficients
 from repro.engine.zkcircuits import build_circuits
@@ -16,6 +21,7 @@ from repro.query.catalog import CATALOG, all_queries
 from repro.query.compiler import compile_query
 from repro.query.parser import parse
 from repro.query.schema import scaled_schema
+from repro.runtime import TaskFabric, derive_rng
 from tests.conftest import build_epidemic_graph
 
 PARAMS = SystemParameters(degree_bound=3)
@@ -221,3 +227,55 @@ class TestByzantineDevices:
         )
         assert stats.origin_filtered_leaves > 0
         assert sum(coeffs) > 0
+
+
+class TestLeafRandomness:
+    """Each leaf's encryption randomness is entry ``index`` of its
+    origin's ``(master_seed, "origin", origin, "leaf-enc", index)``
+    chain, whatever the worker count."""
+
+    MASTER = 0xFEED
+
+    def test_stateless_rederivation(self):
+        a = leaf_randomness(TEST, self.MASTER, 3, 5)
+        b = leaf_randomness(TEST, self.MASTER, 3, 5)
+        assert (a.u.coeffs, a.e0.coeffs, a.e1.coeffs) == (
+            b.u.coeffs, b.e0.coeffs, b.e1.coeffs,
+        )
+
+    def test_distinct_indices_differ(self):
+        a = leaf_randomness(TEST, self.MASTER, 3, 0)
+        b = leaf_randomness(TEST, self.MASTER, 3, 1)
+        assert a.u.coeffs != b.u.coeffs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_leaf_ciphertexts_follow_the_derivation_chain(self, setup, workers):
+        secret, public, relin, zk, graph = setup
+        plan = compile_query(
+            parse("SELECT HISTO(COUNT(*)) FROM neigh(1)"), PARAMS, SCHEMA
+        )
+        with TaskFabric(workers=workers, chunk_size=2) as fabric:
+            submissions = EncryptedExecutor(
+                plan, public, zk, random.Random(7), fabric=fabric
+            ).run(graph, master_seed=self.MASTER)
+        checked = 0
+        for submission in submissions:
+            origin = submission.origin
+            selected = semantics.origin_decisions(
+                plan, graph, origin
+            ).selected_neighbors
+            for leaf in submission.leaves:
+                index = selected.index(leaf.sender)
+                randomness = bgv.EncryptionRandomness.generate(
+                    TEST,
+                    derive_rng(self.MASTER, "origin", origin, "leaf-enc", index),
+                )
+                exponent = semantics.neighbor_contribution(
+                    plan, graph, origin, leaf.sender
+                ).exponent
+                expected = bgv.encrypt_monomial(
+                    public, exponent, None, randomness=randomness
+                )
+                assert leaf.ciphertext.serialize() == expected.serialize()
+                checked += 1
+        assert checked > graph.num_vertices

@@ -15,8 +15,7 @@ import threading
 
 import pytest
 
-from repro import telemetry
-from repro.errors import QueueFullRejected, ServiceShutdown
+from repro.errors import ParameterError, QueueFullRejected, ServiceShutdown
 from repro.query.catalog import CATALOG
 from repro.service import (
     QueryService,
@@ -229,38 +228,18 @@ def test_failed_round_fails_its_whole_batch_and_keeps_epsilon_spent(tmp_path):
     assert service.admission.conserved()
 
 
-# -- offline pools -----------------------------------------------------------
+# -- offline_pools ---------------------------------------------------------------
 
 
-async def _serve_one_round(tmp_path, tag: str, offline_pools: bool):
+def test_offline_pools_is_refused_and_the_inline_config_builds(tmp_path):
+    """The offline phase is gone: ``offline_pools=True`` is a typed
+    refusal, and ``offline_pools=False`` still builds a service."""
+    with pytest.raises(ParameterError, match="offline phase"):
+        ServiceConfig(offline_pools=True)
     service = QueryService(
         ServiceConfig(
-            master_seed=7,
-            people=8,
-            directory=str(tmp_path / tag),
-            fsync=False,
-            offline_pools=offline_pools,
-            pool_entries=2,
+            people=8, directory=str(tmp_path), fsync=False,
+            offline_pools=False,
         )
     )
-    await service.start()
-    outcomes = await asyncio.gather(
-        service.submit("Q5", 0.5), service.submit("Q4", 0.5)
-    )
-    await service.shutdown()
-    return service, [o["result"] for o in outcomes]
-
-
-def test_offline_pools_round_releases_the_inline_values_and_retires(tmp_path):
-    """``ServiceConfig(offline_pools=True)``: the scheduler refills the
-    store for the round's predicted seeds, the campaign draws from it,
-    and the released values are those of the inline round at the same
-    master seed; the single-use pools are gone afterwards."""
-    _, inline = asyncio.run(_serve_one_round(tmp_path, "inline", False))
-    with telemetry.session() as active:
-        service, pooled = asyncio.run(_serve_one_round(tmp_path, "pooled", True))
-    assert pooled == inline
-    counters = active.snapshot()["counters"]
-    assert counters.get("offline.pool.hits", 0) > 0
-    assert counters.get("offline.precompute.units", 0) > 0
-    assert service.scheduler.offline_store.encryption_pools() == []
+    assert service.scheduler.people == 8
