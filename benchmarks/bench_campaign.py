@@ -127,7 +127,7 @@ def test_resume_is_cheaper_than_rerun(benchmark, report, tmp_path):
         run_campaign(
             _config(),
             tmp_path,
-            kill=KillSpec(phase="release", query=len(QUERIES) - 1),
+            kill=KillSpec(phase="open", query=len(QUERIES) - 1),
         )
     full_s = time.perf_counter() - started
 

@@ -134,14 +134,14 @@ def _quarantine_case(seed: int) -> TrialCase:
 
 
 def _crash_case(seed: int) -> TrialCase:
-    # Kill right after the release record of query 0 so the resume path
+    # Kill right after the open record of query 0 so the resume path
     # restores (rather than re-runs) the charge record — the exact path
     # the double-apply mutant corrupts.
     return TrialCase(
         kind="crash",
         seed=seed,
         people=8,
-        kill_phase="release",
+        kill_phase="open",
         kill_query=0,
         num_queries=2,
         rotate_every=1,
@@ -271,6 +271,24 @@ def _mutant_journal_double_apply():
     return _patched(campaign_mod.CampaignRunner, "_restore_charge", bad)
 
 
+def _mutant_journal_exact():
+    from repro.durability import campaign as campaign_mod
+
+    original = campaign_mod.CampaignRunner._phase_open
+
+    def bad(self, query_index, ctx, fabric):
+        # the bug: the open record journals the decrypted coefficients
+        plaintext, _ = committee_mod.threshold_decrypt(
+            self.system.committee, ctx["aggregation"].ciphertext,
+            self.system.rng,
+        )
+        width = ctx["plan"].layout.total_coefficients
+        data = original(self, query_index, ctx, fabric)
+        return {**data, "coefficients": list(plaintext.coeffs[:width])}
+
+    return _patched(campaign_mod.CampaignRunner, "_phase_open", bad)
+
+
 def _mutant_colluding_shard():
     original = aggregator_mod.shard_claimed_partial
 
@@ -395,5 +413,11 @@ MUTANTS: tuple[Mutant, ...] = (
         description="a journaled budget charge is applied twice on resume",
         patch=_mutant_journal_double_apply,
         cases=(_crash_case(1001),),
+    ),
+    Mutant(
+        name="journal-exact",
+        description="the open record journals the decrypted coefficients",
+        patch=_mutant_journal_exact,
+        cases=(_crash_case(1501),),
     ),
 )

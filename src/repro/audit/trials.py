@@ -685,11 +685,12 @@ def _run_budget(case: TrialCase) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _released_values(plan: ExecutionPlan, coefficients: tuple[int, ...]) -> list[float]:
+def _decoded(plan: ExecutionPlan, coefficients) -> list[list[float]]:
+    """The exact value vector of each output group (before noise)."""
     if plan.output is OutputKind.HISTO:
         groups = histogram_mod.decode_histogram(list(coefficients), plan)
-        return [float(c) for g in groups for c in g.counts]
-    return [float(v) for v in histogram_mod.decode_gsum(list(coefficients), plan)]
+        return [[float(c) for c in g.counts] for g in groups]
+    return [[float(v) for v in histogram_mod.decode_gsum(list(coefficients), plan)]]
 
 
 def _perturb_device(graph, device: int, rng: random.Random) -> None:
@@ -735,7 +736,7 @@ def _run_sensitivity(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
     )
 
     base = plaintext_mod.run_plaintext(plan, case.graph.build())
-    base_values = _released_values(plan, base.coefficients)
+    base_values = sum(_decoded(plan, base.coefficients), [])
     rng = random.Random(case.seed)
     worst = 0.0
     for _ in range(3):
@@ -743,7 +744,7 @@ def _run_sensitivity(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
         device = rng.randrange(perturbed_graph.num_vertices)
         _perturb_device(perturbed_graph, device, rng)
         other = plaintext_mod.run_plaintext(plan, perturbed_graph)
-        other_values = _released_values(plan, other.coefficients)
+        other_values = sum(_decoded(plan, other.coefficients), [])
         l1 = sum(
             abs(a - b) for a, b in zip(base_values, other_values)
         )
@@ -1086,10 +1087,68 @@ def _run_crash(case: TrialCase) -> list[CheckResult]:
                 "crash.digest-identical", resumed.digest, oracle.digest
             )
         )
+        leaks = _disk_leaks(victim_dir, config)
+        results.append(check("crash.no-exact-on-disk", not leaks, leaks))
     finally:
         shutil.rmtree(oracle_dir, ignore_errors=True)
         shutil.rmtree(victim_dir, ignore_errors=True)
     return results
+
+
+#: Journaled lists of device ids, not of answers.
+_ID_LISTS = {"accepted", "rejected", "offline", "participating", "flagged",
+             "members", "dealers"}
+
+
+def _disk_leaks(directory: str, config) -> str:
+    """What a fault-free campaign's directory reveals of an exact answer:
+    a list equal to the plaintext oracle's coefficients or decoded
+    values, or one that leaves integers when subtracted from a released
+    vector (the noise that masks it)."""
+    import json
+    from pathlib import Path
+
+    from repro.query.catalog import CATALOG
+    from repro.query.schema import scaled_schema
+    from repro.workloads.epidemic import build_campaign_graph
+
+    graph = build_campaign_graph(
+        config.people, config.degree, derive_rng(config.master_seed, "workload")
+    )
+    exact = []
+    for text, _ in config.queries:
+        plan = compile_query(
+            CATALOG[text].parsed(), config.system_params(), scaled_schema()
+        )
+        coefficients = plaintext_mod.run_plaintext(plan, graph).coefficients
+        exact += [list(coefficients), *_decoded(plan, coefficients)]
+    found: list[tuple[str, list]] = []
+
+    def walk(node, key: str = "") -> None:
+        children = node.items() if isinstance(node, dict) else []
+        if isinstance(node, list):
+            children = [("", item) for item in node]
+            if node and key not in _ID_LISTS and all(
+                isinstance(x, (int, float)) and abs(x) < 2**53 for x in node
+            ):
+                found.append((key, node))
+        for child_key, child in children:
+            walk(child, child_key)
+
+    for path in Path(directory).rglob("*.json*"):
+        text = path.read_text("utf-8")
+        for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            walk(json.loads(doc))
+    released = [v for key, v in found if key in ("counts", "values")]
+    return "; ".join(
+        f"{key or 'list'} {values}"
+        for key, values in found
+        if values in exact or values not in released and any(
+            len(r) == len(values)
+            and all(abs(a - b - round(a - b)) < 1e-6 for a, b in zip(r, values))
+            for r in released
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

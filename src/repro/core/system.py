@@ -26,6 +26,7 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -254,11 +255,6 @@ class MyceliumSystem:
                     corrupt = injector.corrupt_partial
                 if injector.plan.committee_dropouts:
                     schedule = injector.committee_schedule(member_ids)
-            coefficients, attempts, flagged = self.decrypt_phase(
-                plan, aggregation.ciphertext, self.rng,
-                schedule=schedule, corrupt=corrupt,
-            )
-
             if recovery is not None:
                 recovery.complaints = tuple(
                     c.decode("utf-8", errors="replace")
@@ -268,11 +264,7 @@ class MyceliumSystem:
                     telemetry.count(
                         "query.complaints.observed", len(recovery.complaints)
                     )
-                recovery.decrypt_attempts = attempts
-                recovery.flagged_members = tuple(sorted(flagged))
                 recovery.crounds = world.current_round - start_round
-                if injector is not None:
-                    recovery.faults_injected = injector.fault_counts()
 
             sensitivity = sensitivity_mod.analyze(plan).sensitivity
             scale = 0.0 if noiseless else sensitivity / epsilon
@@ -280,11 +272,16 @@ class MyceliumSystem:
                 label, epsilon, sensitivity, scale, aggregation,
                 recovery=recovery, quarantined=quarantined,
             )
-            with telemetry.span("query.release"):
-                noise = self.compute_noise(plan, coefficients, scale)
-                result = self.release_with_noise(
-                    plan, coefficients, noise, metadata
-                )
+            result, attempts, flagged = self.open_phase(
+                plan, aggregation.ciphertext, self.rng, metadata,
+                schedule=schedule, corrupt=corrupt,
+            )
+            if recovery is not None:
+                recovery.decrypt_attempts = attempts
+                recovery.flagged_members = tuple(sorted(flagged))
+                if injector is not None:
+                    # After the decryption, which records corrupt partials.
+                    recovery.faults_injected = injector.fault_counts()
             self.query_log.append(metadata)
             if rotate:
                 with telemetry.span("query.rotate"):
@@ -353,25 +350,30 @@ class MyceliumSystem:
             raise ProtocolError("no valid contributions to aggregate")
         return aggregation
 
-    def decrypt_phase(
+    def open_phase(
         self,
         plan: ExecutionPlan,
         ciphertext: bgv.Ciphertext,
         rng: random.Random,
+        metadata: QueryMetadata,
         *,
         schedule: list[list[int]] | None = None,
         corrupt=None,
-    ) -> tuple[list[int], int, set[int]]:
-        """Threshold decryption down to the plan's coefficient vector.
+    ) -> tuple[QueryResult, int, set[int]]:
+        """The committee's one step from the aggregate ciphertext to the
+        released answer (§4.2): threshold decryption, decoding, and the
+        in-MPC Laplace noise at ``metadata.noise_scale``.  The exact
+        coefficients exist only inside this call.
 
-        The one decrypt entry for every driver.  ``schedule`` is a
-        per-attempt availability schedule (§6.5 wait-and-retry); without
-        one there is a single attempt by the whole committee.
-        ``corrupt`` is the fault injector's per-partial corruption hook,
-        present exactly when the fault plan names corrupt members, and
+        ``schedule`` is a per-attempt availability schedule (§6.5
+        wait-and-retry; default: one attempt by the whole committee).
+        ``corrupt``, the fault injector's per-partial corruption hook,
         raises the quorum to every present member (at least threshold +
-        1) so the decoder can correct and flag.  Returns
-        ``(coefficients, attempts, flagged device ids)``.
+        1) so the decoder can correct and flag.  Each group's noise is
+        seeded from the key shares, the epoch, the query ordinal
+        (``len(query_log)``) and the group, so a replayed step
+        reproduces the release.  Returns ``(result, attempts, flagged
+        device ids)``.
         """
         if schedule is None:
             schedule = [[m.device_id for m in self.committee.members]]
@@ -383,69 +385,35 @@ class MyceliumSystem:
             )
             if attempts > 1:
                 telemetry.count("committee.decrypt.retries", attempts - 1)
-            coefficients = [
-                plaintext.coeffs[i]
-                for i in range(plan.layout.total_coefficients)
-            ]
-        return coefficients, attempts, flagged
-
-    def compute_noise(
-        self, plan: ExecutionPlan, coefficients: list[int], scale: float
-    ) -> list[list[float]]:
-        """The committee's in-MPC Laplace draws, one list per output group.
-
-        Each member's seed share hashes its secret key share with the
-        epoch, the query ordinal (``len(query_log)``, the campaign's
-        query index) and the group index, so no draw repeats and none
-        can be recomputed from public values.  Deterministic given the
-        committee's shares, so replaying this phase after a crash — or
-        the direct path beside the campaign — reproduces the exact
-        noise.
-        """
-        if plan.output is OutputKind.HISTO:
-            widths = [
-                len(group.counts)
-                for group in histogram_mod.decode_histogram(coefficients, plan)
-            ]
-        else:
-            widths = [len(histogram_mod.decode_gsum(coefficients, plan))]
-        query_index = len(self.query_log)
-        return [
-            committee_mod.committee_noise(
-                self.committee, width, scale,
-                query_index=query_index, group=group,
-            )
-            if scale
-            else [0.0] * width
-            for group, width in enumerate(widths)
-        ]
-
-    def release_with_noise(
-        self,
-        plan: ExecutionPlan,
-        coefficients: list[int],
-        noise: list[list[float]],
-        metadata: QueryMetadata,
-    ) -> QueryResult:
-        """Decode the plaintext coefficients and apply precomputed noise."""
-        if plan.output is OutputKind.HISTO:
-            groups = histogram_mod.decode_histogram(coefficients, plan)
+        coefficients = list(plaintext.coeffs[: plan.layout.total_coefficients])
+        with telemetry.span("query.release"):
+            if plan.output is OutputKind.HISTO:
+                groups = histogram_mod.decode_histogram(coefficients, plan)
+                exact = [group.counts for group in groups]
+            else:
+                exact = [histogram_mod.decode_gsum(coefficients, plan)]
+            scale, query_index = metadata.noise_scale, len(self.query_log)
             noised = [
-                histogram_mod.GroupHistogram(
-                    group=group.group,
-                    counts=tuple(
-                        c + n for c, n in zip(group.counts, group_noise)
-                    ),
-                    bin_edges=group.bin_edges,
+                tuple(
+                    v + n
+                    for v, n in zip(values, committee_mod.committee_noise(
+                        self.committee, len(values), scale,
+                        query_index=query_index, group=group,
+                    ) if scale else [0.0] * len(values))
                 )
-                for group, group_noise in zip(groups, noise)
+                for group, values in enumerate(exact)
             ]
-            return HistogramResult(groups=tuple(noised), metadata=metadata)
-        values = histogram_mod.decode_gsum(coefficients, plan)
-        return GsumResult(
-            values=tuple(v + n for v, n in zip(values, noise[0])),
-            metadata=metadata,
-        )
+            if plan.output is OutputKind.HISTO:
+                result = HistogramResult(
+                    groups=tuple(
+                        dataclasses.replace(group, counts=counts)
+                        for group, counts in zip(groups, noised)
+                    ),
+                    metadata=metadata,
+                )
+            else:
+                result = GsumResult(values=noised[0], metadata=metadata)
+        return result, attempts, flagged
 
     def query_metadata(
         self,

@@ -70,9 +70,7 @@ PHASES = (
     "rounds",
     "submit",
     "aggregate",
-    "decrypt",
-    "noise",
-    "release",
+    "open",
     "handoff",
 )
 
@@ -84,6 +82,9 @@ KILL_POINTS = PHASES + ("setup", "start", "handoff-start", "complete")
 QUORUM_WAIT_LIMIT = 1024
 
 RESULTS_NAME = "results.json"
+
+#: The journal layout; :meth:`CampaignRunner.resume` refuses any other.
+JOURNAL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class KillSpec:
 
     @classmethod
     def parse(cls, text: str, before: bool = False) -> KillSpec:
-        """``"decrypt"`` or ``"decrypt:2"`` (phase at query index 2)."""
+        """``"open"`` or ``"open:2"`` (phase at query index 2)."""
         if ":" in text:
             phase, _, query = text.partition(":")
             return cls(phase=phase, query=int(query), before=before)
@@ -161,13 +162,22 @@ class CampaignConfig:
     #: Sidecar checkpoint cadence, in completed queries (0 = never).
     checkpoint_every: int = 1
 
+    def __post_init__(self) -> None:
+        for _, phase in self.coordinator_kills:
+            KillSpec(phase=phase)  # an unknown phase would never fire
+
+    def system_params(self) -> SystemParameters:
+        return SystemParameters(
+            num_devices=self.people,
+            degree_bound=self.degree,
+            hops=2,
+            committee_size=self.committee_size,
+            replicas=2,
+            forwarder_fraction=0.3,
+        )
+
     def to_json(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["queries"] = [list(q) for q in self.queries]
-        data["coordinator_kills"] = [
-            list(k) for k in self.coordinator_kills
-        ]
-        return data
+        return dataclasses.asdict(self)  # JSON writes the tuples as lists
 
     @classmethod
     def from_json(cls, data: dict) -> CampaignConfig:
@@ -209,16 +219,7 @@ class CampaignResult:
         )
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config.to_json(),
-            "results": self.results,
-            "ledger": self.ledger,
-            "epochs": self.epochs,
-            "emergency_reshares": self.emergency_reshares,
-            "quorum_wait_rounds": self.quorum_wait_rounds,
-            "clock_rounds": self.clock_rounds,
-            "digest": self.digest,
-        }
+        return {**dataclasses.asdict(self), "digest": self.digest}
 
 
 class CampaignRunner:
@@ -287,7 +288,8 @@ class CampaignRunner:
     ) -> CampaignRunner:
         journal = Journal.create(directory, fsync=fsync)
         record = journal.append(
-            "campaign-start", {"version": 1, "config": config.to_json()}
+            "campaign-start",
+            {"version": JOURNAL_VERSION, "config": config.to_json()},
         )
         return cls(config, directory, journal, [record], runtime, kill)
 
@@ -303,6 +305,12 @@ class CampaignRunner:
         if not records or records[0].type != "campaign-start":
             raise CampaignResumeError(
                 "journal does not begin with a campaign-start record"
+            )
+        version = records[0].data.get("version")
+        if version != JOURNAL_VERSION:
+            raise CampaignResumeError(
+                f"journal version {version!r} is not {JOURNAL_VERSION}; "
+                "finish it with the release that wrote it"
             )
         config = CampaignConfig.from_json(records[0].data["config"])
         return cls(config, directory, journal, records, runtime, kill)
@@ -356,23 +364,13 @@ class CampaignRunner:
 
     # -- deterministic environment ------------------------------------------
 
-    def _system_params(self) -> SystemParameters:
-        return SystemParameters(
-            num_devices=self.config.people,
-            degree_bound=self.config.degree,
-            hops=2,
-            committee_size=self.config.committee_size,
-            replicas=2,
-            forwarder_fraction=0.3,
-        )
-
     def _build_system(self) -> MyceliumSystem:
         cfg = self.config
         return MyceliumSystem.setup(
             num_devices=cfg.people,
             rng=derive_rng(cfg.master_seed, "setup"),
             profile=TEST,
-            params=self._system_params(),
+            params=cfg.system_params(),
             schema=scaled_schema(),
             committee_size=cfg.committee_size,
             committee_threshold=cfg.committee_threshold,
@@ -542,23 +540,30 @@ class CampaignRunner:
                 f"epoch replay out of order: at {committee.epoch}, "
                 f"journal wants {fact['epoch']}"
             )
-        deal_rng = derive_rng(
-            self.config.master_seed, "epoch", fact["epoch"], "deal"
-        )
-        proposal = committee_mod.deal_rotation(
-            committee,
-            list(fact["members"]),
-            self.config.committee_threshold,
-            deal_rng,
-            dealer_ids=list(fact["dealers"]),
-        )
-        new_committee = committee_mod.commit_rotation(committee, proposal)
+        new_committee = self._deal(fact["members"], fact["dealers"])
         if serialize.committee_digest(new_committee) != fact["digest"]:
             raise CampaignResumeError(
                 f"replayed epoch {fact['epoch']} commitment digest does "
                 "not match the journal"
             )
         self.system.committee = new_committee
+
+    def _deal(self, members: list[int], dealers: list[int]):
+        """The VSR handoff to the next epoch's ``members``, dealt by
+        ``dealers`` from the epoch's derived randomness; raises
+        :class:`SecretSharingError` if too few dealers survive."""
+        assert self.system is not None
+        committee = self.system.committee
+        proposal = committee_mod.deal_rotation(
+            committee,
+            list(members),
+            self.config.committee_threshold,
+            derive_rng(
+                self.config.master_seed, "epoch", committee.epoch + 1, "deal"
+            ),
+            dealer_ids=list(dealers),
+        )
+        return committee_mod.commit_rotation(committee, proposal)
 
     # -- the run loop -------------------------------------------------------
 
@@ -675,7 +680,7 @@ class CampaignRunner:
         ctx["label"] = str(plan.query)
         return {
             "label": ctx["label"],
-            "coefficients": plan.layout.total_coefficients,
+            "width": plan.layout.total_coefficients,
         }
 
     def _restore_compile(self, query_index, data, ctx) -> None:
@@ -799,15 +804,16 @@ class CampaignRunner:
             proofs_verified=data["proofs_verified"],
         )
 
-    # -- phase: decrypt -----------------------------------------------------
+    # -- phase: open (decrypt, decode, noise: only the release is kept) -----
 
     def _await_quorum(self) -> tuple:
         """Ping until ``threshold`` members are live (§6.5: wait and
         retry), advancing the campaign clock one C-round per miss."""
         assert self.system is not None
         waited = 0
-        report = self.monitor.ping(self.system.committee, self.clock.round)
-        while not report.quorate:
+        while not (
+            report := self.monitor.ping(self.system.committee, self.clock.round)
+        ).quorate:
             waited += 1
             if waited > QUORUM_WAIT_LIMIT:
                 raise ProtocolError(
@@ -815,15 +821,12 @@ class CampaignRunner:
                     f"{QUORUM_WAIT_LIMIT} C-rounds"
                 )
             self.clock.advance(1)
-            report = self.monitor.ping(
-                self.system.committee, self.clock.round
-            )
         if waited:
             telemetry.count("durability.monitor.quorum_wait_rounds", waited)
             self.quorum_wait_rounds += waited
         return report, waited
 
-    def _phase_decrypt(self, query_index, ctx, fabric) -> dict:
+    def _phase_open(self, query_index, ctx, fabric) -> dict:
         assert self.system is not None
         report, waited = self._await_quorum()
         rng = derive_rng(
@@ -835,75 +838,34 @@ class CampaignRunner:
             and self.injector.plan.corrupt_committee
             else None
         )
-        coefficients, _, flagged = self.system.decrypt_phase(
-            ctx["plan"],
-            ctx["aggregation"].ciphertext,
-            rng,
-            schedule=[list(report.live)],
-            corrupt=corrupt,
+        sensitivity = sensitivity_mod.analyze(ctx["plan"]).sensitivity
+        metadata = self.system.query_metadata(
+            ctx["label"], ctx["epsilon"], sensitivity,
+            sensitivity / ctx["epsilon"], ctx["aggregation"],
         )
-        ctx["coefficients"] = coefficients
+        result, _, flagged = self.system.open_phase(
+            ctx["plan"], ctx["aggregation"].ciphertext, rng, metadata,
+            schedule=[list(report.live)], corrupt=corrupt,
+        )
+        payload = serialize.result_to_json(result)
+        self.results.append(payload)
+        self.system.query_log.append(metadata)
         return {
-            "coefficients": coefficients,
+            "result": payload,
             "participating": list(report.live),
             "flagged": sorted(flagged),
             "waited": waited,
             "round": self.clock.round,
         }
 
-    def _restore_decrypt(self, query_index, data, ctx) -> None:
+    def _restore_open(self, query_index, data, ctx) -> None:
+        assert self.system is not None
         self.clock.advance(data["waited"])
         self.quorum_wait_rounds += data["waited"]
         if self.clock.round != data["round"]:
             raise CampaignResumeError(
-                f"clock diverged restoring decrypt of query {query_index}"
+                f"clock diverged restoring open of query {query_index}"
             )
-        ctx["coefficients"] = list(data["coefficients"])
-
-    # -- phase: noise -------------------------------------------------------
-
-    def _phase_noise(self, query_index, ctx, fabric) -> dict:
-        assert self.system is not None
-        report = sensitivity_mod.analyze(ctx["plan"])
-        scale = report.sensitivity / ctx["epsilon"]
-        noise = self.system.compute_noise(
-            ctx["plan"], ctx["coefficients"], scale
-        )
-        ctx["noise"] = noise
-        ctx["scale"] = scale
-        ctx["sensitivity"] = report.sensitivity
-        return {
-            "scale": scale,
-            "sensitivity": report.sensitivity,
-            "noise": noise,
-        }
-
-    def _restore_noise(self, query_index, data, ctx) -> None:
-        ctx["noise"] = [list(group) for group in data["noise"]]
-        ctx["scale"] = data["scale"]
-        ctx["sensitivity"] = data["sensitivity"]
-
-    # -- phase: release -----------------------------------------------------
-
-    def _phase_release(self, query_index, ctx, fabric) -> dict:
-        assert self.system is not None
-        metadata = self.system.query_metadata(
-            ctx["label"],
-            ctx["epsilon"],
-            ctx["sensitivity"],
-            ctx["scale"],
-            ctx["aggregation"],
-        )
-        result = self.system.release_with_noise(
-            ctx["plan"], ctx["coefficients"], ctx["noise"], metadata
-        )
-        payload = serialize.result_to_json(result)
-        self.results.append(payload)
-        self.system.query_log.append(metadata)
-        return {"result": payload}
-
-    def _restore_release(self, query_index, data, ctx) -> None:
-        assert self.system is not None
         payload = data["result"]
         self.results.append(payload)
         self.system.query_log.append(
@@ -987,20 +949,8 @@ class CampaignRunner:
                 },
             )
 
-        deal_rng = derive_rng(
-            self.config.master_seed, "epoch", epoch_to, "deal"
-        )
-        proposal = committee_mod.deal_rotation(
-            committee,
-            new_members,
-            self.config.committee_threshold,
-            deal_rng,
-            dealer_ids=dealers,
-        )
         try:
-            new_committee = committee_mod.commit_rotation(
-                committee, proposal
-            )
+            new_committee = self._deal(new_members, dealers)
         except SecretSharingError as exc:
             # Not enough dealers survived agreement: the handoff aborts
             # atomically; the old committee keeps the key.
@@ -1029,11 +979,8 @@ class CampaignRunner:
             return
         self.clock.advance(data["round"] - self.clock.round)
         fact = {
-            "epoch": data["epoch"],
-            "members": list(data["members"]),
-            "dealers": list(data["dealers"]),
-            "digest": data["digest"],
-            "reason": data["reason"],
+            key: data[key]
+            for key in ("epoch", "members", "dealers", "digest", "reason")
         }
         self._replay_handoff(fact)
         self.epochs.append(fact)

@@ -2,11 +2,12 @@
 
 Two classes of phase output cross the journal:
 
-* **restorable** values are stored inline (aggregate ciphertexts at the
-  TEST/SMALL rings are a few KB of coefficients; decrypted coefficient
-  vectors, noise draws, and released results are tiny).  Python's
-  ``json`` round-trips ``int`` exactly at arbitrary precision and
-  ``float`` exactly via ``repr``, so restore is bit-identical.
+* **restorable** values are stored inline: aggregate ciphertexts (a few
+  KB of coefficients at the TEST/SMALL rings) and released results.
+  The exact answer is never among them — it exists only inside
+  ``MyceliumSystem.open_phase``.  Python's ``json`` round-trips ``int``
+  exactly at arbitrary precision and ``float`` exactly via ``repr``, so
+  restore is bit-identical.
 * **replayable** values (per-origin submissions with their proofs, key
   material) would be large or secret; only a digest is journaled, and
   resume re-derives the value from the seeded ceremony, then checks the
@@ -118,9 +119,8 @@ def metadata_from_json(data: dict) -> QueryMetadata:
         committee_epoch=data["committee_epoch"],
         verification_seconds=data["verification_seconds"],
         complaints=data["complaints"],
-        # Absent in journals written before the quarantine layer.
-        quarantined_origins=tuple(data.get("quarantined_origins", ())),
-        byzantine_origins=tuple(data.get("byzantine_origins", ())),
+        quarantined_origins=tuple(data["quarantined_origins"]),
+        byzantine_origins=tuple(data["byzantine_origins"]),
     )
 
 

@@ -3,8 +3,8 @@
 The injector is consulted by :meth:`MixnetWorld.run_round` (churn, wire
 faults on deposit), :meth:`MixDevice.process_wire` (fetch-side loss),
 and :meth:`MyceliumSystem.run_query` (committee availability and
-corruption, handed to the one decrypt entry,
-:meth:`MyceliumSystem.decrypt_phase`).  It is
+corruption, handed to the committee's one open step,
+:meth:`MyceliumSystem.open_phase`).  It is
 duck-typed — attached as ``world.fault_injector`` — so the mixnet layer
 never imports this package and the dependency points one way.
 
@@ -166,7 +166,7 @@ class FaultInjector:
     # -- committee faults ---------------------------------------------------
 
     def committee_schedule(self, member_ids: list[int]) -> list[list[int]]:
-        """Availability schedule for ``decrypt_phase(schedule=...)``
+        """Availability schedule for ``open_phase(schedule=...)``
         (the ``decrypt_with_liveness_retry`` loop): dropouts sit out the
         first attempts, then everyone returns."""
         away = [m for m in member_ids if m in self.plan.committee_dropouts]
@@ -192,7 +192,7 @@ class FaultInjector:
     def corrupt_partial(
         self, device_id: int, value: RingElement
     ) -> RingElement:
-        """Per-value corruption hook: ``decrypt_phase(corrupt=...)``.
+        """Per-value corruption hook: ``open_phase(corrupt=...)``.
 
         Passing it raises the quorum of the one liveness loop to every
         present member, and at least ``threshold + 1``, so the decoder

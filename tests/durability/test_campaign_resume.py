@@ -86,16 +86,22 @@ class TestKillAtEveryPhase:
         with pytest.raises(CoordinatorCrash):
             run_campaign(config, tmp_path, kill=KillSpec("charge", query=0))
         with pytest.raises(CoordinatorCrash):
-            resume_campaign(tmp_path, kill=KillSpec("decrypt", query=1))
+            resume_campaign(tmp_path, kill=KillSpec("open", query=1))
         assert resume_campaign(tmp_path).digest == oracle.digest
 
     def test_unknown_kill_point_rejected(self):
         with pytest.raises(ProtocolError):
             KillSpec(phase="no-such-phase")
 
+    @pytest.mark.parametrize("phase", ["noise", "no-such-phase"])
+    def test_unknown_planned_kill_phase_rejected(self, phase):
+        # A kill at a name no boundary carries would silently never fire.
+        with pytest.raises(ProtocolError, match="unknown kill point"):
+            small_config(coordinator_kills=((0, phase),))
+
     def test_killspec_parse(self):
-        spec = KillSpec.parse("decrypt:2", before=True)
-        assert (spec.phase, spec.query, spec.before) == ("decrypt", 2, True)
+        spec = KillSpec.parse("open:2", before=True)
+        assert (spec.phase, spec.query, spec.before) == ("open", 2, True)
         assert KillSpec.parse("compile").query is None
 
 
@@ -125,7 +131,7 @@ class TestCrossBackendResume:
 
 class TestPlanDrivenCrash:
     def test_fault_plan_kill_is_journaled_and_not_retaken(self, tmp_path):
-        config = small_config(coordinator_kills=((0, "decrypt"),))
+        config = small_config(coordinator_kills=((0, "open"),))
         with pytest.raises(CoordinatorCrash):
             run_campaign(config, tmp_path)
         # The crash record is durable, so the resumed process sails past
@@ -134,7 +140,7 @@ class TestPlanDrivenCrash:
         assert len(resumed.results) == 2
 
     def test_plan_driven_and_oracle_agree(self, oracle, tmp_path):
-        config = small_config(coordinator_kills=((1, "noise"),))
+        config = small_config(coordinator_kills=((1, "open"),))
         with pytest.raises(CoordinatorCrash):
             run_campaign(config, tmp_path)
         resumed = resume_campaign(tmp_path)
@@ -183,10 +189,29 @@ class TestResumeSafety:
         with pytest.raises(CampaignResumeError):
             resume_campaign(tmp_path)
 
+    def test_resume_refuses_other_journal_version(self, tmp_path):
+        from repro.durability.journal import (
+            JOURNAL_NAME,
+            JournalRecord,
+            load_records,
+        )
+
+        CampaignRunner.start(small_config(), tmp_path, fsync=False)
+        (record,) = load_records(tmp_path)
+        # A journal written before the open phase (decrypt/noise/release
+        # records) must be refused, not half-replayed; re-checksum the
+        # edited record so only the version is wrong.
+        edited = JournalRecord(
+            seq=0, type=record.type, data={**record.data, "version": 1}
+        )
+        (tmp_path / JOURNAL_NAME).write_text(edited.line() + "\n", "utf-8")
+        with pytest.raises(CampaignResumeError, match="version"):
+            CampaignRunner.resume(tmp_path)
+
     def test_corrupt_checkpoint_falls_back_to_journal(self, oracle, tmp_path):
         with pytest.raises(CoordinatorCrash):
             run_campaign(
-                small_config(), tmp_path, kill=KillSpec("decrypt", query=1)
+                small_config(), tmp_path, kill=KillSpec("open", query=1)
             )
         for checkpoint in tmp_path.glob("checkpoint-*.json"):
             checkpoint.write_text("{garbage", "utf-8")
@@ -196,7 +221,7 @@ class TestResumeSafety:
     def test_checkpoints_disabled_still_resumes(self, oracle, tmp_path):
         config = small_config(checkpoint_every=0)
         with pytest.raises(CoordinatorCrash):
-            run_campaign(config, tmp_path, kill=KillSpec("noise", query=1))
+            run_campaign(config, tmp_path, kill=KillSpec("open", query=1))
         assert not list(tmp_path.glob("checkpoint-*.json"))
         resumed = resume_campaign(tmp_path)
         assert resumed.results == oracle.results

@@ -59,7 +59,7 @@ class TestProcessKillRestart:
         assert _digest(tmp_path) == oracle_digest
 
     def test_kill_before_commit_restart(self, oracle_digest, tmp_path):
-        killed = _campaign(tmp_path, "--kill-before", "decrypt:0")
+        killed = _campaign(tmp_path, "--kill-before", "open:0")
         assert killed.returncode == CRASH_EXIT_CODE
         resumed = _campaign(tmp_path, "--resume")
         assert resumed.returncode == 0, resumed.stderr
@@ -70,7 +70,7 @@ class TestProcessKillRestart:
             tmp_path, "--kill-at", "charge:0"
         ).returncode == CRASH_EXIT_CODE
         assert _campaign(
-            tmp_path, "--resume", "--kill-at", "release:1"
+            tmp_path, "--resume", "--kill-at", "open:1"
         ).returncode == CRASH_EXIT_CODE
         final = _campaign(tmp_path, "--resume")
         assert final.returncode == 0, final.stderr

@@ -99,22 +99,19 @@ def test_direct_path_names_the_forged_proof_origin():
 
 
 def test_campaign_release_names_rejected_origins(tmp_path):
-    """The campaign's release phase reports *which* origins the
+    """The campaign's open phase reports *which* origins the
     aggregator rejected, not only how many: it has no metadata assembly
     of its own to forget the field in."""
     runner = CampaignRunner.start(campaign_config(), tmp_path, fsync=False)
     runner._ensure_setup()
     ctx = {"text": QUERY, "epsilon": EPSILON}
     with TaskFabric() as fabric:
-        for phase in (
-            "compile", "charge", "rounds", "submit", "aggregate",
-            "decrypt", "noise",
-        ):
+        for phase in ("compile", "charge", "rounds", "submit", "aggregate"):
             getattr(runner, f"_phase_{phase}")(0, ctx, fabric)
         ctx["aggregation"] = dataclasses.replace(
             ctx["aggregation"], rejected=[5, 2]
         )
-        data = runner._phase_release(0, ctx, fabric)
+        data = runner._phase_open(0, ctx, fabric)
     metadata = data["result"]["metadata"]
     assert metadata["byzantine_origins"] == [2, 5]
     assert metadata["rejected_origins"] == 2

@@ -150,7 +150,7 @@ class TestEpochLifecycleUnderChurn:
     def test_kill_every_phase_under_churn(self, churn_oracle, tmp_path):
         # The full matrix runs in CI; here one representative early and
         # one late boundary keep tier-1 fast.
-        for phase, query in (("decrypt", 0), ("handoff", 3)):
+        for phase, query in (("open", 0), ("handoff", 3)):
             directory = tmp_path / f"{phase}-{query}"
             with pytest.raises(CoordinatorCrash):
                 run_campaign(
