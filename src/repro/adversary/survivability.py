@@ -40,8 +40,7 @@ from repro.faults.injector import FaultInjector
 from repro.params import SystemParameters
 from repro.query.schema import scaled_schema
 from repro.runtime import derive_rng
-from repro.workloads.epidemic import run_epidemic
-from repro.workloads.graphgen import generate_household_graph
+from repro.workloads.epidemic import build_campaign_graph
 
 #: The honest workload every sweep runs (one-hop: the degraded oracle
 #: covers faults exactly at one hop).
@@ -240,17 +239,7 @@ def _run_point(
     epsilon: float,
 ) -> SurvivabilityPoint:
     graph_rng = derive_rng(seed, "adversary", scaled.name, "graph", index)
-    graph = generate_household_graph(
-        num_devices, degree_bound=2, rng=graph_rng, external_contacts=1
-    )
-    run_epidemic(graph, graph_rng)
-    # Clamp edge magnitudes into the scaled schema's domain, exactly as
-    # the mixnet audit trial does.
-    for u in range(graph.num_vertices):
-        for v in graph.neighbors(u):
-            edge = graph.edge(u, v)
-            edge["duration"] = min(edge["duration"], 20)
-            edge["contacts"] = min(edge["contacts"], 8)
+    graph = build_campaign_graph(num_devices, 2, graph_rng)
     n = graph.num_vertices
     params = SystemParameters(
         num_devices=n, degree_bound=2, hops=2, replicas=2,

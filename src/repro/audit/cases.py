@@ -8,16 +8,9 @@ transforming this data, never live objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.workloads.graphgen import ContactGraph
-
-#: The trial families the harness audits.
-TRIAL_KINDS = (
-    "equivalence", "budget", "sensitivity", "shamir", "mixnet", "crash",
-    "robust", "flagging", "shard_equivalence", "byzantine_survival",
-    "quarantine_soundness",
-)
 
 
 @dataclass(frozen=True)
@@ -129,65 +122,37 @@ class TrialCase:
     rotate_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in TRIAL_KINDS:
+        from repro.audit.trials import KINDS
+
+        if self.kind not in KINDS:
             raise ValueError(f"unknown trial kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "index": self.index,
-            "query": self.query,
-            "graph": self.graph.to_dict() if self.graph is not None else None,
-            "offline": list(self.offline),
-            "behaviors": {str(k): v for k, v in self.behaviors.items()},
-            "backend": self.backend,
-            "workers": self.workers,
-            "shards": self.shards,
-            "total_epsilon": self.total_epsilon,
-            "epsilons": list(self.epsilons),
-            "per_query_epsilon": self.per_query_epsilon,
-            "delta": self.delta,
-            "threshold": self.threshold,
-            "num_shares": self.num_shares,
-            "corrupt": list(self.corrupt),
-            "people": self.people,
-            "failure": self.failure,
-            "kill_phase": self.kill_phase,
-            "kill_query": self.kill_query,
-            "kill_before": self.kill_before,
-            "num_queries": self.num_queries,
-            "rotate_every": self.rotate_every,
-        }
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, GraphSpec):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = {str(k): v for k, v in value.items()}
+            data[f.name] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> TrialCase:
-        graph = data.get("graph")
-        return cls(
-            kind=data["kind"],
-            seed=int(data["seed"]),
-            index=int(data.get("index", 0)),
-            query=data.get("query", ""),
-            graph=GraphSpec.from_dict(graph) if graph is not None else None,
-            offline=tuple(int(d) for d in data.get("offline", ())),
-            behaviors={
-                int(k): str(v) for k, v in data.get("behaviors", {}).items()
-            },
-            backend=data.get("backend", "pure"),
-            workers=int(data.get("workers", 1)),
-            shards=int(data.get("shards", 1)),
-            total_epsilon=float(data.get("total_epsilon", 1.0)),
-            epsilons=tuple(float(e) for e in data.get("epsilons", ())),
-            per_query_epsilon=float(data.get("per_query_epsilon", 0.1)),
-            delta=float(data.get("delta", 1e-6)),
-            threshold=int(data.get("threshold", 2)),
-            num_shares=int(data.get("num_shares", 3)),
-            corrupt=tuple(int(c) for c in data.get("corrupt", ())),
-            people=int(data.get("people", 8)),
-            failure=float(data.get("failure", 0.1)),
-            kill_phase=data.get("kill_phase", ""),
-            kill_query=int(data.get("kill_query", 0)),
-            kill_before=bool(data.get("kill_before", False)),
-            num_queries=int(data.get("num_queries", 2)),
-            rotate_every=int(data.get("rotate_every", 1)),
-        )
+        """Inverse of :meth:`to_dict`; a missing field keeps its default."""
+        values = {}
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            value = data[f.name]
+            if f.name == "graph" and value is not None:
+                value = GraphSpec.from_dict(value)
+            elif f.name == "behaviors":
+                value = {int(k): str(v) for k, v in value.items()}
+            elif isinstance(f.default, tuple):
+                value = tuple(value)
+            values[f.name] = value
+        return cls(**values)

@@ -20,7 +20,7 @@ from repro.audit.checks import CheckResult
 from repro.audit.generator import generate_case
 from repro.audit.replay import ReplayBundle, write_bundle
 from repro.audit.shrink import shrink_case
-from repro.audit.trials import run_trial
+from repro.audit.trials import KINDS
 
 
 @dataclass
@@ -48,7 +48,7 @@ def run_single_case(
     bench = bench if bench is not None else get_bench()
     start = time.perf_counter()
     try:
-        checks = run_trial(case, bench)
+        checks = KINDS[case.kind].run(case, bench)
     except Exception as exc:  # noqa: BLE001 - converted into a finding
         checks = [
             CheckResult(
@@ -118,10 +118,8 @@ def run_audit(
     index schedule).  Case data still derives purely from
     ``(master_seed, index)``, so filtered runs replay the same way.
     """
-    from repro.audit.cases import TRIAL_KINDS
-
     if kinds is not None:
-        unknown = [k for k in kinds if k not in TRIAL_KINDS]
+        unknown = [k for k in kinds if k not in KINDS]
         if unknown:
             raise ValueError(f"unknown trial kinds {unknown}")
     bench = get_bench()

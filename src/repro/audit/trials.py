@@ -1,4 +1,11 @@
-"""Trial bodies: run one case through the system and check invariants.
+"""The audit kinds: how each case is drawn, and the trial that checks it.
+
+:data:`KINDS` is the one table of audit kinds.  Each row holds a kind's
+case draw — its fields, drawn from the case RNG right after the case
+seed — and its trial body, which runs the case and returns every check
+result; all bodies share the ``(case, bench)`` signature.
+:data:`SCHEDULE` spells out the cycle of kinds over trial indices.
+Adding a kind means adding a row and a schedule slot.
 
 Each trial family targets one slice of the protocol:
 
@@ -38,26 +45,45 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Callable
+from dataclasses import dataclass
 
+from repro.adversary import quarantine as quarantine_mod
 from repro.audit.bench import AuditBench
 from repro.audit.cases import TrialCase
 from repro.audit.checks import CheckResult, check, check_equal, check_le
-from repro.audit.generator import audit_params, audit_schema
+from repro.audit.generator import (
+    audit_params,
+    audit_schema,
+    random_attrs,
+    random_backend,
+    random_faults,
+    random_graph,
+)
 from repro.core import committee as committee_mod
 from repro.core.aggregator import QueryAggregator
 from repro.crypto import bgv, shamir, vsr
 from repro.dp import budget as budget_mod
+from repro.durability import campaign as campaign_mod
 from repro.engine import histogram as histogram_mod
 from repro.engine import plaintext as plaintext_mod
 from repro.engine.encrypted import EncryptedExecutor
 from repro.engine.malicious import Behavior
-from repro.errors import MyceliumError, PrivacyBudgetExceeded
+from repro.errors import (
+    CoordinatorCrash,
+    MyceliumError,
+    PrivacyBudgetExceeded,
+    RobustDecodingError,
+    ShardIntegrityError,
+)
 from repro.faults import FaultInjector, FaultPlan
+from repro.faults.chaos import HORIZON_ROUNDS, ChaosQuery
 from repro.query import sensitivity as sensitivity_mod
 from repro.query.ast import OutputKind
 from repro.query.compiler import compile_query
 from repro.query.parser import parse
 from repro.query.plans import ExecutionPlan
+from repro.query.randgen import random_query
 from repro.params import TEST
 from repro.query.schema import ColumnGroup
 from repro.runtime import TaskFabric, backends, derive_rng
@@ -70,31 +96,87 @@ def compile_case_plan(case: TrialCase) -> ExecutionPlan:
     return plan
 
 
-def run_trial(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
-    """Dispatch a case to its trial body; returns every check result."""
-    if case.kind == "equivalence":
-        return _run_equivalence(case, bench)
-    if case.kind == "budget":
-        return _run_budget(case)
-    if case.kind == "sensitivity":
-        return _run_sensitivity(case, bench)
-    if case.kind == "shamir":
-        return _run_shamir(case, bench)
-    if case.kind == "mixnet":
-        return _run_mixnet(case)
-    if case.kind == "crash":
-        return _run_crash(case)
-    if case.kind == "robust":
-        return _run_robust(case, bench)
-    if case.kind == "flagging":
-        return _run_flagging(case, bench)
-    if case.kind == "shard_equivalence":
-        return _run_shard_equivalence(case, bench)
-    if case.kind == "byzantine_survival":
-        return _run_byzantine_survival(case, bench)
-    if case.kind == "quarantine_soundness":
-        return _run_quarantine_soundness(case, bench)
-    raise ValueError(f"unknown trial kind {case.kind!r}")
+# ---------------------------------------------------------------------------
+# The encrypted round every engine kind runs
+# ---------------------------------------------------------------------------
+
+
+def _draw_plan(
+    rng: random.Random, ungrouped_only: bool = False, faulty: bool = False
+) -> dict:
+    """A random graph and query; ``faulty`` adds a random fault
+    assignment to one-hop plans."""
+    schema = audit_schema()
+    graph = random_graph(rng, schema)
+    text, plan = random_query(
+        rng,
+        audit_params(),
+        schema=schema,
+        profile=TEST,
+        ungrouped_only=ungrouped_only,
+    )
+    fields: dict = {"query": text, "graph": graph}
+    if faulty and plan.hops == 1:
+        fields["offline"], fields["behaviors"] = random_faults(
+            rng, len(graph.vertices)
+        )
+    fields["backend"] = random_backend(rng)
+    return fields
+
+
+def _behaviors(case: TrialCase) -> dict[int, Behavior]:
+    return {d: Behavior(v) for d, v in case.behaviors.items()}
+
+
+def _encrypted_round(
+    case: TrialCase,
+    bench: AuditBench,
+    plan: ExecutionPlan,
+    graph,
+    behaviors: dict[int, Behavior],
+    offline,
+    rng: random.Random,
+    shards: tuple[int, ...] = (1,),
+):
+    """Run ``plan`` encrypted under ``behaviors`` and ``offline``, and
+    aggregate the submissions once per shard count in ``shards``.
+
+    Returns the degraded plaintext oracle for the same faults, the
+    executor (for its stats), the submissions and the aggregations.
+    """
+    oracle = plaintext_mod.expected_under_faults(
+        plan, graph, offline=offline, behaviors=behaviors
+    )
+    with backends.use_backend(case.backend), TaskFabric(
+        workers=case.workers, chunk_size=2
+    ) as fabric:
+        executor = EncryptedExecutor(
+            plan, bench.public, bench.zk, rng, fabric=fabric
+        )
+        submissions = executor.run(
+            graph, behaviors=behaviors, offline=set(offline)
+        )
+        aggregations = [
+            QueryAggregator(
+                zk=bench.zk,
+                relin_keys=bench.relin_keys,
+                fabric=fabric,
+                num_shards=num_shards,
+            ).aggregate(submissions)
+            for num_shards in shards
+        ]
+    return oracle, executor, submissions, aggregations
+
+
+def _decrypt(bench: AuditBench, plan: ExecutionPlan, ciphertext, rng):
+    """Committee threshold decryption: the plaintext, and the plan's
+    coefficients read from it."""
+    plain, _ = committee_mod.threshold_decrypt(
+        bench.committee, ciphertext, rng
+    )
+    return plain, tuple(
+        plain.coeffs[i] for i in range(plan.layout.total_coefficients)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -123,29 +205,20 @@ def _noise_checks(
     ]
 
 
+def _draw_equivalence(rng: random.Random) -> dict:
+    fields = _draw_plan(rng, faulty=True)
+    fields["workers"] = 2 if rng.random() < 0.2 else 1
+    return fields
+
+
 def _run_equivalence(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
     results: list[CheckResult] = []
     plan = compile_case_plan(case)
     graph = case.graph.build()
-    behaviors = {d: Behavior(v) for d, v in case.behaviors.items()}
-    expectation = plaintext_mod.expected_under_faults(
-        plan, graph, offline=case.offline, behaviors=behaviors
+    expectation, executor, submissions, (aggregation,) = _encrypted_round(
+        case, bench, plan, graph, _behaviors(case), case.offline,
+        random.Random(case.seed),
     )
-
-    with backends.use_backend(case.backend), TaskFabric(
-        workers=case.workers, chunk_size=2
-    ) as fabric:
-        executor = EncryptedExecutor(
-            plan, bench.public, bench.zk, random.Random(case.seed), fabric=fabric
-        )
-        submissions = executor.run(
-            graph, behaviors=behaviors, offline=set(case.offline)
-        )
-        aggregator = QueryAggregator(
-            zk=bench.zk, relin_keys=bench.relin_keys, fabric=fabric
-        )
-        aggregation = aggregator.aggregate(submissions)
-
     results.append(
         check_equal(
             "equivalence.rejected-origins",
@@ -210,13 +283,8 @@ def _run_equivalence(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
     results.extend(
         _noise_checks(bench, "equivalence.aggregate", aggregation.ciphertext)
     )
-    plain, _ = committee_mod.threshold_decrypt(
-        bench.committee,
-        aggregation.ciphertext,
-        derive_rng(case.seed, "decrypt"),
-    )
-    decrypted = tuple(
-        plain.coeffs[i] for i in range(plan.layout.total_coefficients)
+    plain, decrypted = _decrypt(
+        bench, plan, aggregation.ciphertext, derive_rng(case.seed, "decrypt")
     )
     results.append(
         check_equal(
@@ -239,52 +307,35 @@ def _run_equivalence(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _draw_shard_equivalence(rng: random.Random) -> dict:
+    fields = _draw_plan(rng, faulty=True)
+    # Deliberately allowed to exceed the vertex count: trailing empty
+    # shards must be a no-op at the reduction root.
+    fields["shards"] = rng.choice((2, 3, 5, 8))
+    return fields
+
+
 def _run_shard_equivalence(
     case: TrialCase, bench: AuditBench
 ) -> list[CheckResult]:
-    from repro.errors import ShardIntegrityError
-
-    results: list[CheckResult] = []
     plan = compile_case_plan(case)
     graph = case.graph.build()
-    behaviors = {d: Behavior(v) for d, v in case.behaviors.items()}
-    expectation = plaintext_mod.expected_under_faults(
-        plan, graph, offline=case.offline, behaviors=behaviors
-    )
-
-    with backends.use_backend(case.backend), TaskFabric(
-        workers=case.workers, chunk_size=2
-    ) as fabric:
-        executor = EncryptedExecutor(
-            plan, bench.public, bench.zk, random.Random(case.seed), fabric=fabric
+    try:
+        expectation, _, submissions, (flat, sharded) = _encrypted_round(
+            case, bench, plan, graph, _behaviors(case), case.offline,
+            random.Random(case.seed), shards=(1, case.shards),
         )
-        submissions = executor.run(
-            graph, behaviors=behaviors, offline=set(case.offline)
-        )
-        try:
-            flat, sharded = (
-                QueryAggregator(
-                    zk=bench.zk,
-                    relin_keys=bench.relin_keys,
-                    fabric=fabric,
-                    num_shards=num_shards,
-                ).aggregate(submissions)
-                for num_shards in (1, case.shards)
+    except ShardIntegrityError as exc:
+        # An honest run must never trip the root's claim check — a
+        # shard aggregator lying about its partial sum lands here.
+        return [
+            check(
+                "shard-equivalence.root-accepts-honest-partials",
+                False,
+                f"{type(exc).__name__}: {exc}",
             )
-        except ShardIntegrityError as exc:
-            # An honest run must never trip the root's claim check — a
-            # shard aggregator lying about its partial sum lands here.
-            results.append(
-                check(
-                    "shard-equivalence.root-accepts-honest-partials",
-                    False,
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
-            return results
-    results.append(
-        check("shard-equivalence.root-accepts-honest-partials", True)
-    )
+        ]
+    results = [check("shard-equivalence.root-accepts-honest-partials", True)]
 
     # Field for field against K=1 — floats included: every layout
     # replays the same left fold in global submission order.
@@ -348,13 +399,8 @@ def _run_shard_equivalence(
     results.extend(
         _noise_checks(bench, "shard-equivalence.aggregate", sharded.ciphertext)
     )
-    plain, _ = committee_mod.threshold_decrypt(
-        bench.committee,
-        sharded.ciphertext,
-        derive_rng(case.seed, "decrypt"),
-    )
-    decrypted = tuple(
-        plain.coeffs[i] for i in range(plan.layout.total_coefficients)
+    _, decrypted = _decrypt(
+        bench, plan, sharded.ciphertext, derive_rng(case.seed, "decrypt")
     )
     results.append(
         check_equal(
@@ -372,7 +418,34 @@ def _run_shard_equivalence(
 # ---------------------------------------------------------------------------
 
 
-def _encrypted_round(
+def _draw_ledger(rng: random.Random, pool: tuple[str, ...]) -> dict:
+    """Persistent attackers drawn from ``pool`` plus honest churn."""
+    graph = random_graph(rng, audit_schema())
+    n = len(graph.vertices)
+    num_attackers = rng.randint(1, max(1, min(2, n - 1)))
+    attackers = sorted(rng.sample(range(n), num_attackers))
+    behaviors = {device: rng.choice(pool) for device in attackers}
+    honest = [v for v in range(n) if v not in behaviors]
+    # Honest churn rides along, but at least one honest origin stays
+    # online so the aggregate is non-empty.
+    offline = tuple(v for v in honest[:-1] if rng.random() < 0.15)
+    query = rng.choice(
+        (
+            "SELECT HISTO(COUNT(*)) FROM neigh(1)",
+            "SELECT HISTO(COUNT(*)) FROM neigh(1) WHERE dest.inf",
+        )
+    )
+    return {
+        "query": query,
+        "graph": graph,
+        "offline": offline,
+        "behaviors": behaviors,
+        "backend": random_backend(rng),
+        "num_queries": rng.randint(2, 3),
+    }
+
+
+def _ledger_round(
     case: TrialCase,
     bench: AuditBench,
     plan: ExecutionPlan,
@@ -382,97 +455,91 @@ def _encrypted_round(
     tag: str,
     query_index: int,
 ):
-    """One encrypted submit→aggregate→decrypt pass; returns the
-    aggregation plus the decoded coefficient tuple (zeros when the
-    aggregate is empty, so callers compare uniformly)."""
-    with backends.use_backend(case.backend), TaskFabric(
-        workers=1, chunk_size=2
-    ) as fabric:
-        executor = EncryptedExecutor(
-            plan,
-            bench.public,
-            bench.zk,
-            random.Random(
-                derive_rng(case.seed, tag, query_index).getrandbits(48)
-            ),
-            fabric=fabric,
-        )
-        submissions = executor.run(
-            graph, behaviors=behaviors, offline=set(offline)
-        )
-        aggregation = QueryAggregator(
-            zk=bench.zk, relin_keys=bench.relin_keys, fabric=fabric
-        ).aggregate(submissions)
-    total = plan.layout.total_coefficients
+    """One seeded encrypted round; returns the oracle, the aggregation
+    and the decoded coefficients (zeros when the aggregate is empty, so
+    callers compare uniformly)."""
+    oracle, _, _, (aggregation,) = _encrypted_round(
+        case, bench, plan, graph, behaviors, offline,
+        random.Random(derive_rng(case.seed, tag, query_index).getrandbits(48)),
+    )
     if aggregation.ciphertext is None:
-        return aggregation, (0,) * total
-    plain, _ = committee_mod.threshold_decrypt(
-        bench.committee,
-        aggregation.ciphertext,
+        return oracle, aggregation, (0,) * plan.layout.total_coefficients
+    _, decoded = _decrypt(
+        bench, plan, aggregation.ciphertext,
         derive_rng(case.seed, tag, "decrypt", query_index),
     )
-    return aggregation, tuple(plain.coeffs[i] for i in range(total))
+    return oracle, aggregation, decoded
 
 
-def _run_byzantine_survival(
-    case: TrialCase, bench: AuditBench
-) -> list[CheckResult]:
-    from repro.adversary import quarantine as quarantine_mod
+def _run_ledger(
+    case: TrialCase,
+    bench: AuditBench,
+    plan: ExecutionPlan,
+    graph,
+    prefix: str,
+    tag: str,
+    round_checks: Callable[..., list[CheckResult]],
+):
+    """The query loop both ledger kinds share.
 
+    Each query runs with the quarantined origins offline and checks the
+    rejected set and the coefficients against the degraded oracle; then
+    ``round_checks(q, quarantined, aggregation, decoded)`` adds the
+    kind's own checks and the ledger records the rejections.  Returns
+    the checks and the ledger.
+    """
     results: list[CheckResult] = []
-    plan = compile_case_plan(case)
-    graph = case.graph.build()
-    behaviors = {d: Behavior(v) for d, v in case.behaviors.items()}
-    attackers = frozenset(behaviors)
+    behaviors = _behaviors(case)
     ledger = quarantine_mod.SuspicionLedger()
-
     for q in range(case.num_queries):
         quarantined = frozenset(ledger.quarantined)
         offline = frozenset(case.offline) | quarantined
         active = {d: b for d, b in behaviors.items() if d not in offline}
-        oracle = plaintext_mod.expected_under_faults(
-            plan, graph, offline=offline, behaviors=active
-        )
-        aggregation, decoded = _encrypted_round(
-            case, bench, plan, graph, active, offline, "byz", q
+        oracle, aggregation, decoded = _ledger_round(
+            case, bench, plan, graph, active, offline, tag, q
         )
         results.append(
             check_equal(
-                f"byzantine.rejected-matches-oracle[{q}]",
+                f"{prefix}.rejected-matches-oracle[{q}]",
                 frozenset(aggregation.rejected),
                 oracle.rejected_origins,
             )
         )
         results.append(
             check_equal(
-                f"byzantine.coefficients[{q}]",
-                decoded,
-                oracle.coefficients,
+                f"{prefix}.coefficients[{q}]", decoded, oracle.coefficients
             )
         )
-        # Honest-only bit-identity: forged-proof attackers are both
-        # origin-rejecting and leaf-breaking, so the attacked answer
-        # must equal a run where the attackers were simply offline —
-        # the attack's blast radius never reaches honest answers.
-        _, baseline = _encrypted_round(
-            case,
-            bench,
-            plan,
-            graph,
-            {},
-            frozenset(case.offline) | attackers,
-            "byz",
-            q,
-        )
-        results.append(
-            check_equal(
-                f"byzantine.honest-bit-identical[{q}]",
-                decoded,
-                baseline,
-            )
-        )
+        results.extend(round_checks(q, quarantined, aggregation, decoded))
         ledger.record_rejections(aggregation.rejected)
+    return results, ledger
 
+
+def _run_byzantine_survival(
+    case: TrialCase, bench: AuditBench
+) -> list[CheckResult]:
+    plan = compile_case_plan(case)
+    graph = case.graph.build()
+    attackers = frozenset(case.behaviors)
+
+    def honest_bit_identical(q, quarantined, aggregation, decoded):
+        # Forged-proof attackers are both origin-rejecting and
+        # leaf-breaking, so the attacked answer must equal a run where
+        # the attackers were simply offline — the attack's blast radius
+        # never reaches honest answers.
+        _, _, baseline = _ledger_round(
+            case, bench, plan, graph, {}, frozenset(case.offline) | attackers,
+            "byz", q,
+        )
+        return [
+            check_equal(
+                f"byzantine.honest-bit-identical[{q}]", decoded, baseline
+            )
+        ]
+
+    results, ledger = _run_ledger(
+        case, bench, plan, graph, "byzantine", "byz", honest_bit_identical
+    )
     final = frozenset(ledger.quarantined)
     results.append(
         check(
@@ -495,51 +562,24 @@ def _run_byzantine_survival(
 def _run_quarantine_soundness(
     case: TrialCase, bench: AuditBench
 ) -> list[CheckResult]:
-    from repro.adversary import quarantine as quarantine_mod
+    attackers = frozenset(case.behaviors)
 
-    results: list[CheckResult] = []
-    plan = compile_case_plan(case)
-    graph = case.graph.build()
-    behaviors = {d: Behavior(v) for d, v in case.behaviors.items()}
-    attackers = frozenset(behaviors)
-    ledger = quarantine_mod.SuspicionLedger()
-
-    for q in range(case.num_queries):
-        quarantined = frozenset(ledger.quarantined)
-        offline = frozenset(case.offline) | quarantined
-        active = {d: b for d, b in behaviors.items() if d not in offline}
-        oracle = plaintext_mod.expected_under_faults(
-            plan, graph, offline=offline, behaviors=active
-        )
-        aggregation, decoded = _encrypted_round(
-            case, bench, plan, graph, active, offline, "quar", q
-        )
-        results.append(
-            check_equal(
-                f"quarantine.rejected-matches-oracle[{q}]",
-                frozenset(aggregation.rejected),
-                oracle.rejected_origins,
-            )
-        )
-        results.append(
-            check_equal(
-                f"quarantine.coefficients[{q}]",
-                decoded,
-                oracle.coefficients,
-            )
-        )
+    def never_resubmit(q, quarantined, aggregation, decoded):
         # A quarantined origin defaults to Enc(x^0) server-side — it
         # must never reach the aggregator again, accepted or rejected.
-        results.append(
+        return [
             check(
                 f"quarantine.quarantined-never-resubmit[{q}]",
                 not quarantined
                 & (set(aggregation.accepted) | set(aggregation.rejected)),
                 f"quarantined {sorted(quarantined)} reappeared in round {q}",
             )
-        )
-        ledger.record_rejections(aggregation.rejected)
+        ]
 
+    results, ledger = _run_ledger(
+        case, bench, compile_case_plan(case), case.graph.build(),
+        "quarantine", "quar", never_resubmit,
+    )
     suspected = frozenset(ledger.suspicion)
     final = frozenset(ledger.quarantined)
     results.append(
@@ -571,7 +611,21 @@ def _run_quarantine_soundness(
 # ---------------------------------------------------------------------------
 
 
-def _run_budget(case: TrialCase) -> list[CheckResult]:
+def _draw_budget(rng: random.Random) -> dict:
+    total = round(rng.uniform(0.5, 3.0), 3)
+    epsilons = tuple(
+        round(rng.choice([0.01, 0.05, 0.1, 0.25]) * rng.uniform(0.5, 2.0), 6)
+        for _ in range(rng.randint(5, 30))
+    )
+    per_query = round(total * rng.choice([0.02, 0.05, 0.1, 0.5, 1.2]), 6)
+    return {
+        "total_epsilon": total,
+        "epsilons": epsilons,
+        "per_query_epsilon": per_query,
+    }
+
+
+def _run_budget(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
     results: list[CheckResult] = []
     budget = budget_mod.PrivacyBudget(case.total_epsilon)
     ledger: list[float] = []
@@ -695,22 +749,13 @@ def _decoded(plan: ExecutionPlan, coefficients) -> list[list[float]]:
 
 def _perturb_device(graph, device: int, rng: random.Random) -> None:
     schema = audit_schema()
-    for name in schema.column_names():
-        try:
-            spec = schema.lookup(ColumnGroup.SELF, name)
-        except MyceliumError:
-            continue
-        graph.vertex_attrs[device][name] = rng.randint(spec.low, spec.high)
+    graph.vertex_attrs[device].update(
+        random_attrs(rng, schema, ColumnGroup.SELF)
+    )
     for neighbor in graph.neighbors(device):
-        record = graph.edge(device, neighbor)
-        for name in schema.column_names():
-            try:
-                spec = schema.lookup(ColumnGroup.EDGE, name)
-            except MyceliumError:
-                continue
-            value = rng.randint(spec.low, spec.high)
-            record[name] = value
-            graph.edge(neighbor, device)[name] = value
+        values = random_attrs(rng, schema, ColumnGroup.EDGE)
+        graph.edge(device, neighbor).update(values)
+        graph.edge(neighbor, device).update(values)
 
 
 def _run_sensitivity(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
@@ -763,6 +808,11 @@ def _run_sensitivity(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # Shamir / VSR / threshold decryption
 # ---------------------------------------------------------------------------
+
+
+def _draw_shamir(rng: random.Random) -> dict:
+    threshold = rng.randint(2, 3)
+    return {"threshold": threshold, "num_shares": threshold + rng.randint(1, 2)}
 
 
 def _run_shamir(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
@@ -857,6 +907,21 @@ def _run_shamir(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _draw_committee(rng: random.Random, full_radius: bool) -> dict:
+    """A committee large enough to *correct* errors: with threshold 2
+    and n in 4..7 the unique-decoding radius (n - 2) // 2 is 1..2.
+    ``full_radius`` corrupts exactly radius members, else up to it."""
+    threshold = 2
+    num_shares = rng.randint(4, 7)
+    radius = (num_shares - threshold) // 2
+    num_corrupt = radius if full_radius else rng.randint(0, radius)
+    return {
+        "threshold": threshold,
+        "num_shares": num_shares,
+        "corrupt": tuple(sorted(rng.sample(range(num_shares), num_corrupt))),
+    }
+
+
 def _robust_committee(case: TrialCase, bench: AuditBench, rng: random.Random):
     """A trial-sized committee sharing the bench secret key.
 
@@ -946,8 +1011,6 @@ def _run_robust(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
 
 
 def _run_flagging(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
-    from repro.errors import RobustDecodingError
-
     results: list[CheckResult] = []
     rng = random.Random(case.seed)
     trial_committee, corrupt_ids = _robust_committee(case, bench, rng)
@@ -1028,12 +1091,21 @@ def _run_flagging(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _run_crash(case: TrialCase) -> list[CheckResult]:
+def _draw_crash(rng: random.Random) -> dict:
+    num_queries = rng.randint(1, 2)
+    return {
+        "kill_phase": rng.choice(campaign_mod.PHASES),
+        "kill_query": rng.randrange(num_queries),
+        "kill_before": rng.random() < 0.5,
+        "num_queries": num_queries,
+        "rotate_every": rng.choice([0, 1]),
+    }
+
+
+def _run_crash(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
     import shutil
     import tempfile
 
-    from repro.durability import campaign as campaign_mod
-    from repro.errors import CoordinatorCrash
     from repro.workloads.epidemic import campaign_queries
 
     results: list[CheckResult] = []
@@ -1156,116 +1228,117 @@ def _disk_leaks(directory: str, config) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_mixnet(case: TrialCase) -> list[CheckResult]:
-    from repro.core.system import MyceliumSystem
-    from repro.mixnet.network import MixnetWorld
-    from repro.params import SystemParameters
-    from repro.query.schema import scaled_schema
-    from repro.workloads.epidemic import run_epidemic
-    from repro.workloads.graphgen import generate_household_graph
+def _draw_mixnet(rng: random.Random) -> dict:
+    return {"failure": round(rng.uniform(0.05, 0.2), 3)}
 
-    results: list[CheckResult] = []
-    rng = random.Random(case.seed)
-    graph = generate_household_graph(
-        case.people, degree_bound=2, rng=rng, external_contacts=1
-    )
-    run_epidemic(graph, rng)
-    for u in range(graph.num_vertices):
-        for v in graph.neighbors(u):
-            edge = graph.edge(u, v)
-            edge["duration"] = min(edge["duration"], 20)
-            edge["contacts"] = min(edge["contacts"], 8)
-    params = SystemParameters(
-        num_devices=graph.num_vertices,
-        hops=2,
-        replicas=2,
-        forwarder_fraction=0.45,
-        degree_bound=2,
-        pseudonyms_per_device=2,
-        churn_fraction=min(0.9, case.failure),
-    )
-    world = MixnetWorld(
-        params,
-        num_devices=graph.num_vertices,
-        rng=rng,
-        rsa_bits=512,
-        pseudonyms_per_device=2,
-    )
-    system = MyceliumSystem.setup(
-        num_devices=graph.num_vertices,
-        rng=rng,
-        params=params,
-        schema=scaled_schema(),
-        committee_size=3,
-        committee_threshold=2,
-        total_epsilon=10.0,
-    )
-    fault_start = params.telescoping_crounds + 4
-    fault_plan = FaultPlan.generate(
-        seed=case.seed,
-        num_devices=graph.num_vertices,
-        churn_fraction=case.failure / 2,
-        churn_window_rounds=4,
-        horizon_rounds=96,
-        start_round=fault_start,
-        wire_drop_rate=case.failure / 2,
-        wire_delay_rate=case.failure / 4,
-        wire_corrupt_rate=case.failure / 4,
-        wire_fault_start=fault_start,
-    )
-    FaultInjector(fault_plan).attach(world)
-    query = "SELECT HISTO(COUNT(*)) FROM neigh(1) WHERE dest.inf"
+
+def _run_mixnet(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
+    chaos = ChaosQuery.build(case.people, case.failure, case.seed)
     try:
-        result = system.run_query(
-            query, graph, epsilon=1.0, noiseless=True, world=world
-        )
+        result, got_counts, expected_counts = chaos.run()
     except MyceliumError as exc:
-        results.append(
-            check(
-                "mixnet.typed-failure",
-                True,
-                f"{type(exc).__name__}: {exc}",
-            )
-        )
-        return results
-
+        return [
+            check("mixnet.typed-failure", True, f"{type(exc).__name__}: {exc}")
+        ]
     report = result.metadata.recovery
-    plan = system.compile(query)
-    expected, _ = plaintext_mod.aggregate_coefficients(
-        plan,
-        graph,
-        skipped_origins=report.skipped_origins,
-        defaulted=report.defaulted_by_origin,
-    )
-    expected_counts = [
-        [int(c) for c in g.counts]
-        for g in histogram_mod.decode_histogram(expected, plan)
-    ]
-    got_counts = [[int(round(c)) for c in g.counts] for g in result.groups]
-    results.append(
+    return [
         check_equal(
             "mixnet.matches-degraded-oracle", got_counts, expected_counts
-        )
-    )
-    results.append(
+        ),
         check_equal(
             "mixnet.complaint-count-consistent",
             result.metadata.complaints,
             len(report.complaints),
-        )
-    )
-    results.append(
+        ),
         check(
             "mixnet.decrypt-attempts-positive",
             report.decrypt_attempts >= 1,
             f"attempts {report.decrypt_attempts}",
-        )
-    )
-    results.append(
+        ),
         check(
             "mixnet.crounds-bounded",
-            0 < report.crounds <= 96 + fault_start,
+            0 < report.crounds <= HORIZON_ROUNDS + chaos.fault_start,
             f"crounds {report.crounds}",
-        )
-    )
-    return results
+        ),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrialKind:
+    """One audit kind: its case draw and its trial body."""
+
+    #: The kind's case fields, drawn from the case RNG after the seed.
+    draw: Callable[[random.Random], dict]
+    run: Callable[[TrialCase, AuditBench], list[CheckResult]]
+
+
+#: Every audit kind, by name.
+KINDS: dict[str, TrialKind] = {
+    "equivalence": TrialKind(_draw_equivalence, _run_equivalence),
+    "budget": TrialKind(_draw_budget, _run_budget),
+    "sensitivity": TrialKind(
+        functools.partial(_draw_plan, ungrouped_only=True), _run_sensitivity
+    ),
+    "shamir": TrialKind(_draw_shamir, _run_shamir),
+    "mixnet": TrialKind(_draw_mixnet, _run_mixnet),
+    "crash": TrialKind(_draw_crash, _run_crash),
+    "robust": TrialKind(
+        functools.partial(_draw_committee, full_radius=False), _run_robust
+    ),
+    "flagging": TrialKind(
+        functools.partial(_draw_committee, full_radius=True), _run_flagging
+    ),
+    "shard_equivalence": TrialKind(
+        _draw_shard_equivalence, _run_shard_equivalence
+    ),
+    # byzantine_survival pins honest bit-identity against an
+    # attackers-offline baseline, which only forged-proof attackers
+    # guarantee (they are both leaf-breaking and origin-rejecting);
+    # quarantine_soundness only needs origin rejection, so it also
+    # draws bad-aggregation claim tamperers.
+    "byzantine_survival": TrialKind(
+        functools.partial(_draw_ledger, pool=("forged-proof",)),
+        _run_byzantine_survival,
+    ),
+    "quarantine_soundness": TrialKind(
+        functools.partial(
+            _draw_ledger, pool=("forged-proof", "bad-aggregation")
+        ),
+        _run_quarantine_soundness,
+    ),
+}
+
+#: The kind of trial ``index`` is ``SCHEDULE[index % len(SCHEDULE)]``:
+#: every kind within one cycle, mixnet trials (a full onion-routing
+#: world, the most expensive) at the smallest share.
+SCHEDULE: tuple[str, ...] = (
+    "equivalence",           # 0
+    "budget",                # 1
+    "shard_equivalence",     # 2
+    "sensitivity",           # 3
+    "equivalence",           # 4
+    "budget",                # 5
+    "robust",                # 6
+    "shamir",                # 7
+    "byzantine_survival",    # 8
+    "crash",                 # 9
+    "flagging",              # 10
+    "mixnet",                # 11
+    "equivalence",           # 12
+    "budget",                # 13
+    "shard_equivalence",     # 14
+    "shamir",                # 15
+    "equivalence",           # 16
+    "budget",                # 17
+    "robust",                # 18
+    "sensitivity",           # 19
+    "quarantine_soundness",  # 20
+    "crash",                 # 21
+    "flagging",              # 22
+    "mixnet",                # 23
+)

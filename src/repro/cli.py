@@ -48,20 +48,10 @@ from repro.query.catalog import CATALOG, all_queries
 
 
 def _build_workload(people: int, degree: int, seed: int):
-    from repro.workloads.epidemic import run_epidemic
-    from repro.workloads.graphgen import generate_household_graph
+    from repro.workloads.epidemic import build_campaign_graph
 
     rng = random.Random(seed)
-    graph = generate_household_graph(
-        people, degree_bound=degree, rng=rng, external_contacts=1
-    )
-    run_epidemic(graph, rng)
-    for u in range(graph.num_vertices):
-        for v in graph.neighbors(u):
-            edge = graph.edge(u, v)
-            edge["duration"] = min(edge["duration"], 20)
-            edge["contacts"] = min(edge["contacts"], 8)
-    return graph, rng
+    return build_campaign_graph(people, degree, rng), rng
 
 
 def _runtime_from_args(args: argparse.Namespace):
@@ -285,62 +275,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro import telemetry
-    from repro.core.system import MyceliumSystem
-    from repro.engine import histogram as histogram_mod
-    from repro.engine.plaintext import aggregate_coefficients
     from repro.errors import ProtocolError
-    from repro.faults import FaultInjector, FaultPlan
-    from repro.mixnet.network import MixnetWorld
-    from repro.query.schema import scaled_schema
+    from repro.faults.chaos import ChaosQuery
 
-    graph, rng = _build_workload(args.people, 2, args.seed)
-    params = SystemParameters(
-        num_devices=graph.num_vertices, hops=2, replicas=2,
-        forwarder_fraction=0.45, degree_bound=2, pseudonyms_per_device=2,
-        churn_fraction=min(0.9, args.failure),
+    chaos = ChaosQuery.build(
+        args.people, args.failure, args.seed, epsilon=args.epsilon,
+        committee_dropouts=True,
     )
-    world = MixnetWorld(
-        params, num_devices=graph.num_vertices, rng=rng, rsa_bits=512,
-        pseudonyms_per_device=2,
-    )
-    system = MyceliumSystem.setup(
-        num_devices=graph.num_vertices, rng=rng, params=params,
-        schema=scaled_schema(), committee_size=3, committee_threshold=2,
-        total_epsilon=max(10.0, args.epsilon),
-    )
-    members = [m.device_id for m in system.committee.members]
-    # Leave path setup fault-free; chaos starts once circuits exist
-    # (the §3.4 steady state).  One more dropout than the committee can
-    # spare forces the §6.5 liveness retry.
-    fault_start = params.telescoping_crounds + 4
-    dropouts = members[
-        : system.committee.size - system.committee.threshold + 1
-    ]
-    fault_plan = FaultPlan.generate(
-        seed=args.seed,
-        num_devices=graph.num_vertices,
-        churn_fraction=args.failure / 2,
-        churn_window_rounds=4,
-        horizon_rounds=96,
-        start_round=fault_start,
-        wire_drop_rate=args.failure / 2,
-        wire_delay_rate=args.failure / 4,
-        wire_corrupt_rate=args.failure / 4,
-        wire_fault_start=fault_start,
-        committee_dropouts=tuple(dropouts),
-        committee_offline_attempts=2,
-    )
-    FaultInjector(fault_plan).attach(world)
-    query = "SELECT HISTO(COUNT(*)) FROM neigh(1) WHERE dest.inf"
     print(
-        f"chaos: people={graph.num_vertices} failure={args.failure} "
-        f"seed={args.seed} fault_start=C-round {fault_start}"
+        f"chaos: people={chaos.graph.num_vertices} failure={args.failure} "
+        f"seed={args.seed} fault_start=C-round {chaos.fault_start}"
     )
     telemetry.enable()
     try:
-        result = system.run_query(
-            query, graph, epsilon=args.epsilon, noiseless=True, world=world
-        )
+        result, got_counts, expected_counts = chaos.run()
     except ProtocolError as exc:
         print(f"query failed with a typed error: {type(exc).__name__}: {exc}")
         if args.trace:
@@ -348,19 +296,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"telemetry trace written to {args.trace}")
         telemetry.disable()
         return 1
-    report = result.metadata.recovery
-    print(report.summary())
-    plan = system.compile(query)
-    expected, _ = aggregate_coefficients(
-        plan, graph,
-        skipped_origins=report.skipped_origins,
-        defaulted=report.defaulted_by_origin,
-    )
-    expected_counts = [
-        [int(c) for c in g.counts]
-        for g in histogram_mod.decode_histogram(expected, plan)
-    ]
-    got_counts = [[int(round(c)) for c in g.counts] for g in result.groups]
+    print(result.metadata.recovery.summary())
     print(f"histogram: {got_counts}")
     print(
         "result matches the degraded plaintext oracle: "

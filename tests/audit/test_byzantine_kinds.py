@@ -4,19 +4,23 @@ unquarantined-attacker mutant (PR 10)."""
 from __future__ import annotations
 
 from repro.audit.bench import get_bench
-from repro.audit.cases import TRIAL_KINDS
-from repro.audit.generator import _kind_for_index, generate_case
+from repro.audit.generator import generate_case
 from repro.audit.mutants import MUTANTS
 from repro.audit.runner import run_audit, run_single_case
+from repro.audit.trials import KINDS, SCHEDULE
+
+
+def _scheduled(index: int) -> str:
+    return SCHEDULE[index % len(SCHEDULE)]
 
 
 def test_kinds_registered_and_scheduled():
-    assert "byzantine_survival" in TRIAL_KINDS
-    assert "quarantine_soundness" in TRIAL_KINDS
-    assert _kind_for_index(8) == "byzantine_survival"
-    assert _kind_for_index(20) == "quarantine_soundness"
-    assert _kind_for_index(32) == "byzantine_survival"
-    assert _kind_for_index(44) == "quarantine_soundness"
+    assert "byzantine_survival" in KINDS
+    assert "quarantine_soundness" in KINDS
+    assert _scheduled(8) == "byzantine_survival"
+    assert _scheduled(20) == "quarantine_soundness"
+    assert _scheduled(32) == "byzantine_survival"
+    assert _scheduled(44) == "quarantine_soundness"
 
 
 class TestGeneratedCases:

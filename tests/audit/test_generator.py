@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from repro.audit.cases import TRIAL_KINDS, TrialCase
+from repro.audit.cases import TrialCase
 from repro.audit.generator import generate_case
+from repro.audit.trials import KINDS
 
 
 class TestDeterminism:
@@ -31,7 +32,7 @@ class TestCoverage:
         # The schedule cycles every 24 indices (the byzantine and
         # quarantine slots fire at 8 and 20 mod 24).
         kinds = {generate_case(0, i).kind for i in range(24)}
-        assert kinds == set(TRIAL_KINDS)
+        assert kinds == set(KINDS)
 
     def test_shard_cases_use_plural_layouts(self):
         # Every generated shard_equivalence case must actually shard:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
+import pytest
+
 from repro.audit.cases import TrialCase
 from repro.audit.generator import generate_case
 from repro.audit.replay import ReplayBundle, load_bundle, write_bundle
@@ -27,6 +31,10 @@ class TestBundleRoundTrip:
         without = ReplayBundle(1, 0, case)
         assert with_shrunk.reproducer == shrunk
         assert without.reproducer == case
+
+    def test_missing_fields_load_defaults(self):
+        case = TrialCase.from_dict({"kind": "budget", "seed": 5})
+        assert case == TrialCase(kind="budget", seed=5)
 
     def test_write_creates_directories(self, tmp_path):
         bundle = ReplayBundle(0, 0, generate_case(0, 1))
@@ -79,3 +87,18 @@ class TestReplayDeterminism:
         assert [(c.name, c.passed) for c in direct.checks] == [
             (c.name, c.passed) for c in replayed.checks
         ]
+
+
+class TestUnknownKind:
+    def test_bundle_naming_unknown_kind_is_refused(self, tmp_path):
+        data = ReplayBundle(0, 1, generate_case(0, 1)).to_dict()
+        data["case"]["kind"] = "nope"
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="unknown trial kind 'nope'"):
+            load_bundle(path)
+
+    def test_unknown_kind_override_is_refused(self):
+        # run_audit(kinds=...) is covered in test_byzantine_kinds.py.
+        with pytest.raises(ValueError, match="unknown trial kind 'nope'"):
+            generate_case(0, 0, kind="nope")
