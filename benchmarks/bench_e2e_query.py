@@ -89,7 +89,6 @@ def test_inline_query_at_ring(benchmark, report):
     from repro.core.system import MyceliumSystem
     from repro.params import SMALL, TEST, SystemParameters
     from repro.query.schema import scaled_schema
-    from repro.runtime import backends
 
     profile = TEST if _quick() else SMALL
     people, master = 12, 0xA5ED
@@ -107,7 +106,6 @@ def test_inline_query_at_ring(benchmark, report):
         total_epsilon=1000.0,
     )
     graph = build_epidemic_graph(seed=71, people=people, degree=3)
-    backends.clear_multiply_cache()
 
     def run():
         return system.run_query(

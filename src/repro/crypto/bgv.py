@@ -194,23 +194,13 @@ class Ciphertext:
 # ---------------------------------------------------------------------------
 
 
-def _genesis_product(
-    ring: RingParams, a: RingElement, s: backends.Operand
-) -> RingElement:
-    """``a * s`` for the ternary secret ``s``.  Genesis meets ``s`` with
-    freshly drawn uniform ``a_i`` and with its own powers, each once, so
-    no such product can recur: they stay out of the product cache."""
-    product = backends.ring_multiply([(a.coeffs, s)], ring.n, ring.q, memoize=False)
-    return RingElement(ring, tuple(product))
-
-
 def keygen(profile: BGVProfile, rng: random.Random) -> tuple[SecretKey, PublicKey]:
     """Generate a BGV key pair."""
     ring = profile.ring
     s = RingElement.random_ternary(ring, rng)
     a = RingElement.random_uniform(ring, rng)
     e = RingElement.random_bounded(ring, profile.error_bound, rng)
-    pk0 = -_genesis_product(ring, a, s.coeffs) + e.scale(profile.t)
+    pk0 = -_product(ring, [(a.coeffs, s.coeffs)]) + e.scale(profile.t)
     return SecretKey(profile, s), PublicKey(profile, pk0, a)
 
 
@@ -235,14 +225,14 @@ def make_relin_keys(
     s = backends.Resident(secret.s.coeffs)  # one transform, every product
     s_power = secret.s
     for power in range(2, max_power + 1):
-        s_power = _genesis_product(ring, s_power, s)
+        s_power = _product(ring, [(s_power.coeffs, s)])
         pieces = []
         scale = 1
         for _ in range(num_pieces):
             a_i = RingElement.random_uniform(ring, rng)
             e_i = RingElement.random_bounded(ring, profile.error_bound, rng)
             b_i = (
-                -_genesis_product(ring, a_i, s)
+                -_product(ring, [(a_i.coeffs, s)])
                 + e_i.scale(profile.t)
                 + s_power.scale(scale)
             )
@@ -270,7 +260,7 @@ def encrypt(
     """Encrypt a plaintext ring element (coefficients modulo t).
 
     ``randomness`` pins the ephemeral values; the zero-knowledge layer uses
-    this to re-derive a ciphertext from a witness.
+    this to derive a ciphertext from a witness.
 
     The ciphertext is ``(pk0*u + t*e0 + m, pk1*u + t*e1)``: one transform
     of the ternary ``u`` serves both products, and the key halves keep
@@ -299,8 +289,7 @@ def encrypt(
 def _product(ring: RingParams, pairs: list[backends.Pair]) -> RingElement:
     """``sum_i a_i * b_i`` in R_q for operands that several products
     share: a :class:`~repro.runtime.backends.Resident` is transformed
-    once, by the first product that misses the product cache, however
-    many follow."""
+    once, by the first product it takes part in, however many follow."""
     return RingElement(ring, tuple(backends.ring_multiply(pairs, ring.n, ring.q)))
 
 

@@ -9,9 +9,12 @@ with the same interface, security behaviour, and cost model:
   (:meth:`Groth16System.setup`), exactly as the paper requires for
   Groth16.  The setup holds a secret MAC key per circuit.
 
-* **Soundness** — :meth:`Groth16System.prove` evaluates the *real*
-  relation (re-encrypting with the witness randomness, re-multiplying the
-  claimed inputs) and refuses to emit a proof for a false statement.
+* **Soundness** — a circuit is a relation from a witness to the public
+  statement it proves and the output it computes (as ZoKrates'
+  ``compute-witness`` is).  :meth:`Groth16System.prove` evaluates the
+  *real* relation once — encrypting under the witness randomness,
+  multiplying the inputs — and certifies that evaluation's statement;
+  a witness that breaks a constraint raises, so no proof exists for it.
   Because proof tokens are MACs under the setup secret, a Byzantine
   device cannot mint a token for a statement it cannot prove; the test
   suite exercises forgery attempts via :func:`forge_proof`.
@@ -97,11 +100,12 @@ class Proof:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A relation: ``check(public_inputs, witness) -> bool`` plus a
-    constraint count for the cost model."""
+    """A relation ``witness -> (public_inputs, output)`` plus a
+    constraint count for the cost model.  The relation raises when the
+    witness breaks a constraint."""
 
     name: str
-    check: Callable[[tuple, object], bool]
+    relation: Callable[[object], tuple[tuple, object]]
     num_constraints: int
 
 
@@ -126,20 +130,28 @@ class Groth16System:
         except KeyError as exc:
             raise ProofError(f"no circuit named '{name}' in this setup") from exc
 
-    def prove(self, statement: Statement, witness: object) -> Proof:
-        """Produce a proof; raises :class:`ProofError` if the witness does
-        not satisfy the circuit (a sound prover cannot prove falsehoods)."""
-        circuit = self.circuit(statement.circuit)
-        if not circuit.check(statement.public_inputs, witness):
-            raise ProofError(
-                f"witness does not satisfy circuit '{statement.circuit}'"
-            )
+    def prove(
+        self, circuit_name: str, witness: object
+    ) -> tuple[Statement, Proof, object]:
+        """Evaluate the circuit's relation on ``witness`` once and return
+        the statement it establishes, a proof of it, and the relation's
+        output.  A witness that breaks a constraint raises from the
+        relation, so a sound prover cannot prove falsehoods."""
+        public_inputs, output = self.circuit(circuit_name).relation(witness)
+        statement = Statement(circuit_name, public_inputs)
         digest = statement.digest()
-        token = prf(self._setup_secret, b"groth16", digest)[:PROOF_BYTES]
-        token = token + prf(self._setup_secret, b"groth16-pad", digest)[: PROOF_BYTES - len(token)]
-        return Proof(
-            circuit=statement.circuit, statement_digest=digest, token=token[:PROOF_BYTES]
+        proof = Proof(
+            circuit=circuit_name, statement_digest=digest, token=self._token(digest)
         )
+        return statement, proof, output
+
+    def _token(self, digest: bytes) -> bytes:
+        """The proof token: a PRF of the statement digest alone."""
+        token = prf(self._setup_secret, b"groth16", digest)[:PROOF_BYTES]
+        token = token + prf(self._setup_secret, b"groth16-pad", digest)[
+            : PROOF_BYTES - len(token)
+        ]
+        return token[:PROOF_BYTES]
 
     def verify(self, statement: Statement, proof: Proof) -> bool:
         """Check a proof against a statement."""
@@ -148,11 +160,7 @@ class Groth16System:
         digest = statement.digest()
         if proof.statement_digest != digest:
             return False
-        expected = prf(self._setup_secret, b"groth16", digest)[:PROOF_BYTES]
-        expected = expected + prf(self._setup_secret, b"groth16-pad", digest)[
-            : PROOF_BYTES - len(expected)
-        ]
-        return constant_time_equal(proof.token, expected[:PROOF_BYTES])
+        return constant_time_equal(proof.token, self._token(digest))
 
     # -- cost model ---------------------------------------------------------
 

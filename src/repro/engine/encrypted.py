@@ -7,10 +7,11 @@ ever seeing plaintext neighbor data, and every party attaches the §4.6
 zero-knowledge proofs.
 
 The origin combination is a *pure deterministic function* of the
-origin's private decisions, the input ciphertexts, and a replay seed for
-its fresh encryptions — the same function serves as the body of the
-``wf-aggregation`` circuit, so proofs are literally "re-run the
-aggregation and compare digests".
+origin's private decisions, the input ciphertexts, and a seed for its
+fresh encryptions — it is the body of the ``wf-aggregation`` circuit,
+and a leaf's encryption the body of ``wf-encryption``.  An honest device
+runs each once, inside the prover, and submits the proof's output;
+only a Byzantine device builds a ciphertext outside a proof.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.crypto import bgv, zksnark
 from repro.crypto.polyring import RingElement
 from repro.engine import semantics, zkcircuits
 from repro.engine.malicious import Behavior
-from repro.errors import ProofError, ProtocolError
+from repro.errors import ProtocolError
 from repro.params import BGVProfile
 from repro.query import ast
 from repro.query.plans import ExecutionPlan
@@ -120,69 +121,53 @@ def _leaf_stream(profile: BGVProfile, master_seed: int, origin: int):
         yield leaf_randomness(profile, master_seed, origin, index)
 
 
-def _prove_leaf(
+def _leaf_message(
     zk: zksnark.Groth16System,
     pk: bgv.PublicKey,
     sender: int,
-    ciphertext: bgv.Ciphertext,
-    exponent: int,
-    randomness: bgv.EncryptionRandomness,
-    max_exponent: int,
-    forge: bool,
-    rng: random.Random,
-) -> LeafMessage:
-    statement = zkcircuits.leaf_statement(ciphertext, pk, max_exponent)
-    if forge:
-        proof = zksnark.forge_proof(statement, rng)
-    else:
-        proof = zk.prove(
-            statement,
-            zkcircuits.LeafWitness(
-                exponent=exponent, randomness=randomness, public_key=pk
-            ),
-        )
-    return LeafMessage(
-        sender=sender, ciphertext=ciphertext, statement=statement, proof=proof
-    )
-
-
-def _encrypt_leaf(
-    pk: bgv.PublicKey,
     exponent: int,
     rng: random.Random,
     behavior: Behavior,
     max_exponent: int,
     randomness: bgv.EncryptionRandomness | None = None,
-) -> tuple[bgv.Ciphertext, int, bgv.EncryptionRandomness, bool]:
-    """Encrypt one contribution, applying a Byzantine behaviour.
+) -> LeafMessage:
+    """Encrypt and prove one contribution, applying a Byzantine behaviour.
 
-    Returns (ciphertext, claimed exponent, randomness, needs_forgery):
-    behaviours that break well-formedness cannot produce honest proofs.
-    ``randomness`` lets a leaf-randomness source supply the ephemeral
-    values; the default draws them from ``rng``.
+    An honest leaf's ciphertext is the output of its well-formedness
+    proof.  Behaviours that break well-formedness, or forge regardless,
+    encrypt outside any proof and forge one.  ``randomness`` lets a
+    leaf-randomness source supply the ephemeral values; the default
+    draws them from ``rng``.
     """
     if randomness is None:
         randomness = bgv.EncryptionRandomness.generate(pk.profile, rng)
+    if behavior is Behavior.LIE_IN_RANGE:
+        exponent = (exponent + 1) % (max_exponent + 1)
     if behavior is Behavior.OVERSIZED_EXPONENT:
         bad = min(pk.profile.n - 1, max_exponent + 5)
-        ct = bgv.encrypt_monomial(pk, bad, rng, randomness=randomness)
-        return ct, bad, randomness, True
-    if behavior is Behavior.MULTI_COEFFICIENT:
+        forged = bgv.encrypt_monomial(pk, bad, rng, randomness=randomness)
+    elif behavior is Behavior.MULTI_COEFFICIENT:
         poly = RingElement.from_coeffs(pk.profile.plaintext_ring, [1, 1, 1])
-        ct = bgv.encrypt(pk, poly, rng, randomness=randomness)
-        return ct, exponent, randomness, True
-    if behavior is Behavior.LARGE_COEFFICIENT:
-        ct = bgv.encrypt_monomial(
+        forged = bgv.encrypt(pk, poly, rng, randomness=randomness)
+    elif behavior is Behavior.LARGE_COEFFICIENT:
+        forged = bgv.encrypt_monomial(
             pk, exponent, rng, coeff=5, randomness=randomness
         )
-        return ct, exponent, randomness, True
-    if behavior is Behavior.LIE_IN_RANGE:
-        lied = (exponent + 1) % (max_exponent + 1)
-        ct = bgv.encrypt_monomial(pk, lied, rng, randomness=randomness)
-        return ct, lied, randomness, False
-    ct = bgv.encrypt_monomial(pk, exponent, rng, randomness=randomness)
-    forge = behavior is Behavior.FORGED_PROOF
-    return ct, exponent, randomness, forge
+    elif behavior is Behavior.FORGED_PROOF:
+        forged = bgv.encrypt_monomial(pk, exponent, rng, randomness=randomness)
+    else:
+        statement, proof, ciphertext = zk.prove(
+            zkcircuits.LEAF_CIRCUIT,
+            zkcircuits.LeafWitness(
+                exponent=exponent,
+                randomness=randomness,
+                public_key=pk,
+                max_exponent=max_exponent,
+            ),
+        )
+        return LeafMessage(sender, ciphertext, statement, proof)
+    statement = zkcircuits.leaf_statement(forged, pk, max_exponent)
+    return LeafMessage(sender, forged, statement, zksnark.forge_proof(statement, rng))
 
 
 def dest_compute(
@@ -217,17 +202,16 @@ def dest_compute(
             for bucket in range(plan.cross.num_buckets)
         ]
     for exponent in exponents:
-        ct, claimed, randomness, forge = _encrypt_leaf(
-            pk,
-            exponent,
-            rng,
-            behavior,
-            max_exponent,
-            randomness=next(leaf_source) if leaf_source is not None else None,
-        )
         messages.append(
-            _prove_leaf(
-                zk, pk, neighbor, ct, claimed, randomness, max_exponent, forge, rng
+            _leaf_message(
+                zk,
+                pk,
+                neighbor,
+                exponent,
+                rng,
+                behavior,
+                max_exponent,
+                randomness=next(leaf_source) if leaf_source is not None else None,
             )
         )
     return DestResponse(messages=tuple(messages))
@@ -238,38 +222,26 @@ def dest_compute(
 # ---------------------------------------------------------------------------
 
 
-def _origin_combine(
-    plan: ExecutionPlan,
-    pk: bgv.PublicKey,
-    decisions,
-    inputs: dict[int, tuple[bgv.Ciphertext, ...]],
-    rng: random.Random,
-    stats: RunStats | None = None,
-) -> bgv.Ciphertext:
-    """Deterministically combine neighbor ciphertexts per the plan.
+def origin_combine(
+    witness: zkcircuits.AggregateWitness,
+) -> tuple[bgv.Ciphertext, int]:
+    """Deterministically combine neighbor ciphertexts per the plan; the
+    result and the ciphertext products it took.
 
-    ``inputs`` maps members to their ciphertexts; members absent from it
-    defaulted (offline / dropped / filtered) and are replaced with fresh
-    Enc(x^0), which is neutral in the product (§4.4).
+    ``witness.inputs`` maps members to their ciphertexts; members absent
+    from it defaulted (offline / dropped / filtered) and are replaced
+    with fresh Enc(x^0), which is neutral in the product (§4.4).
     """
-    if isinstance(decisions, MultihopDecisions):
-        if not decisions.contributes:
-            return bgv.encrypt_zero_like(pk, rng)
-        product = None
-        for member in sorted(inputs):
-            for ct in inputs[member]:
-                if product is None:
-                    product = ct
-                else:
-                    product = bgv.multiply(product, ct)
-                    if stats is not None:
-                        stats.multiplications += 1
-        if product is None:
-            product = bgv.encrypt_monomial(pk, 0, rng)
-        return product
-
+    plan, pk, decisions, inputs = (
+        witness.plan, witness.public_key, witness.decisions, witness.inputs
+    )
+    rng = random.Random(witness.seed)
     if not decisions.contributes:
-        return bgv.encrypt_zero_like(pk, rng)
+        return bgv.encrypt_zero_like(pk, rng), 0
+    if isinstance(decisions, MultihopDecisions):
+        return _product(
+            pk, [ct for member in sorted(inputs) for ct in inputs[member]], rng
+        )
     _validate_decisions(plan, decisions)
     num_buckets = plan.cross.num_buckets if plan.cross is not None else 1
     for member, cts in inputs.items():
@@ -279,7 +251,8 @@ def _origin_combine(
                 f"expected {num_buckets}"
             )
 
-    group_terms: dict[int, bgv.Ciphertext | None] = {}
+    group_terms: dict[int, bgv.Ciphertext] = {}
+    products = 0
     for group in semantics.origin_groups(plan, decisions):
         if plan.group_site is ast.ColumnGroup.EDGE:
             members = [
@@ -289,29 +262,39 @@ def _origin_combine(
             ]
         else:
             members = list(decisions.selected_neighbors)
-        product: bgv.Ciphertext | None = None
-        for member in members:
-            term = _member_term(plan, pk, decisions, inputs, member, group, rng)
-            if product is None:
-                product = term
-            else:
-                product = bgv.multiply(product, term)
-                if stats is not None:
-                    stats.multiplications += 1
-        if product is None:
-            product = bgv.encrypt_monomial(pk, 0, rng)
-        group_terms[group] = product
+        group_terms[group], count = _product(
+            pk,
+            [
+                _member_term(plan, pk, decisions, inputs, member, group, rng)
+                for member in members
+            ],
+            rng,
+        )
+        products += count
 
     if not group_terms:
         # Edge-site GROUP BY with no neighbors: no group exists for this
         # origin to report into, so it submits the additive identity
         # (matching the plaintext semantics of "no contribution").
-        return bgv.encrypt_zero_like(pk, rng)
+        return bgv.encrypt_zero_like(pk, rng), 0
     total: bgv.Ciphertext | None = None
     for group in sorted(group_terms):
         shifted = bgv.shift(group_terms[group], group * plan.layout.block_size)
         total = shifted if total is None else bgv.add(total, shifted)
-    return total
+    return total, products
+
+
+def _product(
+    pk: bgv.PublicKey, factors: list[bgv.Ciphertext], rng: random.Random
+) -> tuple[bgv.Ciphertext, int]:
+    """The product of ``factors`` and the multiplications it took; a
+    fresh Enc(x^0) when there are none."""
+    if not factors:
+        return bgv.encrypt_monomial(pk, 0, rng), 0
+    product = factors[0]
+    for factor in factors[1:]:
+        product = bgv.multiply(product, factor)
+    return product, len(factors) - 1
 
 
 def _member_term(
@@ -367,42 +350,6 @@ def _validate_decisions(plan: ExecutionPlan, decisions) -> None:
             for bucket in buckets:
                 if not 0 <= bucket < plan.cross.num_buckets:
                     raise ProtocolError("bucket index out of range")
-
-
-def replay_origin_compute(
-    plan: ExecutionPlan,
-    pk: bgv.PublicKey,
-    decisions,
-    inputs: dict[int, tuple[bgv.Ciphertext, ...]],
-    seed: int,
-) -> bgv.Ciphertext:
-    """Re-run the origin combination from a witness (circuit body)."""
-    return _origin_combine(plan, pk, decisions, inputs, random.Random(seed))
-
-
-def _prove_aggregate(
-    plan: ExecutionPlan,
-    pk: bgv.PublicKey,
-    zk: zksnark.Groth16System,
-    output: bgv.Ciphertext,
-    decisions,
-    inputs: dict[int, tuple[bgv.Ciphertext, ...]],
-    seed: int,
-    forge: bool,
-    rng: random.Random,
-) -> tuple[zksnark.Statement, zksnark.Proof]:
-    flat_inputs = [ct for member in sorted(inputs) for ct in inputs[member]]
-    statement = zkcircuits.aggregate_statement(output, flat_inputs, pk, plan)
-    if forge:
-        return statement, zksnark.forge_proof(statement, rng)
-    witness = zkcircuits.AggregateWitness(
-        plan=plan,
-        decisions=decisions,
-        seed=seed,
-        inputs={m: inputs[m] for m in sorted(inputs)},
-        public_key=pk,
-    )
-    return statement, zk.prove(statement, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +529,43 @@ class EncryptedExecutor:
             graph, origin, decisions, inputs, leaves, behaviors
         )
 
+    def _aggregate(
+        self,
+        decisions,
+        inputs: dict[int, tuple[bgv.Ciphertext, ...]],
+        behavior: Behavior = Behavior.HONEST,
+    ) -> tuple[bgv.Ciphertext, zksnark.Statement, zksnark.Proof]:
+        """This device's combination of ``inputs``, with its proof.
+
+        An honest device's ciphertext is the output of its aggregation
+        proof.  A forging one combines outside any proof — BAD_AGGREGATION
+        then submits a ciphertext that is *not* the combination — and
+        forges the proof.
+        """
+        witness = zkcircuits.AggregateWitness(
+            plan=self.plan,
+            decisions=decisions,
+            seed=self.rng.getrandbits(64),
+            inputs=inputs,
+            public_key=self.pk,
+        )
+        if behavior not in (Behavior.BAD_AGGREGATION, Behavior.FORGED_PROOF):
+            statement, proof, (output, products) = self.zk.prove(
+                zkcircuits.AGGREGATE_CIRCUIT, witness
+            )
+        else:
+            output, products = origin_combine(witness)
+            if behavior is Behavior.BAD_AGGREGATION:
+                output = bgv.encrypt_monomial(
+                    self.pk, min(self.pk.profile.n - 1, 3), self.rng
+                )
+            statement = zkcircuits.aggregate_statement(
+                output, inputs, self.pk, self.plan
+            )
+            proof = zksnark.forge_proof(statement, self.rng)
+        self.stats.multiplications += products
+        return output, statement, proof
+
     def build_origin_submission(
         self,
         graph: ContactGraph,
@@ -598,7 +582,6 @@ class EncryptedExecutor:
         mixnet transport, where the inputs arrived as onion-routed
         mailbox payloads.
         """
-        plan = self.plan
         behaviors = behaviors or {}
         missing = [
             member
@@ -608,22 +591,8 @@ class EncryptedExecutor:
         if missing:
             self.stats.defaulted_members += len(missing)
             telemetry.count("engine.defaults.total", len(missing))
-        seed = self.rng.getrandbits(64)
-        output = _origin_combine(
-            plan, self.pk, decisions, inputs, random.Random(seed), self.stats
-        )
-        origin_behavior = self._behavior(behaviors, origin)
-        forge = origin_behavior in (
-            Behavior.BAD_AGGREGATION,
-            Behavior.FORGED_PROOF,
-        )
-        if origin_behavior is Behavior.BAD_AGGREGATION:
-            # Submit a ciphertext that is *not* the declared combination.
-            output = bgv.encrypt_monomial(
-                self.pk, min(self.pk.profile.n - 1, 3), self.rng
-            )
-        statement, proof = _prove_aggregate(
-            plan, self.pk, self.zk, output, decisions, inputs, seed, forge, self.rng
+        output, statement, proof = self._aggregate(
+            decisions, inputs, self._behavior(behaviors, origin)
         )
         ordered_leaves = tuple(
             message
@@ -674,8 +643,10 @@ class EncryptedExecutor:
                     )
             else:
                 exponent = 0
-            ct, claimed, randomness, forge = _encrypt_leaf(
+            message = _leaf_message(
+                self.zk,
                 self.pk,
+                node,
                 exponent,
                 self.rng,
                 behavior,
@@ -686,23 +657,12 @@ class EncryptedExecutor:
                     else None
                 ),
             )
-            message = _prove_leaf(
-                self.zk,
-                self.pk,
-                node,
-                ct,
-                claimed,
-                randomness,
-                max_exponent,
-                forge,
-                self.rng,
-            )
             if not self.zk.verify(message.statement, message.proof):
                 self.stats.origin_filtered_leaves += 1
                 return None
             leaves.append(message)
             self.stats.leaf_ciphertexts += 1
-            return ct
+            return message.ciphertext
 
         def subtree(node: int) -> bgv.Ciphertext | None:
             own = node_indicator(node)
@@ -720,27 +680,9 @@ class EncryptedExecutor:
                 # A pure leaf forwards its indicator unchanged; its leaf
                 # proof already covers it.
                 return own
-            seed = self.rng.getrandbits(64)
-            output = _origin_combine(
-                self.plan,
-                self.pk,
-                MultihopDecisions(contributes=True),
-                inputs,
-                random.Random(seed),
-                self.stats,
+            output, statement, proof = self._aggregate(
+                MultihopDecisions(contributes=True), inputs
             )
-            flat = [ct for m in sorted(inputs) for ct in inputs[m]]
-            statement = zkcircuits.aggregate_statement(
-                output, flat, self.pk, self.plan
-            )
-            witness = zkcircuits.AggregateWitness(
-                plan=self.plan,
-                decisions=MultihopDecisions(contributes=True),
-                seed=seed,
-                inputs={m: inputs[m] for m in sorted(inputs)},
-                public_key=self.pk,
-            )
-            proof = self.zk.prove(statement, witness)
             intermediates.append((output, statement, proof))
             return output
 
@@ -750,24 +692,8 @@ class EncryptedExecutor:
         contributes = evaluate_all(plan.self_clauses, bindings)
         result = subtree(origin) if contributes else None
         if not contributes or result is None:
-            seed = self.rng.getrandbits(64)
-            output = _origin_combine(
-                plan,
-                self.pk,
-                MultihopDecisions(contributes=False),
-                {},
-                random.Random(seed),
-            )
-            statement, proof = _prove_aggregate(
-                plan,
-                self.pk,
-                self.zk,
-                output,
-                MultihopDecisions(contributes=False),
-                {},
-                seed,
-                False,
-                self.rng,
+            output, statement, proof = self._aggregate(
+                MultihopDecisions(contributes=False), {}
             )
             return OriginSubmission(
                 origin=origin,

@@ -8,9 +8,12 @@
 * ``wf-aggregation`` — an origin's submitted ciphertext really is the
   prescribed homomorphic combination (bucket selection, products,
   group shifts) of the declared input ciphertexts.  The witness contains
-  the origin's private decisions and the replay seed for its fresh
-  encryptions; the circuit re-executes the public aggregation function
-  and compares digests.
+  the origin's private decisions and the seed for its fresh
+  encryptions.
+
+Each circuit is a relation from its witness to the public statement and
+the circuit's output, and the prover evaluates it once: an honest
+device's ciphertext *is* the output of its proof.
 
 Statements carry ciphertext digests and the public-key fingerprint; the
 Groth16 cost model therefore scales verification time with ciphertext
@@ -19,11 +22,11 @@ size, reproducing the aggregator-cost behaviour of Figure 9(b).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.crypto import bgv, zksnark
 from repro.crypto.hashes import protocol_hash
+from repro.errors import ProofError
 from repro.query.plans import ExecutionPlan
 
 LEAF_CIRCUIT = "wf-encryption"
@@ -38,11 +41,13 @@ AGGREGATE_CONSTRAINTS = 100_000
 
 @dataclass(frozen=True)
 class LeafWitness:
-    """Private inputs of a well-formedness proof."""
+    """Inputs of a well-formedness proof: the private exponent and
+    encryption randomness, the public key and the public range bound."""
 
     exponent: int
     randomness: bgv.EncryptionRandomness
     public_key: bgv.PublicKey
+    max_exponent: int
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def leaf_statement(
 
 def aggregate_statement(
     output: bgv.Ciphertext,
-    inputs: list[bgv.Ciphertext],
+    inputs: dict[int, tuple[bgv.Ciphertext, ...]],
     pk: bgv.PublicKey,
     plan: ExecutionPlan,
 ) -> zksnark.Statement:
@@ -84,62 +89,46 @@ def aggregate_statement(
         circuit=AGGREGATE_CIRCUIT,
         public_inputs=(
             output.serialize(),
-            tuple(ct.digest() for ct in inputs),
+            tuple(ct.digest() for m in sorted(inputs) for ct in inputs[m]),
             pk.fingerprint(),
             plan_digest(plan),
         ),
     )
 
 
-def _check_leaf(public_inputs: tuple, witness: object) -> bool:
-    if not isinstance(witness, LeafWitness):
-        return False
-    ct_bytes, pk_fp, max_exponent = public_inputs
-    if witness.public_key.fingerprint() != pk_fp:
-        return False
-    if not 0 <= witness.exponent <= max_exponent:
-        return False
-    rebuilt = bgv.encrypt_monomial(
-        witness.public_key,
-        witness.exponent,
-        random.Random(0),
-        randomness=witness.randomness,
+def _leaf_relation(witness: LeafWitness) -> tuple[tuple, bgv.Ciphertext]:
+    """Encrypt x^exponent under the witness randomness, for an exponent
+    in ``[0, max_exponent]``."""
+    if not 0 <= witness.exponent <= witness.max_exponent:
+        raise ProofError(
+            f"exponent {witness.exponent} outside [0, {witness.max_exponent}]"
+        )
+    ciphertext = bgv.encrypt_monomial(
+        witness.public_key, witness.exponent, None, randomness=witness.randomness
     )
-    return rebuilt.serialize() == ct_bytes
+    statement = leaf_statement(ciphertext, witness.public_key, witness.max_exponent)
+    return statement.public_inputs, ciphertext
 
 
-def _check_aggregate(public_inputs: tuple, witness: object) -> bool:
+def _aggregate_relation(
+    witness: AggregateWitness,
+) -> tuple[tuple, tuple[bgv.Ciphertext, int]]:
+    """The origin combination of the witness inputs; its output is the
+    combined ciphertext and the ciphertext products it took."""
     # Imported here: engine.encrypted depends on this module for the
     # statement builders.
-    from repro.engine.encrypted import replay_origin_compute
+    from repro.engine.encrypted import origin_combine
 
-    if not isinstance(witness, AggregateWitness):
-        return False
-    out_bytes, input_digests, pk_fp, plan_id = public_inputs
-    if witness.public_key.fingerprint() != pk_fp:
-        return False
-    if plan_digest(witness.plan) != plan_id:
-        return False
-    provided = tuple(
-        ct.digest()
-        for cts in witness.inputs.values()
-        for ct in cts
+    output, products = origin_combine(witness)
+    statement = aggregate_statement(
+        output, witness.inputs, witness.public_key, witness.plan
     )
-    if tuple(input_digests) != provided:
-        return False
-    rebuilt = replay_origin_compute(
-        witness.plan,
-        witness.public_key,
-        witness.decisions,
-        witness.inputs,
-        witness.seed,
-    )
-    return rebuilt.serialize() == out_bytes
+    return statement.public_inputs, (output, products)
 
 
 def build_circuits() -> list[zksnark.Circuit]:
     """The circuit set the genesis committee performs trusted setup for."""
     return [
-        zksnark.Circuit(LEAF_CIRCUIT, _check_leaf, LEAF_CONSTRAINTS),
-        zksnark.Circuit(AGGREGATE_CIRCUIT, _check_aggregate, AGGREGATE_CONSTRAINTS),
+        zksnark.Circuit(LEAF_CIRCUIT, _leaf_relation, LEAF_CONSTRAINTS),
+        zksnark.Circuit(AGGREGATE_CIRCUIT, _aggregate_relation, AGGREGATE_CONSTRAINTS),
     ]

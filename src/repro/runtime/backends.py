@@ -26,9 +26,6 @@ fastest available), the ``--backend`` CLI flag, or the
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import threading
-from collections import OrderedDict
 from typing import Callable, Protocol, Sequence, Union, runtime_checkable
 
 from repro.crypto import ntt
@@ -45,8 +42,7 @@ class Resident:
     first time it meets it and parks the result here under its own key,
     so a public key or a relinearization-key piece is transformed once
     per process and the two products of one encryption share one
-    transform of ``u``.  (The product cache files the operand's content
-    digest here too.)  Forms are backend-specific and several times the
+    transform of ``u``.  Forms are backend-specific and several times the
     size of the coefficients; pickling ships the coefficients alone and
     a fabric worker rebuilds what it uses.
 
@@ -304,36 +300,7 @@ def use_backend(name: str):
         _active = previous
 
 
-#: Entries kept in the content-keyed product cache.  An entry is its
-#: result coefficients and its operands' digests — it keeps no operand
-#: alive — so 128 entries bound the worst case to ~20 MB at the SMALL
-#: ring.
-_MULTIPLY_CACHE_SIZE = 128
-
-_multiply_cache: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
-_multiply_lock = threading.Lock()
-
-
-def clear_multiply_cache() -> None:
-    """Drop every memoized ring product (benchmark/test isolation)."""
-    with _multiply_lock:
-        _multiply_cache.clear()
-
-
-def _content_digest(operand: Operand, q: int) -> bytes:
-    """SHA-256 over the operand's coefficients (each in ``[0, q)``); a
-    :class:`Resident` computes its own once."""
-    if isinstance(operand, Resident):
-        return operand.form("digest", lambda coeffs: _content_digest(coeffs, q))
-    width = (q.bit_length() + 7) // 8
-    return hashlib.sha256(
-        b"".join(c.to_bytes(width, "little") for c in operand)
-    ).digest()
-
-
-def ring_multiply(
-    pairs: Sequence[Pair], n: int, q: int, *, memoize: bool = True
-) -> list[int]:
+def ring_multiply(pairs: Sequence[Pair], n: int, q: int) -> list[int]:
     """Dispatch one negacyclic product sum ``sum_i a_i*b_i`` to the
     active backend.
 
@@ -345,44 +312,9 @@ def ring_multiply(
     secret ``s``, the encryption randomness ``u``) may change how a
     backend computes the product — the NumPy kernel finds it and uses a
     basis half as wide — never the product.
-
-    Product sums are memoized by operand content: the multiset of pairs,
-    each an ordered pair of digests because the product commutes, keyed
-    per backend so the equivalence tests still exercise each kernel.
-    The online phase repeats many exact products — the ZK aggregate
-    proof replays the origin compute — and a hit returns the cached
-    coefficients without touching the backend or transforming a
-    :class:`Resident` operand.  ``memoize=False`` is for a product that
-    cannot recur — genesis multiplies the secret by freshly sampled
-    uniform polynomials — which would pay the digests only to evict
-    entries that can still be hit.
     """
     telemetry.count("runtime.backend.multiplies", len(pairs))
-    if not memoize:
-        return _active.negacyclic_multiply(pairs, n, q)
-    key = (
-        _active.name,
-        n,
-        q,
-        *sorted(
-            tuple(sorted((_content_digest(a, q), _content_digest(b, q))))
-            for a, b in pairs
-        ),
-    )
-    with _multiply_lock:
-        hit = _multiply_cache.get(key)
-        if hit is not None:
-            _multiply_cache.move_to_end(key)
-    if hit is not None:
-        telemetry.count("runtime.backend.multiply_cache_hits", len(pairs))
-        return list(hit)
-    result = _active.negacyclic_multiply(pairs, n, q)
-    with _multiply_lock:
-        _multiply_cache[key] = tuple(result)
-        _multiply_cache.move_to_end(key)
-        while len(_multiply_cache) > _MULTIPLY_CACHE_SIZE:
-            _multiply_cache.popitem(last=False)
-    return result
+    return _active.negacyclic_multiply(pairs, n, q)
 
 
 def fold_multiply_accumulate(

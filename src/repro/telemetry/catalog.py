@@ -326,12 +326,6 @@ METRICS: dict[str, MetricSpec] = _specs(
         "piece per fold, none of them a runtime.backend.multiplies call",
     ),
     MetricSpec(
-        "runtime.backend.multiply_cache_hits", COUNTER, "ops",
-        "ring products served from the content-keyed product cache "
-        "instead of the backend kernel (e.g. the ZK aggregate proof "
-        "replaying the origin compute)",
-    ),
-    MetricSpec(
         "runtime.backend.chacha20_blocks", COUNTER, "blocks",
         "64-byte ChaCha20 keystream blocks requested from the active "
         "compute backend: every SEnc/AE operation of the mixnet, whole "

@@ -253,7 +253,7 @@ class TestSerialization:
 
 class TestRandomnessWitness:
     def test_pinned_randomness_reproduces_ciphertext(self, public_key, rng):
-        """The ZKP layer re-derives ciphertexts from witnesses."""
+        """The ZKP layer derives ciphertexts from witnesses."""
         randomness = bgv.EncryptionRandomness.generate(TEST, rng)
         a = bgv.encrypt_monomial(public_key, 5, rng, randomness=randomness)
         b = bgv.encrypt_monomial(

@@ -163,9 +163,8 @@ def test_relinearize_equals_the_parents_bytes_at_small():
 
 
 def _forms(operands):
-    """Per operand, the evaluation forms backends have parked on it (its
-    product-cache digest is not one)."""
-    return [[key for key in r.forms if key != "digest"] for r in operands]
+    """Per operand, the evaluation forms backends have parked on it."""
+    return [list(r.forms) for r in operands]
 
 
 def test_forms_attach_per_power_used_and_never_pickle(secret_key, public_key):

@@ -116,28 +116,10 @@ def test_the_basis_follows_the_operands_values():
 @pytest.mark.parametrize("backend", available_backends())
 def test_genesis_products_are_counted_but_not_cached(backend):
     """keygen's a·s and every relinearization piece's a_i·s (plus the
-    powers of s) reach the backend and the multiply counter, and leave
-    the product cache as they found it."""
-    backends.clear_multiply_cache()
+    powers of s) reach the backend and the multiply counter."""
     with use_backend(backend), telemetry.session() as session:
         secret, _ = bgv.keygen(TEST, random.Random(3))
         bgv.make_relin_keys(secret, 3, random.Random(4))
         counters = session.snapshot()["counters"]
     pieces = -(-TEST.q.bit_length() // TEST.relin_base_bits)
     assert counters["runtime.backend.multiplies"] == 1 + 2 * (1 + pieces)
-    assert len(backends._multiply_cache) == 0
-
-
-def test_encryption_products_still_hit_the_cache():
-    """The ZK replay of an encryption hits the products the encryption
-    cached: the ternary ``u`` and its basis do not change the cache key."""
-    backends.clear_multiply_cache()
-    rng = random.Random(6)
-    _, public = bgv.keygen(TEST, rng)
-    randomness = bgv.EncryptionRandomness.generate(TEST, rng)
-    with telemetry.session() as session:
-        first = bgv.encrypt_monomial(public, 3, rng, randomness=randomness)
-        again = bgv.encrypt_monomial(public, 3, rng, randomness=randomness)
-        counters = session.snapshot()["counters"]
-    assert first == again
-    assert counters["runtime.backend.multiply_cache_hits"] == 2

@@ -9,11 +9,19 @@ from repro.errors import ProofError
 
 
 def _even_circuit() -> zksnark.Circuit:
-    def check(public_inputs, witness):
-        (target,) = public_inputs
-        return isinstance(witness, int) and witness * 2 == target
+    """The relation ``w -> (2w,)``, for an integer witness."""
 
-    return zksnark.Circuit(name="is-double", check=check, num_constraints=100)
+    def relation(witness):
+        if not isinstance(witness, int):
+            raise ProofError("is-double takes an integer witness")
+        return (2 * witness,), None
+
+    return zksnark.Circuit(name="is-double", relation=relation, num_constraints=100)
+
+
+def _prove(system, witness) -> tuple[zksnark.Statement, zksnark.Proof]:
+    statement, proof, _ = system.prove("is-double", witness)
+    return statement, proof
 
 
 @pytest.fixture
@@ -23,20 +31,26 @@ def system(rng) -> zksnark.Groth16System:
 
 class TestProveVerify:
     def test_honest_proof_verifies(self, system):
-        statement = zksnark.Statement("is-double", (10,))
-        proof = system.prove(statement, 5)
+        statement, proof = _prove(system, 5)
+        assert statement == zksnark.Statement("is-double", (10,))
         assert system.verify(statement, proof)
 
     def test_false_statement_unprovable(self, system):
-        statement = zksnark.Statement("is-double", (10,))
+        """Only the witness whose evaluation is the statement yields a
+        proof of it; a witness outside the relation yields none."""
+        target = zksnark.Statement("is-double", (10,))
+        provers = [
+            witness
+            for witness in range(-20, 21)
+            if system.verify(target, _prove(system, witness)[1])
+        ]
+        assert provers == [5]
         with pytest.raises(ProofError):
-            system.prove(statement, 4)
+            _prove(system, "5")
 
     def test_proof_bound_to_statement(self, system):
-        s1 = zksnark.Statement("is-double", (10,))
-        s2 = zksnark.Statement("is-double", (12,))
-        proof = system.prove(s1, 5)
-        assert not system.verify(s2, proof)
+        _, proof = _prove(system, 5)
+        assert not system.verify(zksnark.Statement("is-double", (12,)), proof)
 
     def test_forgery_rejected(self, system, rng):
         statement = zksnark.Statement("is-double", (10,))
@@ -45,26 +59,23 @@ class TestProveVerify:
 
     def test_unknown_circuit(self, system):
         with pytest.raises(ProofError):
-            system.prove(zksnark.Statement("nope", ()), 1)
+            system.prove("nope", 1)
 
     def test_proofs_deterministic_per_statement(self, system):
         """Zero-knowledge in the simulation: the token depends only on
         the statement, never on the witness."""
-        statement = zksnark.Statement("is-double", (10,))
-        assert system.prove(statement, 5).token == system.prove(statement, 5).token
+        assert _prove(system, 5)[1].token == _prove(system, 5)[1].token
 
     def test_cross_setup_proofs_fail(self, rng):
         sys1 = zksnark.Groth16System.setup([_even_circuit()], random.Random(1))
         sys2 = zksnark.Groth16System.setup([_even_circuit()], random.Random(2))
-        statement = zksnark.Statement("is-double", (10,))
-        proof = sys1.prove(statement, 5)
+        statement, proof = _prove(sys1, 5)
         assert not sys2.verify(statement, proof)
 
 
 class TestCostModel:
     def test_proof_size_is_groth16_constant(self, system):
-        proof = system.prove(zksnark.Statement("is-double", (10,)), 5)
-        assert proof.size_bytes == 192
+        assert _prove(system, 5)[1].size_bytes == 192
 
     def test_verification_linear_in_public_io(self):
         small = zksnark.Statement("is-double", (1,))
