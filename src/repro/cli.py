@@ -321,7 +321,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         CampaignRunner,
         KillSpec,
     )
-    from repro.errors import CoordinatorCrash
+    from repro.errors import CoordinatorCrash, ProtocolError
     from repro.workloads.epidemic import campaign_queries
 
     runtime = _runtime_from_args(args)
@@ -329,10 +329,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.kill_at and args.kill_before:
         print("--kill-at and --kill-before are mutually exclusive")
         return 2
-    if args.kill_at:
-        kill = KillSpec.parse(args.kill_at, before=False)
-    elif args.kill_before:
-        kill = KillSpec.parse(args.kill_before, before=True)
+    try:
+        if args.kill_at:
+            kill = KillSpec.parse(args.kill_at, before=False)
+        elif args.kill_before:
+            kill = KillSpec.parse(args.kill_before, before=True)
+    except ProtocolError as exc:
+        print(exc)
+        return 2
 
     if args.resume:
         runner = CampaignRunner.resume(
@@ -359,7 +363,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             committee_size=args.committee_size,
             committee_threshold=args.committee_threshold,
             committee_corrupt_members=args.committee_corrupt_members,
-            checkpoint_every=args.checkpoint_every,
         )
         runner = CampaignRunner.start(
             config, args.dir, runtime=runtime, kill=kill,
@@ -604,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--dir", required=True,
-        help="campaign directory (holds journal.jsonl + checkpoints)",
+        help="campaign directory (holds journal.jsonl)",
     )
     campaign.add_argument(
         "--resume", action="store_true",
@@ -651,10 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--committee-corrupt-members", type=int, default=0,
         help="make this many genesis committee members submit corrupted "
         "partial decryptions (robust decode corrects and flags them)",
-    )
-    campaign.add_argument(
-        "--checkpoint-every", type=int, default=1,
-        help="sidecar checkpoint cadence in completed queries (0 = never)",
     )
     campaign.add_argument(
         "--kill-at", default=None, metavar="PHASE[:QUERY]",

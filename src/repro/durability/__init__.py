@@ -10,8 +10,6 @@ package makes that lifecycle survive coordinator crashes:
 * :mod:`repro.durability.serialize` — canonical JSON forms and digests
   for the values that cross phase boundaries (ciphertexts, results,
   committee commitments);
-* :mod:`repro.durability.checkpoint` — periodic sidecar snapshots that
-  bound replay work on resume;
 * :mod:`repro.durability.monitor` — committee liveness pings through
   the fault injector, triggering emergency resharing;
 * :mod:`repro.durability.campaign` — the campaign runner: a seeded
@@ -23,7 +21,9 @@ Recovery model (docs/RESILIENCE.md has the full state machine): every
 phase is *compute → append+fsync → continue*.  Secrets (the BGV key,
 committee shares) are never journaled — they are re-derived on resume
 by replaying the seeded ceremonies (``runtime/seeding.py`` domain
-separation) and digest-checked against the journal.
+separation) and digest-checked against the journal.  The journal is the
+only state on disk besides the released ``results.json``: a resume is
+journal replay, with no snapshot to fast-forward from.
 """
 
 from repro.durability.campaign import (

@@ -24,11 +24,17 @@ same random stream as the first attempt, at any worker count and on
 any compute backend.  Secrets (the BGV key, committee shares) are never
 journaled — setup and every committed handoff are *replayed* on resume
 and digest-checked against the journal.
+
+A resume is journal replay and nothing else: validate the journal,
+replay genesis and the committed epochs, restore every durable phase
+record, then continue live from the first phase without one.  The only
+way to kill the coordinator is a :class:`KillSpec`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -37,7 +43,6 @@ from repro import telemetry
 from repro.core import committee as committee_mod
 from repro.core.rounds import CampaignClock, build_schedule
 from repro.core.system import MyceliumSystem
-from repro.durability import checkpoint as checkpoint_mod
 from repro.durability import serialize
 from repro.durability.journal import Journal, JournalRecord
 from repro.durability.monitor import CommitteeHealthMonitor
@@ -84,7 +89,7 @@ QUORUM_WAIT_LIMIT = 1024
 RESULTS_NAME = "results.json"
 
 #: The journal layout; :meth:`CampaignRunner.resume` refuses any other.
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -102,19 +107,31 @@ class KillSpec:
     before: bool = False
 
     def __post_init__(self) -> None:
+        # A kill point no boundary carries would silently never fire.
         if self.phase not in KILL_POINTS:
             raise ProtocolError(
                 f"unknown kill point {self.phase!r}; "
                 f"choose from {', '.join(KILL_POINTS)}"
             )
+        if self.query is not None and self.query < 0:
+            raise ProtocolError(
+                f"kill point query index {self.query} is negative"
+            )
 
     @classmethod
     def parse(cls, text: str, before: bool = False) -> KillSpec:
         """``"open"`` or ``"open:2"`` (phase at query index 2)."""
-        if ":" in text:
-            phase, _, query = text.partition(":")
-            return cls(phase=phase, query=int(query), before=before)
-        return cls(phase=text, before=before)
+        phase, colon, query = text.partition(":")
+        if not colon:
+            return cls(phase=text, before=before)
+        try:
+            index = int(query)
+        except ValueError:
+            raise ProtocolError(
+                f"kill point {text!r}: query index {query!r} is not an "
+                "integer"
+            ) from None
+        return cls(phase=phase, query=index, before=before)
 
     def matches(self, phase: str, query_index: int | None) -> bool:
         if self.phase != phase:
@@ -157,14 +174,6 @@ class CampaignConfig:
     #: every decryption — the robust decoder must correct and flag them
     #: without changing any released result (§5).
     committee_corrupt_members: int = 0
-    #: Plan-driven process kills: ``(query_index, phase)`` pairs.
-    coordinator_kills: tuple[tuple[int, str], ...] = ()
-    #: Sidecar checkpoint cadence, in completed queries (0 = never).
-    checkpoint_every: int = 1
-
-    def __post_init__(self) -> None:
-        for _, phase in self.coordinator_kills:
-            KillSpec(phase=phase)  # an unknown phase would never fire
 
     def system_params(self) -> SystemParameters:
         return SystemParameters(
@@ -181,14 +190,42 @@ class CampaignConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> CampaignConfig:
-        kwargs = dict(data)
-        kwargs["queries"] = tuple(
-            (str(q), float(e)) for q, e in data["queries"]
-        )
-        kwargs["coordinator_kills"] = tuple(
-            (int(q), str(p)) for q, p in data.get("coordinator_kills", [])
-        )
-        return cls(**kwargs)
+        """Rebuild the journaled config; a key the dataclass does not
+        declare, a missing key, or a value of the wrong JSON type is a
+        :class:`CampaignResumeError`."""
+        hints = typing.get_type_hints(cls)
+        for problem, names in (
+            ("unknown", set(data) - set(hints)),
+            ("missing", set(hints) - set(data)),
+        ):
+            if names:
+                raise CampaignResumeError(
+                    f"campaign-start config has {problem} keys "
+                    f"{sorted(names)}"
+                )
+        for name, value in data.items():
+            if not _json_fits(value, hints[name]):
+                raise CampaignResumeError(
+                    f"campaign-start config {name}={value!r} does not fit "
+                    f"{cls.__annotations__[name]}"
+                )
+        queries = tuple((q, float(e)) for q, e in data["queries"])
+        return cls(**{**data, "queries": queries})
+
+
+def _json_fits(value: Any, hint: Any) -> bool:
+    """Whether decoded JSON ``value`` has the shape of type ``hint``
+    (``int``, ``float``, ``str`` or a ``tuple[...]`` written as a list)."""
+    if hint is float:
+        hint = (int, float)
+    elif typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_json_fits(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_json_fits, value, args))
+    return isinstance(value, hint) and not isinstance(value, bool)
 
 
 @dataclass
@@ -242,7 +279,6 @@ class CampaignRunner:
         self.resumed = bool(records[1:])  # anything beyond campaign-start
         #: Index of already-durable records, keyed by identity.
         self._existing: dict[tuple, JournalRecord] = {}
-        self._last_seq = records[-1].seq if records else -1
         for record in records:
             self._existing[self._key(record)] = record
 
@@ -256,7 +292,6 @@ class CampaignRunner:
         self.epochs: list[dict] = []
         self.emergency_reshares = 0
         self.quorum_wait_rounds = 0
-        self._start_query = 0
         self._active_fabric: TaskFabric | None = None
         # Shard count of the *current process*, taken from the runtime
         # config in run().  Deliberately not journaled: like workers and
@@ -273,8 +308,6 @@ class CampaignRunner:
             return ("phase", data["query"], data["phase"])
         if record.type in ("query-start", "handoff-start"):
             return (record.type, data["query"])
-        if record.type == "crash":
-            return ("crash", data["query"], data["phase"])
         return (record.type,)
 
     @classmethod
@@ -317,50 +350,23 @@ class CampaignRunner:
 
     # -- journal plumbing ---------------------------------------------------
 
-    def _append(self, record_type: str, data: dict) -> JournalRecord:
-        record = self.journal.append(record_type, data)
-        self._existing[self._key(record)] = record
-        self._last_seq = record.seq
-        return record
-
-    def _crash(self, phase: str, query_index: int | None) -> None:
-        telemetry.count("durability.campaign.crashes")
-        raise CoordinatorCrash(phase, query_index)
-
-    def _kill_before(self, phase: str, query_index: int | None) -> None:
-        if self.kill and self.kill.before and self.kill.matches(
-            phase, query_index
-        ):
-            self._crash(phase, query_index)
-
-    def _kill_after(self, phase: str, query_index: int | None) -> None:
-        """Post-commit kills: the explicit KillSpec, then the fault plan.
-
-        Plan-driven kills are journaled (a ``crash`` record) before the
-        process dies, so a resumed run sees the record and does not die
-        at the same boundary again.
-        """
-        if self.kill and not self.kill.before and self.kill.matches(
-            phase, query_index
-        ):
-            self._crash(phase, query_index)
-        if (
-            self.injector is not None
-            and query_index is not None
-            and self.injector.coordinator_crash_due(query_index, phase)
-            and ("crash", query_index, phase) not in self._existing
-        ):
-            self._append("crash", {"query": query_index, "phase": phase})
-            self.injector.record_coordinator_crash()
-            self._crash(phase, query_index)
-
     def _commit(
         self, record_type: str, phase: str, query_index: int | None,
         data: dict,
     ) -> None:
-        self._kill_before(phase, query_index)
-        self._append(record_type, data)
-        self._kill_after(phase, query_index)
+        """Append one record, firing the KillSpec on its side of the
+        commit point: ``before`` the append or after it is durable."""
+        kill = self.kill is not None and self.kill.matches(phase, query_index)
+        if kill and self.kill.before:
+            self._crash(phase, query_index)
+        record = self.journal.append(record_type, data)
+        self._existing[self._key(record)] = record
+        if kill:
+            self._crash(phase, query_index)
+
+    def _crash(self, phase: str, query_index: int | None) -> None:
+        telemetry.count("durability.campaign.crashes")
+        raise CoordinatorCrash(phase, query_index)
 
     # -- deterministic environment ------------------------------------------
 
@@ -386,7 +392,6 @@ class CampaignRunner:
             cfg.churn_fraction
             or cfg.committee_churn_members
             or cfg.committee_corrupt_members
-            or cfg.coordinator_kills
         ):
             return
         corrupt_committee = tuple(
@@ -402,7 +407,6 @@ class CampaignRunner:
             churn_window_rounds=cfg.churn_window_rounds,
             horizon_rounds=256,
             corrupt_committee=corrupt_committee,
-            coordinator_kills=cfg.coordinator_kills,
         )
         if cfg.committee_churn_members:
             targets = [
@@ -473,63 +477,6 @@ class CampaignRunner:
                 )
         self.epochs.append(genesis)
 
-    # -- checkpointing ------------------------------------------------------
-
-    def _write_checkpoint(self, queries_done: int) -> None:
-        assert self.system is not None
-        state = {
-            "queries_done": queries_done,
-            "clock_round": self.clock.round,
-            "ledger": [
-                [label, eps] for label, eps in self.system.budget.history
-            ],
-            "results": self.results,
-            "epochs": self.epochs,
-            "emergency_reshares": self.emergency_reshares,
-            "quorum_wait_rounds": self.quorum_wait_rounds,
-        }
-        checkpoint_mod.write_checkpoint(
-            self.directory, self._last_seq, state
-        )
-
-    def _apply_checkpoint(self) -> None:
-        """Fast-forward from the newest valid checkpoint, if any.
-
-        The checkpoint restores small state directly; the committee is
-        *replayed* (re-dealt from derived randomness using the recorded
-        public facts) and digest-checked, because shares are never on
-        disk.  A corrupt checkpoint is skipped — full journal replay
-        covers everything it would have.
-        """
-        found = checkpoint_mod.load_latest_checkpoint(
-            self.directory, self._last_seq
-        )
-        if found is None:
-            return
-        _, state = found
-        assert self.system is not None
-        for epoch_fact in state["epochs"]:
-            if epoch_fact["epoch"] == 0:
-                continue
-            self._replay_handoff(epoch_fact)
-        self.clock.advance(state["clock_round"] - self.clock.round)
-        for label, eps in state["ledger"]:
-            self.system.budget.charge(eps, label)
-        self.results = list(state["results"])
-        self.epochs = [self.epochs[0]] + [
-            dict(e) for e in state["epochs"] if e["epoch"] != 0
-        ]
-        self.emergency_reshares = state["emergency_reshares"]
-        self.quorum_wait_rounds = state["quorum_wait_rounds"]
-        for payload in self.results:
-            self.system.query_log.append(
-                serialize.metadata_from_json(payload["metadata"])
-            )
-        self._start_query = state["queries_done"]
-        telemetry.count(
-            "durability.resume.replayed", len(state["results"])
-        )
-
     def _replay_handoff(self, fact: dict) -> None:
         """Re-derive one committed epoch from recorded public facts plus
         the derived deal randomness; digest-check the outcome."""
@@ -588,20 +535,10 @@ class CampaignRunner:
                 if self.resumed:
                     with telemetry.span("campaign.resume"):
                         self._ensure_setup()
-                        self._apply_checkpoint()
                 else:
                     self._ensure_setup()
-                for query_index in range(
-                    self._start_query, len(self.config.queries)
-                ):
+                for query_index in range(len(self.config.queries)):
                     self._run_query(query_index, fabric)
-                    if (
-                        self.config.checkpoint_every
-                        and (query_index + 1) % self.config.checkpoint_every
-                        == 0
-                        and query_index + 1 < len(self.config.queries)
-                    ):
-                        self._write_checkpoint(query_index + 1)
                 return self._complete()
 
     def _complete(self) -> CampaignResult:

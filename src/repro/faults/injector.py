@@ -230,15 +230,3 @@ class FaultInjector:
             w.covers(round_number)
             for w in self._windows.get(device_id, ())
         )
-
-    # -- process-level coordinator faults -----------------------------------
-
-    def coordinator_crash_due(self, query_index: int, phase: str) -> bool:
-        """Whether the plan kills the coordinator at this boundary.
-        Recording is the caller's job (via :meth:`record_coordinator_crash`)
-        once the crash actually fires — a resumed run consults the journal
-        and skips boundaries it already died at."""
-        return self.plan.kills_coordinator_at(query_index, phase)
-
-    def record_coordinator_crash(self) -> None:
-        self._record(FaultKind.COORDINATOR_CRASH)

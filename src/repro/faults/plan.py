@@ -37,7 +37,6 @@ class FaultKind(enum.Enum):
     #: per-value fault :meth:`FaultInjector.corrupt_partial` applies
     #: inside the robust-decode path (§5).
     CORRUPT_PARTIAL = "corrupt-partial"
-    COORDINATOR_CRASH = "coordinator-crash"
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,6 @@ class FaultPlan:
     #: Committee members that return corrupted partial decryptions,
     #: corrected and flagged by ``threshold_decrypt`` (§5).
     corrupt_committee: tuple[int, ...] = ()
-    #: Process-level coordinator kills: ``(query_index, phase)`` pairs.
-    #: The campaign runner raises :class:`repro.errors.CoordinatorCrash`
-    #: right after that phase's journal record is durable; a resumed run
-    #: sees the record in the journal and does not crash again.
-    coordinator_kills: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self) -> None:
         total = self.wire_drop_rate + self.wire_delay_rate + self.wire_corrupt_rate
@@ -115,10 +109,6 @@ class FaultPlan:
         """Devices whose ``online`` flag the injector owns."""
         return frozenset(w.device_id for w in self.churn_windows)
 
-    def kills_coordinator_at(self, query_index: int, phase: str) -> bool:
-        """Whether the coordinator process dies at this phase boundary."""
-        return (query_index, phase) in self.coordinator_kills
-
     @classmethod
     def generate(
         cls,
@@ -141,7 +131,6 @@ class FaultPlan:
         committee_dropouts: tuple[int, ...] = (),
         committee_offline_attempts: int = 2,
         corrupt_committee: tuple[int, ...] = (),
-        coordinator_kills: tuple[tuple[int, str], ...] = (),
     ) -> FaultPlan:
         """Sample a plan: iid per-window churn plus the given wire rates.
 
@@ -193,5 +182,4 @@ class FaultPlan:
             committee_dropouts=tuple(committee_dropouts),
             committee_offline_attempts=committee_offline_attempts,
             corrupt_committee=tuple(corrupt_committee),
-            coordinator_kills=tuple(coordinator_kills),
         )

@@ -189,7 +189,6 @@ class Scheduler:
             committee_size=self.committee_size,
             committee_threshold=self.committee_threshold,
             rotate_every=self.rotate_every,
-            checkpoint_every=0,
         )
 
     def _run_campaign(self, config: CampaignConfig, directory: Path):

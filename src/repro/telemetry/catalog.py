@@ -386,22 +386,13 @@ METRICS: dict[str, MetricSpec] = _specs(
         "crashed campaign",
     ),
     MetricSpec(
-        "durability.checkpoints.written", COUNTER, "checkpoints",
-        "sidecar checkpoint snapshots written between queries",
-    ),
-    MetricSpec(
-        "durability.checkpoints.rejected", COUNTER, "checkpoints",
-        "corrupt or unreadable checkpoint candidates skipped on resume "
-        "(resume falls back to full journal replay)",
-    ),
-    MetricSpec(
         "durability.campaign.queries", COUNTER, "queries",
         "campaign queries driven to release through the phase loop",
     ),
     MetricSpec(
         "durability.campaign.crashes", COUNTER, "crashes",
-        "coordinator kills taken at phase boundaries (KillSpec or "
-        "fault-plan driven)",
+        "coordinator kills taken at phase boundaries (a KillSpec, "
+        "before or after the commit point)",
     ),
     MetricSpec(
         "durability.handoffs.committed", COUNTER, "handoffs",
@@ -618,8 +609,8 @@ SPANS: dict[str, SpanSpec] = {
         ),
         SpanSpec(
             "campaign.resume", "campaign.run",
-            "journal validation, checkpoint fast-forward, and seeded "
-            "state replay before the phase loop continues",
+            "journal validation and seeded state replay before the "
+            "phase loop continues",
         ),
         SpanSpec(
             "campaign.phase", "campaign.run",

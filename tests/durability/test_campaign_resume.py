@@ -5,16 +5,20 @@ backend."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.durability.campaign import (
     PHASES,
+    RESULTS_NAME,
     CampaignConfig,
     CampaignRunner,
     KillSpec,
     resume_campaign,
     run_campaign,
 )
+from repro.durability.journal import JOURNAL_NAME, JournalRecord, load_records
 from repro.errors import CampaignResumeError, CoordinatorCrash, ProtocolError
 from repro.runtime import RuntimeConfig
 from repro.runtime.backends import available_backends
@@ -90,19 +94,27 @@ class TestKillAtEveryPhase:
         assert resume_campaign(tmp_path).digest == oracle.digest
 
     def test_unknown_kill_point_rejected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="unknown kill point"):
             KillSpec(phase="no-such-phase")
 
-    @pytest.mark.parametrize("phase", ["noise", "no-such-phase"])
-    def test_unknown_planned_kill_phase_rejected(self, phase):
-        # A kill at a name no boundary carries would silently never fire.
-        with pytest.raises(ProtocolError, match="unknown kill point"):
-            small_config(coordinator_kills=((0, phase),))
+    @pytest.mark.parametrize(
+        "text, message",
+        [("no-such-phase", "unknown kill point"),
+         ("noise:1", "unknown kill point"),
+         ("open:-1", "negative"),
+         ("open:x", "not an integer"),
+         ("open:", "not an integer")],
+    )
+    def test_bad_kill_point_text_rejected(self, text, message):
+        # A kill point no boundary reaches would silently never fire.
+        with pytest.raises(ProtocolError, match=message):
+            KillSpec.parse(text)
 
     def test_killspec_parse(self):
         spec = KillSpec.parse("open:2", before=True)
         assert (spec.phase, spec.query, spec.before) == ("open", 2, True)
         assert KillSpec.parse("compile").query is None
+        assert KillSpec.parse("open:0").query == 0
 
 
 class TestCrossBackendResume:
@@ -129,28 +141,6 @@ class TestCrossBackendResume:
         assert resumed.digest == oracle.digest
 
 
-class TestPlanDrivenCrash:
-    def test_fault_plan_kill_is_journaled_and_not_retaken(self, tmp_path):
-        config = small_config(coordinator_kills=((0, "open"),))
-        with pytest.raises(CoordinatorCrash):
-            run_campaign(config, tmp_path)
-        # The crash record is durable, so the resumed process sails past
-        # the same boundary instead of dying again.
-        resumed = resume_campaign(tmp_path)
-        assert len(resumed.results) == 2
-
-    def test_plan_driven_and_oracle_agree(self, oracle, tmp_path):
-        config = small_config(coordinator_kills=((1, "open"),))
-        with pytest.raises(CoordinatorCrash):
-            run_campaign(config, tmp_path)
-        resumed = resume_campaign(tmp_path)
-        # coordinator_kills is part of the config (and journal), so the
-        # acceptance trio still matches a kill-free campaign.
-        assert resumed.results == oracle.results
-        assert resumed.ledger == oracle.ledger
-        assert resumed.epochs == oracle.epochs
-
-
 class TestResumeSafety:
     def test_resume_of_completed_campaign_is_idempotent(
         self, oracle, tmp_path
@@ -167,61 +157,86 @@ class TestResumeSafety:
             CampaignRunner.resume(tmp_path)
 
     def test_resume_detects_changed_seed(self, tmp_path):
-        import json
-
-        from repro.durability.journal import JOURNAL_NAME, load_records
-
         with pytest.raises(CoordinatorCrash):
             run_campaign(
                 small_config(), tmp_path, kill=KillSpec("submit", query=0)
             )
         # Tamper with the recorded master seed, keeping checksums valid:
         # the replayed genesis no longer matches the setup record.
-        records = load_records(tmp_path)
-        config = json.loads(json.dumps(records[0].data))
-        config["config"]["master_seed"] = 999
-        from repro.durability.journal import JournalRecord
-
-        records[0] = JournalRecord(seq=0, type="campaign-start", data=config)
-        (tmp_path / JOURNAL_NAME).write_text(
-            "".join(r.line() + "\n" for r in records), "utf-8"
+        start = load_records(tmp_path)[0].data
+        _rewrite_start(
+            tmp_path,
+            {**start, "config": {**start["config"], "master_seed": 999}},
         )
         with pytest.raises(CampaignResumeError):
             resume_campaign(tmp_path)
 
     def test_resume_refuses_other_journal_version(self, tmp_path):
-        from repro.durability.journal import (
-            JOURNAL_NAME,
-            JournalRecord,
-            load_records,
+        # A journal written before the open phase (decrypt/noise/release
+        # records) must be refused, not half-replayed.
+        self._refuse_journal_version(tmp_path, 1, {})
+
+    def test_resume_refuses_journal_with_checkpoint_config(self, tmp_path):
+        # v2 configs carried the checkpoint cadence and planned kills: the
+        # refusal names the version, not a TypeError from the config keys.
+        self._refuse_journal_version(
+            tmp_path, 2, {"checkpoint_every": 1, "coordinator_kills": []}
         )
 
+    @staticmethod
+    def _refuse_journal_version(tmp_path, version, legacy_keys):
         CampaignRunner.start(small_config(), tmp_path, fsync=False)
         (record,) = load_records(tmp_path)
-        # A journal written before the open phase (decrypt/noise/release
-        # records) must be refused, not half-replayed; re-checksum the
-        # edited record so only the version is wrong.
-        edited = JournalRecord(
-            seq=0, type=record.type, data={**record.data, "version": 1}
-        )
-        (tmp_path / JOURNAL_NAME).write_text(edited.line() + "\n", "utf-8")
-        with pytest.raises(CampaignResumeError, match="version"):
+        data = {
+            "version": version,
+            "config": {**record.data["config"], **legacy_keys},
+        }
+        _rewrite_start(tmp_path, data)
+        with pytest.raises(
+            CampaignResumeError, match=f"journal version {version} "
+        ):
             CampaignRunner.resume(tmp_path)
 
-    def test_corrupt_checkpoint_falls_back_to_journal(self, oracle, tmp_path):
-        with pytest.raises(CoordinatorCrash):
-            run_campaign(
-                small_config(), tmp_path, kill=KillSpec("open", query=1)
-            )
-        for checkpoint in tmp_path.glob("checkpoint-*.json"):
-            checkpoint.write_text("{garbage", "utf-8")
-        resumed = resume_campaign(tmp_path)
-        assert resumed.digest == oracle.digest
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cfg: cfg.update(colour="blue"), "unknown keys"),
+            (lambda cfg: cfg.pop("queries"), "missing keys"),
+            (lambda cfg: cfg.update(people="eight"), "people='eight'"),
+            (lambda cfg: cfg.update(queries=[["Q5"]]), "queries="),
+            (lambda cfg: cfg.update(total_epsilon=True), "total_epsilon="),
+        ],
+        ids=["unknown", "missing", "people", "queries", "epsilon"],
+    )
+    def test_resume_refuses_malformed_config(self, edit, message, tmp_path):
+        # A hand-edited campaign-start record with valid checksums: the
+        # config is refused on resume, never half-applied mid-run.
+        CampaignRunner.start(small_config(), tmp_path, fsync=False)
+        (record,) = load_records(tmp_path)
+        config = dict(record.data["config"])
+        edit(config)
+        _rewrite_start(tmp_path, {**record.data, "config": config})
+        with pytest.raises(CampaignResumeError, match=re.escape(message)):
+            CampaignRunner.resume(tmp_path)
 
-    def test_checkpoints_disabled_still_resumes(self, oracle, tmp_path):
-        config = small_config(checkpoint_every=0)
-        with pytest.raises(CoordinatorCrash):
-            run_campaign(config, tmp_path, kill=KillSpec("open", query=1))
-        assert not list(tmp_path.glob("checkpoint-*.json"))
-        resumed = resume_campaign(tmp_path)
-        assert resumed.results == oracle.results
+    @pytest.mark.parametrize(
+        "kill", [None, KillSpec("open", query=1)], ids=["whole", "resumed"]
+    )
+    def test_journal_is_the_only_state_on_disk(self, kill, tmp_path):
+        if kill is None:
+            run_campaign(small_config(), tmp_path, fsync=False)
+        else:
+            kill_and_resume(small_config(), tmp_path, kill)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [JOURNAL_NAME, RESULTS_NAME]
+        )
+
+
+def _rewrite_start(directory, data: dict) -> None:
+    """Replace the campaign-start record, re-checksummed, so only its
+    content is wrong."""
+    records = load_records(directory)
+    records[0] = JournalRecord(seq=0, type="campaign-start", data=data)
+    (directory / JOURNAL_NAME).write_text(
+        "".join(r.line() + "\n" for r in records), "utf-8"
+    )

@@ -58,8 +58,9 @@ class TestProcessKillRestart:
         assert resumed.returncode == 0, resumed.stderr
         assert _digest(tmp_path) == oracle_digest
 
-    def test_kill_before_commit_restart(self, oracle_digest, tmp_path):
-        killed = _campaign(tmp_path, "--kill-before", "open:0")
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_kill_before_commit_restart(self, phase, oracle_digest, tmp_path):
+        killed = _campaign(tmp_path, "--kill-before", f"{phase}:1")
         assert killed.returncode == CRASH_EXIT_CODE
         resumed = _campaign(tmp_path, "--resume")
         assert resumed.returncode == 0, resumed.stderr

@@ -1,8 +1,8 @@
 """The exact answer never reaches disk.
 
 The committee's ``open`` step decrypts, decodes and noises in one call,
-so no journal record, checkpoint or results file holds the decrypted
-coefficients or the noise that masks a release.  Three runs leave files
+so no journal record or results file holds the decrypted coefficients
+or the noise that masks a release.  Three runs leave files
 behind — a campaign, a served run and a campaign killed at ``open`` and
 resumed — and every file is walked: no record has a ``noise`` or
 ``coefficients`` field, and no numeric list on disk, subtracted from a
