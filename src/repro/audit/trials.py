@@ -1251,9 +1251,9 @@ def _run_mixnet(case: TrialCase, bench: AuditBench) -> list[CheckResult]:
             len(report.complaints),
         ),
         check(
-            "mixnet.decrypt-attempts-positive",
-            report.decrypt_attempts >= 1,
-            f"attempts {report.decrypt_attempts}",
+            "mixnet.quorum-wait-bounded",
+            0 <= report.quorum_wait_rounds <= HORIZON_ROUNDS,
+            f"quorum wait {report.quorum_wait_rounds} C-rounds",
         ),
         check(
             "mixnet.crounds-bounded",

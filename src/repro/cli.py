@@ -280,7 +280,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     chaos = ChaosQuery.build(
         args.people, args.failure, args.seed, epsilon=args.epsilon,
-        committee_dropouts=True,
+        committee_outage=True,
     )
     print(
         f"chaos: people={chaos.graph.num_vertices} failure={args.failure} "

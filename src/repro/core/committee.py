@@ -32,6 +32,7 @@ at genesis, no matter how many queries run.
 from __future__ import annotations
 
 import random
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro import telemetry
@@ -278,51 +279,22 @@ def threshold_decrypt(
     return plaintext, flagged
 
 
-def decrypt_with_liveness_retry(
-    committee: Committee,
-    ciphertext: bgv.Ciphertext,
-    rng: random.Random,
-    availability_schedule: list[list[int]],
-    corrupt=None,
-) -> tuple[RingElement, int, set[int]]:
-    """§6.5: "If there aren't enough members for liveness, we simply
-    have to wait for some amount of time before enough members are back,
-    and retry the computation."
+def open_quorum(
+    committee: Committee, live: Collection[int], may_lie: bool
+) -> list[int] | None:
+    """The members who decrypt in an open (§5, §6.5), or ``None`` if
+    too few of them are ``live``.
 
-    ``availability_schedule[i]`` lists the member device ids online in
-    attempt i (no churn to model = a single attempt).  ``corrupt``, the
-    ``(device_id, value) -> value`` hook of a fault plan that names
-    corrupt members, sets the quorum of the one
-    :func:`threshold_decrypt`: without it the first ``threshold``
-    present members; with it every present member and at least
-    ``threshold + 1`` (error detection needs redundancy), so the decoder
-    corrects through the liars and flags them — the emergency-reshare
-    trigger's input.
-
-    Only liveness misses are retried.  Any *other* ``ProtocolError`` —
-    a malformed ciphertext, a decode failure under corruption —
-    propagates immediately: retrying with the same members cannot fix a
-    lie, and silently waiting would mask a Byzantine fault as churn.
-    Returns ``(plaintext, attempts used, flagged device ids)``; raises
-    :class:`~repro.errors.LivenessQuorumError` if the schedule ends
-    without a quorum.
+    Enough members is ``threshold``, plus one when partials ``may_lie``:
+    detecting a wrong partial takes a redundant one.  Otherwise the
+    first ``threshold`` live members decrypt; if they may lie every live
+    member does, so the decoder corrects through the liars and flags
+    them.
     """
-    needed = committee.threshold + (1 if corrupt is not None else 0)
-    for attempt, online in enumerate(availability_schedule, start=1):
-        present = [
-            m.device_id for m in committee.members if m.device_id in online
-        ]
-        if len(present) < needed:
-            continue
-        if corrupt is None:
-            present = present[: committee.threshold]
-        plaintext, flagged = threshold_decrypt(
-            committee, ciphertext, rng, participating=present, corrupt=corrupt
-        )
-        return plaintext, attempt, flagged
-    raise LivenessQuorumError(
-        f"no attempt reached the decryption quorum of {needed} members"
-    )
+    present = [m.device_id for m in committee.members if m.device_id in live]
+    if len(present) < committee.threshold + int(may_lie):
+        return None
+    return present if may_lie else present[: committee.threshold]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,7 +48,7 @@ from repro.engine.encrypted import EncryptedExecutor, OriginSubmission
 from repro.engine.malicious import Behavior
 from repro.engine.plaintext import run_plaintext
 from repro.engine.zkcircuits import build_circuits
-from repro.errors import ProtocolError, QueryError
+from repro.errors import LivenessQuorumError, ProtocolError, QueryError
 from repro.params import BGVProfile, SystemParameters, TEST
 from repro.query import sensitivity as sensitivity_mod
 from repro.query.ast import OutputKind
@@ -65,6 +66,7 @@ from repro.runtime import (
 from repro.workloads.graphgen import ContactGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.injector import FaultInjector
     from repro.faults.report import RecoveryReport
     from repro.mixnet.network import MixnetWorld
 
@@ -244,17 +246,23 @@ class MyceliumSystem:
                 )
             aggregation = self.aggregate_phase(submissions, fabric, config.shards)
 
-            # Committee faults come from the world's fault plan: dropouts
-            # become an availability schedule, corrupt members a
-            # per-partial corruption hook (docs/RESILIENCE.md).
-            schedule = corrupt = None
+            # Committee faults come from the world's fault plan: the
+            # committee waits on its absence windows until enough members
+            # are live to open, and corrupt members lie through a
+            # per-partial hook (docs/RESILIENCE.md).
+            live = corrupt = None
             if injector is not None:
-                member_ids = [m.device_id for m in self.committee.members]
                 if injector.plan.corrupt_committee:
-                    injector.corrupt_members(member_ids)
+                    injector.corrupt_members(
+                        [m.device_id for m in self.committee.members]
+                    )
                     corrupt = injector.corrupt_partial
-                if injector.plan.committee_dropouts:
-                    schedule = injector.committee_schedule(member_ids)
+                open_round, live = self.await_open(
+                    injector, world.current_round, corrupt
+                )
+                recovery.quorum_wait_rounds = (
+                    open_round - world.current_round
+                )
             if recovery is not None:
                 recovery.complaints = tuple(
                     c.decode("utf-8", errors="replace")
@@ -272,12 +280,11 @@ class MyceliumSystem:
                 label, epsilon, sensitivity, scale, aggregation,
                 recovery=recovery, quarantined=quarantined,
             )
-            result, attempts, flagged = self.open_phase(
+            result, _, flagged = self.open_phase(
                 plan, aggregation.ciphertext, self.rng, metadata,
-                schedule=schedule, corrupt=corrupt,
+                live=live, corrupt=corrupt,
             )
             if recovery is not None:
-                recovery.decrypt_attempts = attempts
                 recovery.flagged_members = tuple(sorted(flagged))
                 if injector is not None:
                     # After the decryption, which records corrupt partials.
@@ -350,6 +357,22 @@ class MyceliumSystem:
             raise ProtocolError("no valid contributions to aggregate")
         return aggregation
 
+    def await_open(
+        self, injector: FaultInjector, start_round: int, corrupt=None
+    ) -> tuple[int, list[int]]:
+        """Wait (§6.5) from ``start_round`` for enough live members to
+        open — :func:`repro.core.committee.open_quorum` with
+        ``corrupt``, the hook :meth:`open_phase` will get.  Returns
+        ``(round, live members)``."""
+        committee = self.committee
+        return injector.await_quorum(
+            [m.device_id for m in committee.members],
+            start_round,
+            lambda live, _: committee_mod.open_quorum(
+                committee, live, corrupt is not None
+            ) is not None,
+        )
+
     def open_phase(
         self,
         plan: ExecutionPlan,
@@ -357,34 +380,43 @@ class MyceliumSystem:
         rng: random.Random,
         metadata: QueryMetadata,
         *,
-        schedule: list[list[int]] | None = None,
+        live: Collection[int] | None = None,
         corrupt=None,
-    ) -> tuple[QueryResult, int, set[int]]:
+    ) -> tuple[QueryResult, list[int], set[int]]:
         """The committee's one step from the aggregate ciphertext to the
         released answer (§4.2): threshold decryption, decoding, and the
         in-MPC Laplace noise at ``metadata.noise_scale``.  The exact
         coefficients exist only inside this call.
 
-        ``schedule`` is a per-attempt availability schedule (§6.5
-        wait-and-retry; default: one attempt by the whole committee).
+        ``live`` lists the members present (default: the whole
+        committee); :func:`repro.core.committee.open_quorum` picks the
+        quorum among them, or this raises
+        :class:`~repro.errors.LivenessQuorumError` — a caller that can
+        wait does so first, in :meth:`await_open`.
         ``corrupt``, the fault injector's per-partial corruption hook,
-        raises the quorum to every present member (at least threshold +
-        1) so the decoder can correct and flag.  Each group's noise is
+        raises the quorum to every live member (at least threshold + 1)
+        so the decoder can correct and flag.  Each group's noise is
         seeded from the key shares, the epoch, the query ordinal
         (``len(query_log)``) and the group, so a replayed step
-        reproduces the release.  Returns ``(result, attempts, flagged
+        reproduces the release.  Returns ``(result, quorum, flagged
         device ids)``.
         """
-        if schedule is None:
-            schedule = [[m.device_id for m in self.committee.members]]
-        with telemetry.span("query.decrypt"):
-            plaintext, attempts, flagged = (
-                committee_mod.decrypt_with_liveness_retry(
-                    self.committee, ciphertext, rng, schedule, corrupt=corrupt
-                )
+        committee = self.committee
+        if live is None:
+            live = [m.device_id for m in committee.members]
+        quorum = committee_mod.open_quorum(
+            committee, live, corrupt is not None
+        )
+        if quorum is None:
+            raise LivenessQuorumError(
+                f"{len(live)} live members cannot open at threshold "
+                f"{committee.threshold} (hooked: {corrupt is not None})"
             )
-            if attempts > 1:
-                telemetry.count("committee.decrypt.retries", attempts - 1)
+        with telemetry.span("query.decrypt"):
+            plaintext, flagged = committee_mod.threshold_decrypt(
+                committee, ciphertext, rng, participating=quorum,
+                corrupt=corrupt,
+            )
         coefficients = list(plaintext.coeffs[: plan.layout.total_coefficients])
         with telemetry.span("query.release"):
             if plan.output is OutputKind.HISTO:
@@ -413,7 +445,7 @@ class MyceliumSystem:
                 )
             else:
                 result = GsumResult(values=noised[0], metadata=metadata)
-        return result, attempts, flagged
+        return result, quorum, flagged
 
     def query_metadata(
         self,

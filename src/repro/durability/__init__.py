@@ -10,8 +10,6 @@ package makes that lifecycle survive coordinator crashes:
 * :mod:`repro.durability.serialize` — canonical JSON forms and digests
   for the values that cross phase boundaries (ciphertexts, results,
   committee commitments);
-* :mod:`repro.durability.monitor` — committee liveness pings through
-  the fault injector, triggering emergency resharing;
 * :mod:`repro.durability.campaign` — the campaign runner: a seeded
   multi-query workload across committee epochs, killable at any phase
   boundary and resumable bit-identically
@@ -34,14 +32,12 @@ from repro.durability.campaign import (
     KillSpec,
 )
 from repro.durability.journal import Journal, JournalRecord
-from repro.durability.monitor import CommitteeHealthMonitor
 
 __all__ = [
     "PHASES",
     "CampaignConfig",
     "CampaignResult",
     "CampaignRunner",
-    "CommitteeHealthMonitor",
     "Journal",
     "JournalRecord",
     "KillSpec",

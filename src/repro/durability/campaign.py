@@ -3,7 +3,8 @@
 A *campaign* is the deployed shape of Mycelium: one genesis ceremony,
 then a seeded sequence of queries over a fixed contact graph, with the
 decryption key handed between committee epochs (scheduled rotations
-plus health-monitor-triggered emergency reshares).  Every phase
+plus emergency reshares when live membership decays to the
+threshold).  Every phase
 boundary is journaled (:mod:`repro.durability.journal`); killing the
 coordinator at *any* boundary and resuming with
 ``python -m repro campaign --resume <dir>`` produces released results,
@@ -45,7 +46,6 @@ from repro.core.rounds import CampaignClock, build_schedule
 from repro.core.system import MyceliumSystem
 from repro.durability import serialize
 from repro.durability.journal import Journal, JournalRecord
-from repro.durability.monitor import CommitteeHealthMonitor
 from repro.errors import (
     CampaignResumeError,
     CoordinatorCrash,
@@ -53,7 +53,7 @@ from repro.errors import (
     SecretSharingError,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import ChurnWindow, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.params import SystemParameters, TEST
 from repro.query import sensitivity as sensitivity_mod
 from repro.query.catalog import CATALOG
@@ -82,14 +82,22 @@ PHASES = (
 #: Extra kill points outside the per-query phase loop.
 KILL_POINTS = PHASES + ("setup", "start", "handoff-start", "complete")
 
-#: How many C-rounds the runner will wait for a decryption quorum (or a
-#: dealer quorum) before declaring the campaign stuck.
-QUORUM_WAIT_LIMIT = 1024
-
 RESULTS_NAME = "results.json"
 
 #: The journal layout; :meth:`CampaignRunner.resume` refuses any other.
-JOURNAL_VERSION = 3
+#: Version 4: the ``open`` record's ``participating`` is the quorum that
+#: decrypted, not every live member.
+JOURNAL_VERSION = 4
+
+
+def needs_reshare(
+    committee: committee_mod.Committee, live: list[int]
+) -> bool:
+    """Whether a handoff must happen now: members are down and live
+    membership is at (or below) the threshold — one more loss and the
+    key is unreachable until churn reverses, so the live members hand
+    it on while they still can."""
+    return len(live) < committee.size and len(live) <= committee.threshold
 
 
 @dataclass(frozen=True)
@@ -165,7 +173,7 @@ class CampaignConfig:
     #: members of the *genesis* committee go offline for
     #: ``committee_churn_rounds`` C-rounds starting at
     #: ``committee_churn_start`` — the deterministic way to exercise the
-    #: health monitor's emergency resharing.
+    #: quorum wait and emergency resharing.
     committee_churn_members: int = 0
     committee_churn_start: int = 0
     committee_churn_rounds: int = 0
@@ -287,7 +295,6 @@ class CampaignRunner:
         self.graph = None
         self.clock = CampaignClock()
         self.injector: FaultInjector | None = None
-        self.monitor = CommitteeHealthMonitor(None)
         self.results: list[dict] = []
         self.epochs: list[dict] = []
         self.emergency_reshares = 0
@@ -385,51 +392,29 @@ class CampaignRunner:
 
     def _build_faults(self) -> None:
         """The fault plan is pure data derived from the config plus the
-        genesis committee — identical on every resume."""
+        genesis committee — identical on every resume.  A campaign
+        without faults gets an empty plan: every ping finds everyone
+        live."""
         cfg = self.config
         assert self.system is not None
-        if not (
-            cfg.churn_fraction
-            or cfg.committee_churn_members
-            or cfg.committee_corrupt_members
-        ):
-            return
-        corrupt_committee = tuple(
-            m.device_id
-            for m in self.system.committee.members[
-                : cfg.committee_corrupt_members
-            ]
-        )
-        plan = FaultPlan.generate(
-            cfg.fault_seed,
-            num_devices=cfg.people,
-            churn_fraction=cfg.churn_fraction,
-            churn_window_rounds=cfg.churn_window_rounds,
-            horizon_rounds=256,
-            corrupt_committee=corrupt_committee,
-        )
-        if cfg.committee_churn_members:
-            targets = [
-                m.device_id
-                for m in self.system.committee.members[
-                    : cfg.committee_churn_members
-                ]
-            ]
-            extra = tuple(
-                ChurnWindow(
-                    device_id=d,
-                    start_round=cfg.committee_churn_start,
-                    end_round=(
-                        cfg.committee_churn_start + cfg.committee_churn_rounds
-                    ),
-                )
-                for d in targets
+        genesis = [m.device_id for m in self.system.committee.members]
+        start = cfg.committee_churn_start
+        self.injector = FaultInjector(
+            FaultPlan.generate(
+                cfg.fault_seed,
+                num_devices=cfg.people,
+                churn_fraction=cfg.churn_fraction,
+                churn_window_rounds=cfg.churn_window_rounds,
+                horizon_rounds=256,
+                corrupt_committee=tuple(
+                    genesis[: cfg.committee_corrupt_members]
+                ),
+            ).with_absence(
+                genesis[: cfg.committee_churn_members],
+                start,
+                start + cfg.committee_churn_rounds,
             )
-            plan = dataclasses.replace(
-                plan, churn_windows=plan.churn_windows + extra
-            )
-        self.injector = FaultInjector(plan)
-        self.monitor = CommitteeHealthMonitor(self.injector)
+        )
 
     def _resolve_query(self, text: str):
         return CATALOG[text] if text in CATALOG else text
@@ -663,8 +648,6 @@ class CampaignRunner:
     # -- phase: submit ------------------------------------------------------
 
     def _offline_devices(self) -> set[int]:
-        if self.injector is None:
-            return set()
         return {
             d
             for d in range(self.config.people)
@@ -743,53 +726,42 @@ class CampaignRunner:
 
     # -- phase: open (decrypt, decode, noise: only the release is kept) -----
 
-    def _await_quorum(self) -> tuple:
-        """Ping until ``threshold`` members are live (§6.5: wait and
-        retry), advancing the campaign clock one C-round per miss."""
-        assert self.system is not None
-        waited = 0
-        while not (
-            report := self.monitor.ping(self.system.committee, self.clock.round)
-        ).quorate:
-            waited += 1
-            if waited > QUORUM_WAIT_LIMIT:
-                raise ProtocolError(
-                    "no decryption quorum within "
-                    f"{QUORUM_WAIT_LIMIT} C-rounds"
-                )
-            self.clock.advance(1)
-        if waited:
-            telemetry.count("durability.monitor.quorum_wait_rounds", waited)
-            self.quorum_wait_rounds += waited
-        return report, waited
+    def _wait_until(self, round_number: int) -> int:
+        """Advance the clock over a quorum wait; returns its length."""
+        waited = round_number - self.clock.round
+        self.clock.advance(waited)
+        self.quorum_wait_rounds += waited
+        return waited
 
     def _phase_open(self, query_index, ctx, fabric) -> dict:
-        assert self.system is not None
-        report, waited = self._await_quorum()
-        rng = derive_rng(
-            self.config.master_seed, "query", query_index, "decrypt"
-        )
+        assert self.system is not None and self.injector is not None
         corrupt = (
             self.injector.corrupt_partial
-            if self.injector is not None
-            and self.injector.plan.corrupt_committee
+            if self.injector.plan.corrupt_committee
             else None
+        )
+        open_round, live = self.system.await_open(
+            self.injector, self.clock.round, corrupt
+        )
+        waited = self._wait_until(open_round)
+        rng = derive_rng(
+            self.config.master_seed, "query", query_index, "decrypt"
         )
         sensitivity = sensitivity_mod.analyze(ctx["plan"]).sensitivity
         metadata = self.system.query_metadata(
             ctx["label"], ctx["epsilon"], sensitivity,
             sensitivity / ctx["epsilon"], ctx["aggregation"],
         )
-        result, _, flagged = self.system.open_phase(
+        result, quorum, flagged = self.system.open_phase(
             ctx["plan"], ctx["aggregation"].ciphertext, rng, metadata,
-            schedule=[list(report.live)], corrupt=corrupt,
+            live=live, corrupt=corrupt,
         )
         payload = serialize.result_to_json(result)
         self.results.append(payload)
         self.system.query_log.append(metadata)
         return {
             "result": payload,
-            "participating": list(report.live),
+            "participating": quorum,
             "flagged": sorted(flagged),
             "waited": waited,
             "round": self.clock.round,
@@ -797,8 +769,7 @@ class CampaignRunner:
 
     def _restore_open(self, query_index, data, ctx) -> None:
         assert self.system is not None
-        self.clock.advance(data["waited"])
-        self.quorum_wait_rounds += data["waited"]
+        self._wait_until(self.clock.round + data["waited"])
         if self.clock.round != data["round"]:
             raise CampaignResumeError(
                 f"clock diverged restoring open of query {query_index}"
@@ -812,14 +783,16 @@ class CampaignRunner:
     # -- phase: handoff -----------------------------------------------------
 
     def _phase_handoff(self, query_index, ctx, fabric) -> dict:
-        assert self.system is not None
+        assert self.system is not None and self.injector is not None
+        cfg, injector = self.config, self.injector
         committee = self.system.committee
-        report = self.monitor.ping(committee, self.clock.round)
+        member_ids = [m.device_id for m in committee.members]
         scheduled = (
-            self.config.rotate_every > 0
-            and (query_index + 1) % self.config.rotate_every == 0
+            cfg.rotate_every > 0 and (query_index + 1) % cfg.rotate_every == 0
         )
-        emergency = report.needs_reshare
+        emergency = needs_reshare(
+            committee, injector.live(member_ids, self.clock.round)
+        )
         if not scheduled and not emergency:
             return {"rotated": False}
         epoch_to = committee.epoch + 1
@@ -833,43 +806,25 @@ class CampaignRunner:
             new_members = list(intent["members"])
             dealers = list(intent["dealers"])
             reason = intent["reason"]
+            self._wait_until(intent["round"])
         else:
+            devices = range(cfg.people)
             if emergency:
-                dealers = list(report.live)
-                candidates = self.monitor.live_devices(
-                    self.config.people, self.clock.round
+                # Only live members deal, to a committee of live devices.
+                handoff_round, dealers = injector.await_quorum(
+                    member_ids,
+                    self.clock.round,
+                    lambda up, r: len(up) >= committee.threshold
+                    and len(injector.live(devices, r)) >= cfg.committee_size,
                 )
+                self._wait_until(handoff_round)
+                candidates = injector.live(devices, handoff_round)
             else:
-                dealers = [m.device_id for m in committee.members]
-                candidates = list(range(self.config.people))
-            waited = 0
-            while (
-                len(dealers) < committee.threshold
-                or len(candidates) < self.config.committee_size
-            ):
-                waited += 1
-                if waited > QUORUM_WAIT_LIMIT:
-                    raise ProtocolError(
-                        "no dealer quorum for the handoff within "
-                        f"{QUORUM_WAIT_LIMIT} C-rounds"
-                    )
-                self.clock.advance(1)
-                report = self.monitor.ping(committee, self.clock.round)
-                dealers = list(report.live)
-                candidates = self.monitor.live_devices(
-                    self.config.people, self.clock.round
-                )
-            if waited:
-                telemetry.count(
-                    "durability.monitor.quorum_wait_rounds", waited
-                )
-                self.quorum_wait_rounds += waited
+                dealers, candidates = member_ids, list(devices)
             new_members = committee_mod.elect_committee(
                 candidates,
-                self.config.committee_size,
-                derive_rng(
-                    self.config.master_seed, "epoch", epoch_to, "elect"
-                ),
+                cfg.committee_size,
+                derive_rng(cfg.master_seed, "epoch", epoch_to, "elect"),
             )
             self._commit(
                 "handoff-start",
@@ -914,7 +869,7 @@ class CampaignRunner:
     def _restore_handoff(self, query_index, data, ctx) -> None:
         if not data["rotated"]:
             return
-        self.clock.advance(data["round"] - self.clock.round)
+        self._wait_until(data["round"])
         fact = {
             key: data[key]
             for key in ("epoch", "members", "dealers", "digest", "reason")

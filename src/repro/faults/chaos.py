@@ -18,7 +18,7 @@ from repro.core.system import MyceliumSystem
 from repro.engine import histogram as histogram_mod
 from repro.engine.plaintext import aggregate_coefficients
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultKind, FaultPlan
 from repro.mixnet.network import MixnetWorld
 from repro.params import SystemParameters
 from repro.query.schema import scaled_schema
@@ -49,14 +49,14 @@ class ChaosQuery:
         failure: float,
         seed: int,
         epsilon: float = 1.0,
-        committee_dropouts: bool = False,
+        committee_outage: bool = False,
     ) -> ChaosQuery:
         """Build the world, the system and the fault plan from ``seed``.
 
         ``failure`` in [0, 1] is split across churn and the wire drop,
-        delay and corrupt rates.  ``committee_dropouts`` takes one more
-        committee member offline than the committee can spare, which
-        forces the §6.5 liveness retry.
+        delay and corrupt rates.  ``committee_outage`` takes one more
+        committee member away than the committee can spare, for the
+        plan's horizon, which forces the §6.5 quorum wait.
         """
         rng = random.Random(seed)
         graph = build_campaign_graph(people, 2, rng)
@@ -74,29 +74,31 @@ class ChaosQuery:
             schema=scaled_schema(), committee_size=3, committee_threshold=2,
             total_epsilon=max(10.0, epsilon),
         )
-        dropouts: list[int] = []
-        if committee_dropouts:
-            committee = system.committee
-            dropouts = [m.device_id for m in committee.members][
-                : committee.size - committee.threshold + 1
-            ]
         # Path setup stays fault-free; chaos starts once circuits exist.
         fault_start = params.telescoping_crounds + 4
-        FaultInjector(
-            FaultPlan.generate(
-                seed=seed,
-                num_devices=graph.num_vertices,
-                churn_fraction=failure / 2,
-                churn_window_rounds=4,
-                horizon_rounds=HORIZON_ROUNDS,
-                start_round=fault_start,
-                wire_drop_rate=failure / 2,
-                wire_delay_rate=failure / 4,
-                wire_corrupt_rate=failure / 4,
-                wire_fault_start=fault_start,
-                committee_dropouts=tuple(dropouts),
+        plan = FaultPlan.generate(
+            seed=seed,
+            num_devices=graph.num_vertices,
+            churn_fraction=failure / 2,
+            churn_window_rounds=4,
+            horizon_rounds=HORIZON_ROUNDS,
+            start_round=fault_start,
+            wire_drop_rate=failure / 2,
+            wire_delay_rate=failure / 4,
+            wire_corrupt_rate=failure / 4,
+            wire_fault_start=fault_start,
+        )
+        if committee_outage:
+            committee = system.committee
+            plan = plan.with_absence(
+                [m.device_id for m in committee.members][
+                    : committee.size - committee.threshold + 1
+                ],
+                fault_start,
+                fault_start + HORIZON_ROUNDS,
+                FaultKind.COMMITTEE_DROPOUT,
             )
-        ).attach(world)
+        FaultInjector(plan).attach(world)
         return cls(graph, system, world, fault_start, epsilon)
 
     def run(self) -> tuple[QueryResult, list[list[int]], list[list[int]]]:

@@ -1,8 +1,9 @@
 """Seeded, deterministic fault schedules.
 
 A :class:`FaultPlan` is pure data: which devices go offline in which
-C-round windows, which wire-fault rates apply from which round, and
-which committee members sit out the first decryption attempts.  The
+C-round windows (a committee member's absence is one too), which
+wire-fault rates apply from which round, and which committee members
+lie in their partial decryptions.  The
 same ``(seed, parameters)`` pair always yields the same plan, and every
 per-message verdict drawn from the plan (see
 :class:`repro.faults.injector.FaultInjector`) hashes the plan seed with
@@ -13,8 +14,10 @@ randomization.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import ParameterError
@@ -31,6 +34,9 @@ class FaultKind(enum.Enum):
     WIRE_DROP = "wire-drop"
     WIRE_DELAY = "wire-delay"
     WIRE_CORRUPT = "wire-corrupt"
+    #: A window in which a committee member misses the committee's
+    #: liveness ping but stays on the mix network: only the committee's
+    #: wait honours it (§6.5).
     COMMITTEE_DROPOUT = "committee-dropout"
     COMMITTEE_CORRUPT = "committee-corrupt"
     #: One member's partial decryption perturbed on the wire — the
@@ -50,6 +56,12 @@ class ChurnWindow:
 
     def covers(self, round_number: int) -> bool:
         return self.start_round <= round_number < self.end_round
+
+    @property
+    def on_mixnet(self) -> bool:
+        """Whether the device is off the mix network too, not only
+        away from the committee."""
+        return self.kind is not FaultKind.COMMITTEE_DROPOUT
 
 
 @dataclass(frozen=True)
@@ -71,10 +83,6 @@ class FaultPlan:
     #: AEAD nonces mean a late message no longer decrypts, so a delay is
     #: a loss the sender can only fix by retransmitting (§3.5).
     delay_rounds: int = 2
-    #: Committee members unavailable for the first
-    #: ``committee_offline_attempts`` decryption attempts (§6.5).
-    committee_dropouts: tuple[int, ...] = ()
-    committee_offline_attempts: int = 2
     #: Committee members that return corrupted partial decryptions,
     #: corrected and flagged by ``threshold_decrypt`` (§5).
     corrupt_committee: tuple[int, ...] = ()
@@ -107,7 +115,27 @@ class FaultPlan:
 
     def managed_devices(self) -> frozenset[int]:
         """Devices whose ``online`` flag the injector owns."""
-        return frozenset(w.device_id for w in self.churn_windows)
+        return frozenset(
+            w.device_id for w in self.churn_windows if w.on_mixnet
+        )
+
+    def with_absence(
+        self,
+        device_ids: Iterable[int],
+        start_round: int,
+        end_round: int,
+        kind: FaultKind = FaultKind.CHURN,
+    ) -> FaultPlan:
+        """This plan plus one ``[start_round, end_round)`` window of
+        ``kind`` per device — how a caller takes chosen devices (or,
+        with ``COMMITTEE_DROPOUT``, committee members) away."""
+        return dataclasses.replace(
+            self,
+            churn_windows=self.churn_windows + tuple(
+                ChurnWindow(d, start_round, end_round, kind)
+                for d in device_ids
+            ),
+        )
 
     @classmethod
     def generate(
@@ -128,8 +156,6 @@ class FaultPlan:
         receive_drop_rate: float = 0.0,
         wire_fault_start: int = 0,
         delay_rounds: int = 2,
-        committee_dropouts: tuple[int, ...] = (),
-        committee_offline_attempts: int = 2,
         corrupt_committee: tuple[int, ...] = (),
     ) -> FaultPlan:
         """Sample a plan: iid per-window churn plus the given wire rates.
@@ -179,7 +205,5 @@ class FaultPlan:
             receive_drop_rate=receive_drop_rate,
             wire_fault_start=wire_fault_start,
             delay_rounds=delay_rounds,
-            committee_dropouts=tuple(committee_dropouts),
-            committee_offline_attempts=committee_offline_attempts,
             corrupt_committee=tuple(corrupt_committee),
         )

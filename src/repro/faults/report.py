@@ -4,10 +4,10 @@ A :class:`RecoveryReport` is attached to ``QueryResult.metadata`` by
 :meth:`repro.core.system.MyceliumSystem.run_query` whenever the query
 ran over a :class:`repro.mixnet.network.MixnetWorld`.  It records what
 the recovery machinery actually did — retransmissions, replica
-failovers, ``Enc(x^0)`` defaults, decryption retries — in enough detail
-that the released answer can be *explained*: the chaos property tests
-recompute the plaintext oracle with exactly the report's skipped
-origins and defaulted pairs excluded and require equality.
+failovers, ``Enc(x^0)`` defaults, the committee's quorum wait — in
+enough detail that the released answer can be *explained*: the chaos
+property tests recompute the plaintext oracle with exactly the report's
+skipped origins and defaulted pairs excluded and require equality.
 
 This module is deliberately free of mixnet imports so result types can
 depend on it without cycles.
@@ -36,8 +36,9 @@ class RecoveryReport:
     defaulted_by_origin: dict[int, tuple[int, ...]] = field(
         default_factory=dict
     )
-    #: Threshold-decryption attempts (1 = no committee fault).
-    decrypt_attempts: int = 1
+    #: C-rounds the committee waited for enough live members to open
+    #: (§6.5; 0 = a quorum was live at once).
+    quorum_wait_rounds: int = 0
     #: Members excluded by robust decryption for bad partials.
     flagged_members: tuple[int, ...] = ()
     #: Bulletin-board complaint payloads observed after the query.
@@ -55,10 +56,6 @@ class RecoveryReport:
     @property
     def defaulted_pairs(self) -> int:
         return sum(len(v) for v in self.defaulted_by_origin.values())
-
-    @property
-    def decrypt_retries(self) -> int:
-        return max(0, self.decrypt_attempts - 1)
 
     @property
     def total_faults(self) -> int:
@@ -85,10 +82,7 @@ class RecoveryReport:
         lines.append(
             f"  skipped origins:     {list(self.skipped_origins)}"
         )
-        lines.append(
-            f"  decrypt attempts:    {self.decrypt_attempts} "
-            f"({self.decrypt_retries} retries)"
-        )
+        lines.append(f"  quorum wait rounds:  {self.quorum_wait_rounds}")
         if self.flagged_members:
             lines.append(
                 f"  flagged members:     {list(self.flagged_members)}"

@@ -172,8 +172,8 @@ METRICS: dict[str, MetricSpec] = _specs(
     ),
     MetricSpec(
         "faults.committee.dropouts", COUNTER, "members",
-        "committee members made unavailable or corrupt at decryption "
-        "time",
+        "committee dropout windows a liveness ping met (one per "
+        "window) plus members made corrupt at decryption time",
     ),
     MetricSpec(
         "faults.committee.corrupted", COUNTER, "partials",
@@ -262,11 +262,6 @@ METRICS: dict[str, MetricSpec] = _specs(
         "committee.rotate.seconds", HISTOGRAM, "seconds",
         "wall-clock duration of one VSR rotation",
         buckets=TIME_BUCKETS,
-    ),
-    MetricSpec(
-        "committee.decrypt.retries", COUNTER, "attempts",
-        "extra threshold-decryption attempts forced by committee "
-        "dropouts (§6.5 liveness retry)",
     ),
     MetricSpec(
         "committee.robust.errors", COUNTER, "values",
@@ -401,17 +396,18 @@ METRICS: dict[str, MetricSpec] = _specs(
     ),
     MetricSpec(
         "durability.reshares.emergency", COUNTER, "reshares",
-        "handoffs triggered by the health monitor because live "
+        "handoffs triggered because a liveness ping found live "
         "committee membership decayed to the liveness threshold",
     ),
     MetricSpec(
         "durability.monitor.pings", COUNTER, "pings",
-        "committee liveness pings issued through the fault injector",
+        "committee member liveness pings issued by the quorum wait "
+        "(FaultInjector.await_quorum), one per member per C-round",
     ),
     MetricSpec(
         "durability.monitor.quorum_wait_rounds", COUNTER, "C-rounds",
-        "C-rounds the campaign clock advanced while waiting for a "
-        "decryption or dealer quorum (§6.5 wait-and-retry)",
+        "C-rounds waited for an open or dealer quorum (§6.5), by "
+        "run_query and the campaign alike",
     ),
     # -- sharded aggregation (repro.sharding) --------------------------------
     MetricSpec(

@@ -1,7 +1,8 @@
 """Actively-secure threshold decryption: wrong partials are corrected
 and their authors flagged in one Reed-Solomon decoding pass (§5's
-error-detection property)."""
+error-detection property), on a quorum the §6.5 wait found live."""
 
+import dataclasses
 import random
 
 import pytest
@@ -13,7 +14,10 @@ from repro.errors import (
     ProtocolError,
     RobustDecodingError,
 )
+from repro.faults import FaultInjector, FaultPlan
+from repro.faults.plan import NEVER_RECOVERS
 from repro.params import TEST
+from tests.conftest import build_system
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +41,28 @@ def lie(*liars):
         return value
 
     return corrupt
+
+
+@pytest.fixture(scope="module")
+def deployment():
+    """``deployment(committee)``: a system whose committee is the given
+    one, for its quorum wait and its open step.  The open checks its
+    quorum before it reads the plan or the metadata."""
+    system = build_system()
+    plan = system.compile(
+        "SELECT HISTO(COUNT(*)) FROM neigh(1) WHERE dest.inf"
+    )
+    return lambda committee: (
+        dataclasses.replace(system, committee=committee), plan
+    )
+
+
+def away(windows):
+    """An injector for ``{device: (start, end)}`` absence windows."""
+    plan = FaultPlan(seed=0)
+    for device, (start, end) in windows.items():
+        plan = plan.with_absence([device], start, end)
+    return FaultInjector(plan)
 
 
 class TestRobustDecryption:
@@ -67,80 +93,59 @@ class TestRobustDecryption:
         assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs
         assert 9 in flagged
 
-    def test_too_small_committee_rejected(self, shared):
+    def test_too_small_committee_rejected(self, shared, deployment):
         """A corruption hook needs threshold + 1 members to detect."""
         rng, secret, _, _, ct = shared
         tiny = committee_mod.genesis_share_key(
             secret, member_ids=[1, 2], threshold=2, rng=random.Random(5)
         )
+        system, plan = deployment(tiny)
         with pytest.raises(ProtocolError):
-            committee_mod.decrypt_with_liveness_retry(
-                tiny, ct, rng, [[1, 2]], corrupt=lie()
-            )
+            system.open_phase(plan, ct, rng, None, corrupt=lie())
 
 
 class TestLivenessRetry:
-    """The single liveness wrapper without a corruption hook: the first
-    threshold present members decode, quorum = threshold."""
+    """The open quorum without a corruption hook: quorum = threshold,
+    and the first ``threshold`` live members decrypt."""
 
-    def test_retries_until_quorum(self, shared):
-        """§6.5: wait for members to return, then retry."""
+    def test_never_enough_members(self, shared, deployment):
+        rng, _, _, committee, ct = shared
+        system, plan = deployment(committee)
+        with pytest.raises(ProtocolError):
+            system.open_phase(plan, ct, rng, None, live=[9])
+
+    def test_exhausted_schedule_raises_quorum_error(self, shared, deployment):
+        """Below quorum is the *liveness* error, so callers can tell
+        churn from corruption — whether the open is handed too few live
+        members or the wait runs out with members crashed for good."""
+        rng, _, _, committee, ct = shared
+        system, plan = deployment(committee)
+        with pytest.raises(LivenessQuorumError):
+            system.open_phase(plan, ct, rng, None, live=[1])
+        crashed = away({d: (0, NEVER_RECOVERS) for d in (4, 7, 9)})
+        with pytest.raises(LivenessQuorumError):
+            system.await_open(crashed, 0)
+
+    def test_wait_ends_when_a_quorum_is_back(self, shared, deployment):
+        """§6.5: wait for members to return, then decrypt once."""
         rng, secret, _, committee, ct = shared
-        schedule = [[1], [4], [1, 7]]  # two failed attempts, then quorum
-        plaintext, attempts, flagged = (
-            committee_mod.decrypt_with_liveness_retry(
-                committee, ct, rng, schedule
-            )
+        system, _ = deployment(committee)
+        injector = away({4: (0, 3), 7: (0, 5), 9: (0, NEVER_RECOVERS)})
+        round_number, live = system.await_open(injector, 0)
+        assert (round_number, live) == (3, [1, 4])
+        quorum = committee_mod.open_quorum(committee, live, False)
+        plaintext, flagged = committee_mod.threshold_decrypt(
+            committee, ct, rng, participating=quorum
         )
-        assert attempts == 3
         assert flagged == set()
         assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs
 
-    def test_first_attempt_succeeds(self, shared):
-        rng, secret, _, committee, ct = shared
-        plaintext, attempts, _ = committee_mod.decrypt_with_liveness_retry(
-            committee, ct, rng, [[1, 4, 7, 9]]
-        )
-        assert attempts == 1
-
-    def test_never_enough_members(self, shared):
-        rng, _, _, committee, ct = shared
-        with pytest.raises(ProtocolError):
-            committee_mod.decrypt_with_liveness_retry(
-                committee, ct, rng, [[1], [9], []]
-            )
-
-    def test_exhausted_schedule_raises_quorum_error(self, shared):
-        """The exhausted-schedule failure is the *liveness* error, so
-        callers can distinguish churn from corruption."""
-        rng, _, _, committee, ct = shared
-        with pytest.raises(LivenessQuorumError):
-            committee_mod.decrypt_with_liveness_retry(
-                committee, ct, rng, [[1], [9], []]
-            )
-
-    def test_non_liveness_error_propagates(self, shared, monkeypatch):
-        """Regression: the retry loop used to swallow *every*
-        ProtocolError, so a corruption-induced decode failure looked
-        identical to a liveness miss and was silently retried.  A
-        ProtocolError that is not a quorum miss must escape on the
-        first attempt — this test fails against the old
-        ``except ProtocolError: continue`` behaviour."""
-        rng, _, _, committee, ct = shared
-
-        def poisoned(
-            committee, ciphertext, rng, participating=None, corrupt=None
-        ):
-            raise ProtocolError("decode failed under corruption")
-
-        monkeypatch.setattr(
-            committee_mod, "threshold_decrypt", poisoned
-        )
-        with pytest.raises(ProtocolError, match="corruption") as info:
-            committee_mod.decrypt_with_liveness_retry(
-                committee, ct, rng, [[1, 4], [1, 4, 7, 9]]
-            )
-        assert not isinstance(info.value, LivenessQuorumError)
+    def test_first_threshold_live_members_decrypt(self, shared):
+        _, _, _, committee, _ = shared
+        assert committee_mod.open_quorum(committee, [9, 7, 4], False) == [
+            4, 7,
+        ]
+        assert committee_mod.open_quorum(committee, [9], False) is None
 
 
 def honest(device_id, value):
@@ -150,29 +155,30 @@ def honest(device_id, value):
 
 
 class TestRobustLivenessRetry:
-    """The same wrapper with a corruption hook: every present member
+    """The same quorum with a corruption hook: every live member
     decodes, quorum = threshold + 1."""
 
-    def test_waits_for_redundant_quorum_then_flags(self, shared):
-        """Robust retry needs threshold + 1 present (redundancy for
-        error detection); once a quorum shows up the liar is corrected
-        and flagged in the same pass."""
+    def test_waits_for_redundant_quorum_then_flags(self, shared, deployment):
+        """The hooked open waits for threshold + 1 live members
+        (redundancy for error detection); once a quorum is back the liar
+        is corrected and flagged in the same pass."""
         rng, secret, _, committee, ct = shared
-        schedule = [[1, 4], [1, 4, 7, 9]]  # t members is not enough
-        plaintext, attempts, flagged = (
-            committee_mod.decrypt_with_liveness_retry(
-                committee, ct, rng, schedule,
-                corrupt=lambda d, v: v + type(v).constant(v.params, 3)
-                if d == 7 else v,
-            )
+        system, _ = deployment(committee)
+        corrupt = lie(7)
+        round_number, live = system.await_open(
+            away({7: (0, 1), 9: (0, 1)}), 0, corrupt
         )
-        assert attempts == 2
+        assert (round_number, live) == (1, [1, 4, 7, 9])
+        quorum = committee_mod.open_quorum(committee, live, True)
+        plaintext, flagged = committee_mod.threshold_decrypt(
+            committee, ct, rng, participating=quorum, corrupt=corrupt
+        )
         assert flagged == {7}
         assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs
 
     def test_corruption_failure_is_not_retried(self, shared):
         """Two liars among four members exceed the radius: the decode
-        failure must propagate instead of being retried as churn."""
+        failure propagates from the one decryption."""
         rng, _, _, committee, ct = shared
         calls = []
 
@@ -182,40 +188,49 @@ class TestRobustLivenessRetry:
                 return value + type(value).constant(value.params, 5)
             return value
 
+        quorum = committee_mod.open_quorum(committee, [1, 4, 7, 9], True)
         with pytest.raises(RobustDecodingError):
-            committee_mod.decrypt_with_liveness_retry(
-                committee, ct, rng,
-                [[1, 4, 7, 9], [1, 4, 7, 9]],
-                corrupt=corrupt,
+            committee_mod.threshold_decrypt(
+                committee, ct, rng, participating=quorum, corrupt=corrupt
             )
-        assert len(calls) == 2  # each liar poisoned once: no second attempt
+        assert len(calls) == 2  # each liar poisoned once
 
-    def test_exhausted_schedule_raises_quorum_error(self, shared):
+    def test_exhausted_schedule_raises_quorum_error(self, shared, deployment):
         rng, _, _, committee, ct = shared
+        system, plan = deployment(committee)
         with pytest.raises(LivenessQuorumError):
-            committee_mod.decrypt_with_liveness_retry(
-                committee, ct, rng, [[1], [4, 7]], corrupt=honest
+            system.await_open(
+                away({1: (0, NEVER_RECOVERS), 9: (0, NEVER_RECOVERS)}),
+                0,
+                honest,
+            )
+        with pytest.raises(LivenessQuorumError):
+            system.open_phase(
+                plan, ct, rng, None, live=[4, 7], corrupt=honest
             )
 
-    def test_quorum_follows_the_corruption_hook(self, shared):
-        """The same schedule that starves a hooked decode (t members
-        online, t + 1 needed) is a quorum without the hook: the hook
-        alone moves the bar."""
+    def test_quorum_follows_the_corruption_hook(self, shared, deployment):
+        """The absences that starve a hooked open (t members live, t + 1
+        needed) leave a quorum without the hook: the hook alone moves
+        the bar."""
         rng, secret, _, committee, ct = shared
-        plaintext, attempts, flagged = (
-            committee_mod.decrypt_with_liveness_retry(
-                committee, ct, rng, [[1], [4, 7]]
-            )
+        system, _ = deployment(committee)
+        injector = away({1: (0, NEVER_RECOVERS), 9: (0, NEVER_RECOVERS)})
+        round_number, live = system.await_open(injector, 0)
+        assert (round_number, live) == (0, [4, 7])
+        quorum = committee_mod.open_quorum(committee, live, False)
+        plaintext, flagged = committee_mod.threshold_decrypt(
+            committee, ct, rng, participating=quorum
         )
-        assert (attempts, flagged) == (2, set())
+        assert flagged == set()
         assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs
 
     def test_honest_hook_flags_nobody(self, shared):
         rng, secret, _, committee, ct = shared
-        plaintext, attempts, flagged = (
-            committee_mod.decrypt_with_liveness_retry(
-                committee, ct, rng, [[1, 4, 7]], corrupt=honest
-            )
+        quorum = committee_mod.open_quorum(committee, [1, 4, 7], True)
+        assert quorum == [1, 4, 7]
+        plaintext, flagged = committee_mod.threshold_decrypt(
+            committee, ct, rng, participating=quorum, corrupt=honest
         )
-        assert (attempts, flagged) == (1, set())
+        assert flagged == set()
         assert plaintext.coeffs == bgv.decrypt(secret, ct).coeffs

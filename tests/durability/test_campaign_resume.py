@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from repro import telemetry
 from repro.durability.campaign import (
     PHASES,
     RESULTS_NAME,
@@ -176,6 +177,11 @@ class TestResumeSafety:
         # records) must be refused, not half-replayed.
         self._refuse_journal_version(tmp_path, 1, {})
 
+    def test_resume_refuses_v3_journal(self, tmp_path):
+        # v3 open records named every live member as participating, not
+        # the quorum that decrypted.
+        self._refuse_journal_version(tmp_path, 3, {})
+
     def test_resume_refuses_journal_with_checkpoint_config(self, tmp_path):
         # v2 configs carried the checkpoint cadence and planned kills: the
         # refusal names the version, not a TypeError from the config keys.
@@ -230,6 +236,39 @@ class TestResumeSafety:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [JOURNAL_NAME, RESULTS_NAME]
         )
+
+
+class TestOpenRecord:
+    """The ``open`` record journals the quorum that decrypted."""
+
+    @staticmethod
+    def _open_and_partials(config, directory):
+        with telemetry.session() as session:
+            run_campaign(config, directory)
+            partials = session.snapshot()["counters"][
+                "committee.decrypt.partials"
+            ]
+        opens = [
+            r.data
+            for r in load_records(directory)
+            if r.type == "phase" and r.data["phase"] == "open"
+        ]
+        return opens, partials
+
+    def test_participating_is_the_decrypting_quorum(self, tmp_path):
+        opens, partials = self._open_and_partials(small_config(), tmp_path)
+        assert [len(o["participating"]) for o in opens] == [2, 2]
+        assert sum(len(o["participating"]) for o in opens) == partials
+
+    def test_corruption_hook_opens_with_every_live_member(self, tmp_path):
+        # 4:2 corrects one liar; at 3:2 a liar is only detectable.
+        opens, partials = self._open_and_partials(
+            small_config(committee_size=4, committee_corrupt_members=1),
+            tmp_path,
+        )
+        assert [len(o["participating"]) for o in opens] == [4, 4]
+        assert all(len(o["flagged"]) == 1 for o in opens)
+        assert sum(len(o["participating"]) for o in opens) == partials
 
 
 def _rewrite_start(directory, data: dict) -> None:

@@ -1,4 +1,4 @@
-"""Committee epoch lifecycle under churn: health monitoring, emergency
+"""Committee epoch lifecycle under churn: liveness pings, emergency
 resharing, and the acceptance scenario — a campaign spanning >= 3 epochs
 with >= 1 emergency reshare and zero decryption failures."""
 
@@ -6,15 +6,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.committee import Committee
+from repro.core.committee import open_quorum
 from repro.core.rounds import CampaignClock
 from repro.durability.campaign import (
     CampaignConfig,
     KillSpec,
+    needs_reshare,
     resume_campaign,
     run_campaign,
 )
-from repro.durability.monitor import CommitteeHealthMonitor, HealthReport
+from repro.durability.journal import load_records
 from repro.errors import CoordinatorCrash
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import ChurnWindow, FaultPlan
@@ -65,10 +66,14 @@ class TestHealthMonitor:
         )
 
     def test_no_injector_means_all_live(self):
+        """An empty plan — what a campaign without faults gets — finds
+        every member live and never waits."""
         committee = self._committee_of([1, 4, 7])
-        report = CommitteeHealthMonitor(None).ping(committee, 0)
-        assert report.live == (1, 4, 7)
-        assert report.quorate and not report.needs_reshare
+        injector = FaultInjector(FaultPlan(seed=0))
+        assert injector.await_quorum(
+            [1, 4, 7], 5, lambda live, _: len(live) >= committee.threshold
+        ) == (5, [1, 4, 7])
+        assert not needs_reshare(committee, [1, 4, 7])
 
     def test_one_member_down_triggers_reshare_at_threshold(self):
         committee = self._committee_of([1, 4, 7])
@@ -78,19 +83,20 @@ class TestHealthMonitor:
                 ChurnWindow(device_id=4, start_round=0, end_round=8),
             ),
         )
-        monitor = CommitteeHealthMonitor(FaultInjector(plan))
-        report = monitor.ping(committee, 2)
-        assert report.live == (1, 7)
-        assert report.down == (4,)
-        # Still quorate (threshold 2) but with zero slack: reshare now.
-        assert report.quorate and report.needs_reshare
+        injector = FaultInjector(plan)
+        live = injector.live([1, 4, 7], 2)
+        assert live == [1, 7]
+        # Still a quorum (threshold 2) but with zero slack: reshare now.
+        assert open_quorum(committee, live, False) == [1, 7]
+        assert needs_reshare(committee, live)
         # Outside the window the committee is healthy again.
-        later = monitor.ping(committee, 20)
-        assert later.live == (1, 4, 7) and not later.needs_reshare
+        later = injector.live([1, 4, 7], 20)
+        assert later == [1, 4, 7] and not needs_reshare(committee, later)
 
     def test_below_threshold_is_not_quorate(self):
-        report = HealthReport(round=0, live=(3,), down=(1, 2), threshold=2)
-        assert not report.quorate
+        committee = self._committee_of([1, 2, 3])
+        assert open_quorum(committee, [3], False) is None
+        assert needs_reshare(committee, [3])
 
     def test_live_devices_excludes_churned(self):
         plan = FaultPlan(
@@ -100,9 +106,9 @@ class TestHealthMonitor:
                 ChurnWindow(device_id=3, start_round=0, end_round=4),
             ),
         )
-        monitor = CommitteeHealthMonitor(FaultInjector(plan))
-        assert monitor.live_devices(5, 1) == [1, 2, 4]
-        assert monitor.live_devices(5, 10) == [0, 1, 2, 3, 4]
+        injector = FaultInjector(plan)
+        assert injector.live(range(5), 1) == [1, 2, 4]
+        assert injector.live(range(5), 10) == [0, 1, 2, 3, 4]
 
 
 class TestEpochLifecycleUnderChurn:
@@ -117,7 +123,7 @@ class TestEpochLifecycleUnderChurn:
         # >= 3 committee epochs beyond genesis.
         assert len(result.epochs) >= 4
         assert result.epochs[0]["reason"] == "genesis"
-        # >= 1 emergency reshare, driven by the health monitor.
+        # >= 1 emergency reshare, triggered by a liveness ping.
         assert result.emergency_reshares >= 1
         assert any(e["reason"] == "emergency" for e in result.epochs)
         # Zero decryption failures: every query released a result.
@@ -168,3 +174,50 @@ class TestEpochLifecycleUnderChurn:
         # the epoch that decrypted them.
         assert epochs_seen == sorted(epochs_seen)
         assert epochs_seen[-1] >= 2
+
+
+class TestCorruptMemberUnderChurn:
+    """A lying member among churned ones: the open needs threshold + 1
+    live members, and the campaign waits for exactly that many — the
+    same quorum rule the open step applies, not the bare threshold."""
+
+    @staticmethod
+    def config() -> CampaignConfig:
+        return CampaignConfig(
+            master_seed=11,
+            queries=campaign_queries(1),
+            people=8,
+            committee_size=5,
+            committee_threshold=2,
+            committee_corrupt_members=1,
+            committee_churn_members=3,
+            committee_churn_rounds=40,
+        )
+
+    @pytest.fixture(scope="class")
+    def corrupt_oracle(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("corrupt-churn")
+        return directory, run_campaign(self.config(), directory)
+
+    def test_waits_for_the_redundant_quorum_and_flags(self, corrupt_oracle):
+        directory, result = corrupt_oracle
+        assert result.quorum_wait_rounds >= 1
+        assert len(result.results) == 1
+        (open_record,) = [
+            r.data
+            for r in load_records(directory)
+            if r.type == "phase" and r.data["phase"] == "open"
+        ]
+        liar = result.epochs[0]["members"][0]
+        assert open_record["flagged"] == [liar]
+        assert open_record["participating"] == result.epochs[0]["members"]
+
+    def test_kill_at_open_resumes_identically(self, corrupt_oracle, tmp_path):
+        _, result = corrupt_oracle
+        with pytest.raises(CoordinatorCrash):
+            run_campaign(
+                self.config(), tmp_path, kill=KillSpec(phase="open", query=0)
+            )
+        resumed = resume_campaign(tmp_path)
+        assert resumed.digest == result.digest
+        assert resumed.quorum_wait_rounds == result.quorum_wait_rounds

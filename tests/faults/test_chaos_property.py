@@ -15,7 +15,7 @@ from repro.core.system import MyceliumSystem
 from repro.engine.histogram import decode_histogram
 from repro.engine.plaintext import aggregate_coefficients
 from repro.errors import MyceliumError
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.mixnet.network import MixnetWorld
 from repro.params import SystemParameters
 from repro.query.schema import scaled_schema
@@ -79,8 +79,8 @@ def run_chaos(seed: int, failure: float, fault_start: int = 0):
         wire_delay_rate=failure / 4,
         wire_corrupt_rate=failure / 4,
         wire_fault_start=fault_start,
-        committee_dropouts=tuple(members[:1]),
-        committee_offline_attempts=1,
+    ).with_absence(
+        members[:1], fault_start, ROUND_CAP, FaultKind.COMMITTEE_DROPOUT
     )
     FaultInjector(plan).attach(world)
     result = system.run_query(

@@ -1,4 +1,6 @@
-"""FaultPlan: deterministic generation, validation, schedules."""
+"""FaultPlan: deterministic generation, validation, absence windows."""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +16,6 @@ class TestGenerate:
             churn_window_rounds=4,
             horizon_rounds=40,
             wire_drop_rate=0.1,
-            committee_dropouts=(2, 5),
         )
         a = FaultPlan.generate(seed=17, num_devices=20, **kwargs)
         b = FaultPlan.generate(seed=17, num_devices=20, **kwargs)
@@ -80,19 +81,35 @@ class TestValidation:
 
 
 class TestCommitteeSchedules:
-    def test_dropout_schedule_shape(self):
-        plan = FaultPlan(
-            seed=3, committee_dropouts=(1, 2), committee_offline_attempts=2
+    def test_committee_dropout_is_away_only_from_the_committee(self):
+        """A ``COMMITTEE_DROPOUT`` window keeps a member from the quorum
+        but not from the mix network."""
+        plan = FaultPlan(seed=0).with_absence(
+            [4], 0, 8, FaultKind.COMMITTEE_DROPOUT
         )
         injector = FaultInjector(plan)
-        schedule = injector.committee_schedule([1, 2, 3])
-        assert schedule == [[3], [3], [1, 2, 3]]
-        assert injector.fault_counts()[FaultKind.COMMITTEE_DROPOUT.value] == 2
+        assert plan.managed_devices() == frozenset()
+        world = SimpleNamespace(
+            devices={4: SimpleNamespace(online=True, pending_deposits=[])}
+        )
+        injector.begin_round(world, 2)
+        assert world.devices[4].online
+        assert injector.live([1, 4], 2) == [1]
+        round_number, live = injector.await_quorum(
+            [1, 4], 0, lambda live, _: len(live) == 2
+        )
+        assert (round_number, live) == (8, [1, 4])
+        assert injector.fault_counts() == {
+            FaultKind.COMMITTEE_DROPOUT.value: 1
+        }
 
-    def test_no_dropouts_single_attempt(self):
-        injector = FaultInjector(FaultPlan(seed=3))
-        assert injector.committee_schedule([1, 2, 3]) == [[1, 2, 3]]
-        assert injector.fault_counts() == {}
+    def test_with_absence_appends_one_window_per_device(self):
+        plan = FaultPlan(seed=0).with_absence([2, 5], 3, 9)
+        assert plan.churn_windows == (
+            ChurnWindow(2, 3, 9),
+            ChurnWindow(5, 3, 9),
+        )
+        assert plan.managed_devices() == frozenset({2, 5})
 
     def test_corrupt_members(self):
         plan = FaultPlan(seed=3, corrupt_committee=(4,))

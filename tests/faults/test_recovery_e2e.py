@@ -1,7 +1,7 @@
-"""The PR's acceptance test: one seeded `run_query(world=...)` with
-churn, a forwarder crash, wire drops, *and* committee dropouts — the
-query still returns the fault-free answer, and the RecoveryReport
-accounts for every repair.
+"""Recovery end to end: one seeded `run_query(world=...)` with churn,
+a device crash, wire drops, *and* committee dropouts — the query still
+returns the fault-free answer, and the RecoveryReport accounts for
+every repair.
 
 Everything here is deterministic: the world rng, the fault plan, and
 every per-message verdict are seeded, so the whole scenario replays
@@ -16,7 +16,9 @@ from repro import telemetry
 from repro.core.system import MyceliumSystem
 from repro.engine.histogram import decode_histogram
 from repro.engine.plaintext import aggregate_coefficients
+from repro.errors import LivenessQuorumError
 from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults.injector import QUORUM_WAIT_LIMIT
 from repro.mixnet import hopselect
 from repro.mixnet.network import MixnetWorld
 from repro.params import SystemParameters
@@ -30,6 +32,9 @@ SEED = 29
 #: whether every loss is one bounded retransmission can repair; this
 #: plan's are, for the paths seed 29's world builds.
 FAULT_SEED = 34
+#: The C-round the committee's dropouts end.  The query's communication
+#: ends at C-round 43, so the committee waits three rounds to open.
+DROPOUT_END = 46
 
 
 def _build_graph(seed):
@@ -109,8 +114,8 @@ def scenario():
         total_epsilon=100.0,
     )
     members = [m.device_id for m in system.committee.members]
-    # One more dropout than the committee can spare: the first decrypt
-    # attempts fall below threshold and the liveness retry must kick in.
+    # One more member away than the committee can spare, over the open
+    # round: the committee must wait for them (§6.5).
     dropouts = members[: system.committee.size - system.committee.threshold + 1]
     fault_start = params.telescoping_crounds + 4
     plan = FaultPlan.generate(
@@ -126,8 +131,8 @@ def scenario():
         wire_drop_rate=0.08,
         wire_delay_rate=0.04,
         wire_fault_start=fault_start,
-        committee_dropouts=tuple(dropouts),
-        committee_offline_attempts=2,
+    ).with_absence(
+        dropouts, fault_start, DROPOUT_END, FaultKind.COMMITTEE_DROPOUT
     )
     injector = FaultInjector(plan).attach(world)
     telemetry.enable()
@@ -213,9 +218,14 @@ class TestEveryRecoveryLayerFired:
         assert scenario["victim"] in report.defaulted_devices
 
     def test_committee_liveness_retry(self, scenario):
+        """§6.5: two of the three members are away over the open round
+        and the third crashed with the victim, so the committee waits
+        for the two to come back and opens with them alone."""
         report = scenario["result"].metadata.recovery
-        assert report.decrypt_attempts == 3  # 2 short attempts + recovery
-        assert report.decrypt_retries == 2
+        assert scenario["victim"] in [
+            m.device_id for m in scenario["system"].committee.members
+        ]
+        assert report.quorum_wait_rounds == 3
 
     def test_complaints_surfaced(self, scenario):
         report = scenario["result"].metadata.recovery
@@ -228,7 +238,7 @@ class TestEveryRecoveryLayerFired:
         for needle in (
             "retransmissions",
             "failovers",
-            "decrypt attempts",
+            "quorum wait rounds",
             "complaints",
         ):
             assert needle in summary
@@ -244,7 +254,7 @@ class TestRecoveryTelemetry:
             "faults.committee.dropouts",
             "mixnet.retransmissions.total",
             "mixnet.failovers.total",
-            "committee.decrypt.retries",
+            "durability.monitor.quorum_wait_rounds",
             "engine.defaults.total",
             "query.complaints.observed",
         ):
@@ -252,3 +262,54 @@ class TestRecoveryTelemetry:
 
     def test_reliable_send_span_recorded(self, scenario):
         assert "mixnet.send_reliable" in scenario["snapshot"]["spans"]
+
+
+def test_crashed_members_never_open():
+    """Two of three committee members crash for good: no quorum ever
+    returns, so the wait ends in the typed liveness error at its bound
+    instead of a release decrypted by the dead."""
+    graph, rng = _build_graph(SEED)
+    params = SystemParameters(
+        num_devices=graph.num_vertices,
+        hops=2,
+        replicas=2,
+        forwarder_fraction=0.2,
+        degree_bound=2,
+        pseudonyms_per_device=2,
+    )
+    world = MixnetWorld(
+        params,
+        num_devices=graph.num_vertices,
+        rng=rng,
+        rsa_bits=512,
+        pseudonyms_per_device=2,
+    )
+    system = MyceliumSystem.setup(
+        num_devices=graph.num_vertices,
+        rng=rng,
+        params=params,
+        schema=scaled_schema(),
+        committee_size=3,
+        committee_threshold=2,
+        total_epsilon=100.0,
+    )
+    members = [m.device_id for m in system.committee.members]
+    FaultInjector(
+        FaultPlan.generate(
+            seed=FAULT_SEED,
+            num_devices=graph.num_vertices,
+            crash_devices=tuple(members[:2]),
+            crash_round=0,
+        )
+    ).attach(world)
+    telemetry.enable()
+    try:
+        with pytest.raises(LivenessQuorumError):
+            system.run_query(
+                QUERY, graph, epsilon=1.0, noiseless=True, world=world
+            )
+        counters = telemetry.active().snapshot()["counters"]
+    finally:
+        telemetry.disable()
+    assert counters["durability.monitor.pings"] == 3 * (QUORUM_WAIT_LIMIT + 1)
+    assert "committee.decrypt.partials" not in counters
