@@ -16,7 +16,11 @@ Section 3.5 of the paper distinguishes two symmetric modes:
 Every operation is one ChaCha20 call: AE runs the cipher from block
 counter 0, whose first 32 keystream bytes key Poly1305 and whose later
 blocks carry the message (RFC 8439 §2.8).  The ``_many`` forms put a
-whole wave of messages on one keystream request.
+whole wave of messages on one keystream request.  :func:`senc_stream`
+and :func:`ae_stream` name the keystream an operation will run on, so
+a caller can compute a wave's keystreams ahead in one request
+(:func:`repro.crypto.chacha20.prefetch`) and then make its
+single-message calls as usual.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.crypto.chacha20 import (
     BLOCK_BYTES,
     KEY_BYTES,
     NONCE_BYTES,
+    blocks_for,
     chacha20_xor,
     chacha20_xor_many,
     xor_bytes,
@@ -105,19 +110,69 @@ def ae_open(key: bytes, round_number: int, sealed: bytes, aad: bytes = b"") -> b
     """
     if len(sealed) < TAG_BYTES:
         raise AuthenticationError("sealed message shorter than a tag")
-    ciphertext, tag = sealed[:-TAG_BYTES], sealed[-TAG_BYTES:]
     # Encrypting zeros yields the bare keystream, so no plaintext exists
     # until the tag has verified.
     keystream = chacha20_xor(
-        *_ae_request(key, round_number, bytes(len(ciphertext))),
+        *_ae_request(key, round_number, bytes(len(sealed) - TAG_BYTES)),
         initial_counter=0,
     )
+    plaintext = _opened(keystream, sealed, aad)
+    if plaintext is None:
+        raise AuthenticationError("AE tag verification failed")
+    return plaintext
+
+
+def _opened(keystream: bytes, sealed: bytes, aad: bytes) -> bytes | None:
+    """The plaintext of ``sealed`` under the keystream of its open
+    request, or None when the tag does not verify."""
+    ciphertext, tag = sealed[:-TAG_BYTES], sealed[-TAG_BYTES:]
     expected = poly1305_mac(
         keystream[:_POLY1305_KEY_BYTES], _auth_input(aad, ciphertext)
     )
     if not constant_time_equal(tag, expected):
-        raise AuthenticationError("AE tag verification failed")
+        return None
     return xor_bytes(ciphertext, keystream[BLOCK_BYTES:])
+
+
+def ae_open_many(items: Sequence[tuple[bytes, int, bytes]]) -> list[bytes | None]:
+    """:func:`ae_open` (no associated data) of every ``(key,
+    round_number, sealed)`` in ``items``, on one cipher call: the
+    plaintext, or None for an item that is shorter than a tag or whose
+    tag does not verify (a forgery, or the wrong key or round).
+
+    As in :func:`ae_open`, no item's plaintext exists before its tag
+    has verified.  A bad key or round number is a ``CryptoError`` for
+    the whole wave, raised before any keystream is computed.
+    """
+    requests = [
+        _ae_request(key, round_number, bytes(max(len(sealed) - TAG_BYTES, 0)))
+        for key, round_number, sealed in items
+    ]
+    sized = [i for i, (_, _, sealed) in enumerate(items) if len(sealed) >= TAG_BYTES]
+    keystreams = chacha20_xor_many(
+        [requests[i] for i in sized], initial_counter=0
+    )
+    opened: list[bytes | None] = [None] * len(items)
+    for index, keystream in zip(sized, keystreams):
+        opened[index] = _opened(keystream, items[index][2], b"")
+    return opened
+
+
+def ae_stream(
+    key: bytes, round_number: int, length: int
+) -> tuple[bytes, bytes, int, int]:
+    """The keystream ``(key, nonce, first_counter, blocks)`` that
+    :func:`ae_seal` of a ``length``-byte plaintext, or :func:`ae_open`
+    of a ``length``-byte ciphertext (tag excluded), runs on."""
+    nonce = nonce_from_round(round_number)
+    return key, nonce, 0, blocks_for(BLOCK_BYTES + length)
+
+
+def senc_stream(
+    key: bytes, round_number: int, length: int
+) -> tuple[bytes, bytes, int, int]:
+    """The keystream that :func:`senc` of ``length`` bytes runs on."""
+    return key, nonce_from_round(round_number), 1, blocks_for(length)
 
 
 def _senc_request(

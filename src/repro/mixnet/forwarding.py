@@ -30,7 +30,6 @@ from repro.mixnet.network import (
     SourcePathState,
     TAG_FORWARD,
     TAG_PAYLOAD,
-    link_keys,
 )
 
 
@@ -57,7 +56,7 @@ class ReliableSendResult:
 
 def _forward_keys(path: SourcePathState) -> tuple[bytes, ...]:
     """The per-hop forwarding keys an onion for ``path`` wraps under."""
-    return tuple(link_keys(hop_key)[0] for hop_key in path.hop_keys)
+    return tuple(k_fwd for k_fwd, _, _ in path.hop_keys)
 
 
 class ForwardingDriver:

@@ -25,13 +25,14 @@ import random
 from dataclasses import dataclass, field
 
 from repro import telemetry
-from repro.crypto import rsa
+from repro.crypto import aead, chacha20, rsa
 from repro.crypto.hashes import derive_key
+from repro.crypto.poly1305 import TAG_BYTES
 from repro.errors import CryptoError, ProtocolError
 from repro.mixnet import maps, onion
 from repro.mixnet.bulletin import BulletinBoard, derive_beacon
 from repro.mixnet.mailbox import MailboxServer, verify_batch, verify_receipt
-from repro.mixnet.pseudonym import DeviceIdentity, mint_device
+from repro.mixnet.pseudonym import DeviceIdentity, PseudonymIdentity, mint_device
 from repro.params import SystemParameters
 
 # Wire tags (first byte of a peeled onion layer / mailbox body).
@@ -41,6 +42,13 @@ TAG_REVERSE = b"V"
 TAG_PAYLOAD = b"P"
 
 COMPLAINT_TAG = "complaint/path-setup"
+
+# Where MixDevice.process_wire sends a fetched message (MixDevice._route).
+ROUTE_FORWARD = "forward"  # a hop's in-link: peel and pass on
+ROUTE_REVERSE = "reverse"  # a hop's out-link: wrap and pass back
+ROUTE_SOURCE = "source"  # reverse traffic reaching one of our source paths
+ROUTE_PAYLOAD = "payload"  # an end-to-end payload for us as destination
+ROUTE_CONNECT = "connect"  # anything else: a CONNECT creating an in-link
 
 
 def link_keys(base_key: bytes) -> tuple[bytes, bytes, bytes]:
@@ -71,6 +79,10 @@ class InLink:
     position: int = 0  # 1-based hop position on the path
     expects_forward_traffic: bool = False
     last_traffic_round: int = -1
+    keys: tuple[bytes, bytes, bytes] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.keys = link_keys(self.base_key)
 
 
 @dataclass
@@ -84,13 +96,49 @@ class SourcePathState:
     first_path_id: bytes = b""
     hop_handles: list[bytes] = field(default_factory=list)
     hop_pks: list[rsa.RsaPublicKey] = field(default_factory=list)
-    hop_keys: list[bytes] = field(default_factory=list)  # base keys
+    # link_keys of each hop's base key
+    hop_keys: list[tuple[bytes, bytes, bytes]] = field(default_factory=list)
     connect_round: int = -1  # round the latest CONNECT was deposited
     next_level: int = 1  # which hop we are extending to next (1-based)
     got_ack: bool = False
     dest_pk: rsa.RsaPublicKey | None = None
     established: bool = False
     failed: bool = False
+
+
+@dataclass
+class PendingSeal:
+    """A deposit whose body is ``layers(head || AE(key, round, plaintext))``,
+    queued with :meth:`MixnetWorld.deposit_sealed` and filled in by the
+    next :meth:`MixnetWorld.seal_wave`.
+
+    ``layers`` run from the innermost out as ``(key, round, tag)``: each
+    SEnc-encrypts the body so far under ``(key, round)`` and puts
+    ``tag`` in front of the result.
+    """
+
+    path_id: bytes
+    head: bytes
+    key: bytes
+    round_number: int
+    plaintext: bytes
+    layers: tuple[tuple[bytes, int, bytes], ...] = ()
+    wire: bytes | None = None
+
+    def streams(self) -> list[tuple[bytes, bytes, int, int]]:
+        """The keystreams :meth:`seal` runs on."""
+        streams = [aead.ae_stream(self.key, self.round_number, len(self.plaintext))]
+        length = len(self.head) + len(self.plaintext) + TAG_BYTES
+        for key, round_number, tag in self.layers:
+            streams.append(aead.senc_stream(key, round_number, length))
+            length += len(tag)
+        return streams
+
+    def seal(self) -> None:
+        body = self.head + aead.ae_seal(self.key, self.round_number, self.plaintext)
+        for key, round_number, tag in self.layers:
+            body = tag + aead.senc(key, round_number, body)
+        self.wire = onion.WireMessage(self.path_id, body).encode()
 
 
 @dataclass
@@ -114,7 +162,8 @@ class MixDevice:
         self.out_to_in: dict[bytes, bytes] = {}
         self.paths: dict[tuple[int, int], SourcePathState] = {}
         self.received: list[ReceivedPayload] = []
-        self.pending_deposits: list[tuple[bytes, bytes]] = []  # (mailbox, data)
+        # (mailbox, wire bytes or a seal the next seal wave fills in)
+        self.pending_deposits: list[tuple[bytes, bytes | PendingSeal]] = []
         self._scheduled: list[tuple[int, str, bytes]] = []  # (round, action, pid)
         self.protocol_violations: list[str] = []
 
@@ -136,7 +185,10 @@ class MixDevice:
     def drain_deposits(self) -> list[tuple[bytes, bytes]]:
         out = self.pending_deposits
         self.pending_deposits = []
-        return out
+        return [
+            (mailbox, data if isinstance(data, bytes) else data.wire)
+            for mailbox, data in out
+        ]
 
     def schedule(self, due_round: int, action: str, path_id: bytes) -> None:
         self._scheduled.append((due_round, action, path_id))
@@ -149,6 +201,66 @@ class MixDevice:
         return due
 
     # -- message processing --------------------------------------------------
+
+    def _route(
+        self, dest_handle: bytes, message: onion.WireMessage
+    ) -> tuple[str, InLink | SourcePathState | None]:
+        """Where a message fetched from ``dest_handle`` goes, by this
+        device's link state now: a ``ROUTE_*`` name and the in-link or
+        source path it concerns."""
+        # Routing is by (path id, mailbox): the same device may serve
+        # two consecutive hop positions under different pseudonyms, in
+        # which case one path id legitimately appears in both its link
+        # tables — the mailbox the message arrived in disambiguates.
+        link = self.in_links.get(message.path_id)
+        if link is not None and link.my_handle == dest_handle:
+            return ROUTE_FORWARD, link
+        in_pid = self.out_to_in.get(message.path_id)
+        if in_pid is not None and self.in_links[in_pid].my_handle == dest_handle:
+            return ROUTE_REVERSE, self.in_links[in_pid]
+        for path in self.paths.values():
+            if path.first_path_id == message.path_id:
+                return ROUTE_SOURCE, path
+        if message.body.startswith(TAG_PAYLOAD):
+            return ROUTE_PAYLOAD, None
+        return ROUTE_CONNECT, None
+
+    def keystreams_for(
+        self, world: MixnetWorld, round_number: int, dest_handle: bytes, data: bytes
+    ) -> list[tuple[bytes, bytes, int, int]]:
+        """The keystreams :meth:`process_wire` will run on when it
+        handles ``data`` in ``round_number``, read from the link state as
+        it is now.  Decrypting a PEnc header (kept by
+        :meth:`MixnetWorld.penc_open`) is the only work; input that
+        routing drops asks for nothing."""
+        try:
+            message = onion.WireMessage.decode(data)
+            route, state = self._route(dest_handle, message)
+            body = message.body
+            if route == ROUTE_FORWARD:
+                k_fwd, _, _ = state.keys
+                return [aead.senc_stream(k_fwd, round_number, len(body))]
+            if route in (ROUTE_REVERSE, ROUTE_SOURCE) and not body.startswith(
+                TAG_REVERSE
+            ):
+                return []
+            if route == ROUTE_REVERSE:
+                _, _, k_rev = state.keys
+                return [aead.senc_stream(k_rev, round_number, len(body) - 1)]
+            if route == ROUTE_SOURCE:
+                return world.telescope_handler.reverse_streams(
+                    state, round_number, body[1:]
+                )
+            if route == ROUTE_PAYLOAD:
+                key, sealed = self.open_envelope(world, dest_handle, body[1:])
+            else:
+                base_key, sealed = self.open_envelope(world, dest_handle, body)
+                _, key, _ = link_keys(base_key)
+        except (CryptoError, ProtocolError):
+            return []
+        if len(sealed) < TAG_BYTES:
+            return []
+        return [aead.ae_stream(key, round_number, len(sealed) - TAG_BYTES)]
 
     def process_wire(
         self, world: MixnetWorld, round_number: int, dest_handle: bytes, data: bytes
@@ -165,30 +277,32 @@ class MixDevice:
         except ProtocolError:
             telemetry.count("mixnet.route.undecodable")
             return
-        # Routing is by (path id, mailbox): the same device may serve
-        # two consecutive hop positions under different pseudonyms, in
-        # which case one path id legitimately appears in both its link
-        # tables — the mailbox the message arrived in disambiguates.
-        link = self.in_links.get(message.path_id)
-        if link is not None and link.my_handle == dest_handle:
-            self._process_forward(world, round_number, message)
-            return
-        in_pid = self.out_to_in.get(message.path_id)
-        if (
-            in_pid is not None
-            and self.in_links[in_pid].my_handle == dest_handle
-        ):
-            self._process_reverse(world, round_number, message)
-            return
-        self._process_new(world, round_number, dest_handle, message)
+        route, state = self._route(dest_handle, message)
+        if route == ROUTE_FORWARD:
+            self._process_forward(round_number, state, message)
+        elif route == ROUTE_REVERSE:
+            self._process_reverse(world, round_number, state, message)
+        elif route == ROUTE_SOURCE:
+            if message.body.startswith(TAG_REVERSE):
+                world.telescope_handler.source_reverse(
+                    world, self, state, round_number, message.body[1:]
+                )
+            else:
+                telemetry.count("mixnet.reverse.dropped")
+        elif route == ROUTE_PAYLOAD:
+            self._receive_payload(world, round_number, dest_handle, message.body[1:])
+        else:
+            world.telescope_handler.hop_connect(
+                world, self, round_number, dest_handle, message
+            )
 
     def _process_forward(
-        self, world: MixnetWorld, round_number: int, message: onion.WireMessage
+        self, round_number: int, link: InLink, message: onion.WireMessage
     ) -> None:
-        link = self.in_links[message.path_id]
-        k_fwd, _, _ = link_keys(link.base_key)
+        k_fwd, _, _ = link.keys
         inner = onion.peel(k_fwd, round_number, message.body)
         if not inner:
+            telemetry.count("mixnet.route.unforwardable")
             return
         tag, rest = inner[:1], inner[1:]
         link.last_traffic_round = round_number
@@ -196,6 +310,7 @@ class MixDevice:
             if link.out_path_id is None or link.next_mailbox is None:
                 # Garbled or dummy traffic: keep the pattern unchanged by
                 # emitting a dummy of the same shape (§3.5).
+                telemetry.count("mixnet.route.unforwardable")
                 return
             self.queue_deposit(link.next_mailbox, link.out_path_id, rest)
         elif tag == TAG_CONNECT:
@@ -214,12 +329,16 @@ class MixDevice:
             # tag; the hop cannot tell (§3.5) and forwards it like any
             # other message, keeping the traffic pattern intact.
             self.queue_deposit(link.next_mailbox, link.out_path_id, rest)
+        else:
+            telemetry.count("mixnet.route.unforwardable")
 
     def _process_reverse(
-        self, world: MixnetWorld, round_number: int, message: onion.WireMessage
+        self,
+        world: MixnetWorld,
+        round_number: int,
+        link: InLink,
+        message: onion.WireMessage,
     ) -> None:
-        in_pid = self.out_to_in[message.path_id]
-        link = self.in_links[in_pid]
         if not message.body.startswith(TAG_REVERSE):
             # Addressed to one of our links by path id and mailbox, yet
             # not reverse traffic: dropping it silently would swallow a
@@ -227,45 +346,35 @@ class MixDevice:
             telemetry.count("mixnet.route.misdirected")
             world.complain(self.device_id, b"misdirected")
             return
-        _, _, k_rev = link_keys(link.base_key)
+        _, _, k_rev = link.keys
         wrapped = TAG_REVERSE + onion.peel(
             k_rev, round_number, message.body[1:]
         )
         self.queue_deposit(link.prev_mailbox, link.path_id, wrapped)
 
-    def _process_new(
-        self,
-        world: MixnetWorld,
-        round_number: int,
-        dest_handle: bytes,
-        message: onion.WireMessage,
-    ) -> None:
-        """A message with an unknown path id: either a CONNECT blob
-        creating a new in-link, a reverse message for one of our source
-        paths, or an end-to-end payload for us as destination."""
-        # Reverse traffic arriving at the source?
-        for path in self.paths.values():
-            if path.first_path_id == message.path_id:
-                if message.body.startswith(TAG_REVERSE):
-                    world.telescope_handler.source_reverse(
-                        world, self, path, round_number, message.body[1:]
-                    )
-                return
-        if message.body.startswith(TAG_PAYLOAD):
-            self._receive_payload(world, round_number, dest_handle, message.body[1:])
-            return
-        self._receive_connect(world, round_number, dest_handle, message)
+    def open_envelope(
+        self, world: MixnetWorld, dest_handle: bytes, body: bytes
+    ) -> tuple[bytes, bytes]:
+        """Split ``len(PEnc) || PEnc || sealed`` addressed to
+        ``dest_handle`` and decrypt its PEnc header: ``(key, sealed)``.
 
-    def _receive_connect(
-        self,
-        world: MixnetWorld,
-        round_number: int,
-        dest_handle: bytes,
-        message: onion.WireMessage,
-    ) -> None:
-        world.telescope_handler.hop_connect(
-            world, self, round_number, dest_handle, message
-        )
+        A body too short for its two-byte header or for the PEnc that
+        header announces is a ``ProtocolError``; a header that does not
+        decrypt to a 32-byte key under this handle's private key is a
+        ``CryptoError``.
+        """
+        # A shorter body reads a header of 0 or 1 byte and fails too.
+        penc_len = int.from_bytes(body[:2], "big")
+        if len(body) < 2 + penc_len:
+            raise ProtocolError("PEnc header runs past the body")
+        try:
+            identity = self.identity.identity_for_handle(dest_handle)
+        except ProtocolError as exc:
+            raise CryptoError("no private key for this mailbox") from exc
+        key = world.penc_open(identity, body[2 : 2 + penc_len])
+        if key is None or len(key) != 32:
+            raise CryptoError("PEnc header holds no 32-byte key")
+        return key, body[2 + penc_len :]
 
     def emit_dummies(self, world: MixnetWorld, round_number: int) -> None:
         """§3.5: in the round where a hop should forward a path's
@@ -293,26 +402,14 @@ class MixDevice:
     ) -> None:
         """Final-destination handling: PEnc-unwrap the session key, then
         AE-open the payload; garbage (dummies) fails and is dropped."""
-        from repro.crypto import aead  # local import to avoid cycle noise
-
         try:
-            identity = self.identity.identity_for_handle(dest_handle)
+            session_key, sealed = self.open_envelope(world, dest_handle, body)
+            plaintext = aead.ae_open(session_key, round_number, sealed)
         except ProtocolError:
-            return
-        # A two-byte length header, then that many bytes of PEnc (a
-        # shorter body reads a header of 0 or 1 byte and fails too).
-        penc_len = int.from_bytes(body[:2], "big")
-        if len(body) < 2 + penc_len:
             telemetry.count("mixnet.payload.malformed")
             return
-        try:
-            session_key = rsa.decrypt(identity.private_key, body[2 : 2 + penc_len])
-            if len(session_key) != 32:
-                return
-            plaintext = aead.ae_open(
-                session_key, round_number, body[2 + penc_len :]
-            )
         except CryptoError:
+            telemetry.count("mixnet.payload.undecryptable")
             return  # dummy or corrupted replica
         self.received.append(
             ReceivedPayload(
@@ -381,6 +478,10 @@ class MixnetWorld:
         # Forwarding-phase bookkeeping (set by the forwarding driver).
         self.forwarding_phase_start: int | None = None
         self.forwarding_body_bytes: int = 0
+        # Deposits waiting for the next seal wave, and this round's
+        # decrypted PEnc headers (see run_round).
+        self._pending_seals: list[PendingSeal] = []
+        self._penc_keys: dict[tuple[bytes, bytes], bytes | None] = {}
 
     # -- directory plumbing --------------------------------------------------
 
@@ -441,6 +542,36 @@ class MixnetWorld:
         deposits; the aggregator (possibly Byzantine) commits the round;
         every depositor receipt-checks, challenging drops on the bulletin
         board.
+
+        The devices' cipher work takes two keystream requests however
+        much the round holds (:func:`repro.crypto.chacha20.prefetch`):
+
+        * **Open.**  Every online device fetches and verifies its
+          batches, and :meth:`MixDevice.keystreams_for` names the
+          keystream each payload's peel or AE open will run on, from the
+          link state before the round (decrypting PEnc headers on the
+          way, which :meth:`penc_open` keeps).  All of them are computed
+          on one request.  Nothing else happens: no injector verdict, no
+          RNG draw, no board post, no link change.
+        * **Route.**  The device loop — each device's batches, due
+          actions and dummies, device by device — makes its
+          single-message cipher calls, each served from those
+          keystreams.  The AE seals it emits (hop responses, CONNECTs)
+          wait as :class:`PendingSeal` and are sealed on one more
+          request (:meth:`seal_wave`) before any deposit reaches the
+          injector or a mailbox; then each device's deposits go out, in
+          device order.
+
+        Routing of message *i* can read link state that message *i − 1*
+        of the same round wrote: a CONNECT creates the in-link a later
+        message could arrive on, and a reverse response advances the path
+        that a later one is unwrapped against.  The open phase planned
+        from the state before the round, so such a message asks for a
+        keystream that was not computed; its cipher call then makes its
+        own request, through the same code, and every byte is what it
+        would be with no open phase at all.  Fault-free rounds never get
+        there: traffic on a link starts rounds after the CONNECT that
+        made it, and a path's source gets one response a round.
         """
         round_number = self.current_round
         fetch_round = round_number - 1
@@ -453,24 +584,39 @@ class MixnetWorld:
         num_deposits = 0
         bytes_out = 0
         telemetry.count("mixnet.rounds.total")
-        for device in self.devices.values():
-            if not device.online:
-                continue
-            if fetch_round >= 0:
-                for handle in device.handles:
-                    batch = self.mailboxes.fetch(fetch_round, handle)
-                    if not verify_batch(self.board, batch):
+        online = [device for device in self.devices.values() if device.online]
+        # Open phase.
+        self._penc_keys = {}
+        inboxes: dict[int, list] = {}
+        streams: list[tuple[bytes, bytes, int, int]] = []
+        for device in online:
+            inbox = inboxes[device.device_id] = []
+            for handle in device.handles if fetch_round >= 0 else ():
+                batch = self.mailboxes.fetch(fetch_round, handle)
+                valid = verify_batch(self.board, batch)
+                inbox.append((handle, batch, valid))
+                for payload in batch.payloads if valid else ():
+                    streams += device.keystreams_for(
+                        self, round_number, handle, payload
+                    )
+        # Route phase.
+        with chacha20.prefetch(streams):
+            for device in online:
+                for handle, batch, valid in inboxes[device.device_id]:
+                    if not valid:
                         self.complain(device.device_id, b"mailbox-batch-invalid")
                         continue
                     num_fetched += len(batch.payloads)
                     for payload in batch.payloads:
                         device.process_wire(self, round_number, handle, payload)
-            for action, path_id in device.due_actions(round_number):
-                if self.telescope_handler is not None:
-                    self.telescope_handler.scheduled(
-                        self, device, round_number, action, path_id
-                    )
-            device.emit_dummies(self, round_number)
+                for action, path_id in device.due_actions(round_number):
+                    if self.telescope_handler is not None:
+                        self.telescope_handler.scheduled(
+                            self, device, round_number, action, path_id
+                        )
+                device.emit_dummies(self, round_number)
+        self.seal_wave()
+        for device in online:
             for mailbox, data in device.drain_deposits():
                 action, wire_data = "deliver", data
                 if injector is not None:
@@ -524,6 +670,37 @@ class MixnetWorld:
                 if not ok:
                     self.complain(device_id, reason)
         return closed
+
+    def penc_open(self, identity: PseudonymIdentity, penc: bytes) -> bytes | None:
+        """``rsa.decrypt`` of a PEnc header under ``identity``'s key, or
+        None when it does not decrypt.  Each header is decrypted once a
+        round: the open phase decrypts it to learn which keystream the
+        AE open behind it needs, and routing reads the answer back."""
+        memo = (identity.handle, penc)
+        if memo not in self._penc_keys:
+            try:
+                self._penc_keys[memo] = rsa.decrypt(identity.private_key, penc)
+            except CryptoError:
+                self._penc_keys[memo] = None
+        return self._penc_keys[memo]
+
+    def deposit_sealed(
+        self, device: MixDevice, mailbox: bytes, seal: PendingSeal
+    ) -> None:
+        """Queue ``seal`` as ``device``'s next deposit into ``mailbox``;
+        the next :meth:`seal_wave` fills in its bytes."""
+        self._pending_seals.append(seal)
+        device.pending_deposits.append((mailbox, seal))
+
+    def seal_wave(self) -> None:
+        """Seal every deposit queued with :meth:`deposit_sealed` since the
+        last wave, on one keystream request."""
+        wave, self._pending_seals = self._pending_seals, []
+        with chacha20.prefetch(
+            stream for seal in wave for stream in seal.streams()
+        ):
+            for seal in wave:
+                seal.seal()
 
     def complain(self, device_id: int, reason: bytes) -> None:
         """Post a public complaint to the bulletin board (§3.4)."""

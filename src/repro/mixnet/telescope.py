@@ -23,11 +23,12 @@ the paper's figure.
 
 from __future__ import annotations
 
-import random
 import struct
 
+from repro import telemetry
 from repro.crypto import aead, rsa
 from repro.crypto.merkle import InclusionProof
+from repro.crypto.poly1305 import TAG_BYTES
 from repro.errors import CryptoError, ProtocolError
 from repro.mixnet import hopselect, maps, onion
 from repro.mixnet.network import (
@@ -35,6 +36,7 @@ from repro.mixnet.network import (
     InLink,
     MixDevice,
     MixnetWorld,
+    PendingSeal,
     SourcePathState,
     TAG_CONNECT,
     TAG_FORWARD,
@@ -78,28 +80,6 @@ def _encode_request(
 
 def _decode_request(data: bytes) -> tuple[bytes, int, bytes, bytes]:
     return data[:32], data[32], data[33:34], data[34:]
-
-
-def build_connect_blob(
-    hop_pk: rsa.RsaPublicKey,
-    base_key: bytes,
-    arrival_round: int,
-    prev_handle: bytes,
-    position: int,
-    request_tag: bytes,
-    request_payload: bytes,
-    rng: random.Random,
-) -> bytes:
-    """The CONNECT blob h_i parses on arrival: PEnc of the link key plus
-    an AE-sealed request (who the predecessor is, and what to look up)."""
-    penc = rsa.encrypt(hop_pk, base_key, rng)
-    _, k_req, _ = link_keys(base_key)
-    sealed = aead.ae_seal(
-        k_req,
-        arrival_round,
-        _encode_request(prev_handle, position, request_tag, request_payload),
-    )
-    return struct.pack(">H", len(penc)) + penc + sealed
 
 
 class TelescopeHandler:
@@ -160,23 +140,7 @@ class TelescopeHandler:
         lookup = world.verified_lookup(hop_indices[0])
         path.hop_handles.append(lookup.leaf.handle)
         path.hop_pks.append(lookup.leaf.public_key)
-        base_key = bytes(device.rng.randrange(256) for _ in range(32))
-        path.hop_keys.append(base_key)
-        path.first_path_id = onion.new_path_id(device.rng)
-        path.next_level = 1
-        path.connect_round = world.current_round
-        request_tag, payload = self._request_for_level(path, 1)
-        blob = build_connect_blob(
-            hop_pk=lookup.leaf.public_key,
-            base_key=base_key,
-            arrival_round=world.current_round + 1,
-            prev_handle=source_handle,
-            position=1,
-            request_tag=request_tag,
-            request_payload=payload,
-            rng=device.rng,
-        )
-        device.queue_deposit(lookup.leaf.handle, path.first_path_id, blob)
+        self._connect(device, path, 1)
         return path
 
     def _request_for_level(
@@ -188,35 +152,82 @@ class TelescopeHandler:
             return _REQ_EXT, struct.pack(">Q", path.hop_indices[level])
         return _REQ_DST, path.dest_handle
 
-    def _extend(self, device: MixDevice, path: SourcePathState) -> None:
-        """Send CONNECT for the next level through the established
-        prefix."""
+    def _connect(self, device: MixDevice, path: SourcePathState, level: int) -> None:
+        """Deposit the CONNECT blob for hop ``level`` — PEnc of a fresh
+        link key plus an AE-sealed request (who the predecessor is, and
+        what to look up) — through the established prefix: hops
+        1..level-2 see FORWARD, hop level-1 sees CONNECT, and a level-1
+        blob goes straight to hop 1 under a fresh path id.  The blob is
+        sealed with the world's next seal wave."""
         world = self.world
-        level = path.next_level + 1
-        path.next_level = level
         rho = world.current_round
+        path.next_level = level
         path.connect_round = rho
         base_key = bytes(device.rng.randrange(256) for _ in range(32))
-        path.hop_keys.append(base_key)
+        path.hop_keys.append(link_keys(base_key))
+        if level == 1:
+            path.first_path_id = onion.new_path_id(device.rng)
+            prev_handle, head = path.source_handle, b""
+        else:
+            prev_handle, head = path.hop_handles[level - 2], TAG_CONNECT
+        penc = rsa.encrypt(path.hop_pks[level - 1], base_key, device.rng)
+        _, k_req, _ = path.hop_keys[-1]
         request_tag, payload = self._request_for_level(path, level)
-        blob = build_connect_blob(
-            hop_pk=path.hop_pks[level - 1],
-            base_key=base_key,
-            arrival_round=rho + level,
-            prev_handle=path.hop_handles[level - 2],
-            position=level,
-            request_tag=request_tag,
-            request_payload=payload,
-            rng=device.rng,
+        # Hop j peels its layer in round rho + j; the hop at level
+        # arrives at rho + level.
+        layers = tuple(
+            (path.hop_keys[j - 1][0], rho + j, TAG_FORWARD if j > 1 else b"")
+            for j in range(level - 1, 0, -1)
         )
-        # Wrap: hops 1..level-2 see FORWARD, hop level-1 sees CONNECT.
-        body = TAG_CONNECT + blob
-        for j in range(level - 1, 0, -1):
-            k_fwd, _, _ = link_keys(path.hop_keys[j - 1])
-            body = aead.senc(k_fwd, rho + j, body)
-            if j > 1:
-                body = TAG_FORWARD + body
-        device.queue_deposit(path.hop_handles[0], path.first_path_id, body)
+        world.deposit_sealed(
+            device,
+            path.hop_handles[0],
+            PendingSeal(
+                path_id=path.first_path_id,
+                head=head + struct.pack(">H", len(penc)) + penc,
+                key=k_req,
+                round_number=rho + level,
+                plaintext=_encode_request(prev_handle, level, request_tag, payload),
+                layers=layers,
+            ),
+        )
+
+    def _reverse_keys(
+        self, path: SourcePathState, round_number: int
+    ) -> tuple[list[tuple[bytes, int]], bytes, list[int]]:
+        """How the source unwraps a reverse message on ``path`` arriving
+        in ``round_number``: the SEnc layers ``(key, round)`` that hops
+        1..level-1 added, the key of hop ``level``'s AE response, and the
+        rounds that response may be sealed under."""
+        level = path.next_level
+        rho = path.connect_round
+        k = self.world.params.hops
+        # EXT/ACK responses are sealed at rho + level (arriving at rho +
+        # 2*level); the final KEY response, after the complaint window,
+        # at rho + 2k (arriving at rho + 3k).
+        candidates = []
+        if not path.got_ack or level < k:
+            candidates.append(rho + level)
+        if level == k:
+            candidates.append(rho + 2 * k)
+        # Hop j wrapped at arrival_round - j, for j = 1..level-1.
+        layers = [(path.hop_keys[j - 1][2], round_number - j) for j in range(1, level)]
+        _, _, k_rev_target = path.hop_keys[level - 1]
+        return layers, k_rev_target, candidates
+
+    def reverse_streams(
+        self, path: SourcePathState, round_number: int, wrapped: bytes
+    ) -> list[tuple[bytes, bytes, int, int]]:
+        """The keystreams :meth:`source_reverse` runs on for ``wrapped``,
+        every candidate round's AE open included."""
+        layers, k_rev_target, candidates = self._reverse_keys(path, round_number)
+        streams = [aead.senc_stream(key, r, len(wrapped)) for key, r in layers]
+        if len(wrapped) >= TAG_BYTES:
+            streams += [
+                aead.ae_stream(k_rev_target, r, len(wrapped) - TAG_BYTES)
+                for r in candidates
+            ]
+        return streams
 
     def source_reverse(
         self,
@@ -229,38 +240,22 @@ class TelescopeHandler:
         """Unwrap a reverse-path message at the source and advance the
         path state machine."""
         level = path.next_level
-        rho = path.connect_round
         k = world.params.hops
-        # Candidate (inner AE round, description) schedules: EXT/ACK
-        # responses arrive at rho + 2*level; the final KEY response (after
-        # the complaint window) arrives at rho + 3*k.
-        candidates = []
-        if not path.got_ack or level < k:
-            candidates.append(rho + level)
-        if level == k:
-            candidates.append(rho + 2 * k)
-        # Peel intermediate hops' layers (hop j wrapped at round
-        # arrival_round - j, for j = 1..level-1, nearest hop last).
-        payload = None
-        for inner_round in candidates:
-            body = wrapped
-            arrival = round_number
-            for j in range(1, level):
-                _, _, k_rev = link_keys(path.hop_keys[j - 1])
-                body = aead.senc(k_rev, arrival - j, body)
-            _, _, k_rev_target = link_keys(path.hop_keys[level - 1])
-            try:
-                payload = aead.ae_open(k_rev_target, inner_round, body)
-                break
-            except CryptoError:
-                continue
+        layers, k_rev_target, candidates = self._reverse_keys(path, round_number)
+        body = wrapped
+        for key, r in layers:
+            body = aead.senc(key, r, body)
+        opened = aead.ae_open_many([(k_rev_target, r, body) for r in candidates])
+        payload = next((p for p in opened if p is not None), None)
         if payload is None:
+            telemetry.count("mixnet.reverse.dropped")
             return
         tag, rest = payload[:1], payload[1:]
         if tag == _RESP_ACK:
             path.got_ack = True
             return
         if tag != _RESP_KEY:
+            telemetry.count("mixnet.reverse.dropped")
             return
         lookup = decode_lookup(rest)
         if not maps.verify_m1_lookup(world.m1_root, lookup):
@@ -274,7 +269,7 @@ class TelescopeHandler:
                 return
             path.hop_handles.append(lookup.leaf.handle)
             path.hop_pks.append(lookup.leaf.public_key)
-            self._extend(device, path)
+            self._connect(device, path, level + 1)
         else:
             if lookup.leaf.handle != path.dest_handle:
                 device.protocol_violations.append("wrong destination key")
@@ -294,20 +289,15 @@ class TelescopeHandler:
         message: onion.WireMessage,
     ) -> None:
         """Parse a CONNECT blob arriving on a fresh path id."""
-        body = message.body
-        if len(body) < 2:
-            return
-        (penc_len,) = struct.unpack(">H", body[:2])
-        if len(body) < 2 + penc_len:
-            return
         try:
-            identity = device.identity.identity_for_handle(dest_handle)
-            base_key = rsa.decrypt(identity.private_key, body[2 : 2 + penc_len])
-            if len(base_key) != 32:
-                return
+            base_key, sealed = device.open_envelope(world, dest_handle, message.body)
             _, k_req, _ = link_keys(base_key)
-            request = aead.ae_open(k_req, round_number, body[2 + penc_len :])
-        except (CryptoError, ProtocolError):
+            request = aead.ae_open(k_req, round_number, sealed)
+        except ProtocolError:
+            telemetry.count("mixnet.connect.malformed")
+            return
+        except CryptoError:
+            telemetry.count("mixnet.connect.undecryptable")
             return  # dummy / not for us
         prev_handle, position, tag, payload = _decode_request(request)
         link = InLink(
@@ -322,24 +312,26 @@ class TelescopeHandler:
             expects_forward_traffic=True,
         )
         device.in_links[message.path_id] = link
-        _, _, k_rev = link_keys(base_key)
+        _, _, k_rev = link.keys
         if tag == _REQ_EXT:
             (next_index,) = struct.unpack(">Q", payload)
             lookup = world.verified_lookup(next_index)
             link.pending_next = lookup.leaf.handle
-            response = aead.ae_seal(
-                k_rev, round_number, _RESP_KEY + encode_lookup(lookup)
-            )
-            device.queue_deposit(
-                prev_handle, message.path_id, TAG_REVERSE + response
-            )
+            response = _RESP_KEY + encode_lookup(lookup)
         elif tag == _REQ_DST:
             link.pending_dst = payload
-            ack = aead.ae_seal(k_rev, round_number, _RESP_ACK)
-            device.queue_deposit(prev_handle, message.path_id, TAG_REVERSE + ack)
+            response = _RESP_ACK
             device.schedule(
                 round_number + world.params.hops, "dst-lookup", message.path_id
             )
+        else:
+            telemetry.count("mixnet.connect.malformed")
+            return
+        world.deposit_sealed(
+            device,
+            prev_handle,
+            PendingSeal(message.path_id, TAG_REVERSE, k_rev, round_number, response),
+        )
 
     def scheduled(
         self,
@@ -368,11 +360,18 @@ class TelescopeHandler:
         link.out_path_id = onion.new_path_id(device.rng)
         link.expects_forward_traffic = True
         device.out_to_in[link.out_path_id] = link.path_id
-        _, _, k_rev = link_keys(link.base_key)
-        response = aead.ae_seal(
-            k_rev, round_number, _RESP_KEY + encode_lookup(lookup)
+        _, _, k_rev = link.keys
+        world.deposit_sealed(
+            device,
+            link.prev_mailbox,
+            PendingSeal(
+                link.path_id,
+                TAG_REVERSE,
+                k_rev,
+                round_number,
+                _RESP_KEY + encode_lookup(lookup),
+            ),
         )
-        device.queue_deposit(link.prev_mailbox, link.path_id, TAG_REVERSE + response)
 
 
 class TelescopeDriver:

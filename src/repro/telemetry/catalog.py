@@ -117,6 +117,36 @@ METRICS: dict[str, MetricSpec] = _specs(
         "with the payload tag; dropped)",
     ),
     MetricSpec(
+        "mixnet.payload.undecryptable", COUNTER, "messages",
+        "end-to-end payloads whose PEnc header or AE tag does not open "
+        "under the destination's key and round (a dummy or a corrupted "
+        "replica; dropped)",
+    ),
+    MetricSpec(
+        "mixnet.route.unforwardable", COUNTER, "messages",
+        "forward traffic a hop peeled but could not pass on: an empty "
+        "layer, FORWARD on a link with no out-link yet, or an unknown tag "
+        "on a link that forwards nothing (dropped)",
+    ),
+    MetricSpec(
+        "mixnet.connect.malformed", COUNTER, "messages",
+        "CONNECT blobs whose PEnc length header is short or runs past the "
+        "body (dropped), or whose request asks for no lookup the hop "
+        "knows (left unanswered)",
+    ),
+    MetricSpec(
+        "mixnet.connect.undecryptable", COUNTER, "messages",
+        "CONNECT blobs whose PEnc header or AE request does not open "
+        "under the hop's key and round (a dummy, or traffic not meant "
+        "for this hop; dropped)",
+    ),
+    MetricSpec(
+        "mixnet.reverse.dropped", COUNTER, "messages",
+        "reverse traffic on a source's own path that carries no reverse "
+        "tag, opens under none of the expected rounds, or holds an "
+        "unknown response (dropped)",
+    ),
+    MetricSpec(
         "mixnet.send.messages", COUNTER, "messages",
         "end-to-end payloads deposited by ForwardingDriver.send_batch",
     ),

@@ -151,6 +151,32 @@ class TestBatchEqualsSingles:
         assert aead.senc_many(items) == [aead.senc(*item) for item in items]
         assert aead.ae_seal_many(items) == [aead.ae_seal(*item) for item in items]
 
+    def test_ae_open_many(self, backend):
+        """A mixed wave: every good item equals the single ``ae_open``;
+        a forged tag, a short message and a wrong round are None, each
+        for its own item only."""
+        items = [(self.KEYS[i % 4], 40 + i, body) for i, body in enumerate(self.BODIES)]
+        sealed = [(key, r, aead.ae_seal(key, r, body)) for key, r, body in items]
+        forged = bytearray(sealed[2][2])
+        forged[-1] ^= 1
+        wave = [
+            sealed[0],
+            (*sealed[2][:2], bytes(forged)),
+            sealed[1],
+            (self.KEYS[0], 40, b"short"),
+            (sealed[3][0], sealed[3][1] + 1, sealed[3][2]),
+            *sealed[2:],
+        ]
+        assert aead.ae_open_many(wave) == [
+            aead.ae_open(*sealed[0]),
+            None,
+            self.BODIES[1],
+            None,
+            None,
+            *self.BODIES[2:],
+        ]
+        assert aead.ae_open_many([]) == []
+
     def test_wrap_many(self, backend):
         for depth in range(4):
             hop_keys = [self.KEYS[i % 2 : i % 2 + depth] for i in range(5)]
@@ -187,6 +213,19 @@ class TestAuthenticatedEncryption:
             aead.ae_open(self.KEY, 9, bytes(sealed))
         assert decrypted == []
 
+    def test_ae_open_many_checks_every_tag_before_any_plaintext(
+        self, backend, monkeypatch
+    ):
+        sealed = aead.ae_seal(self.KEY, 9, b"attack at dawn" * 9)
+        forged = sealed[:5] + bytes([sealed[5] ^ 1]) + sealed[6:]
+        decrypted = []
+        monkeypatch.setattr(
+            aead, "xor_bytes", lambda *args: decrypted.append(args) or b""
+        )
+        wave = [(self.KEY, 9, forged), (self.KEY, 10, sealed), (self.KEY, 9, b"")]
+        assert aead.ae_open_many(wave) == [None, None, None]
+        assert decrypted == []
+
     def test_one_cipher_call_per_operation(self, backend, monkeypatch):
         calls = []
         real = backends.chacha20_keystreams
@@ -199,8 +238,70 @@ class TestAuthenticatedEncryption:
         sealed = aead.ae_seal(self.KEY, 3, b"m" * 65)
         aead.ae_open(self.KEY, 3, sealed)
         aead.ae_seal_many([(self.KEY, 3, b"m" * 65), (self.KEY, 4, b"")])
-        # Counter 0 keys Poly1305; the message starts at counter 1.
-        assert calls == [[(0, 3)], [(0, 3)], [(0, 3), (0, 1)]]
+        aead.ae_open_many([(self.KEY, 3, sealed), (self.KEY, 3, b"short")])
+        # Counter 0 keys Poly1305; the message starts at counter 1.  A
+        # message shorter than a tag asks for no keystream.
+        assert calls == [[(0, 3)], [(0, 3)], [(0, 3), (0, 1)], [(0, 3)]]
+
+
+class TestPrefetch:
+    """A keystream depends on key, nonce and counter only, so a block
+    that computes a wave's keystreams ahead serves every call inside it
+    from one request, with the bytes of calls made outside it."""
+
+    KEY = bytes(range(32))
+
+    @pytest.fixture
+    def requests(self, monkeypatch):
+        calls = []
+        real = backends.chacha20_keystreams
+
+        def spy(streams):
+            calls.append([(n[-1], first, blocks) for _, n, first, blocks in streams])
+            return real(streams)
+
+        monkeypatch.setattr(backends, "chacha20_keystreams", spy)
+        return calls
+
+    def test_calls_inside_are_served_from_one_request(self, backend, requests):
+        sealed = aead.ae_seal(self.KEY, 5, b"m" * 70)
+        expected = [sealed, b"m" * 70, aead.senc(self.KEY, 6, b"z" * 130)]
+        requests.clear()
+        with chacha20.prefetch(
+            [
+                aead.ae_stream(self.KEY, 5, 70),
+                aead.senc_stream(self.KEY, 6, 130),
+                aead.senc_stream(self.KEY, 6, 1),
+            ]
+        ):
+            assert [
+                aead.ae_seal(self.KEY, 5, b"m" * 70),
+                aead.ae_open(self.KEY, 5, sealed),
+                aead.senc(self.KEY, 6, b"z" * 130),
+            ] == expected
+        # One request; a stream asked for twice is computed at its longest.
+        assert requests == [[(5, 0, 3), (6, 1, 3)]]
+
+    def test_what_was_not_prefetched_goes_to_the_backend(self, backend, requests):
+        calls = [
+            (self.KEY, bytes(12), b"y" * 64, 1),  # prefetched
+            (self.KEY, bytes(12), b"y" * 200, 1),  # longer than prefetched
+            (self.KEY, bytes(11) + b"\x01", b"y", 1),  # another nonce
+            (self.KEY, bytes(12), b"y", 0),  # another counter
+        ]
+        expected = [chacha20.chacha20_xor(*call) for call in calls]
+        requests.clear()
+        with chacha20.prefetch([(self.KEY, bytes(12), 1, 1)]):
+            assert [chacha20.chacha20_xor(*call) for call in calls] == expected
+        assert requests == [[(0, 1, 1)], [(0, 1, 4)], [(1, 1, 1)], [(0, 0, 1)]]
+
+    def test_bad_streams_are_refused_before_any_request(self, backend, requests):
+        requests.clear()
+        for stream in [(b"short", bytes(12), 1, 1), (self.KEY, bytes(8), 1, 1)]:
+            with pytest.raises(CryptoError):
+                with chacha20.prefetch([(self.KEY, bytes(12), 1, 1), stream]):
+                    pass
+        assert requests == []
 
 
 class TestTypedRefusals:
@@ -238,7 +339,7 @@ class TestTypedRefusals:
                 single(self.KEY, round_number, b"data")
         with pytest.raises(CryptoError):
             aead.ae_open(self.KEY, round_number, bytes(20))
-        for many in (aead.senc_many, aead.ae_seal_many):
+        for many in (aead.senc_many, aead.ae_seal_many, aead.ae_open_many):
             with pytest.raises(CryptoError):
                 many([(self.KEY, 1, b"data"), (self.KEY, round_number, b"")])
         with pytest.raises(CryptoError):
@@ -251,6 +352,7 @@ class TestTypedRefusals:
             lambda: aead.ae_open(b"short", 1, bytes(16)),
             lambda: aead.senc_many([(b"short", 1, b"")]),
             lambda: aead.ae_seal_many([(self.KEY, 1, b"x"), (b"short", 1, b"")]),
+            lambda: aead.ae_open_many([(self.KEY, 1, bytes(16)), (b"short", 1, b"")]),
         ):
             with pytest.raises(CryptoError):
                 call()
