@@ -32,6 +32,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.crypto.polyring import RingElement, RingParams
 from repro.errors import CryptoError, NoiseBudgetExceeded, ParameterError
@@ -200,7 +201,7 @@ def keygen(profile: BGVProfile, rng: random.Random) -> tuple[SecretKey, PublicKe
     s = RingElement.random_ternary(ring, rng)
     a = RingElement.random_uniform(ring, rng)
     e = RingElement.random_bounded(ring, profile.error_bound, rng)
-    pk0 = -_product(ring, [(a.coeffs, s.coeffs)]) + e.scale(profile.t)
+    pk0 = -_products(ring, [[(a.coeffs, s.coeffs)]])[0] + e.scale(profile.t)
     return SecretKey(profile, s), PublicKey(profile, pk0, a)
 
 
@@ -225,14 +226,14 @@ def make_relin_keys(
     s = backends.Resident(secret.s.coeffs)  # one transform, every product
     s_power = secret.s
     for power in range(2, max_power + 1):
-        s_power = _product(ring, [(s_power.coeffs, s)])
+        (s_power,) = _products(ring, [[(s_power.coeffs, s)]])
         pieces = []
         scale = 1
         for _ in range(num_pieces):
             a_i = RingElement.random_uniform(ring, rng)
             e_i = RingElement.random_bounded(ring, profile.error_bound, rng)
             b_i = (
-                -_product(ring, [(a_i.coeffs, s)])
+                -_products(ring, [[(a_i.coeffs, s)]])[0]
                 + e_i.scale(profile.t)
                 + s_power.scale(scale)
             )
@@ -253,44 +254,63 @@ def _fresh_noise_bits(profile: BGVProfile) -> float:
 
 def encrypt(
     pk: PublicKey,
-    plaintext: RingElement,
-    rng: random.Random,
-    randomness: EncryptionRandomness | None = None,
-) -> Ciphertext:
-    """Encrypt a plaintext ring element (coefficients modulo t).
+    plaintexts: Sequence[RingElement],
+    rng: random.Random | None,
+    randomness: Sequence[EncryptionRandomness] | None = None,
+) -> list[Ciphertext]:
+    """Encrypt plaintext ring elements (coefficients modulo t), one
+    ciphertext each.
 
-    ``randomness`` pins the ephemeral values; the zero-knowledge layer uses
-    this to derive a ciphertext from a witness.
+    ``randomness`` pins each encryption's ephemeral values; the
+    zero-knowledge layer uses this to derive ciphertexts from witnesses.
+    Without it they are drawn from ``rng``, plaintext by plaintext.
 
-    The ciphertext is ``(pk0*u + t*e0 + m, pk1*u + t*e1)``: one transform
-    of the ternary ``u`` serves both products, and the key halves keep
-    theirs.
+    Ciphertext ``i`` is ``(pk0*u_i + t*e0_i + m_i, pk1*u_i + t*e1_i)``.
+    All ``2·len(plaintexts)`` products are one backend call, the batch
+    one device encrypts together: one transform of each ternary ``u_i``
+    serves both its products, and the key halves keep theirs.
     """
     profile = pk.profile
-    if plaintext.params.n != profile.n:
+    if any(plaintext.params.n != profile.n for plaintext in plaintexts):
         raise ParameterError("plaintext degree does not match profile")
-    _count("bgv.encrypt.count")
+    if randomness is None:
+        randomness = [EncryptionRandomness.generate(profile, rng) for _ in plaintexts]
+    elif len(randomness) != len(plaintexts):
+        raise ParameterError("encryption takes one randomness per plaintext")
+    _count("bgv.encrypt.count", len(plaintexts))
     ring, t = profile.ring, profile.t
-    rand = randomness or EncryptionRandomness.generate(profile, rng)
-    m_lifted = RingElement.from_coeffs(ring, [c % t for c in plaintext.coeffs])
-    u = backends.Resident(rand.u.coeffs)
     pk0, pk1 = pk.resident
-    return Ciphertext(
-        profile,
-        (
-            _product(ring, [(pk0, u)]) + rand.e0.scale(t) + m_lifted,
-            _product(ring, [(pk1, u)]) + rand.e1.scale(t),
-        ),
-        noise_bits=_fresh_noise_bits(profile),
-        fresh_factors=1,
-    )
+    sums = []
+    for rand in randomness:
+        u = backends.Resident(rand.u.coeffs)
+        sums += [[(pk0, u)], [(pk1, u)]]
+    products = _products(ring, sums)
+    ciphertexts = []
+    for plaintext, rand, c0, c1 in zip(
+        plaintexts, randomness, products[0::2], products[1::2]
+    ):
+        m_lifted = RingElement.from_coeffs(ring, [c % t for c in plaintext.coeffs])
+        ciphertexts.append(
+            Ciphertext(
+                profile,
+                (c0 + rand.e0.scale(t) + m_lifted, c1 + rand.e1.scale(t)),
+                noise_bits=_fresh_noise_bits(profile),
+                fresh_factors=1,
+            )
+        )
+    return ciphertexts
 
 
-def _product(ring: RingParams, pairs: list[backends.Pair]) -> RingElement:
-    """``sum_i a_i * b_i`` in R_q for operands that several products
-    share: a :class:`~repro.runtime.backends.Resident` is transformed
+def _products(
+    ring: RingParams, sums: list[list[backends.Pair]]
+) -> list[RingElement]:
+    """``sum_i a_i * b_i`` in R_q for each of ``sums``, in one backend
+    call: a :class:`~repro.runtime.backends.Resident` is transformed
     once, by the first product it takes part in, however many follow."""
-    return RingElement(ring, tuple(backends.ring_multiply(pairs, ring.n, ring.q)))
+    return [
+        RingElement(ring, tuple(coeffs))
+        for coeffs in backends.ring_multiply(sums, ring.n, ring.q)
+    ]
 
 
 @dataclass(frozen=True)
@@ -320,13 +340,22 @@ def encrypt_monomial(
     randomness: EncryptionRandomness | None = None,
 ) -> Ciphertext:
     """Encrypt ``coeff * x^exponent`` — the paper's value encoding (§4.1)."""
-    profile = pk.profile
+    return encrypt(
+        pk,
+        [monomial(pk.profile, exponent, coeff)],
+        rng,
+        randomness=None if randomness is None else [randomness],
+    )[0]
+
+
+def monomial(profile: BGVProfile, exponent: int, coeff: int = 1) -> RingElement:
+    """The plaintext ``coeff * x^exponent``, for an exponent inside the
+    plaintext capacity ``[0, n)``."""
     if not 0 <= exponent < profile.n:
         raise ParameterError(
             f"exponent {exponent} outside plaintext capacity [0, {profile.n})"
         )
-    m = RingElement.monomial(profile.plaintext_ring, exponent, coeff)
-    return encrypt(pk, m, rng, randomness=randomness)
+    return RingElement.monomial(profile.plaintext_ring, exponent, coeff)
 
 
 def decrypt(secret: SecretKey, ct: Ciphertext) -> RingElement:
@@ -441,13 +470,14 @@ def multiply(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     ring = profile.ring
     # Each component meets every component of the other side: transform
     # it once, not once per cross term.  The cross terms of one output
-    # component sum in the evaluation domain: one inverse per component.
+    # component sum in the evaluation domain, and every output component
+    # leaves it in one backend call.
     terms: list[list[backends.Pair]] = [[] for _ in range(a.degree + b.degree + 1)]
     right = _operands(*b.components)
     for i, ca in enumerate(_operands(*a.components)):
         for j, cb in enumerate(right):
             terms[i + j].append((ca, cb))
-    components = tuple(_product(ring, pairs) for pairs in terms)
+    components = tuple(_products(ring, terms))
     noise = (
         a.noise_bits + b.noise_bits + math.log2(profile.t) + math.log2(profile.n) + 1
     )
@@ -495,7 +525,7 @@ def shift(ct: Ciphertext, degree: int) -> Ciphertext:
 def encrypt_zero_like(pk: PublicKey, rng: random.Random) -> Ciphertext:
     """Encrypt the additive identity Enc(0) (used when a WHERE self clause
     fails, §4.4 "Final processing")."""
-    return encrypt(pk, RingElement.zero(pk.profile.plaintext_ring), rng)
+    return encrypt(pk, [RingElement.zero(pk.profile.plaintext_ring)], rng)[0]
 
 
 def _fold(key: RelinKey, top: RingElement) -> tuple[RingElement, RingElement]:

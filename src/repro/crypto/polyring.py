@@ -146,7 +146,7 @@ class RingElement:
             return self.scale(other)
         self._check_compatible(other)
         n, q = self.params.n, self.params.q
-        product = backends.ring_multiply([(self.coeffs, other.coeffs)], n, q)
+        (product,) = backends.ring_multiply([[(self.coeffs, other.coeffs)]], n, q)
         return RingElement(self.params, tuple(product))
 
     __rmul__ = __mul__

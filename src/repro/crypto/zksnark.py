@@ -12,9 +12,13 @@ with the same interface, security behaviour, and cost model:
 * **Soundness** — a circuit is a relation from a witness to the public
   statement it proves and the output it computes (as ZoKrates'
   ``compute-witness`` is).  :meth:`Groth16System.prove` evaluates the
-  *real* relation once — encrypting under the witness randomness,
-  multiplying the inputs — and certifies that evaluation's statement;
-  a witness that breaks a constraint raises, so no proof exists for it.
+  *real* relation once per witness — encrypting under the witness
+  randomness, multiplying the inputs — and certifies each evaluation's
+  statement; a witness that breaks a constraint raises, so no proof
+  exists for it.  One call proves the witnesses one device proves
+  together (a destination's whole neighbour slot), and a relation may
+  evaluate them as one batch: the leaf circuit's encryptions are one
+  :func:`repro.crypto.bgv.encrypt` call.
   Because proof tokens are MACs under the setup secret, a Byzantine
   device cannot mint a token for a statement it cannot prove; the test
   suite exercises forgery attempts via :func:`forge_proof`.
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.crypto.hashes import constant_time_equal, prf, protocol_hash
 from repro.errors import ProofError
@@ -100,12 +104,13 @@ class Proof:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A relation ``witness -> (public_inputs, output)`` plus a
-    constraint count for the cost model.  The relation raises when the
+    """A relation ``witness -> (public_inputs, output)``, mapped over a
+    sequence of witnesses (one pair per witness, in order), plus a
+    constraint count for the cost model.  The relation raises when any
     witness breaks a constraint."""
 
     name: str
-    relation: Callable[[object], tuple[tuple, object]]
+    relation: Callable[[Sequence[object]], list[tuple[tuple, object]]]
     num_constraints: int
 
 
@@ -131,19 +136,24 @@ class Groth16System:
             raise ProofError(f"no circuit named '{name}' in this setup") from exc
 
     def prove(
-        self, circuit_name: str, witness: object
-    ) -> tuple[Statement, Proof, object]:
-        """Evaluate the circuit's relation on ``witness`` once and return
-        the statement it establishes, a proof of it, and the relation's
-        output.  A witness that breaks a constraint raises from the
-        relation, so a sound prover cannot prove falsehoods."""
-        public_inputs, output = self.circuit(circuit_name).relation(witness)
-        statement = Statement(circuit_name, public_inputs)
-        digest = statement.digest()
-        proof = Proof(
-            circuit=circuit_name, statement_digest=digest, token=self._token(digest)
-        )
-        return statement, proof, output
+        self, circuit_name: str, witnesses: Sequence[object]
+    ) -> list[tuple[Statement, Proof, object]]:
+        """Evaluate the circuit's relation once on each of ``witnesses``
+        and return, per witness, the statement it establishes, a proof
+        of it, and the relation's output.  A witness that breaks a
+        constraint raises from the relation, so a sound prover cannot
+        prove falsehoods."""
+        proved = []
+        for public_inputs, output in self.circuit(circuit_name).relation(witnesses):
+            statement = Statement(circuit_name, public_inputs)
+            digest = statement.digest()
+            proof = Proof(
+                circuit=circuit_name,
+                statement_digest=digest,
+                token=self._token(digest),
+            )
+            proved.append((statement, proof, output))
+        return proved
 
     def _token(self, digest: bytes) -> bytes:
         """The proof token: a PRF of the statement digest alone."""

@@ -121,51 +121,88 @@ def _leaf_stream(profile: BGVProfile, master_seed: int, origin: int):
         yield leaf_randomness(profile, master_seed, origin, index)
 
 
-def _leaf_message(
+#: Leaf behaviours that encrypt outside any proof and forge one.
+_FORGED_LEAVES = frozenset(
+    {
+        Behavior.OVERSIZED_EXPONENT,
+        Behavior.MULTI_COEFFICIENT,
+        Behavior.LARGE_COEFFICIENT,
+        Behavior.FORGED_PROOF,
+    }
+)
+
+
+def _leaf_messages(
     zk: zksnark.Groth16System,
     pk: bgv.PublicKey,
     sender: int,
-    exponent: int,
+    exponents: list[int],
     rng: random.Random,
     behavior: Behavior,
     max_exponent: int,
-    randomness: bgv.EncryptionRandomness | None = None,
-) -> LeafMessage:
-    """Encrypt and prove one contribution, applying a Byzantine behaviour.
+    leaf_source=None,
+) -> list[LeafMessage]:
+    """Encrypt and prove one device's contributions, applying a
+    Byzantine behaviour.
 
-    An honest leaf's ciphertext is the output of its well-formedness
-    proof.  Behaviours that break well-formedness, or forge regardless,
-    encrypt outside any proof and forge one.  ``randomness`` lets a
-    leaf-randomness source supply the ephemeral values; the default
-    draws them from ``rng``.
+    Honest leaves are the outputs of their well-formedness proofs, all
+    proved in one call: their randomness is drawn first, leaf by leaf,
+    in the order a leaf-at-a-time device draws it.  Behaviours that
+    break well-formedness, or forge regardless, encrypt each leaf
+    outside any proof and forge one, drawing from ``rng`` leaf by leaf.
+    ``leaf_source`` (:func:`_leaf_stream`) supplies the ephemeral values;
+    without one they are drawn from ``rng``.
     """
-    if randomness is None:
-        randomness = bgv.EncryptionRandomness.generate(pk.profile, rng)
+
+    def draw() -> bgv.EncryptionRandomness:
+        if leaf_source is not None:
+            return next(leaf_source)
+        return bgv.EncryptionRandomness.generate(pk.profile, rng)
+
+    if behavior in _FORGED_LEAVES:
+        return [
+            _forged_leaf(pk, sender, exponent, draw(), rng, behavior, max_exponent)
+            for exponent in exponents
+        ]
     if behavior is Behavior.LIE_IN_RANGE:
-        exponent = (exponent + 1) % (max_exponent + 1)
+        exponents = [(exponent + 1) % (max_exponent + 1) for exponent in exponents]
+    witnesses = [
+        zkcircuits.LeafWitness(
+            exponent=exponent,
+            randomness=draw(),
+            public_key=pk,
+            max_exponent=max_exponent,
+        )
+        for exponent in exponents
+    ]
+    return [
+        LeafMessage(sender, ciphertext, statement, proof)
+        for statement, proof, ciphertext in zk.prove(zkcircuits.LEAF_CIRCUIT, witnesses)
+    ]
+
+
+def _forged_leaf(
+    pk: bgv.PublicKey,
+    sender: int,
+    exponent: int,
+    randomness: bgv.EncryptionRandomness,
+    rng: random.Random,
+    behavior: Behavior,
+    max_exponent: int,
+) -> LeafMessage:
+    """One leaf a forging ``behavior`` encrypts outside any proof."""
     if behavior is Behavior.OVERSIZED_EXPONENT:
         bad = min(pk.profile.n - 1, max_exponent + 5)
         forged = bgv.encrypt_monomial(pk, bad, rng, randomness=randomness)
     elif behavior is Behavior.MULTI_COEFFICIENT:
         poly = RingElement.from_coeffs(pk.profile.plaintext_ring, [1, 1, 1])
-        forged = bgv.encrypt(pk, poly, rng, randomness=randomness)
+        (forged,) = bgv.encrypt(pk, [poly], rng, randomness=[randomness])
     elif behavior is Behavior.LARGE_COEFFICIENT:
         forged = bgv.encrypt_monomial(
             pk, exponent, rng, coeff=5, randomness=randomness
         )
-    elif behavior is Behavior.FORGED_PROOF:
+    else:  # FORGED_PROOF: a well-formed ciphertext, a forged proof
         forged = bgv.encrypt_monomial(pk, exponent, rng, randomness=randomness)
-    else:
-        statement, proof, ciphertext = zk.prove(
-            zkcircuits.LEAF_CIRCUIT,
-            zkcircuits.LeafWitness(
-                exponent=exponent,
-                randomness=randomness,
-                public_key=pk,
-                max_exponent=max_exponent,
-            ),
-        )
-        return LeafMessage(sender, ciphertext, statement, proof)
     statement = zkcircuits.leaf_statement(forged, pk, max_exponent)
     return LeafMessage(sender, forged, statement, zksnark.forge_proof(statement, rng))
 
@@ -187,13 +224,12 @@ def dest_compute(
     devices, which callers model the same way).  ``leaf_source`` is an
     iterator (:func:`_leaf_stream`) supplying each leaf's encryption
     randomness from a seed-stable chain; without one, randomness comes
-    from ``rng``.
+    from ``rng``.  The slot's leaves — one per bucket — are proved in one
+    batch (:func:`_leaf_messages`).
     """
     if behavior is Behavior.DROP_MESSAGE:
         return None
     contribution = semantics.neighbor_contribution(plan, graph, origin, neighbor)
-    max_exponent = leaf_max_exponent(plan)
-    messages = []
     if plan.cross is None:
         exponents = [contribution.exponent]
     else:
@@ -201,19 +237,16 @@ def dest_compute(
             contribution.exponent if bucket == contribution.bucket else 0
             for bucket in range(plan.cross.num_buckets)
         ]
-    for exponent in exponents:
-        messages.append(
-            _leaf_message(
-                zk,
-                pk,
-                neighbor,
-                exponent,
-                rng,
-                behavior,
-                max_exponent,
-                randomness=next(leaf_source) if leaf_source is not None else None,
-            )
-        )
+    messages = _leaf_messages(
+        zk,
+        pk,
+        neighbor,
+        exponents,
+        rng,
+        behavior,
+        leaf_max_exponent(plan),
+        leaf_source=leaf_source,
+    )
     return DestResponse(messages=tuple(messages))
 
 
@@ -319,9 +352,9 @@ def _member_term(
     for bucket in allowed:
         total = cts[bucket] if total is None else bgv.add(total, cts[bucket])
     if len(allowed) > 1:
-        constant = bgv.encrypt(
+        (constant,) = bgv.encrypt(
             pk,
-            RingElement.constant(pk.profile.plaintext_ring, len(allowed) - 1),
+            [RingElement.constant(pk.profile.plaintext_ring, len(allowed) - 1)],
             rng,
         )
         total = bgv.subtract(total, constant)
@@ -550,8 +583,8 @@ class EncryptedExecutor:
             public_key=self.pk,
         )
         if behavior not in (Behavior.BAD_AGGREGATION, Behavior.FORGED_PROOF):
-            statement, proof, (output, products) = self.zk.prove(
-                zkcircuits.AGGREGATE_CIRCUIT, witness
+            ((statement, proof, (output, products)),) = self.zk.prove(
+                zkcircuits.AGGREGATE_CIRCUIT, [witness]
             )
         else:
             output, products = origin_combine(witness)
@@ -643,19 +676,15 @@ class EncryptedExecutor:
                     )
             else:
                 exponent = 0
-            message = _leaf_message(
+            (message,) = _leaf_messages(
                 self.zk,
                 self.pk,
                 node,
-                exponent,
+                [exponent],
                 self.rng,
                 behavior,
                 max_exponent,
-                randomness=(
-                    next(self.leaf_source)
-                    if self.leaf_source is not None
-                    else None
-                ),
+                leaf_source=self.leaf_source,
             )
             if not self.zk.verify(message.statement, message.proof):
                 self.stats.origin_filtered_leaves += 1

@@ -12,8 +12,11 @@
   encryptions.
 
 Each circuit is a relation from its witness to the public statement and
-the circuit's output, and the prover evaluates it once: an honest
-device's ciphertext *is* the output of its proof.
+the circuit's output, and the prover evaluates it once per witness: an
+honest device's ciphertext *is* the output of its proof.  A relation
+maps a sequence of witnesses, the ones a device proves together; the
+leaf relation encrypts a whole neighbour slot in one
+:func:`~repro.crypto.bgv.encrypt` call.
 
 Statements carry ciphertext digests and the public-key fingerprint; the
 Groth16 cost model therefore scales verification time with ciphertext
@@ -23,6 +26,7 @@ size, reproducing the aggregator-cost behaviour of Figure 9(b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.crypto import bgv, zksnark
 from repro.crypto.hashes import protocol_hash
@@ -96,34 +100,54 @@ def aggregate_statement(
     )
 
 
-def _leaf_relation(witness: LeafWitness) -> tuple[tuple, bgv.Ciphertext]:
-    """Encrypt x^exponent under the witness randomness, for an exponent
-    in ``[0, max_exponent]``."""
-    if not 0 <= witness.exponent <= witness.max_exponent:
-        raise ProofError(
-            f"exponent {witness.exponent} outside [0, {witness.max_exponent}]"
-        )
-    ciphertext = bgv.encrypt_monomial(
-        witness.public_key, witness.exponent, None, randomness=witness.randomness
+def _leaf_relation(
+    witnesses: Sequence[LeafWitness],
+) -> list[tuple[tuple, bgv.Ciphertext]]:
+    """Encrypt each x^exponent under its witness randomness, for
+    exponents in ``[0, max_exponent]``: one encryption call under the
+    batch's one public key."""
+    if not witnesses:
+        return []
+    public_key = witnesses[0].public_key
+    for witness in witnesses:
+        if witness.public_key is not public_key and witness.public_key != public_key:
+            raise ProofError("a leaf batch is encrypted under one public key")
+        if not 0 <= witness.exponent <= witness.max_exponent:
+            raise ProofError(
+                f"exponent {witness.exponent} outside [0, {witness.max_exponent}]"
+            )
+    ciphertexts = bgv.encrypt(
+        public_key,
+        [bgv.monomial(public_key.profile, witness.exponent) for witness in witnesses],
+        None,
+        randomness=[witness.randomness for witness in witnesses],
     )
-    statement = leaf_statement(ciphertext, witness.public_key, witness.max_exponent)
-    return statement.public_inputs, ciphertext
+    return [
+        (
+            leaf_statement(ciphertext, public_key, witness.max_exponent).public_inputs,
+            ciphertext,
+        )
+        for witness, ciphertext in zip(witnesses, ciphertexts)
+    ]
 
 
 def _aggregate_relation(
-    witness: AggregateWitness,
-) -> tuple[tuple, tuple[bgv.Ciphertext, int]]:
-    """The origin combination of the witness inputs; its output is the
+    witnesses: Sequence[AggregateWitness],
+) -> list[tuple[tuple, tuple[bgv.Ciphertext, int]]]:
+    """The origin combination of each witness' inputs; its output is the
     combined ciphertext and the ciphertext products it took."""
     # Imported here: engine.encrypted depends on this module for the
     # statement builders.
     from repro.engine.encrypted import origin_combine
 
-    output, products = origin_combine(witness)
-    statement = aggregate_statement(
-        output, witness.inputs, witness.public_key, witness.plan
-    )
-    return statement.public_inputs, (output, products)
+    proved = []
+    for witness in witnesses:
+        output, products = origin_combine(witness)
+        statement = aggregate_statement(
+            output, witness.inputs, witness.public_key, witness.plan
+        )
+        proved.append((statement.public_inputs, (output, products)))
+    return proved
 
 
 def build_circuits() -> list[zksnark.Circuit]:

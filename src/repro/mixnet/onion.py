@@ -95,21 +95,6 @@ def peel(hop_key: bytes, round_number: int, body: bytes) -> bytes:
     return aead.senc(hop_key, round_number, body)
 
 
-def unwrap_reverse(payload: bytes, hop_keys: list[bytes], base_round: int) -> bytes:
-    """Peel a *reverse-path* onion at the source.
-
-    On the way back, hop i (closest to the source last) adds a layer
-    under its shared key and the round it forwarded in; the source knows
-    every key and removes them all.  ``hop_keys`` is ordered from the hop
-    nearest the source outward, and ``base_round`` is the round in which
-    the nearest hop deposited to the source.
-    """
-    body = payload
-    for offset, key in enumerate(hop_keys):
-        body = aead.senc(key, base_round - offset, body)
-    return body
-
-
 def dummy_body(length: int, rng=None) -> bytes:
     """A random body indistinguishable from an SEnc ciphertext (§3.5)."""
     return aead.random_dummy(length, rng)

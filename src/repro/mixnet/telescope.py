@@ -345,9 +345,11 @@ class TelescopeHandler:
             return
         link = device.in_links.get(path_id)
         if link is None or getattr(link, "pending_dst", None) is None:
+            telemetry.count("mixnet.dst_lookup.unmatched")
             return
         # §3.4: if any source complained, *no* last hop fetches keys.
         if world.complaints():
+            telemetry.count("mixnet.dst_lookup.aborted")
             device.protocol_violations.append("complaint seen; aborting key fetch")
             return
         dst_handle = link.pending_dst
@@ -355,6 +357,7 @@ class TelescopeHandler:
         try:
             lookup = world.verified_lookup_by_handle(dst_handle)
         except ProtocolError:
+            telemetry.count("mixnet.dst_lookup.unverified")
             return
         link.next_mailbox = dst_handle
         link.out_path_id = onion.new_path_id(device.rng)

@@ -11,8 +11,10 @@ without touching protocol code.  Two backends ship:
   fallback for non-NTT-friendly moduli) and to the RFC 8439 block
   function.  Always available.
 * ``numpy`` — an exact vectorized kernel
-  (:mod:`repro.runtime.numpy_backend`).  Registered only when NumPy
-  imports; NumPy remains an optional dependency.
+  (:mod:`repro.runtime.numpy_backend`), the one ``"auto"`` picks.  NumPy
+  is a declared dependency of the package; the factory still treats a
+  failed import as "backend unavailable", so a bare checkout without it
+  runs on ``pure``.
 
 Backends must be *bit-identical*: for the same inputs every backend
 returns the same coefficients and the same keystream bytes (enforced by
@@ -81,13 +83,16 @@ Operand = Union[Sequence[int], Resident]
 #: One term ``a * b`` of a product sum.
 Pair = tuple[Operand, Operand]
 
+#: One product sum ``sum_i a_i * b_i``, as its terms.
+Sum = Sequence[Pair]
+
 #: One ChaCha20 keystream request: ``(key, nonce, first_counter,
 #: blocks)`` — 32 and 12 bytes, then the block counter of the first
 #: 64-byte block and how many blocks to produce.
 KeystreamRequest = tuple[bytes, bytes, int, int]
 
 
-def schoolbook_sum(pairs: Sequence[Pair], n: int, q: int) -> list[int]:
+def schoolbook_sum(pairs: Sum, n: int, q: int) -> list[int]:
     """``sum_i a_i*b_i`` by the O(n^2) definition: what every backend
     runs for a ring it cannot transform."""
     acc = [0] * n
@@ -114,14 +119,15 @@ def fold_by_products(
     for _ in pairs:
         digits.append(Resident([c & mask for c in remaining]))
         remaining = [c >> base_bits for c in remaining]
-    return (
-        backend.negacyclic_multiply(
-            [(b_i, d_i) for (b_i, _), d_i in zip(pairs, digits)], n, q
-        ),
-        backend.negacyclic_multiply(
-            [(a_i, d_i) for (_, a_i), d_i in zip(pairs, digits)], n, q
-        ),
+    d0, d1 = backend.negacyclic_multiply(
+        [
+            [(b_i, d_i) for (b_i, _), d_i in zip(pairs, digits)],
+            [(a_i, d_i) for (_, a_i), d_i in zip(pairs, digits)],
+        ],
+        n,
+        q,
     )
+    return d0, d1
 
 
 @runtime_checkable
@@ -139,11 +145,14 @@ class ComputeBackend(Protocol):
     name: str
 
     def negacyclic_multiply(
-        self, pairs: Sequence[Pair], n: int, q: int
-    ) -> list[int]:
-        """``sum_i a_i*b_i`` over ``pairs[i] = (a_i, b_i)`` in
-        Z_q[x]/(x^n + 1) for *any* modulus q: the products accumulate in
-        the evaluation domain and leave it once, whatever their number."""
+        self, sums: Sequence[Sum], n: int, q: int
+    ) -> list[list[int]]:
+        """One coefficient list per sum: ``sum_i a_i*b_i`` over
+        ``pairs[i] = (a_i, b_i)`` in Z_q[x]/(x^n + 1), for *any* modulus
+        q.  The products accumulate in the evaluation domain and leave
+        it once, whatever their number; the sums of one call are the
+        work one device does together, and a backend may take them in
+        one pass."""
         ...
 
     def fold_multiply_accumulate(
@@ -181,8 +190,11 @@ class PureBackend:
         return ctx.forward(list(operand))
 
     def negacyclic_multiply(
-        self, pairs: Sequence[Pair], n: int, q: int
-    ) -> list[int]:
+        self, sums: Sequence[Sum], n: int, q: int
+    ) -> list[list[int]]:
+        return [self._sum(pairs, n, q) for pairs in sums]
+
+    def _sum(self, pairs: Sum, n: int, q: int) -> list[int]:
         if (q - 1) % (2 * n):
             return schoolbook_sum(pairs, n, q)
         ctx = ntt.get_context(n, q)
@@ -300,21 +312,23 @@ def use_backend(name: str):
         _active = previous
 
 
-def ring_multiply(pairs: Sequence[Pair], n: int, q: int) -> list[int]:
-    """Dispatch one negacyclic product sum ``sum_i a_i*b_i`` to the
-    active backend.
+def ring_multiply(sums: Sequence[Sum], n: int, q: int) -> list[list[int]]:
+    """Dispatch negacyclic product sums ``sum_i a_i*b_i`` to the active
+    backend; one coefficient list per sum.
 
-    This is the single call site for ring products —
-    :mod:`repro.crypto.polyring`, encryption and genesis pass one pair,
-    :func:`repro.crypto.bgv.multiply` one call per output component — so
-    the ``runtime.backend.multiplies`` counter sees every ring
-    multiplication the parent process performs.  A ternary operand (the
-    secret ``s``, the encryption randomness ``u``) may change how a
-    backend computes the product — the NumPy kernel finds it and uses a
-    basis half as wide — never the product.
+    This is the single call site for ring products, and one call is one
+    device step: :mod:`repro.crypto.polyring` and genesis pass one sum
+    of one pair, :func:`repro.crypto.bgv.encrypt` two sums per plaintext
+    of a batch (a destination's whole slot), and
+    :func:`repro.crypto.bgv.multiply` one sum per output component.  The
+    ``runtime.backend.multiplies`` counter sees every ring product — every
+    pair — the parent process performs.  A ternary operand (the secret
+    ``s``, the encryption randomness ``u``) may change how a backend
+    computes the product — the NumPy kernel finds it and uses a basis
+    half as wide — never the product.
     """
-    telemetry.count("runtime.backend.multiplies", len(pairs))
-    return _active.negacyclic_multiply(pairs, n, q)
+    telemetry.count("runtime.backend.multiplies", sum(len(pairs) for pairs in sums))
+    return _active.negacyclic_multiply(sums, n, q)
 
 
 def fold_multiply_accumulate(

@@ -11,7 +11,13 @@ tables cached as a :class:`_Plan`: a basis of 28-bit NTT-friendly primes
 magnitude of the centered sum (``2·m·n·q²`` for ``m`` products), one
 batched negacyclic NTT per prime, the products accumulated pointwise,
 then one inverse NTT and one CRT reconstruction with centering and a
-final reduction mod ``q``.  A product with a ternary operand (every
+final reduction mod ``q``.  The sums of one call share all of it: one
+plan, stacked forward transforms of every operand not yet in its form,
+stacked inverses of every sum and one CRT pass over all their
+coefficients, so a destination's slot of leaf encryptions at the TEST
+ring costs the NumPy call overhead of one product.  Stacks are bounded
+(:data:`_BATCH_ELEMENTS`, :data:`_CRT_COLUMNS`), so a large ring is still
+transformed one polynomial at a time.  A product with a ternary operand (every
 coefficient ``0``, ``1`` or ``q-1``) lifts that operand centered, into
 {-1, 0, 1}, and is bounded by ``n·q``: its basis is half as wide.  No
 approximation anywhere: the result equals the sum of the schoolbook
@@ -53,8 +59,8 @@ from repro.errors import ParameterError
 from repro.runtime.backends import (
     KeystreamRequest,
     Operand,
-    Pair,
     Resident,
+    Sum,
     fold_by_products,
     schoolbook_sum,
 )
@@ -65,10 +71,19 @@ MAX_RNS_PRIME = 1 << 28
 
 _PLAN_CACHE_SIZE = 16
 
-#: Elements per batched digit transform: enough rows to amortize NumPy's
-#: per-call overhead on a small ring, few enough that a large ring's
-#: batch (and its butterfly temporaries) stays a megabyte or two.
-_FOLD_BATCH_ELEMENTS = 1 << 17
+#: Elements per batched transform, forward or inverse, of product
+#: operands, sums or relinearization digits: dozens of TEST-ring
+#: polynomials, so a slot's encryptions share each NumPy call, but one
+#: SMALL-ring polynomial, whose butterfly temporaries outgrow the cache
+#: once several are stacked (measured: four stacked SMALL operands made
+#: their forward transform 40% slower than four single ones).
+_BATCH_ELEMENTS = 1 << 16
+
+#: Columns per CRT reconstruction step: four TEST-ring products, or a
+#: quarter of a SMALL-ring one.  However many sums a call stacks, its
+#: limb temporaries (several ``(columns, limbs)`` arrays) stay this
+#: wide.
+_CRT_COLUMNS = 1 << 8
 
 
 #: "expand 32-byte k", the first four words of every ChaCha20 state.
@@ -216,6 +231,9 @@ class _Plan:
         #: Names the basis: what a Resident files this plan's forms under.
         self.form_key = ("numpy", tuple(primes))
         k = len(primes)
+        #: Polynomials per batched transform: :data:`_BATCH_ELEMENTS`
+        #: worth, and at least one.
+        self.transform_rows = max(1, _BATCH_ELEMENTS // (k * n))
         self.p_col = self.primes.reshape(k, 1, 1)
         self.p_flat = self.primes.reshape(k, 1)
         psi_rev = np.empty((k, n), dtype=np.int64)
@@ -259,19 +277,31 @@ class _Plan:
             crt[i] = [(c_k >> (16 * j)) & 0xFFFF for j in range(self.limbs)]
         self.crt_limbs = crt
 
-    def form(self, operand: Operand) -> np.ndarray:
-        """The evaluation form of ``operand`` on this basis (read-only:
-        a :class:`Resident` hands the same array to every product).  A
-        ternary operand is lifted centered, on every basis: ``q-1``
-        becomes ``-1``, whose residue is ``p_k - 1``."""
-        if isinstance(operand, Resident):
-            # Residues sit below 2^31: parked at half width, widened
-            # again by every product.
-            return operand.form(
-                self.form_key,
-                lambda _: self.forward(self._lift(operand)).astype(np.int32),
-            )
-        return self.forward(self._lift(operand))
+    def forms(self, operands: Sequence[Operand]) -> list[np.ndarray]:
+        """The ``(k, n)`` evaluation form of each operand on this basis
+        (read-only: a :class:`Resident` hands the same array to every
+        product).  The operands not yet in this basis' form go through
+        batched :meth:`forward` calls, :data:`_BATCH_ELEMENTS` at a
+        time, and a :class:`Resident` files its slice for every later
+        product.  A ternary operand is lifted centered, on every basis:
+        ``q-1`` becomes ``-1``, whose residue is ``p_k - 1``."""
+        out: list = [
+            operand.forms.get(self.form_key) if isinstance(operand, Resident) else None
+            for operand in operands
+        ]
+        fresh = [i for i, form in enumerate(out) if form is None]
+        step = self.transform_rows
+        for start in range(0, len(fresh), step):
+            chunk = fresh[start : start + step]
+            batch = self.forward(np.stack([self._lift(operands[i]) for i in chunk]))
+            for i, form in zip(chunk, batch):
+                if isinstance(operands[i], Resident):
+                    # Residues sit below 2^31: parked at half width,
+                    # widened again by every product.
+                    form = form.astype(np.int32)
+                    operands[i].forms[self.form_key] = form
+                out[i] = form
+        return out
 
     def _lift(self, operand: Operand) -> np.ndarray:
         signs = _ternary_signs(operand, self.q)
@@ -353,31 +383,50 @@ class _Plan:
             (res.astype(np.int64) % self.primes).T
         )
 
+    def outputs(self, acc: np.ndarray) -> list[list[int]]:
+        """Accumulated sums ``(m, k, n)`` in the evaluation domain -> one
+        coefficient list per sum: stacked inverses, then the CRT over
+        their ``m·n`` columns."""
+        m, k, n = acc.shape
+        step = self.transform_rows
+        flat = []
+        for start in range(0, m, step):
+            chunk = self.inverse(acc[start : start + step])
+            flat += self.from_residues(chunk.transpose(1, 0, 2).reshape(k, -1))
+        return [flat[i * n : (i + 1) * n] for i in range(m)]
+
     def from_residues(self, res: np.ndarray) -> list[int]:
-        """Residue matrix (k, n) -> centered exact product reduced mod q."""
-        r = res.T.astype(np.float64)  # residues < 2^28
-        # Split residues into 14-bit halves so every float64 dot product
-        # (digit < 2^14 times limb < 2^16, <= 2^9 primes) stays < 2^39,
-        # exactly representable; recombine in int64 (< 2^53).
-        r_lo = np.floor(r % 16384.0)
-        r_hi = np.floor(r / 16384.0)
-        limbs = (r_lo @ self.crt_limbs).astype(np.int64) + (
-            (r_hi @ self.crt_limbs).astype(np.int64) << 14
-        )
-        while (limbs >> 16).any():
-            carry = limbs >> 16
-            limbs &= 0xFFFF
-            limbs[:, 1:] += carry[:, :-1]
-        row_bytes = 2 * self.limbs
-        packed = limbs.astype("<u2").tobytes()
+        """Residue matrix ``(k, m)`` -> the ``m`` columns' centered exact
+        values, each reduced mod q.  Converted :data:`_CRT_COLUMNS`
+        columns at a time, so the limb temporaries stay bounded however
+        many sums a call stacks."""
         out = []
         m_total, half, q = self.modulus, self.half_modulus, self.q
-        for i in range(self.n):
-            x = int.from_bytes(packed[i * row_bytes : (i + 1) * row_bytes], "little")
-            x %= m_total
-            if x > half:
-                x -= m_total
-            out.append(x % q)
+        row_bytes = 2 * self.limbs
+        for start in range(0, res.shape[1], _CRT_COLUMNS):
+            r = res[:, start : start + _CRT_COLUMNS].T.astype(np.float64)  # < 2^28
+            # Split residues into 14-bit halves so every float64 dot
+            # product (digit < 2^14 times limb < 2^16, <= 2^9 primes)
+            # stays < 2^39, exactly representable; recombine in int64
+            # (< 2^53).
+            r_lo = np.floor(r % 16384.0)
+            r_hi = np.floor(r / 16384.0)
+            limbs = (r_lo @ self.crt_limbs).astype(np.int64) + (
+                (r_hi @ self.crt_limbs).astype(np.int64) << 14
+            )
+            while (limbs >> 16).any():
+                carry = limbs >> 16
+                limbs &= 0xFFFF
+                limbs[:, 1:] += carry[:, :-1]
+            packed = limbs.astype("<u2").tobytes()
+            for i in range(len(r)):
+                x = int.from_bytes(
+                    packed[i * row_bytes : (i + 1) * row_bytes], "little"
+                )
+                x %= m_total
+                if x > half:
+                    x -= m_total
+                out.append(x % q)
         return out
 
 
@@ -435,23 +484,42 @@ class NumpyBackend:
         return self._plan(n, q, bits)
 
     def negacyclic_multiply(
-        self, pairs: Sequence[Pair], n: int, q: int
-    ) -> list[int]:
+        self, sums: Sequence[Sum], n: int, q: int
+    ) -> list[list[int]]:
+        """One plan for the whole call — the ternary basis only if every
+        pair has a ternary operand, sized for the longest sum — batched
+        transforms of the operands (each once, however many pairs share
+        it), the pair products accumulated per sum, then
+        :meth:`_Plan.outputs`."""
         if not _is_pow2(n):
-            return schoolbook_sum(pairs, n, q)
+            return [schoolbook_sum(pairs, n, q) for pairs in sums]
+        pairs = [pair for terms in sums for pair in terms]
         ternary = all(
             any(_ternary_signs(x, q) is not None for x in pair) for pair in pairs
         )
         plan = self._sum_plan(
-            n, q, 0 if ternary else q.bit_length(), len(pairs)
+            n,
+            q,
+            0 if ternary else q.bit_length(),
+            max((len(terms) for terms in sums), default=0),
         )
-        acc = np.zeros((len(plan.primes), n), dtype=np.int64)
-        for a, b in pairs:
-            prod = np.multiply(plan.form(a), plan.form(b), dtype=np.int64)
-            prod %= plan.p_flat
-            acc += prod  # each term below 2^28
+        slots: dict[int, int] = {}  # id(operand) -> index in ``forms``
+        operands = []
+        for x in (x for pair in pairs for x in pair):
+            if id(x) not in slots:
+                slots[id(x)] = len(operands)
+                operands.append(x)
+        forms = plan.forms(operands)
+        acc = np.zeros((len(sums), len(plan.primes), n), dtype=np.int64)
+        for row, terms in zip(acc, sums):
+            for a, b in terms:
+                prod = np.multiply(
+                    forms[slots[id(a)]], forms[slots[id(b)]], dtype=np.int64
+                )
+                prod %= plan.p_flat
+                row += prod  # each term below 2^28
         acc %= plan.p_flat
-        return plan.from_residues(plan.inverse(acc))
+        return plan.outputs(acc)
 
     def fold_multiply_accumulate(
         self,
@@ -466,7 +534,7 @@ class NumpyBackend:
         on the basis :meth:`_sum_plan` sizes, are accumulated pointwise
         against the key forms (residues below 2^31: every product fits
         int64 and the per-step ``% p`` keeps the sums below p), and one
-        inverse + CRT reconstruction per output closes the fold."""
+        inverse + CRT reconstruction over both outputs closes the fold."""
         count = len(pairs)
         if not _is_pow2(n) or base_bits not in (8, 16, 32):  # machine words
             return fold_by_products(self, pairs, coeffs, base_bits, n, q)
@@ -478,17 +546,16 @@ class NumpyBackend:
         shape = len(plan.primes), n
         acc0 = np.zeros(shape, dtype=np.int64)
         acc1 = np.zeros(shape, dtype=np.int64)
-        step = max(1, _FOLD_BATCH_ELEMENTS // (shape[0] * n))
+        step = plan.transform_rows
         for start in range(0, count, step):
             batch = digits[start : start + step] % plan.p_flat
             transformed = plan.forward(batch)  # (step, primes, n)
             for (b_i, a_i), fd in zip(pairs[start : start + step], transformed):
-                acc0 = (acc0 + plan.form(b_i) * fd) % plan.p_flat
-                acc1 = (acc1 + plan.form(a_i) * fd) % plan.p_flat
-        return (
-            plan.from_residues(plan.inverse(acc0)),
-            plan.from_residues(plan.inverse(acc1)),
-        )
+                f_b, f_a = plan.forms([b_i, a_i])
+                acc0 = (acc0 + f_b * fd) % plan.p_flat
+                acc1 = (acc1 + f_a * fd) % plan.p_flat
+        d0, d1 = plan.outputs(np.stack([acc0, acc1]))
+        return d0, d1
 
     def chacha20_keystreams(
         self, streams: Sequence[KeystreamRequest]

@@ -135,6 +135,21 @@ METRICS: dict[str, MetricSpec] = _specs(
         "knows (left unanswered)",
     ),
     MetricSpec(
+        "mixnet.dst_lookup.unmatched", COUNTER, "lookups",
+        "scheduled destination-key fetches on a last hop whose in-link is "
+        "gone or holds no pending lookup (dropped)",
+    ),
+    MetricSpec(
+        "mixnet.dst_lookup.aborted", COUNTER, "lookups",
+        "destination-key fetches a last hop abandons because a source "
+        "complained (§3.4: no last hop fetches keys after a complaint)",
+    ),
+    MetricSpec(
+        "mixnet.dst_lookup.unverified", COUNTER, "lookups",
+        "destination-key fetches whose handle has no verified lookup in "
+        "the world's maps (dropped)",
+    ),
+    MetricSpec(
         "mixnet.connect.undecryptable", COUNTER, "messages",
         "CONNECT blobs whose PEnc header or AE request does not open "
         "under the hop's key and round (a dummy, or traffic not meant "

@@ -43,8 +43,8 @@ def test_direct_multiply_matches_pure(n, q):
     pure = resolve_backend("pure")
     a = _random_coeffs(n, q, seed=2 * n)
     b = _random_coeffs(n, q, seed=2 * n + 1)
-    assert numpy_backend.negacyclic_multiply([(a, b)], n, q) == (
-        pure.negacyclic_multiply([(a, b)], n, q)
+    assert numpy_backend.negacyclic_multiply([[(a, b)]], n, q)[0] == (
+        pure.negacyclic_multiply([[(a, b)]], n, q)[0]
     )
 
 
@@ -54,8 +54,8 @@ def test_rns_multiply_matches_pure(n, q):
     pure = resolve_backend("pure")
     a = _random_coeffs(n, q, seed=3 * n)
     b = _random_coeffs(n, q, seed=3 * n + 1)
-    assert numpy_backend.negacyclic_multiply([(a, b)], n, q) == (
-        pure.negacyclic_multiply([(a, b)], n, q)
+    assert numpy_backend.negacyclic_multiply([[(a, b)]], n, q)[0] == (
+        pure.negacyclic_multiply([[(a, b)]], n, q)[0]
     )
 
 
@@ -67,8 +67,8 @@ def test_rns_multiply_matches_schoolbook_small_case():
     b = _random_coeffs(n, q, seed=6)
     expected = ntt.negacyclic_multiply_schoolbook(a, b, q)
     numpy_backend = resolve_backend("numpy")
-    assert numpy_backend.negacyclic_multiply([(a, b)], n, q) == expected
-    assert resolve_backend("pure").negacyclic_multiply([(a, b)], n, q) == expected
+    assert numpy_backend.negacyclic_multiply([[(a, b)]], n, q)[0] == expected
+    assert resolve_backend("pure").negacyclic_multiply([[(a, b)]], n, q)[0] == expected
 
 
 @pytest.mark.parametrize("profile", [TEST, SMALL], ids=lambda p: p.name)
@@ -138,7 +138,7 @@ def test_one_pair_keeps_the_single_product_bytes(profile):
     n, q = profile.n, profile.q
     a, b = _random_coeffs(n, q, seed=26), _random_coeffs(n, q, seed=27)
     for name in ("pure", "numpy"):
-        product = resolve_backend(name).negacyclic_multiply([(a, b)], n, q)
+        product = resolve_backend(name).negacyclic_multiply([[(a, b)]], n, q)[0]
         assert _pin(product, q) == SINGLE_PRODUCT_PINS[profile.name], name
 
 
@@ -160,14 +160,14 @@ def test_pair_sum_is_the_sum_of_products(profile, terms):
     }
     pure, vectorized = resolve_backend("pure"), resolve_backend("numpy")
     for shape, pairs in shapes.items():
-        singles = [pure.negacyclic_multiply([pair], n, q) for pair in pairs]
+        singles = [pure.negacyclic_multiply([[pair]], n, q)[0] for pair in pairs]
         expected = _summed(singles, q)
-        assert pure.negacyclic_multiply(pairs, n, q) == expected, shape
+        assert pure.negacyclic_multiply([pairs], n, q)[0] == expected, shape
         resident = [
             (backends.Resident(x), backends.Resident(y)) for x, y in pairs
         ]
         for operands in (pairs, resident):
-            assert vectorized.negacyclic_multiply(operands, n, q) == expected, shape
+            assert vectorized.negacyclic_multiply([operands], n, q)[0] == expected, shape
 
 
 @pytest.mark.parametrize("n,q", [(6, 1000), (12, 1001)])
@@ -181,7 +181,7 @@ def test_pair_sum_schoolbook_fallback(n, q):
     expected = _summed(
         [ntt.negacyclic_multiply_schoolbook(a, b, q) for a, b in pairs], q
     )
-    assert resolve_backend("numpy").negacyclic_multiply(pairs, n, q) == expected
-    assert resolve_backend("pure").negacyclic_multiply(pairs, n, q) == expected
-    assert resolve_backend("pure").negacyclic_multiply([], n, q) == [0] * n
-    assert resolve_backend("numpy").negacyclic_multiply([], 8, q) == [0] * 8
+    assert resolve_backend("numpy").negacyclic_multiply([pairs], n, q)[0] == expected
+    assert resolve_backend("pure").negacyclic_multiply([pairs], n, q)[0] == expected
+    assert resolve_backend("pure").negacyclic_multiply([[]], n, q)[0] == [0] * n
+    assert resolve_backend("numpy").negacyclic_multiply([[]], 8, q)[0] == [0] * 8

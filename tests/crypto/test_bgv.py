@@ -30,7 +30,7 @@ class TestEncryptDecrypt:
 
     def test_general_polynomial_roundtrip(self, public_key, secret_key, rng):
         m = RingElement.from_coeffs(TEST.plaintext_ring, [3, 0, 5, 1000])
-        ct = bgv.encrypt(public_key, m, rng)
+        (ct,) = bgv.encrypt(public_key, [m], rng)
         assert bgv.decrypt(secret_key, ct).coeffs == m.coeffs
 
     def test_exponent_out_of_range(self, public_key, rng):
@@ -91,11 +91,11 @@ class TestHomomorphism:
         assert _nonzero_coeffs(bgv.decrypt(secret_key, total)) == {3: 1, 5: 1}
 
     def test_subtract(self, public_key, secret_key, rng):
-        three = bgv.encrypt(
-            public_key, RingElement.constant(TEST.plaintext_ring, 3), rng
+        (three,) = bgv.encrypt(
+            public_key, [RingElement.constant(TEST.plaintext_ring, 3)], rng
         )
-        one = bgv.encrypt(
-            public_key, RingElement.constant(TEST.plaintext_ring, 1), rng
+        (one,) = bgv.encrypt(
+            public_key, [RingElement.constant(TEST.plaintext_ring, 1)], rng
         )
         diff = bgv.subtract(three, one)
         assert _nonzero_coeffs(bgv.decrypt(secret_key, diff)) == {0: 2}

@@ -45,10 +45,10 @@ def test_worst_case_equals_the_closed_form_on_every_backend(profile):
     expected = _closed_form(n, q)
     for name in available_backends():
         backend = resolve_backend(name)
-        assert backend.negacyclic_multiply([(a, _ternary(signs, q))], n, q) == expected
-        assert backend.negacyclic_multiply([(_ternary(signs, q), a)], n, q) == expected
+        assert backend.negacyclic_multiply([[(a, _ternary(signs, q))]], n, q)[0] == expected
+        assert backend.negacyclic_multiply([[(_ternary(signs, q), a)]], n, q)[0] == expected
         plain = [s % q for s in signs]
-        assert backend.negacyclic_multiply([(a, plain)], n, q) == expected
+        assert backend.negacyclic_multiply([[(a, plain)]], n, q)[0] == expected
 
 
 @pytest.mark.parametrize(
@@ -73,8 +73,8 @@ def test_numpy_equals_pure_for_random_ternary_operands(data):
     # Sometimes both operands are ternary.
     left = _ternary([x % 3 - 1 for x in a], q) if data.draw(st.booleans()) else a
     numpy_backend, pure = resolve_backend("numpy"), resolve_backend("pure")
-    assert numpy_backend.negacyclic_multiply([(left, _ternary(signs, q))], n, q) == (
-        pure.negacyclic_multiply([(list(left), [s % q for s in signs])], n, q)
+    assert numpy_backend.negacyclic_multiply([[(left, _ternary(signs, q))]], n, q)[0] == (
+        pure.negacyclic_multiply([[(list(left), [s % q for s in signs])]], n, q)[0]
     )
 
 
@@ -104,8 +104,8 @@ def test_the_basis_follows_the_operands_values():
     ternary, mixed = _ternary(signs, q), _ternary(nearly, q)
     pure = resolve_backend("pure")
     for operand, key in ((ternary, half), (mixed, general)):
-        product = np_backend.negacyclic_multiply([(a, operand)], n, q)
-        assert product == pure.negacyclic_multiply([(list(a), list(operand))], n, q)
+        product = np_backend.negacyclic_multiply([[(a, operand)]], n, q)[0]
+        assert product == pure.negacyclic_multiply([[(list(a), list(operand))]], n, q)[0]
         assert key in operand.forms and key in a.forms
     assert general not in ternary.forms and half not in mixed.forms
     # The scan's answer is filed with the forms, a negative one too.

@@ -9,18 +9,18 @@ from repro.errors import ProofError
 
 
 def _even_circuit() -> zksnark.Circuit:
-    """The relation ``w -> (2w,)``, for an integer witness."""
+    """The relation ``w -> (2w,)``, for integer witnesses."""
 
-    def relation(witness):
-        if not isinstance(witness, int):
-            raise ProofError("is-double takes an integer witness")
-        return (2 * witness,), None
+    def relation(witnesses):
+        if not all(isinstance(witness, int) for witness in witnesses):
+            raise ProofError("is-double takes integer witnesses")
+        return [((2 * witness,), None) for witness in witnesses]
 
     return zksnark.Circuit(name="is-double", relation=relation, num_constraints=100)
 
 
 def _prove(system, witness) -> tuple[zksnark.Statement, zksnark.Proof]:
-    statement, proof, _ = system.prove("is-double", witness)
+    ((statement, proof, _),) = system.prove("is-double", [witness])
     return statement, proof
 
 
@@ -59,7 +59,20 @@ class TestProveVerify:
 
     def test_unknown_circuit(self, system):
         with pytest.raises(ProofError):
-            system.prove("nope", 1)
+            system.prove("nope", [1])
+
+    def test_one_proof_per_witness_in_order(self, system):
+        """A batch proves each witness as a call of its own would."""
+        batch = system.prove("is-double", [5, 0, 5, -3])
+        assert [statement for statement, _, _ in batch] == [
+            zksnark.Statement("is-double", (2 * w,)) for w in (5, 0, 5, -3)
+        ]
+        assert [proof for _, proof, _ in batch] == [
+            _prove(system, w)[1] for w in (5, 0, 5, -3)
+        ]
+        assert system.prove("is-double", []) == []
+        with pytest.raises(ProofError):
+            system.prove("is-double", [5, "5"])
 
     def test_proofs_deterministic_per_statement(self, system):
         """Zero-knowledge in the simulation: the token depends only on

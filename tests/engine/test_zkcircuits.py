@@ -59,9 +59,9 @@ def test_each_circuit_runs_once(setup, backend, query, monkeypatch):
     proved = []
     prove = zksnark.Groth16System.prove
 
-    def counting_prove(self, *args):
-        proved.append(args[0])
-        return prove(self, *args)
+    def counting_prove(self, circuit_name, witnesses):
+        proved.extend(circuit_name for _ in witnesses)  # one per witness
+        return prove(self, circuit_name, witnesses)
 
     monkeypatch.setattr(zksnark.Groth16System, "prove", counting_prove)
     with use_backend(backend), telemetry.session() as session:
@@ -85,8 +85,8 @@ class TestRelationRefusals:
         public, zk, _ = setup
         bound = leaf_max_exponent(_plan(ONE_HOP))
         for exponent in (0, bound):
-            statement, proof, ciphertext = zk.prove(
-                zkcircuits.LEAF_CIRCUIT, self._leaf(public, exponent, bound)
+            ((statement, proof, ciphertext),) = zk.prove(
+                zkcircuits.LEAF_CIRCUIT, [self._leaf(public, exponent, bound)]
             )
             assert zk.verify(statement, proof)
             assert statement == zkcircuits.leaf_statement(ciphertext, public, bound)
@@ -96,7 +96,10 @@ class TestRelationRefusals:
         bound = leaf_max_exponent(_plan(ONE_HOP))
         for exponent in (-1, bound + 1):
             with pytest.raises(ProofError):
-                zk.prove(zkcircuits.LEAF_CIRCUIT, self._leaf(public, exponent, bound))
+                zk.prove(
+                    zkcircuits.LEAF_CIRCUIT,
+                    [self._leaf(public, 0, bound), self._leaf(public, exponent, bound)],
+                )
 
     @pytest.mark.parametrize(
         "selected, message",
@@ -114,4 +117,4 @@ class TestRelationRefusals:
             public_key=public,
         )
         with pytest.raises(ProtocolError, match=message):
-            zk.prove(zkcircuits.AGGREGATE_CIRCUIT, witness)
+            zk.prove(zkcircuits.AGGREGATE_CIRCUIT, [witness])

@@ -47,6 +47,8 @@ class TestOnionLayers:
         assert len(body) == 100
 
     def test_reverse_unwrap(self):
+        """A reverse-path onion: each hop adds a layer on the way back,
+        and the source peels them all, nearest hop first."""
         payload = b"reverse payload"
         # Hop 1 (nearest source) wrapped at round 9, hop 2 at round 8.
         body = payload
@@ -54,8 +56,9 @@ class TestOnionLayers:
 
         body = aead.senc(self.KEYS[1], 8, body)
         body = aead.senc(self.KEYS[0], 9, body)
-        recovered = onion.unwrap_reverse(body, self.KEYS[:2], base_round=9)
-        assert recovered == payload
+        for offset, key in enumerate(self.KEYS[:2]):
+            body = onion.peel(key, 9 - offset, body)
+        assert body == payload
 
     def test_path_ids_unique(self):
         rng = random.Random(5)

@@ -221,3 +221,36 @@ def test_dropped_input_is_counted():
         counters = deliver(device, world, handle, source_pid, body)
         assert counters == {"mixnet.reverse.dropped": 1}
     assert not device.pending_deposits and not device.received
+
+
+def test_dropped_destination_lookups_are_counted():
+    """A scheduled ``dst-lookup`` a last hop cannot serve counts one
+    metric and deposits nothing: no pending lookup on the link, a
+    complaint on the board, or a handle with no verified lookup."""
+    world = small_world(8)
+    device = world.devices[2]
+    handler = world.telescope_handler
+    fresh = random.Random(12)
+
+    def scheduled(path_id):
+        with telemetry.session() as session:
+            handler.scheduled(world, device, 1, "dst-lookup", path_id)
+            counters = session.snapshot()["counters"]
+        return {n: v for n, v in counters.items() if n.startswith("mixnet.")}
+
+    assert scheduled(onion.new_path_id(fresh)) == {"mixnet.dst_lookup.unmatched": 1}
+    in_pid = onion.new_path_id(fresh)
+    link = device.in_links[in_pid] = InLink(
+        path_id=in_pid,
+        base_key=bytes(32),
+        prev_mailbox=world.devices[4].handles[0],
+        my_handle=device.handles[0],
+    )
+    assert scheduled(in_pid) == {"mixnet.dst_lookup.unmatched": 1}
+    link.pending_dst = b"\xee" * len(device.handles[0])
+    assert scheduled(in_pid) == {"mixnet.dst_lookup.unverified": 1}
+    assert link.next_mailbox is None
+    link.pending_dst = world.devices[5].handles[0]
+    world.complain(0, b"test")
+    assert scheduled(in_pid) == {"mixnet.dst_lookup.aborted": 1}
+    assert link.next_mailbox is None and not device.pending_deposits
