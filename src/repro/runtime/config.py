@@ -9,7 +9,7 @@ scoped with :func:`use_runtime`, or overridden per call site.
 Environment overrides (read once per :func:`from_env` call, used by the
 CLI and the benchmark harness):
 
-* ``MYCELIUM_WORKERS`` — integer worker count.
+* ``MYCELIUM_WORKERS`` — integer worker count, at most :data:`MAX_WORKERS`.
 * ``MYCELIUM_BACKEND`` — backend name (``pure``, ``numpy``, ``auto``).
 * ``MYCELIUM_SHARDS`` — integer aggregator shard count.
 
@@ -34,6 +34,9 @@ AUTO_BACKEND = "auto"
 WORKERS_ENV = "MYCELIUM_WORKERS"
 BACKEND_ENV = "MYCELIUM_BACKEND"
 SHARDS_ENV = "MYCELIUM_SHARDS"
+
+#: The most worker processes a pool may have (it starts them all at once).
+MAX_WORKERS = 256
 
 
 def _env_int(name: str, raw: str, minimum: int = 1) -> int:
@@ -65,9 +68,9 @@ class RuntimeConfig:
     """How hot-path work is executed.
 
     ``workers``
-        Process-pool size for :class:`repro.runtime.fabric.TaskFabric`.
-        ``1`` (the default) runs every task in-process; results are
-        bit-identical at any value.
+        Process-pool size for :class:`repro.runtime.fabric.TaskFabric`,
+        from 1 to :data:`MAX_WORKERS`.  ``1`` (the default) runs every
+        task in-process; results are bit-identical at any value.
     ``backend``
         Compute-backend name for the negacyclic-NTT/polyring kernel, or
         ``"auto"`` to pick the fastest one available.
@@ -88,8 +91,8 @@ class RuntimeConfig:
     shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ParameterError("RuntimeConfig.workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ParameterError(f"RuntimeConfig.workers must be in 1..{MAX_WORKERS}")
         if self.chunk_size < 1:
             raise ParameterError("RuntimeConfig.chunk_size must be >= 1")
         if self.shards < 1:

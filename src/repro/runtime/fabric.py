@@ -64,7 +64,7 @@ class TaskFabric:
     """Shards independent work items across processes, deterministically."""
 
     def __init__(self, workers: int = 1, chunk_size: int = 8) -> None:
-        self.workers = max(1, int(workers))
+        self.workers = RuntimeConfig(workers=max(1, int(workers))).workers
         self.chunk_size = max(1, int(chunk_size))
         self._pools: dict[int, ProcessPoolExecutor] = {}
         #: Whether the most recent :meth:`map` dispatched to worker

@@ -7,11 +7,11 @@ modulus, the test profiles' 512/900-bit ones) or not NTT-friendly at
 all (the plaintext modulus ``t``), so every product sum, whatever its
 ``(n, q)``, is computed *exactly* over a residue number system, its
 tables cached as a :class:`_Plan`: a basis of 28-bit NTT-friendly primes
-``p_k ≡ 1 (mod 2n)`` whose product ``M`` exceeds twice the worst-case
-magnitude of the centered sum (``2·m·n·q²`` for ``m`` products), one
-batched negacyclic NTT per prime, the products accumulated pointwise,
-then one inverse NTT and one CRT reconstruction with centering and a
-final reduction mod ``q``.  The sums of one call share all of it: one
+``p_k ≡ 1 (mod 2n)`` whose product ``M`` exceeds four times the
+worst-case magnitude of the centered sum (``m·n·q²`` for ``m``
+products), one batched negacyclic NTT per prime, the products
+accumulated pointwise, then one inverse NTT and one CRT straight into
+``Z_q``.  The sums of one call share all of it: one
 plan, stacked forward transforms of every operand not yet in its form,
 stacked inverses of every sum and one CRT pass over all their
 coefficients, so a destination's slot of leaf encryptions at the TEST
@@ -23,17 +23,12 @@ coefficient ``0``, ``1`` or ``q-1``) lifts that operand centered, into
 approximation anywhere: the result equals the sum of the schoolbook
 products for every modulus.
 
-The RNS transforms use the Harvey/Shoup lazy-butterfly scheme to avoid
-integer division entirely: twiddles carry a precomputed companion
-``s' = floor(s·2^32 / p)`` so each modular product is two multiplies, a
-shift, and a subtract, and coefficients ride in ``[0, 4p)`` between
-stages.  That is why basis primes sit below 2^28 (``4p ≤ 2^30`` keeps
-``x·s' < 2^62`` inside ``int64``).
-
-The exact base conversions are expressed as matrix products so they hit
-BLAS: operands are split into 14/16-bit digits whose dot products stay
-below 2^53, making ``float64`` accumulation exact; results are lifted
-back to ``int64`` and carry-propagated.
+Everything heavy is a BLAS matrix product made exact: one operand is
+split into 14- or 16-bit digits, so every partial sum stays below 2^53
+and ``float64`` accumulates it exactly in any order.  Each RNS transform
+is Bailey's four-step split into steps of at most 32 points, a matrix
+product per step and a pointwise twiddle between steps; a product's
+quotient by ``p`` comes from a ``float64`` estimate, never a division.
 
 The ChaCha20 kernel (:meth:`NumpyBackend.chacha20_keystreams`) lays the
 blocks of every requested stream out as the columns of one ``(16, B)``
@@ -47,14 +42,16 @@ the resulting ``ImportError`` as "backend unavailable".
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from collections import OrderedDict
+from itertools import repeat
+from operator import mod
 from typing import Sequence
 
 import numpy as np
 
-from repro.crypto import ntt
-from repro.crypto.modmath import is_prime
+from repro.crypto.modmath import is_prime, primitive_root_of_unity
 from repro.errors import ParameterError
 from repro.runtime.backends import (
     KeystreamRequest,
@@ -65,24 +62,23 @@ from repro.runtime.backends import (
     schoolbook_sum,
 )
 
-#: Exclusive upper bound for RNS basis primes: the lazy butterflies keep
-#: coefficients in [0, 4p) and Shoup products x·s' below 2^62.
+#: Exclusive upper bound for RNS basis primes: a residue times a 14-bit
+#: digit, summed over a 32-point step, stays below 2^47.
 MAX_RNS_PRIME = 1 << 28
 
 _PLAN_CACHE_SIZE = 16
 
 #: Elements per batched transform, forward or inverse, of product
 #: operands, sums or relinearization digits: dozens of TEST-ring
-#: polynomials, so a slot's encryptions share each NumPy call, but one
-#: SMALL-ring polynomial, whose butterfly temporaries outgrow the cache
-#: once several are stacked (measured: four stacked SMALL operands made
-#: their forward transform 40% slower than four single ones).
+#: polynomials, so a slot's encryptions share each NumPy call (28
+#: stacked: 0.064 ms each against 0.11 ms alone), but one SMALL-ring
+#: polynomial, whose temporaries outgrow the cache once several are
+#: stacked (four general ones: 3.7 ms each against 2.8 ms alone).
 _BATCH_ELEMENTS = 1 << 16
 
-#: Columns per CRT reconstruction step: four TEST-ring products, or a
-#: quarter of a SMALL-ring one.  However many sums a call stacks, its
-#: limb temporaries (several ``(columns, limbs)`` arrays) stay this
-#: wide.
+#: Columns per CRT step: four TEST-ring products, or a quarter of a
+#: SMALL-ring one, so the ``(columns, limbs)`` temporaries stay in cache
+#: (a TEST batch's 1,664 columns: 1.9 µs each in steps, 2.8 µs at once).
 _CRT_COLUMNS = 1 << 8
 
 
@@ -222,9 +218,10 @@ def _rns_primes(n: int, q: int, need_bits: int) -> tuple[int, ...]:
 
 class _Plan:
     """Precomputed tables for one ``(n, q)`` pair on one RNS basis,
-    ``primes`` (see :meth:`NumpyBackend._sum_plan` for its sizing)."""
+    ``primes``, for exact values below ``2^bound_bits / 2`` in magnitude
+    (see :meth:`NumpyBackend._sum_plan` for the sizing)."""
 
-    def __init__(self, n: int, q: int, primes: Sequence[int]):
+    def __init__(self, n: int, q: int, primes: Sequence[int], bound_bits: int):
         self.n = n
         self.q = q
         self.primes = np.asarray(primes, dtype=np.int64)
@@ -234,26 +231,7 @@ class _Plan:
         #: Polynomials per batched transform: :data:`_BATCH_ELEMENTS`
         #: worth, and at least one.
         self.transform_rows = max(1, _BATCH_ELEMENTS // (k * n))
-        self.p_col = self.primes.reshape(k, 1, 1)
         self.p_flat = self.primes.reshape(k, 1)
-        psi_rev = np.empty((k, n), dtype=np.int64)
-        psi_inv_rev = np.empty((k, n), dtype=np.int64)
-        n_inv = np.empty((k, 1), dtype=np.int64)
-        for i, p in enumerate(primes):
-            # Build tables directly (not via get_context) so RNS basis
-            # primes never evict real ring moduli from the shared cache.
-            ctx = ntt.NttContext(n, p)
-            psi_rev[i] = ctx._psi_rev
-            psi_inv_rev[i] = ctx._psi_inv_rev
-            n_inv[i, 0] = ctx.n_inv
-        self.psi_rev = psi_rev
-        self.psi_inv_rev = psi_inv_rev
-        self.n_inv = n_inv
-        # Shoup companions: floor(s << 32 / p), exact in int64
-        # because s < 2^28 keeps s << 32 below 2^60.
-        self.psi_rev_shoup = (psi_rev << 32) // self.p_flat
-        self.psi_inv_rev_shoup = (psi_inv_rev << 32) // self.p_flat
-        self.n_inv_shoup = (n_inv << 32) // self.p_flat[:, :1]
         # Base-2^16 digits of the inputs convert to residues via one
         # matmul with 2^(16j) mod p_k.
         self.words = (q.bit_length() + 15) // 16
@@ -264,18 +242,59 @@ class _Plan:
             ],
             dtype=np.float64,
         )
-        m_total = 1
-        for p in primes:
-            m_total *= p
-        self.modulus = m_total
-        self.half_modulus = m_total >> 1
-        self.limbs = (m_total.bit_length() + 40) // 16 + 1
-        crt = np.empty((k, self.limbs), dtype=np.float64)
-        for i, p in enumerate(primes):
-            m_k = m_total // p
-            c_k = m_k * pow(m_k % p, -1, p)
-            crt[i] = [(c_k >> (16 * j)) & 0xFFFF for j in range(self.limbs)]
-        self.crt_limbs = crt
+        # Bailey's four-step split, once per step of at most 32 points,
+        # tables gathered from each prime's powers of psi.  Step s (r
+        # points after P) takes the top digit i of what is left of the
+        # index against psi^((n/r)·i·(2j+o)) (o = 1 on the first step, for
+        # the negacyclic twist), the rest m against psi^(P·m·(2j+o)).  A
+        # matrix is its 14-bit digits, low rows above high; inverses / r.
+        p = self.p_flat[:, :, None]
+        power = np.ones((k, 2 * n), dtype=np.int64)
+        psi = np.array([[primitive_root_of_unity(2 * n, x)] for x in primes])
+        span = 1
+        while span < 2 * n:  # power[:, span:2span] = power[:, :span] * psi^span
+            power[:, span : 2 * span] = power[:, :span] * psi % self.p_flat
+            psi, span = psi * psi % self.p_flat, 2 * span
+        bits = n.bit_length() - 1
+        cuts = [bits * s // -(-bits // 5) for s in range(-(-bits // 5) + 1)]
+        self.radices = [1 << (high - low) for low, high in zip(cuts, cuts[1:])]
+        self.steps = []
+        for s, r in enumerate(self.radices):
+            before = math.prod(self.radices[:s])
+            odd = 2 * np.arange(r) + (s == 0)
+            exps = (n // r) * np.outer(odd, np.arange(r)) % (2 * n)  # [j, i]
+            twist = before * np.outer(odd, np.arange(n // (before * r))) % (2 * n)
+            r_inv = np.array([[[pow(r, -1, x)]] for x in primes])
+            inverse = power[:, -exps.T] * r_inv % p
+            step = [
+                np.concatenate([m & 0x3FFF, m >> 14], 1)[:, None].astype(np.float64)
+                for m in (power[:, exps], inverse)
+            ]
+            if 0 < s == len(self.radices) - 1:  # (r, 2r): takes the data's rows
+                step = [np.ascontiguousarray(m.transpose(0, 1, 3, 2)) for m in step]
+            for exponents in (twist, -twist):
+                table = power[:, exponents][:, None, :, None]
+                step.append((table, table / p[:, :, :, None, None]))
+            self.steps.append(step)
+        # The CRT straight into Z_q: with c_k = (M/p_k)·((M/p_k)^-1 mod
+        # p_k), residues r_k lift to x = Σ r_k·c_k - v·M, v = rint(Σ
+        # r_k·inv_k/p_k), exact while |x| <= M/4.  So x mod q is one
+        # product of 14-bit digits of the r_k and of v with 16-bit limbs
+        # of c_k mod q and -M mod q; nothing of M's size per column.
+        self.modulus = math.prod(primes)
+        if not self.modulus >> (bound_bits + 1):
+            raise ParameterError(f"RNS basis {tuple(primes)} leaves no CRT margin")
+        inverses = [pow(self.modulus // p % p, -1, p) for p in primes]
+        self.crt_fraction = np.array(inverses) / self.primes
+        self.v_digits = -(-(k << 28).bit_length() // 14)
+        rows = [self.modulus // p * inv % q for p, inv in zip(primes, inverses)]
+        rows += [x << 14 for x in rows]
+        rows += [(-self.modulus % q) << (14 * d) for d in range(self.v_digits)]
+        self.limbs = -(-(max(rows).bit_length() + 14 + len(rows).bit_length()) // 16)
+        self.zq_limbs = np.array(
+            [[(x >> (16 * j)) & 0xFFFF for j in range(self.limbs)] for x in rows],
+            dtype=np.float64,
+        )
 
     def forms(self, operands: Sequence[Operand]) -> list[np.ndarray]:
         """The ``(k, n)`` evaluation form of each operand on this basis
@@ -293,10 +312,11 @@ class _Plan:
         step = self.transform_rows
         for start in range(0, len(fresh), step):
             chunk = fresh[start : start + step]
-            batch = self.forward(np.stack([self._lift(operands[i]) for i in chunk]))
-            for i, form in zip(chunk, batch):
+            batch = self.forward(np.stack([self._lift(operands[i]) for i in chunk], 1))
+            for column, i in enumerate(chunk):
+                form = batch[:, column]
                 if isinstance(operands[i], Resident):
-                    # Residues sit below 2^31: parked at half width,
+                    # Residues sit below 2^28: parked at half width,
                     # widened again by every product.
                     form = form.astype(np.int32)
                     operands[i].forms[self.form_key] = form
@@ -309,64 +329,76 @@ class _Plan:
             return np.asarray(signs, dtype=np.int64) % self.p_flat
         return self.to_residues(operand)
 
-    # -- batched transforms (one row per RNS prime) -----------------------
+    # -- transforms: matrix products on exact float64 digits --------------
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        """``(k, ...)`` integers mod p, in place, float64 below 2^53 or
+        int64 below 2^63 in magnitude: the float64 quotient is off by
+        less than one, so what is left lies within ``p/2 + 2^8`` of 0."""
+        p = self.primes.reshape(-1, *[1] * (x.ndim - 1)).astype(x.dtype)
+        quotient = x / p
+        np.rint(quotient, out=quotient)
+        quotient = quotient.astype(x.dtype, copy=False)
+        quotient *= p
+        x -= quotient
+        return x
+
+    def _step(self, x: np.ndarray, s: int, batch: int, matrix: np.ndarray):
+        """Step ``s``'s matrix along its digit, mod p, on data below 2^28 in
+        magnitude with the batch after the first digit.  A partial sum is
+        below 2^47: exact in float64 in any summation order."""
+        k, r, before = len(self.primes), self.radices[s], math.prod(self.radices[:s])
+        rest = self.n // (before * r)
+        a, c = (1, batch * rest) if s == 0 else (before * batch, rest)
+        if matrix.shape[2] > r:
+            both = np.matmul(matrix, x.reshape(k, a, r, c))
+            low, high = both[:, :, :r], both[:, :, r:]
+        else:  # the last of several steps: its digit is the data's last axis
+            both = np.matmul(x.reshape(k, 1, a, r), matrix)
+            low, high = both[..., :r], both[..., r:]
+        out = self.reduce(high) * (1 << 14)
+        out += low
+        return self.reduce(out).reshape(k, a, r, c)
+
+    def _twiddle(self, x: np.ndarray, s: int, table: tuple) -> np.ndarray:
+        """``x · twiddle mod p`` after step ``s``: the int64 product (below
+        2^55) less p times its float64 quotient estimate."""
+        whole, scaled = table
+        k, r, rest = len(self.primes), whole.shape[2], whole.shape[4]
+        view = x.reshape((k, 1, r, -1, rest) if s == 0 else (k, -1, r, 1, rest))
+        out = view.astype(np.int64) * whole
+        p = self.p_flat[:, :, None, None, None]
+        out -= np.rint(view * scaled).astype(np.int64) * p
+        return out.astype(np.float64)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        """Cooley-Tukey negacyclic NTT on every row of ``a``.
-
-        Accepts ``(k, n)`` or a batch ``(..., k, n)``; leading axes ride
-        through the butterfly stages in one set of vectorized ops, which
-        is what makes the fused relinearization fold cheap (one batched
-        transform for all digit polynomials instead of one call each).
-        Harvey butterflies: inputs < p, invariant < 4p, output < p.
-        """
-        *lead, k, n = a.shape
-        p = self.p_col
-        two_p = 2 * p
-        t, m = n, 1
-        while m < n:
-            t //= 2
-            a = a.reshape(*lead, k, m, 2, t)
-            s = self.psi_rev[:, m : 2 * m].reshape(k, m, 1)
-            s_sh = self.psi_rev_shoup[:, m : 2 * m].reshape(k, m, 1)
-            u = a[..., 0, :]
-            u = u - two_p * (u >= two_p)  # now < 2p
-            x = a[..., 1, :]
-            v = x * s - ((x * s_sh) >> 32) * p  # Shoup: < 2p
-            a[..., 0, :] = u + v  # < 4p
-            a[..., 1, :] = u - v + two_p  # < 4p
-            a = a.reshape(*lead, k, n)
-            m *= 2
-        p2 = 2 * self.p_flat
-        a = a - p2 * (a >= p2)
-        return a - self.p_flat * (a >= self.p_flat)
+        """Negacyclic NTT of every ``(k, b, n)`` row of residues: a matrix
+        product per step, a twiddle between steps; int64 within ``p/2 +
+        2^8`` of zero, in an evaluation order only :meth:`inverse` reads."""
+        k, b, n = a.shape
+        r0 = self.radices[0]
+        x = a.reshape(k, b, r0, -1).transpose(0, 2, 1, 3).astype(np.float64, order="C")
+        for s, (matrix, _, twiddle, _) in enumerate(self.steps):
+            x = self._step(x, s, b, matrix)
+            if s < len(self.steps) - 1:
+                x = self._twiddle(x, s, twiddle)
+        x = x.reshape(k, r0, b, -1).transpose(0, 2, 1, 3)
+        return x.astype(np.int64, order="C").reshape(k, b, n)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        """Gentleman-Sande inverse of :meth:`forward`, ``(..., k, n)``.
-        Harvey butterflies: inputs < p, invariant < 2p, output < p."""
-        *lead, k, n = a.shape
-        p = self.p_col
-        two_p = 2 * p
-        t, m = 1, n
-        while m > 1:
-            h = m // 2
-            a = a.reshape(*lead, k, h, 2, t)
-            s = self.psi_inv_rev[:, h : 2 * h].reshape(k, h, 1)
-            s_sh = self.psi_inv_rev_shoup[:, h : 2 * h].reshape(k, h, 1)
-            u = a[..., 0, :]
-            v = a[..., 1, :]
-            lo = u + v
-            lo = lo - two_p * (lo >= two_p)  # < 2p
-            w = u - v + two_p  # < 4p, still < 2^30
-            hi = w * s - ((w * s_sh) >> 32) * p  # Shoup: < 2p
-            a[..., 0, :] = lo
-            a[..., 1, :] = hi
-            a = a.reshape(*lead, k, n)
-            t *= 2
-            m = h
-        ninv = self.n_inv
-        out = a * ninv - ((a * self.n_inv_shoup) >> 32) * self.p_flat  # < 2p
-        return out - self.p_flat * (out >= self.p_flat)
+        """:meth:`forward` undone on ``(k, m, n)`` residues below 2^28 in
+        magnitude: coefficient order, float64 in ``[0, p)``."""
+        k, m, n = a.shape
+        r0 = self.radices[0]
+        x = a.reshape(k, m, r0, -1).transpose(0, 2, 1, 3).astype(np.float64, order="C")
+        for s in reversed(range(len(self.steps))):
+            _, matrix, _, untwiddle = self.steps[s]
+            if s < len(self.steps) - 1:
+                x = self._twiddle(x, s, untwiddle)
+            x = self._step(x, s, m, matrix)
+        x += self.primes.reshape(-1, 1, 1, 1) * (x < 0)
+        x = x.reshape(k, r0, m, -1).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(x).reshape(k, m, n)
 
     # -- residue conversion / CRT reconstruction --------------------------
 
@@ -374,7 +406,8 @@ class _Plan:
         """Python ints in [0, q) -> int64 residue matrix (k, n)."""
         n = self.n
         width = 2 * self.words
-        buf = b"".join((c % self.q).to_bytes(width, "big") for c in coeffs)
+        reduced = map(mod, coeffs, repeat(self.q))
+        buf = b"".join(map(int.to_bytes, reduced, repeat(width), repeat("big")))
         # Base-2^16 digits (n, words); digit · (2^16j mod p) < 2^44 and
         # sums over <= 64 words stay < 2^50: float64 matmul is exact.
         digits = np.frombuffer(buf, dtype=">u2").reshape(n, self.words)
@@ -384,49 +417,39 @@ class _Plan:
         )
 
     def outputs(self, acc: np.ndarray) -> list[list[int]]:
-        """Accumulated sums ``(m, k, n)`` in the evaluation domain -> one
+        """Accumulated sums ``(k, m, n)`` in the evaluation domain -> one
         coefficient list per sum: stacked inverses, then the CRT over
         their ``m·n`` columns."""
-        m, k, n = acc.shape
+        k, m, n = acc.shape
         step = self.transform_rows
         flat = []
         for start in range(0, m, step):
-            chunk = self.inverse(acc[start : start + step])
-            flat += self.from_residues(chunk.transpose(1, 0, 2).reshape(k, -1))
+            chunk = self.inverse(acc[:, start : start + step])
+            flat += self.from_residues(chunk.reshape(k, -1))
         return [flat[i * n : (i + 1) * n] for i in range(m)]
 
     def from_residues(self, res: np.ndarray) -> list[int]:
-        """Residue matrix ``(k, m)`` -> the ``m`` columns' centered exact
-        values, each reduced mod q.  Converted :data:`_CRT_COLUMNS`
-        columns at a time, so the limb temporaries stay bounded however
-        many sums a call stacks."""
-        out = []
-        m_total, half, q = self.modulus, self.half_modulus, self.q
-        row_bytes = 2 * self.limbs
+        """Residue matrix ``(k, m)``, float64 in ``[0, p)`` -> the ``m``
+        columns' centered exact values, each reduced mod q, converted
+        :data:`_CRT_COLUMNS` columns at a time."""
+        out: list[int] = []
+        k, row_bytes = len(self.primes), 2 * self.limbs
         for start in range(0, res.shape[1], _CRT_COLUMNS):
-            r = res[:, start : start + _CRT_COLUMNS].T.astype(np.float64)  # < 2^28
-            # Split residues into 14-bit halves so every float64 dot
-            # product (digit < 2^14 times limb < 2^16, <= 2^9 primes)
-            # stays < 2^39, exactly representable; recombine in int64
-            # (< 2^53).
-            r_lo = np.floor(r % 16384.0)
-            r_hi = np.floor(r / 16384.0)
-            limbs = (r_lo @ self.crt_limbs).astype(np.int64) + (
-                (r_hi @ self.crt_limbs).astype(np.int64) << 14
-            )
+            r = res[:, start : start + _CRT_COLUMNS].T  # (columns, k)
+            v = np.rint(r @ self.crt_fraction).astype(np.int64)[:, None]
+            whole = r.astype(np.int64)
+            shifts = 14 * np.arange(self.v_digits)
+            digits = np.hstack([whole & 0x3FFF, whole >> 14, (v >> shifts) & 0x3FFF])
+            limbs = (digits.astype(np.float64) @ self.zq_limbs).astype(np.int64)
             while (limbs >> 16).any():
                 carry = limbs >> 16
                 limbs &= 0xFFFF
                 limbs[:, 1:] += carry[:, :-1]
             packed = limbs.astype("<u2").tobytes()
-            for i in range(len(r)):
-                x = int.from_bytes(
-                    packed[i * row_bytes : (i + 1) * row_bytes], "little"
-                )
-                x %= m_total
-                if x > half:
-                    x -= m_total
-                out.append(x % q)
+            out += [
+                int.from_bytes(packed[i : i + row_bytes], "little") % self.q
+                for i in range(0, len(packed), row_bytes)
+            ]
         return out
 
 
@@ -440,10 +463,12 @@ class NumpyBackend:
         self._lock = threading.Lock()
 
     def _plan(self, n: int, q: int, product_bits: int) -> _Plan:
-        """Tables on the smallest basis whose product is at least
-        ``2^product_bits``; bounds that need the same primes share one
-        plan (and a :class:`Resident` one form)."""
-        primes = _rns_primes(n, q, product_bits)
+        """Tables for exact values below ``2^product_bits / 2`` in
+        magnitude, on the smallest basis whose product is at least
+        ``2^(product_bits + 1)``: four times the bound, what the CRT's
+        rounding needs.  Bounds that need the same primes share one plan
+        (and a :class:`Resident` one form)."""
+        primes = _rns_primes(n, q, product_bits + 1)
         key = (n, q, primes)
         with self._lock:
             plan = self._plans.get(key)
@@ -451,7 +476,7 @@ class NumpyBackend:
                 self._plans.move_to_end(key)
                 return plan
         # Built outside the lock; tables are read-only.
-        plan = _Plan(n, q, primes)
+        plan = _Plan(n, q, primes, product_bits)
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)
@@ -510,15 +535,14 @@ class NumpyBackend:
                 slots[id(x)] = len(operands)
                 operands.append(x)
         forms = plan.forms(operands)
-        acc = np.zeros((len(sums), len(plan.primes), n), dtype=np.int64)
-        for row, terms in zip(acc, sums):
+        acc = np.zeros((len(plan.primes), len(sums), n), dtype=np.int64)
+        for row, terms in zip(acc.transpose(1, 0, 2), sums):
             for a, b in terms:
-                prod = np.multiply(
+                # Forms lie within 2^27 + 2^8 of zero: a product is below 2^55.
+                row += np.multiply(
                     forms[slots[id(a)]], forms[slots[id(b)]], dtype=np.int64
                 )
-                prod %= plan.p_flat
-                row += prod  # each term below 2^28
-        acc %= plan.p_flat
+                plan.reduce(row)
         return plan.outputs(acc)
 
     def fold_multiply_accumulate(
@@ -532,9 +556,8 @@ class NumpyBackend:
         """The digit polynomials are the machine words of each
         coefficient's byte encoding; they go through batched transforms
         on the basis :meth:`_sum_plan` sizes, are accumulated pointwise
-        against the key forms (residues below 2^31: every product fits
-        int64 and the per-step ``% p`` keeps the sums below p), and one
-        inverse + CRT reconstruction over both outputs closes the fold."""
+        against the key forms, and one inverse + CRT reconstruction over
+        both outputs closes the fold."""
         count = len(pairs)
         if not _is_pow2(n) or base_bits not in (8, 16, 32):  # machine words
             return fold_by_products(self, pairs, coeffs, base_bits, n, q)
@@ -542,19 +565,18 @@ class NumpyBackend:
         width = count * base_bits // 8
         buf = b"".join(c.to_bytes(width, "little") for c in coeffs)
         words = np.frombuffer(buf, dtype=f"<u{base_bits // 8}")
-        digits = words.reshape(n, count).T.astype(np.int64)[:, None, :]
-        shape = len(plan.primes), n
-        acc0 = np.zeros(shape, dtype=np.int64)
-        acc1 = np.zeros(shape, dtype=np.int64)
+        digits = words.reshape(n, count).T.astype(np.int64)[None]
+        acc = np.zeros((len(plan.primes), 2, n), dtype=np.int64)
         step = plan.transform_rows
         for start in range(0, count, step):
-            batch = digits[start : start + step] % plan.p_flat
-            transformed = plan.forward(batch)  # (step, primes, n)
-            for (b_i, a_i), fd in zip(pairs[start : start + step], transformed):
+            batch = digits[:, start : start + step] % plan.p_flat[:, :, None]
+            transformed = plan.forward(batch)  # (primes, step, n)
+            for (b_i, a_i), fd in zip(pairs[start:], transformed.transpose(1, 0, 2)):
                 f_b, f_a = plan.forms([b_i, a_i])
-                acc0 = (acc0 + f_b * fd) % plan.p_flat
-                acc1 = (acc1 + f_a * fd) % plan.p_flat
-        d0, d1 = plan.outputs(np.stack([acc0, acc1]))
+                acc[:, 0] += f_b * fd
+                acc[:, 1] += f_a * fd
+                plan.reduce(acc)
+        d0, d1 = plan.outputs(acc)
         return d0, d1
 
     def chacha20_keystreams(

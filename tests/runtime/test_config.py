@@ -9,7 +9,7 @@ from repro.runtime import (
     set_runtime_config,
     use_runtime,
 )
-from repro.runtime.config import BACKEND_ENV, SHARDS_ENV, WORKERS_ENV
+from repro.runtime.config import BACKEND_ENV, MAX_WORKERS, SHARDS_ENV, WORKERS_ENV
 
 
 def test_defaults():
@@ -66,6 +66,19 @@ def test_from_env_rejects_non_positive(monkeypatch, env, bad):
     monkeypatch.setenv(env, bad)
     with pytest.raises(ParameterError, match=env):
         RuntimeConfig.from_env()
+
+
+def test_worker_counts_above_the_ceiling_are_refused(monkeypatch):
+    # Only constructed: no pool is ever started with these counts.
+    assert RuntimeConfig(workers=MAX_WORKERS).workers == MAX_WORKERS
+    with pytest.raises(ParameterError, match="workers"):
+        RuntimeConfig(workers=MAX_WORKERS + 1)
+    with pytest.raises(ParameterError, match="workers"):
+        RuntimeConfig(workers=10**6)
+    for raw in (str(MAX_WORKERS + 1), "99999999999999999999"):
+        monkeypatch.setenv(WORKERS_ENV, raw)
+        with pytest.raises(ParameterError, match="workers"):
+            RuntimeConfig.from_env()
 
 
 def test_from_env_rejects_unknown_backend(monkeypatch):

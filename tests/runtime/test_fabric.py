@@ -101,6 +101,17 @@ def _fail_on_zero_task(context, item):
     return item
 
 
+def test_worker_counts_above_the_ceiling_are_refused():
+    # Constructed only, never mapped: a refused count starts no pool.
+    from repro.errors import ParameterError
+    from repro.runtime.config import MAX_WORKERS
+
+    with pytest.raises(ParameterError, match="workers"):
+        TaskFabric(workers=MAX_WORKERS + 1)
+    with pytest.raises(ParameterError, match="workers"):
+        TaskFabric(workers=10**6)
+
+
 def test_parallel_reflects_worker_count_only():
     assert TaskFabric(workers=1).parallel is False
     assert TaskFabric(workers=2).parallel is True
