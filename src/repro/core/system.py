@@ -112,8 +112,9 @@ class MyceliumSystem:
                 replicas=2,
                 forwarder_fraction=0.3,
             )
-        # Genesis is a hundred-odd ring products (the relinearization
-        # pieces); run them on the configured backend like every query.
+        # Genesis is a short chain of key powers and then one batched call
+        # of every relinearization piece's product; run it on the
+        # configured backend like every query.
         with backends.use_backend(get_runtime_config().backend), telemetry.span(
             "system.setup", num_devices=num_devices
         ):

@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.crypto.polyring import RingElement, RingParams
+from repro.crypto.polyring import RingElement, RingParams, sample_bounded
 from repro.errors import CryptoError, NoiseBudgetExceeded, ParameterError
 from repro.params import BGVProfile
 from repro.runtime import backends
@@ -150,6 +150,7 @@ class Ciphertext:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_encoded", None)
+        state.pop("_digest", None)
         return state
 
     @functools.cached_property
@@ -187,7 +188,12 @@ class Ciphertext:
         return cls(profile, tuple(components), noise_bits=fresh, fresh_factors=1)
 
     def digest(self) -> bytes:
-        return hashlib.sha256(self.serialize()).digest()
+        """SHA-256 of :meth:`serialize`, kept beside it the same way."""
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> bytes:
+        return hashlib.sha256(self._encoded).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +223,43 @@ def make_relin_keys(
     if max_power < 2:
         return RelinKeySet(secret.profile, {})
     profile = secret.profile
-    ring = profile.ring
+    ring, q, t = profile.ring, profile.q, profile.t
     base = 1 << profile.relin_base_bits
     num_pieces = (profile.q.bit_length() + profile.relin_base_bits - 1) // (
         profile.relin_base_bits
     )
-    keys: dict[int, RelinKey] = {}
     s = backends.Resident(secret.s.coeffs)  # one transform, every product
-    s_power = secret.s
-    for power in range(2, max_power + 1):
-        (s_power,) = _products(ring, [[(s_power.coeffs, s)]])
+    powers = [secret.s]
+    for _ in range(2, max_power + 1):  # each power needs the one before
+        powers += _products(ring, [[(powers[-1].coeffs, s)]])
+    # Products draw nothing: every piece's (a_i, e_i) is drawn in the order
+    # the pieces are built, and every a_i·s is one backend call.
+    draws = [
+        (
+            RingElement.random_uniform(ring, rng),
+            sample_bounded(profile.n, profile.error_bound, rng),
+        )
+        for _ in range(num_pieces * (max_power - 1))
+    ]
+    products = backends.ring_multiply([[(a.coeffs, s)] for a, _ in draws], ring.n, q)
+    # Popped as each b_i is built: at SMALL the products weigh as much as
+    # the keys (held to the end, they took ring_small's peak RSS from 134
+    # to 152 MiB).
+    products.reverse()
+    drawn = iter(draws)
+    keys: dict[int, RelinKey] = {}
+    for power, s_power in enumerate(powers[1:], start=2):
         pieces = []
         scale = 1
         for _ in range(num_pieces):
-            a_i = RingElement.random_uniform(ring, rng)
-            e_i = RingElement.random_bounded(ring, profile.error_bound, rng)
-            b_i = (
-                -_products(ring, [[(a_i.coeffs, s)]])[0]
-                + e_i.scale(profile.t)
-                + s_power.scale(scale)
+            (a_i, e_i), x_i = next(drawn), products.pop()
+            # b_i = t·e_i - a_i·s + base^i·s^power, in one pass.
+            b_i = tuple(
+                (t * e - x + scale * y) % q
+                for e, x, y in zip(e_i, x_i, s_power.coeffs)
             )
-            pieces.append((b_i, a_i))
-            scale = (scale * base) % profile.q
+            pieces.append((RingElement(ring, b_i), a_i))
+            scale = (scale * base) % q
         keys[power] = RelinKey(power, profile.relin_base_bits, tuple(pieces))
     return RelinKeySet(profile, keys)
 

@@ -11,11 +11,40 @@ the optional NumPy backend computes the identical product vectorized.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 
 from repro.crypto.modmath import centered_mod
 from repro.errors import ParameterError
 from repro.runtime import backends
+
+
+def draws_below(n: int, count: int, rng: random.Random) -> list[int]:
+    """``[rng.randrange(n) for _ in range(count)]`` for ``n < 2^32``, and
+    the generator left in the same state.
+
+    ``randrange`` takes one 32-bit word per try, keeps its top
+    ``n.bit_length()`` bits and tries again when they reach ``n``.  Each
+    round here takes as many words as values are missing — never more
+    than the tries still to come — in one ``getrandbits`` call, and
+    keeps the values below ``n`` in order.
+    """
+    if n >> 32:
+        return [rng.randrange(n) for _ in range(count)]
+    shift = 32 - n.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        missing = count - len(out)
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        tops = [w >> shift for w in struct.unpack(f"<{missing}I", words)]
+        out += [v for v in tops if v < n]
+    return out
+
+
+def sample_bounded(n: int, bound: int, rng: random.Random) -> list[int]:
+    """``n`` signed values uniform over ``[-bound, bound]``:
+    ``rng.randint(-bound, bound)`` ``n`` times."""
+    return [v - bound for v in draws_below(2 * bound + 1, n, rng)]
 
 
 @dataclass(frozen=True)
@@ -97,10 +126,8 @@ class RingElement:
     @classmethod
     def random_ternary(cls, params: RingParams, rng: random.Random) -> RingElement:
         """Uniform over {-1, 0, 1}^n — the BGV secret/ephemeral distribution."""
-        return cls(
-            params,
-            tuple(rng.choice((-1, 0, 1)) % params.q for _ in range(params.n)),
-        )
+        lift = (params.q - 1, 0, 1)  # rng.choice((-1, 0, 1)) % q
+        return cls(params, tuple(lift[i] for i in draws_below(3, params.n, rng)))
 
     @classmethod
     def random_bounded(
@@ -112,10 +139,8 @@ class RingElement:
         it has the same worst-case noise-growth behaviour, which is what the
         budget analysis relies on.
         """
-        return cls(
-            params,
-            tuple(rng.randint(-bound, bound) % params.q for _ in range(params.n)),
-        )
+        q = params.q
+        return cls(params, tuple(c % q for c in sample_bounded(params.n, bound, rng)))
 
     # -- arithmetic --------------------------------------------------------
 

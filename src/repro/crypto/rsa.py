@@ -47,13 +47,17 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """``n = p·q`` and the private exponent; the factors are kept so
+    """``n = p·q`` and the private exponent; the factors, with
+    ``d mod (p-1)``, ``d mod (q-1)`` and ``q^-1 mod p``, are kept so
     decryption can run as two half-size exponentiations."""
 
     n: int
     d: int
     p: int
     q: int
+    d_p: int
+    d_q: int
+    q_inv: int
 
     @property
     def public(self) -> RsaPublicKey:
@@ -75,7 +79,9 @@ def generate_keypair(bits: int, rng: random.Random) -> tuple[RsaPrivateKey, RsaP
             continue
         n = p * q
         d = invmod(PUBLIC_EXPONENT, phi)
-        private = RsaPrivateKey(n=n, d=d, p=p, q=q)
+        private = RsaPrivateKey(
+            n=n, d=d, p=p, q=q, d_p=d % (p - 1), d_q=d % (q - 1), q_inv=invmod(q, p)
+        )
         return private, private.public
 
 
@@ -113,10 +119,10 @@ def encrypt(public: RsaPublicKey, message: bytes, rng: random.Random) -> bytes:
 def _private_power(private: RsaPrivateKey, value: int) -> int:
     """``value^d mod n`` by the CRT: two half-size exponentiations,
     recombined by Garner's formula."""
-    p, q, d = private.p, private.q, private.d
-    m_p = pow(value % p, d % (p - 1), p)
-    m_q = pow(value % q, d % (q - 1), q)
-    return m_q + q * ((m_p - m_q) * invmod(q, p) % p)
+    p, q = private.p, private.q
+    m_p = pow(value % p, private.d_p, p)
+    m_q = pow(value % q, private.d_q, q)
+    return m_q + q * ((m_p - m_q) * private.q_inv % p)
 
 
 def decrypt(private: RsaPrivateKey, ciphertext: bytes) -> bytes:

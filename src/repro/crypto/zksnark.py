@@ -35,6 +35,7 @@ with the same interface, security behaviour, and cost model:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -80,13 +81,23 @@ class Statement:
     public_inputs: tuple
 
     def digest(self) -> bytes:
-        return protocol_hash(
-            b"statement", self.circuit.encode(), canonical_encode(self.public_inputs)
-        )
+        """Hashed once per value, like the encoded size: both are kept
+        beside the fields, not compared, not in ``repr``, not pickled."""
+        return self._measured[0]
 
     @property
     def public_input_bytes(self) -> int:
-        return len(canonical_encode(self.public_inputs))
+        return self._measured[1]
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_measured", None)
+        return state
+
+    @functools.cached_property
+    def _measured(self) -> tuple[bytes, int]:
+        encoded = canonical_encode(self.public_inputs)
+        return protocol_hash(b"statement", self.circuit.encode(), encoded), len(encoded)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,11 @@ stacked inverses of every sum and one CRT pass over all their
 coefficients, so a destination's slot of leaf encryptions at the TEST
 ring costs the NumPy call overhead of one product.  Stacks are bounded
 (:data:`_BATCH_ELEMENTS`, :data:`_CRT_COLUMNS`), so a large ring is still
-transformed one polynomial at a time.  A product with a ternary operand (every
-coefficient ``0``, ``1`` or ``q-1``) lifts that operand centered, into
+transformed one polynomial at a time, and a call's sums are taken in
+groups of :data:`_GROUP_ELEMENTS`, so a genesis hands every
+relinearization piece to one call at the memory of a few products.  A
+product with a ternary operand (every coefficient ``0``, ``1`` or
+``q-1``) lifts that operand centered, into
 {-1, 0, 1}, and is bounded by ``n·q``: its basis is half as wide.  No
 approximation anywhere: the result equals the sum of the schoolbook
 products for every modulus.
@@ -45,9 +48,9 @@ import functools
 import math
 import threading
 from collections import OrderedDict
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -80,6 +83,16 @@ _BATCH_ELEMENTS = 1 << 16
 #: SMALL-ring one, so the ``(columns, limbs)`` temporaries stay in cache
 #: (a TEST batch's 1,664 columns: 1.9 µs each in steps, 2.8 µs at once).
 _CRT_COLUMNS = 1 << 8
+
+#: Elements of operand forms and accumulator per group of a product
+#: call's sums (see :func:`_groups`): 256 KiB of int64, 25 rows of the
+#: TEST ternary basis, less than one SMALL row, so at SMALL every sum is
+#: a group and a call of any length holds the working set of a product.
+#: At TEST it is also the fastest of 2^14, 2^15 and 2^16: in three
+#: interleaved runs a genesis's 224 products took 15–22 % less time than
+#: at 2^14 and at least 31 % less than at 2^16, a 14-leaf encryption
+#: batch 9–14 % and 7–30 % less.
+_GROUP_ELEMENTS = 1 << 15
 
 
 #: "expand 32-byte k", the first four words of every ChaCha20 state.
@@ -296,38 +309,51 @@ class _Plan:
             dtype=np.float64,
         )
 
-    def forms(self, operands: Sequence[Operand]) -> list[np.ndarray]:
-        """The ``(k, n)`` evaluation form of each operand on this basis
-        (read-only: a :class:`Resident` hands the same array to every
-        product).  The operands not yet in this basis' form go through
-        batched :meth:`forward` calls, :data:`_BATCH_ELEMENTS` at a
-        time, and a :class:`Resident` files its slice for every later
-        product.  A ternary operand is lifted centered, on every basis:
-        ``q-1`` becomes ``-1``, whose residue is ``p_k - 1``."""
-        out: list = [
-            operand.forms.get(self.form_key) if isinstance(operand, Resident) else None
-            for operand in operands
-        ]
-        fresh = [i for i, form in enumerate(out) if form is None]
+    def forms(self, operands: Sequence[Operand]) -> np.ndarray:
+        """The evaluation forms of ``operands`` on this basis, stacked
+        ``(len(operands), k, n)``.  The operands not yet in this basis'
+        form go through batched :meth:`forward` calls,
+        :attr:`transform_rows` at a time, and a :class:`Resident` files
+        its form for every later product.  A ternary operand is lifted
+        centered, on every basis: ``q-1`` becomes ``-1``, whose residue
+        is ``p_k - 1``."""
+        out = np.empty((len(operands), len(self.primes), self.n), dtype=np.int64)
+        fresh = []
+        for i, operand in enumerate(operands):
+            form = (
+                operand.forms.get(self.form_key)
+                if isinstance(operand, Resident)
+                else None
+            )
+            if form is None:
+                fresh.append(i)
+            else:
+                out[i] = form
         step = self.transform_rows
         for start in range(0, len(fresh), step):
             chunk = fresh[start : start + step]
-            batch = self.forward(np.stack([self._lift(operands[i]) for i in chunk], 1))
-            for column, i in enumerate(chunk):
-                form = batch[:, column]
+            batch = self.forward(self._lift([operands[i] for i in chunk]))
+            out[chunk] = batch.transpose(1, 0, 2)
+            for i in chunk:
                 if isinstance(operands[i], Resident):
                     # Residues sit below 2^28: parked at half width,
                     # widened again by every product.
-                    form = form.astype(np.int32)
-                    operands[i].forms[self.form_key] = form
-                out[i] = form
+                    operands[i].forms[self.form_key] = out[i].astype(np.int32)
         return out
 
-    def _lift(self, operand: Operand) -> np.ndarray:
-        signs = _ternary_signs(operand, self.q)
-        if signs is not None:
-            return np.asarray(signs, dtype=np.int64) % self.p_flat
-        return self.to_residues(operand)
+    def _lift(self, operands: Sequence[Operand]) -> np.ndarray:
+        """``(k, b, n)`` residues of ``b`` operands: the ternary ones
+        from their signs, the rest through one :meth:`to_residues`."""
+        lifted = np.empty((len(self.primes), len(operands), self.n), dtype=np.int64)
+        signs = [_ternary_signs(operand, self.q) for operand in operands]
+        ternary = [i for i, row in enumerate(signs) if row is not None]
+        general = [i for i, row in enumerate(signs) if row is None]
+        if ternary:
+            rows = np.asarray([signs[i] for i in ternary], dtype=np.int64)
+            lifted[:, ternary] = rows % self.p_flat[:, :, None]
+        if general:
+            lifted[:, general] = self.to_residues([operands[i] for i in general])
+        return lifted
 
     # -- transforms: matrix products on exact float64 digits --------------
 
@@ -402,19 +428,19 @@ class _Plan:
 
     # -- residue conversion / CRT reconstruction --------------------------
 
-    def to_residues(self, coeffs: Sequence[int]) -> np.ndarray:
-        """Python ints in [0, q) -> int64 residue matrix (k, n)."""
-        n = self.n
+    def to_residues(self, operands: Sequence[Sequence[int]]) -> np.ndarray:
+        """Python ints in [0, q), ``b`` polynomials of them -> int64
+        residues ``(k, b, n)``: one byte string, one matmul."""
         width = 2 * self.words
-        reduced = map(mod, coeffs, repeat(self.q))
+        reduced = map(mod, chain.from_iterable(operands), repeat(self.q))
         buf = b"".join(map(int.to_bytes, reduced, repeat(width), repeat("big")))
-        # Base-2^16 digits (n, words); digit · (2^16j mod p) < 2^44 and
+        # Base-2^16 digits (b·n, words); digit · (2^16j mod p) < 2^44 and
         # sums over <= 64 words stay < 2^50: float64 matmul is exact.
-        digits = np.frombuffer(buf, dtype=">u2").reshape(n, self.words)
-        res = digits.astype(np.float64) @ self.pow16  # (n, k), exact
-        return np.ascontiguousarray(
-            (res.astype(np.int64) % self.primes).T
-        )
+        digits = np.frombuffer(buf, dtype=">u2").reshape(-1, self.words)
+        res = self.pow16.T @ digits.T.astype(np.float64)  # (k, b·n), exact
+        residues = res.astype(np.int64)
+        residues %= self.p_flat
+        return residues.reshape(len(self.primes), len(operands), self.n)
 
     def outputs(self, acc: np.ndarray) -> list[list[int]]:
         """Accumulated sums ``(k, m, n)`` in the evaluation domain -> one
@@ -445,12 +471,56 @@ class _Plan:
                 carry = limbs >> 16
                 limbs &= 0xFFFF
                 limbs[:, 1:] += carry[:, :-1]
-            packed = limbs.astype("<u2").tobytes()
-            out += [
-                int.from_bytes(packed[i : i + row_bytes], "little") % self.q
-                for i in range(0, len(packed), row_bytes)
-            ]
+            # One bytes object per column, then C-level maps over them.
+            rows = limbs.astype("<u2").view(f"V{row_bytes}").ravel().tolist()
+            values = map(int.from_bytes, rows, repeat("little"))
+            out += map(mod, values, repeat(self.q))
         return out
+
+
+def _groups(sums: Sequence[Sum], rows: int) -> Iterator[list[Sum]]:
+    """Consecutive runs of ``sums`` that hold at most ``rows`` ring rows
+    of operand forms and accumulator — one per distinct operand, one per
+    sum — or a single sum that alone holds more."""
+    group: list[Sum] = []
+    seen: set[int] = set()
+    for terms in sums:
+        new = {id(x) for pair in terms for x in pair} - seen
+        if group and len(seen) + len(new) + len(group) + 1 > rows:
+            yield group
+            group, seen = [], set()
+            new = {id(x) for pair in terms for x in pair}
+        group.append(terms)
+        seen |= new
+    if group:
+        yield group
+
+
+def _accumulate(plan: _Plan, group: Sequence[Sum]) -> np.ndarray:
+    """The sums of ``group`` in the evaluation domain, ``(k, m, n)``:
+    every distinct operand's form once, then per term position one
+    gathered product of every sum that has a term there, and one
+    reduction."""
+    slots: dict[int, int] = {}  # id(operand) -> row of ``forms``
+    operands = []
+    for x in (x for terms in group for pair in terms for x in pair):
+        if id(x) not in slots:
+            slots[id(x)] = len(operands)
+            operands.append(x)
+    forms = plan.forms(operands).transpose(1, 0, 2)
+    acc = np.zeros((len(plan.primes), len(group), plan.n), dtype=np.int64)
+    for position in range(max(map(len, group))):
+        rows = [i for i, terms in enumerate(group) if len(terms) > position]
+        left = [slots[id(group[i][position][0])] for i in rows]
+        right = [slots[id(group[i][position][1])] for i in rows]
+        # Forms lie within 2^27 + 2^8 of zero: a product is below 2^55.
+        product = np.multiply(forms[:, left], forms[:, right])
+        if len(rows) == len(group):
+            acc += product
+        else:
+            acc[:, rows] += product
+        plan.reduce(acc)
+    return acc
 
 
 class NumpyBackend:
@@ -512,15 +582,16 @@ class NumpyBackend:
         self, sums: Sequence[Sum], n: int, q: int
     ) -> list[list[int]]:
         """One plan for the whole call — the ternary basis only if every
-        pair has a ternary operand, sized for the longest sum — batched
-        transforms of the operands (each once, however many pairs share
-        it), the pair products accumulated per sum, then
-        :meth:`_Plan.outputs`."""
+        pair has a ternary operand, sized for the longest sum — then the
+        sums in groups of :data:`_GROUP_ELEMENTS`: each group's operands
+        transformed in batches (each once, however many pairs share it),
+        its pair products accumulated, then :meth:`_Plan.outputs`."""
         if not _is_pow2(n):
             return [schoolbook_sum(pairs, n, q) for pairs in sums]
-        pairs = [pair for terms in sums for pair in terms]
         ternary = all(
-            any(_ternary_signs(x, q) is not None for x in pair) for pair in pairs
+            any(_ternary_signs(x, q) is not None for x in pair)
+            for terms in sums
+            for pair in terms
         )
         plan = self._sum_plan(
             n,
@@ -528,22 +599,11 @@ class NumpyBackend:
             0 if ternary else q.bit_length(),
             max((len(terms) for terms in sums), default=0),
         )
-        slots: dict[int, int] = {}  # id(operand) -> index in ``forms``
-        operands = []
-        for x in (x for pair in pairs for x in pair):
-            if id(x) not in slots:
-                slots[id(x)] = len(operands)
-                operands.append(x)
-        forms = plan.forms(operands)
-        acc = np.zeros((len(plan.primes), len(sums), n), dtype=np.int64)
-        for row, terms in zip(acc.transpose(1, 0, 2), sums):
-            for a, b in terms:
-                # Forms lie within 2^27 + 2^8 of zero: a product is below 2^55.
-                row += np.multiply(
-                    forms[slots[id(a)]], forms[slots[id(b)]], dtype=np.int64
-                )
-                plan.reduce(row)
-        return plan.outputs(acc)
+        rows = max(1, _GROUP_ELEMENTS // (len(plan.primes) * n))
+        out: list[list[int]] = []
+        for group in _groups(sums, rows):
+            out += plan.outputs(_accumulate(plan, group))
+        return out
 
     def fold_multiply_accumulate(
         self,

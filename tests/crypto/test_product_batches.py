@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
+from repro.crypto import bgv
 from repro.params import SMALL, TEST
 from repro.runtime import available_backends, backends, resolve_backend, use_backend
 
@@ -94,3 +95,30 @@ def test_ring_multiply_counts_pairs_not_sums():
         counters = session.snapshot()["counters"]
     assert len(out) == 2
     assert counters["runtime.backend.multiplies"] == 4
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_relin_keys_take_one_call_per_power_and_one_for_every_piece(
+    name, monkeypatch
+):
+    """The key powers are a chain, one call each; every piece's
+    ``a_i·s`` then goes in one call, however many pieces there are."""
+    calls = []
+    ring_multiply = backends.ring_multiply
+
+    def spy(sums, n, q):
+        calls.append(len(sums))
+        return ring_multiply(sums, n, q)
+
+    monkeypatch.setattr(backends, "ring_multiply", spy)
+    rng = random.Random(5)
+    secret, _ = bgv.keygen(TEST, rng)
+    pieces = -(-TEST.q.bit_length() // TEST.relin_base_bits)
+    with use_backend(name):
+        for max_power in (2, 5):
+            calls.clear()
+            keys = bgv.make_relin_keys(secret, max_power, rng)
+            assert sum(len(key.pieces) for key in keys.keys.values()) == (
+                pieces * (max_power - 1)
+            )
+            assert calls == [1] * (max_power - 1) + [pieces * (max_power - 1)]
