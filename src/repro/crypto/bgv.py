@@ -298,23 +298,30 @@ def encrypt(
         randomness = [EncryptionRandomness.generate(profile, rng) for _ in plaintexts]
     elif len(randomness) != len(plaintexts):
         raise ParameterError("encryption takes one randomness per plaintext")
+    ring, q, t = profile.ring, profile.q, profile.t
+    if any(rand.e0.params != ring or rand.e1.params != ring for rand in randomness):
+        raise ParameterError("ring parameters do not match")
     _count("bgv.encrypt.count", len(plaintexts))
-    ring, t = profile.ring, profile.t
     pk0, pk1 = pk.resident
     sums = []
     for rand in randomness:
         u = backends.Resident(rand.u.coeffs)
         sums += [[(pk0, u)], [(pk1, u)]]
-    products = _products(ring, sums)
+    products = backends.ring_multiply(sums, ring.n, q)
     ciphertexts = []
-    for plaintext, rand, c0, c1 in zip(
+    for plaintext, rand, x0, x1 in zip(
         plaintexts, randomness, products[0::2], products[1::2]
     ):
-        m_lifted = RingElement.from_coeffs(ring, [c % t for c in plaintext.coeffs])
+        # c0 = x0 + t·e0 + (m mod t), c1 = x1 + t·e1: one pass each.
+        c0 = tuple(
+            (x + t * e + m % t) % q
+            for x, e, m in zip(x0, rand.e0.coeffs, plaintext.coeffs)
+        )
+        c1 = tuple((x + t * e) % q for x, e in zip(x1, rand.e1.coeffs))
         ciphertexts.append(
             Ciphertext(
                 profile,
-                (c0 + rand.e0.scale(t) + m_lifted, c1 + rand.e1.scale(t)),
+                (RingElement(ring, c0), RingElement(ring, c1)),
                 noise_bits=_fresh_noise_bits(profile),
                 fresh_factors=1,
             )

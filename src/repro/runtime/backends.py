@@ -51,8 +51,11 @@ class Resident:
     A backend may also file what it learned about the values: the NumPy
     kernel records whether the operand is ternary (every coefficient
     ``0``, ``1`` or ``q-1``, as the BGV secret ``s`` and the encryption
-    randomness ``u`` are by construction), which halves the basis of
-    every product it takes part in.
+    randomness ``u`` are by construction).  On a small ring a product
+    with a ternary operand then needs no transform, and the other
+    operand's 32-bit limbs are filed here too (a public key is split
+    once); on a larger ring it halves the basis of every product the
+    operand takes part in.
     """
 
     __slots__ = ("coeffs", "forms")
@@ -324,8 +327,9 @@ def ring_multiply(sums: Sequence[Sum], n: int, q: int) -> list[list[int]]:
     ``runtime.backend.multiplies`` counter sees every ring product — every
     pair — the parent process performs.  A ternary operand (the secret
     ``s``, the encryption randomness ``u``) may change how a backend
-    computes the product — the NumPy kernel finds it and uses a basis
-    half as wide — never the product.
+    computes the product — the NumPy kernel finds it and skips the
+    transforms on a small ring, or uses a basis half as wide on a larger
+    one — never the product.
     """
     telemetry.count("runtime.backend.multiplies", sum(len(pairs) for pairs in sums))
     return _active.negacyclic_multiply(sums, n, q)

@@ -4,9 +4,24 @@ the ChaCha20 keystream.
 Bit-identical to the pure-Python reference backend, at NumPy speed.
 The ring moduli are too large for ``int64`` (the paper's 550-bit
 modulus, the test profiles' 512/900-bit ones) or not NTT-friendly at
-all (the plaintext modulus ``t``), so every product sum, whatever its
-``(n, q)``, is computed *exactly* over a residue number system, its
-tables cached as a :class:`_Plan`: a basis of 28-bit NTT-friendly primes
+all (the plaintext modulus ``t``), so a product sum is computed
+*exactly* in one of two ways, chosen by the ring degree and the
+operands' values.
+
+Where every pair has a ternary operand (every coefficient ``0``, ``1``
+or ``q-1``, as the BGV secret ``s`` and the encryption randomness ``u``
+are) and ``n`` is at most :data:`_DIRECT_MAX_N`, there is no transform
+at all (:func:`_direct_sums`): the product with a ternary operand is a
+signed sum of ``n`` rotations, i.e. its ``n×n`` sign matrix times the
+other operand.  One float64 GEMM of the sign matrices against the other
+operands' 32-bit limbs gives every product of the call, each entry below
+``terms·n·2^32`` and so exact while that is at most 2^53 (a longer sum
+takes the transforms), and a carry pass turns each coefficient's limbs
+into one integer.  At the TEST ring an encryption batch's products take
+a third to a half of the transforms' time.
+
+Every other sum goes over a residue number system, its tables cached
+as a :class:`_Plan`: a basis of 28-bit NTT-friendly primes
 ``p_k ≡ 1 (mod 2n)`` whose product ``M`` exceeds four times the
 worst-case magnitude of the centered sum (``m·n·q²`` for ``m``
 products), one batched negacyclic NTT per prime, the products
@@ -14,20 +29,21 @@ accumulated pointwise, then one inverse NTT and one CRT straight into
 ``Z_q``.  The sums of one call share all of it: one
 plan, stacked forward transforms of every operand not yet in its form,
 stacked inverses of every sum and one CRT pass over all their
-coefficients, so a destination's slot of leaf encryptions at the TEST
-ring costs the NumPy call overhead of one product.  Stacks are bounded
+coefficients.  Stacks are bounded
 (:data:`_BATCH_ELEMENTS`, :data:`_CRT_COLUMNS`), so a large ring is still
-transformed one polynomial at a time, and a call's sums are taken in
-groups of :data:`_GROUP_ELEMENTS`, so a genesis hands every
-relinearization piece to one call at the memory of a few products.  A
-product with a ternary operand (every coefficient ``0``, ``1`` or
-``q-1``) lifts that operand centered, into
-{-1, 0, 1}, and is bounded by ``n·q``: its basis is half as wide.  No
-approximation anywhere: the result equals the sum of the schoolbook
-products for every modulus.
+transformed one polynomial at a time.  A ternary operand above the
+direct path's degrees is lifted centered, into {-1, 0, 1}, and its
+product is bounded by ``n·q``: its basis is half as wide.
+
+Either way a call's sums are taken in groups of about
+:data:`_GROUP_ELEMENTS` elements of working set, so a genesis hands
+every relinearization piece to one call at the memory of a few
+products.  No approximation anywhere: the result equals the sum of the
+schoolbook products for every modulus.
 
 Everything heavy is a BLAS matrix product made exact: one operand is
-split into 14- or 16-bit digits, so every partial sum stays below 2^53
+split into 14- or 16-bit digits (32-bit limbs against a ±1 matrix on
+the direct path), so every partial sum stays below 2^53
 and ``float64`` accumulates it exactly in any order.  Each RNS transform
 is Bailey's four-step split into steps of at most 32 points, a matrix
 product per step and a pointwise twiddle between steps; a product's
@@ -84,15 +100,29 @@ _BATCH_ELEMENTS = 1 << 16
 #: (a TEST batch's 1,664 columns: 1.9 µs each in steps, 2.8 µs at once).
 _CRT_COLUMNS = 1 << 8
 
-#: Elements of operand forms and accumulator per group of a product
-#: call's sums (see :func:`_groups`): 256 KiB of int64, 25 rows of the
-#: TEST ternary basis, less than one SMALL row, so at SMALL every sum is
-#: a group and a call of any length holds the working set of a product.
-#: At TEST it is also the fastest of 2^14, 2^15 and 2^16: in three
-#: interleaved runs a genesis's 224 products took 15–22 % less time than
-#: at 2^14 and at least 31 % less than at 2^16, a 14-leaf encryption
-#: batch 9–14 % and 7–30 % less.
+#: Elements of working set per group of a product call's sums (see
+#: :func:`_groups` and :func:`_direct_groups`): 256 KiB of float64 or
+#: int64.  On the RNS path that is 25 rows of a ternary basis or 13 of
+#: the general one at TEST, less than one SMALL row, so at SMALL every
+#: sum is a group and a call of any length holds the working set of a
+#: product.  At TEST a direct group holds a few encryptions (three of a
+#: 16-leaf batch) or eight ``a_i·s`` genesis products; from 2^14 to 2^17
+#: a 16-leaf batch's kernel time per encryption moved within the run's
+#: noise.  The RNS path was tuned at TEST before the direct path took
+#: its ternary sums: 2^15 beat 2^14 and 2^16 there by 9–31 %.
 _GROUP_ELEMENTS = 1 << 15
+
+#: Largest ring degree whose ternary product sums skip the transforms
+#: (:func:`_direct_sums`).  Kernel time per encryption of a 16-leaf
+#: batch, direct against the RNS basis, at a 513-bit q: 91–158 against
+#: 297 µs at n=64, 262–344 against 660 µs at n=128, 770 against
+#: 1,227–1,377 µs at n=256, but 2,866–2,901 against 2,562–2,631 µs at
+#: n=512 (docs/PERFORMANCE.md has the 901-bit column).
+_DIRECT_MAX_N = 256
+
+#: Largest ``terms·n`` of a direct product sum: its float64 entries lie
+#: below ``terms·n·2^32``, exact up to 2^53.
+_DIRECT_EXACT = 1 << 21
 
 
 #: "expand 32-byte k", the first four words of every ChaCha20 state.
@@ -496,6 +526,128 @@ def _groups(sums: Sequence[Sum], rows: int) -> Iterator[list[Sum]]:
         yield group
 
 
+def _oriented(pair, q: int) -> tuple:
+    """``(ternary operand, other operand, the ternary one's signs)`` of
+    a pair with at least one ternary operand, the right one if both."""
+    a, b = pair
+    signs = _ternary_signs(b, q)
+    return (b, a, signs) if signs is not None else (a, b, _ternary_signs(a, q))
+
+
+@functools.lru_cache(maxsize=4)
+def _negacyclic_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(k - j) mod n`` and its sign, ``+1`` for ``j <= k`` and ``-1``
+    above the diagonal (``x^n = -1``): indexing a ternary operand's
+    values by the first and scaling by the second gives the ``n×n``
+    matrix whose product with the other operand is the negacyclic
+    product."""
+    k, j = np.indices((n, n))
+    index, signs = (k - j) % n, np.where(j <= k, 1.0, -1.0)
+    index.flags.writeable = signs.flags.writeable = False
+    return index, signs
+
+
+def _limb_stack(generals: Sequence[Operand], q: int, width: int) -> np.ndarray:
+    """``(n, len(generals), width)`` float64 32-bit limbs, least
+    significant first, of operands with values below ``2^(32·width)``
+    once reduced mod q.  The operands not yet split go through one byte
+    join, and a :class:`Resident` files its limbs."""
+    key = ("limbs", q)
+    held = [x.forms.get(key) if isinstance(x, Resident) else None for x in generals]
+    fresh = [i for i, limbs in enumerate(held) if limbs is None]
+    if fresh:
+        reduced = map(mod, chain.from_iterable(generals[i] for i in fresh), repeat(q))
+        buf = b"".join(map(int.to_bytes, reduced, repeat(4 * width), repeat("little")))
+        split = np.frombuffer(buf, dtype="<u4").astype(np.float64)
+        for i, limbs in zip(fresh, split.reshape(len(fresh), -1, width)):
+            held[i] = limbs
+            if isinstance(generals[i], Resident):
+                generals[i].forms[key] = limbs
+    return np.stack(held, axis=1)
+
+
+def _direct_groups(
+    oriented: Sequence[Sequence[tuple]], n: int, width: int, limit: int
+) -> Iterator[list]:
+    """Consecutive runs of ``oriented`` sums whose working set — an
+    ``n×n`` sign matrix per distinct ternary operand, ``n·width`` limbs
+    per distinct general operand, per (ternary, general) block of the
+    product and per sum — holds at most ``limit`` elements, or a single
+    sum that alone holds more."""
+    group: list = []
+    ternary: set[int] = set()
+    general: set[int] = set()
+    for terms in oriented:
+        t = ternary | {id(x) for x, _, _ in terms}
+        g = general | {id(y) for _, y, _ in terms}
+        held = len(t) * n * n + (len(g) + len(t) * len(g) + len(group) + 1) * n * width
+        if group and held > limit:
+            yield group
+            group = []
+            t = {id(x) for x, _, _ in terms}
+            g = {id(y) for _, y, _ in terms}
+        group.append(terms)
+        ternary, general = t, g
+    if group:
+        yield group
+
+
+def _direct_sums(group: Sequence[Sequence[tuple]], n: int, q: int) -> list[list[int]]:
+    """Ternary product sums without transforms: one GEMM of every
+    distinct ternary operand's sign matrix against every distinct
+    general operand's 32-bit limbs, each sum's blocks added, then the
+    limbs carried into one integer per coefficient.
+
+    A block entry is a signed sum of ``n`` limbs, so a sum's entries lie
+    below ``terms·n·2^32`` in magnitude: exact in float64 while that is
+    at most 2^53, which the caller checks.  The coefficient is then
+    ``Σ_l x_l·2^(32l)``, above ``-terms·n·q``; adding ``K·q``, ``K =
+    terms·n + 1``, makes it positive before the carries."""
+    width = -(-q.bit_length() // 32)
+    slot_t: dict[int, int] = {}
+    slot_g: dict[int, int] = {}
+    signs, generals = [], []
+    for x, y, row in (pair for terms in group for pair in terms):
+        if id(x) not in slot_t:
+            slot_t[id(x)] = len(signs)
+            signs.append(row)
+        if id(y) not in slot_g:
+            slot_g[id(y)] = len(generals)
+            generals.append(y)
+    if not signs:  # only empty sums
+        return [[0] * n for _ in group]
+    index, sign = _negacyclic_tables(n)
+    matrices = np.take(np.asarray(signs, dtype=np.float64), index, axis=1)
+    matrices *= sign
+    limbs = _limb_stack(generals, q, width).reshape(n, -1)
+    blocks = (matrices.reshape(-1, n) @ limbs).reshape(len(signs), n, len(generals), width)
+    longest = max(map(len, group))
+    acc = np.zeros((len(group), n, width))
+    for position in range(longest):
+        rows = [i for i, terms in enumerate(group) if len(terms) > position]
+        left = [slot_t[id(group[i][position][0])] for i in rows]
+        right = [slot_g[id(group[i][position][1])] for i in rows]
+        acc[rows] += blocks[left, :, right]
+    offset = (n * longest + 1) * q
+    wide = (offset.bit_length() + 32) // 32  # room for value + offset
+    # Limb-major, so each carry step is over whole rows.
+    x = np.zeros((wide, len(group) * n), dtype=np.int64)
+    x[:width] = acc.reshape(-1, width).T
+    x += np.frombuffer(offset.to_bytes(4 * wide, "little"), dtype="<u4")[:, None]
+    # Carries move up, the top limb keeps its own: the value is kept
+    # exactly, and once every lower limb is in [0, 2^32) the positive
+    # value puts the top one there too.
+    while True:
+        carry = x[:-1] >> 32
+        if not carry.any():
+            break
+        x[:-1] &= 0xFFFFFFFF
+        x[1:] += carry
+    columns = x.T.astype("<u4", order="C").view(f"V{4 * wide}").ravel().tolist()
+    values = list(map(mod, map(int.from_bytes, columns, repeat("little")), repeat(q)))
+    return [values[i * n : (i + 1) * n] for i in range(len(group))]
+
+
 def _accumulate(plan: _Plan, group: Sequence[Sum]) -> np.ndarray:
     """The sums of ``group`` in the evaluation domain, ``(k, m, n)``:
     every distinct operand's form once, then per term position one
@@ -581,11 +733,15 @@ class NumpyBackend:
     def negacyclic_multiply(
         self, sums: Sequence[Sum], n: int, q: int
     ) -> list[list[int]]:
-        """One plan for the whole call — the ternary basis only if every
-        pair has a ternary operand, sized for the longest sum — then the
-        sums in groups of :data:`_GROUP_ELEMENTS`: each group's operands
-        transformed in batches (each once, however many pairs share it),
-        its pair products accumulated, then :meth:`_Plan.outputs`."""
+        """If every pair has a ternary operand, ``n`` is at most
+        :data:`_DIRECT_MAX_N` and the longest sum is within
+        :data:`_DIRECT_EXACT`, the sums in :func:`_direct_groups`, each
+        group one :func:`_direct_sums`.  Otherwise one plan for the whole
+        call — the ternary basis only if every pair has a ternary
+        operand, sized for the longest sum — then the sums in groups of
+        :data:`_GROUP_ELEMENTS`: each group's operands transformed in
+        batches (each once, however many pairs share it), its pair
+        products accumulated, then :meth:`_Plan.outputs`."""
         if not _is_pow2(n):
             return [schoolbook_sum(pairs, n, q) for pairs in sums]
         ternary = all(
@@ -593,12 +749,15 @@ class NumpyBackend:
             for terms in sums
             for pair in terms
         )
-        plan = self._sum_plan(
-            n,
-            q,
-            0 if ternary else q.bit_length(),
-            max((len(terms) for terms in sums), default=0),
-        )
+        longest = max((len(terms) for terms in sums), default=0)
+        if ternary and n <= _DIRECT_MAX_N and longest * n <= _DIRECT_EXACT:
+            oriented = [[_oriented(pair, q) for pair in terms] for terms in sums]
+            out = []
+            width = -(-q.bit_length() // 32)
+            for group in _direct_groups(oriented, n, width, _GROUP_ELEMENTS):
+                out += _direct_sums(group, n, q)
+            return out
+        plan = self._sum_plan(n, q, 0 if ternary else q.bit_length(), longest)
         rows = max(1, _GROUP_ELEMENTS // (len(plan.primes) * n))
         out: list[list[int]] = []
         for group in _groups(sums, rows):

@@ -1,5 +1,6 @@
 """BGV correctness, homomorphism, noise-soundness, and budget tests."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import bgv, noise
-from repro.crypto.polyring import RingElement
+from repro.crypto.polyring import RingElement, RingParams
 from repro.errors import CryptoError, NoiseBudgetExceeded, ParameterError
-from repro.params import PAPER, TEST
+from repro.params import PAPER, SMALL, TEST
 
 
 def _nonzero_coeffs(plain):
@@ -36,6 +37,14 @@ class TestEncryptDecrypt:
     def test_exponent_out_of_range(self, public_key, rng):
         with pytest.raises(ParameterError):
             bgv.encrypt_monomial(public_key, TEST.n, rng)
+
+    def test_randomness_from_another_ring_is_refused(self, public_key, rng):
+        other = RingParams(TEST.n, SMALL.q)
+        fresh = bgv.EncryptionRandomness.generate(TEST, rng)
+        for field in ("e0", "e1"):
+            foreign = dataclasses.replace(fresh, **{field: RingElement.zero(other)})
+            with pytest.raises(ParameterError):
+                bgv.encrypt(public_key, [bgv.monomial(TEST, 1)], rng, randomness=[foreign])
 
     def test_fresh_ciphertext_metadata(self, public_key, rng):
         ct = bgv.encrypt_monomial(public_key, 1, rng)

@@ -62,9 +62,10 @@ def _alone(sums, n, q):
     ids=["test", "small"],
 )
 def test_many_sums_equal_each_sum_alone(profile, count):
-    """Enough sums for several groups on the general basis, then on the
-    ternary basis (every pair with a ternary operand); each group
-    boundary falls between sums that share Residents."""
+    """Enough sums for several groups on the general basis, then with
+    every pair ternary (the ternary basis at SMALL, the direct path at
+    TEST); each group boundary falls between sums that share
+    Residents."""
     n, q = profile.n, profile.q
     rng = random.Random(profile.n)
     vectorized = resolve_backend("numpy")

@@ -2,9 +2,10 @@
 
 The BGV secret ``s`` and the encryption randomness ``u`` have centered
 coefficients in {-1, 0, 1}, i.e. every coefficient is ``0``, ``1`` or
-``q-1``.  The NumPy kernel finds such an operand from its values, lifts
-it centered and sizes the RNS basis for ``|a·s|∞ ≤ n·q`` instead of
-``2·n·q²``.  The pure backend stays the oracle: every product here must
+``q-1``.  The NumPy kernel finds such an operand from its values; above
+the direct-product crossover it lifts it centered and sizes the RNS
+basis for ``|a·s|∞ ≤ n·q`` instead of ``2·n·q²`` (at and below it, see
+``test_direct_products.py``).  The pure backend stays the oracle: every product here must
 equal it, and the schoolbook product, exactly.
 """
 
@@ -89,11 +90,13 @@ def test_ternary_basis_is_half_width():
 
 
 def test_the_basis_follows_the_operands_values():
-    """A ternary operand takes the half-width basis; one coefficient
-    outside {0, 1, q-1} sends the product to the general basis, and both
-    equal the reference product."""
-    np_backend = pytest.importorskip("repro.runtime.numpy_backend").NumpyBackend()
-    n, q = TEST.n, TEST.q
+    """Above the direct-product crossover, a ternary operand takes the
+    half-width basis; one coefficient outside {0, 1, q-1} sends the
+    product to the general basis, and both equal the reference product.
+    At the TEST ring the ternary product files no basis form at all."""
+    nb = pytest.importorskip("repro.runtime.numpy_backend")
+    np_backend = nb.NumpyBackend()
+    n, q = 2 * nb._DIRECT_MAX_N, TEST.q
     general = np_backend._sum_plan(n, q, q.bit_length(), 1).form_key
     half = np_backend._sum_plan(n, q, 0, 1).form_key
     rng = random.Random(8)
@@ -111,6 +114,13 @@ def test_the_basis_follows_the_operands_values():
     # The scan's answer is filed with the forms, a negative one too.
     assert ternary.forms[("signs", q)] == signs
     assert mixed.forms[("signs", q)] is None
+
+    n = TEST.n
+    a = backends.Resident([rng.randrange(q) for _ in range(n)])
+    ternary = _ternary([rng.choice((-1, 0, 1)) for _ in range(n)], q)
+    product = np_backend.negacyclic_multiply([[(a, ternary)]], n, q)[0]
+    assert product == pure.negacyclic_multiply([[(list(a), list(ternary))]], n, q)[0]
+    assert not [key for x in (a, ternary) for key in x.forms if key[0] == "numpy"]
 
 
 @pytest.mark.parametrize("backend", available_backends())
