@@ -248,8 +248,8 @@ def _mutant_lagrange_shifted():
 def _mutant_wrong_share():
     original = committee_mod.partial_decrypt
 
-    def bad(member, ciphertext, profile, smudge_share):
-        partial = original(member, ciphertext, profile, smudge_share)
+    def bad(member, ciphertext, profile, smudge_share, product=None):
+        partial = original(member, ciphertext, profile, smudge_share, product)
         if member.share_index == 1:
             # the bug: one member's partial decryption is off by one
             return partial + RingElement.constant(profile.ring, 1)

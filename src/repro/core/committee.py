@@ -31,6 +31,7 @@ at genesis, no matter how many queries run.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from repro.errors import (
     SecretSharingError,
 )
 from repro.params import BGVProfile
+from repro.runtime import backends
 
 
 @dataclass
@@ -56,6 +58,13 @@ class CommitteeMember:
     device_id: int
     share_index: int
     key_share: shamir.VectorShare
+
+    @functools.cached_property
+    def resident(self) -> backends.Resident:
+        """The key share (one value mod q per coefficient of s) as a
+        backend operand: its evaluation form is built by the member's
+        first decryption and kept for every later one."""
+        return backends.Resident(self.key_share.values)
 
 
 @dataclass
@@ -178,20 +187,37 @@ def partial_decrypt(
     ciphertext: bgv.Ciphertext,
     profile: BGVProfile,
     smudge_share: RingElement,
+    product: RingElement | None = None,
 ) -> RingElement:
     """One member's codeword partial ``c1 * s_i + t * E_i``, computed
     locally on its share — no interaction needed because decryption is
     linear in the key.  Coefficient j is h_j(share_index) for the
-    degree-(t-1) polynomial h_j with h_j(0) = (c1*s)_j + t*E_j."""
+    degree-(t-1) polynomial h_j with h_j(0) = (c1*s)_j + t*E_j.
+    ``product`` is ``c1 * s_i`` when the caller has it already
+    (:func:`_share_products`)."""
+    if product is None:
+        (product,) = _share_products([member], ciphertext, profile)
+    return product + smudge_share.scale(profile.t)
+
+
+def _share_products(
+    members: list[CommitteeMember],
+    ciphertext: bgv.Ciphertext,
+    profile: BGVProfile,
+) -> list[RingElement]:
+    """Every member's ``c1 * s_i`` in one backend call: ``c1`` is
+    transformed once, and each share's form stays with its member."""
     if ciphertext.degree != 1:
         raise ProtocolError(
             "threshold decryption needs a relinearized (degree-1) ciphertext"
         )
     ring = profile.ring
-    share_poly = RingElement.from_coeffs(ring, list(member.key_share.values))
-    return (ciphertext.components[1] * share_poly) + smudge_share.scale(
-        profile.t
-    )
+    c1 = backends.Resident(ciphertext.components[1].coeffs)
+    sums = [[(c1, member.resident)] for member in members]
+    return [
+        RingElement(ring, tuple(coeffs))
+        for coeffs in backends.ring_multiply(sums, ring.n, ring.q)
+    ]
 
 
 def threshold_decrypt(
@@ -239,10 +265,11 @@ def threshold_decrypt(
         smudges = shared_smudge_shares(
             members, profile, committee.threshold, rng
         )
+        products = _share_products(members, ciphertext, profile)
         partials = []
-        for member in members:
+        for member, product in zip(members, products):
             value = partial_decrypt(
-                member, ciphertext, profile, smudges[member.share_index]
+                member, ciphertext, profile, smudges[member.share_index], product
             )
             if corrupt is not None:
                 value = corrupt(member.device_id, value)

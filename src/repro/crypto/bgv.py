@@ -69,10 +69,22 @@ class PublicKey:
         return _operands(self.pk0, self.pk1)
 
     def fingerprint(self) -> bytes:
+        """SHA-256 of both halves' encodings, computed once and kept
+        beside the key the way :meth:`Ciphertext.digest` is: not
+        compared, not pickled."""
+        return self._fingerprint
+
+    @functools.cached_property
+    def _fingerprint(self) -> bytes:
         digest = hashlib.sha256()
         digest.update(_ring_bytes(self.pk0))
         digest.update(_ring_bytes(self.pk1))
         return digest.digest()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -305,8 +317,7 @@ def encrypt(
     pk0, pk1 = pk.resident
     sums = []
     for rand in randomness:
-        u = backends.Resident(rand.u.coeffs)
-        sums += [[(pk0, u)], [(pk1, u)]]
+        sums += [[(pk0, rand.operand)], [(pk1, rand.operand)]]
     products = backends.ring_multiply(sums, ring.n, q)
     ciphertexts = []
     for plaintext, rand, x0, x1 in zip(
@@ -350,14 +361,24 @@ class EncryptionRandomness:
     e0: RingElement
     e1: RingElement
 
+    @functools.cached_property
+    def operand(self) -> backends.Resident:
+        """``u`` as a backend operand, one form for both products of its
+        encryption; :meth:`generate` files the signs it drew, so the
+        kernel never scans ``u`` for them."""
+        return backends.Resident(self.u.coeffs)
+
     @classmethod
     def generate(cls, profile: BGVProfile, rng: random.Random) -> EncryptionRandomness:
         ring = profile.ring
-        return cls(
-            u=RingElement.random_ternary(ring, rng),
+        signs = sample_bounded(ring.n, 1, rng)  # RingElement.random_ternary's draws
+        rand = cls(
+            u=RingElement(ring, tuple(sign % ring.q for sign in signs)),
             e0=RingElement.random_bounded(ring, profile.error_bound, rng),
             e1=RingElement.random_bounded(ring, profile.error_bound, rng),
         )
+        rand.operand.file_signs(ring.q, signs)
+        return rand
 
 
 def encrypt_monomial(

@@ -126,8 +126,8 @@ class RingElement:
     @classmethod
     def random_ternary(cls, params: RingParams, rng: random.Random) -> RingElement:
         """Uniform over {-1, 0, 1}^n — the BGV secret/ephemeral distribution."""
-        lift = (params.q - 1, 0, 1)  # rng.choice((-1, 0, 1)) % q
-        return cls(params, tuple(lift[i] for i in draws_below(3, params.n, rng)))
+        q = params.q  # rng.choice((-1, 0, 1)) % q
+        return cls(params, tuple(sign % q for sign in sample_bounded(params.n, 1, rng)))
 
     @classmethod
     def random_bounded(

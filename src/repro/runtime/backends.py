@@ -55,7 +55,8 @@ class Resident:
     with a ternary operand then needs no transform, and the other
     operand's 32-bit limbs are filed here too (a public key is split
     once); on a larger ring it halves the basis of every product the
-    operand takes part in.
+    operand takes part in.  An operand drawn ternary comes with its
+    signs filed (:meth:`file_signs`), so no backend scans it.
     """
 
     __slots__ = ("coeffs", "forms")
@@ -70,6 +71,17 @@ class Resident:
         if key not in self.forms:
             self.forms[key] = build(self.coeffs)
         return self.forms[key]
+
+    @staticmethod
+    def signs_key(q: int) -> tuple:
+        """Where the centered values of a ternary operand mod ``q`` are
+        filed (``None`` there: not ternary)."""
+        return ("signs", q)
+
+    def file_signs(self, q: int, signs: Sequence[int]) -> None:
+        """File the centered values, each in {-1, 0, 1}, of an operand
+        drawn ternary mod ``q``: what a backend's scan would find."""
+        self.forms[self.signs_key(q)] = signs
 
     def __iter__(self):
         return iter(self.coeffs)

@@ -21,8 +21,8 @@ into one integer.  At the TEST ring an encryption batch's products take
 a third to a half of the transforms' time.
 
 Every other sum goes over a residue number system, its tables cached
-as a :class:`_Plan`: a basis of 28-bit NTT-friendly primes
-``p_k ≡ 1 (mod 2n)`` whose product ``M`` exceeds four times the
+as a :class:`_Plan`: a basis of NTT-friendly primes ``p_k ≡ 1 (mod
+2n)`` below 2^25 whose product ``M`` exceeds four times the
 worst-case magnitude of the centered sum (``m·n·q²`` for ``m``
 products), one batched negacyclic NTT per prime, the products
 accumulated pointwise, then one inverse NTT and one CRT straight into
@@ -41,13 +41,14 @@ every relinearization piece to one call at the memory of a few
 products.  No approximation anywhere: the result equals the sum of the
 schoolbook products for every modulus.
 
-Everything heavy is a BLAS matrix product made exact: one operand is
-split into 14- or 16-bit digits (32-bit limbs against a ±1 matrix on
-the direct path), so every partial sum stays below 2^53
-and ``float64`` accumulates it exactly in any order.  Each RNS transform
-is Bailey's four-step split into steps of at most 32 points, a matrix
-product per step and a pointwise twiddle between steps; a product's
-quotient by ``p`` comes from a ``float64`` estimate, never a division.
+Everything heavy is a BLAS matrix product whose partial sums stay
+below 2^53, so ``float64`` accumulates them exactly in any order: ±1
+against 32-bit limbs on the direct path; on the RNS path balanced
+residues against balanced tables, each within 2^24 of zero (see
+:class:`_Plan`), and 25-bit residues against 16-bit limbs in the CRT.
+Each RNS transform is Bailey's four-step split into steps of at most
+32 points, one matrix product per step and a pointwise twiddle between
+steps, each followed by one reduction by the stored ``1/p``.
 
 The ChaCha20 kernel (:meth:`NumpyBackend.chacha20_keystreams`) lays the
 blocks of every requested stream out as the columns of one ``(16, B)``
@@ -81,9 +82,14 @@ from repro.runtime.backends import (
     schoolbook_sum,
 )
 
-#: Exclusive upper bound for RNS basis primes: a residue times a 14-bit
-#: digit, summed over a 32-point step, stays below 2^47.
-MAX_RNS_PRIME = 1 << 28
+#: Exclusive upper bound for RNS basis primes: residues and table
+#: entries held within (p+3)/2 of zero are below 2^24, so a sum of 32
+#: products of two, a transform step's among them, stays below 2^53.
+MAX_RNS_PRIME = 1 << 25
+
+#: Products an accumulator adds between reductions, the residue it
+#: carries counted as one: the 32 terms of a transform step.
+_EXACT_TERMS = 32
 
 _PLAN_CACHE_SIZE = 16
 
@@ -235,13 +241,14 @@ def _ternary_signs(operand: Operand, q: int) -> list[int] | None:
         return signs
 
     if isinstance(operand, Resident):
-        return operand.form(("signs", q), scan)
+        return operand.form(Resident.signs_key(q), scan)
     return scan(operand)
 
 
 @functools.lru_cache(maxsize=64)
 def _rns_primes(n: int, q: int, need_bits: int) -> tuple[int, ...]:
-    """28-bit primes ``p ≡ 1 (mod 2n)`` with product ≥ ``2^need_bits``."""
+    """Primes ``p ≡ 1 (mod 2n)`` below :data:`MAX_RNS_PRIME`, largest
+    first, with product ≥ ``2^need_bits``."""
     two_n = 2 * n
     primes: list[int] = []
     got_bits = 0
@@ -262,7 +269,10 @@ def _rns_primes(n: int, q: int, need_bits: int) -> tuple[int, ...]:
 class _Plan:
     """Precomputed tables for one ``(n, q)`` pair on one RNS basis,
     ``primes``, for exact values below ``2^bound_bits / 2`` in magnitude
-    (see :meth:`NumpyBackend._sum_plan` for the sizing)."""
+    (see :meth:`NumpyBackend._sum_plan` for the sizing).  Every residue
+    it holds between stages is a float64 integer within ``(p+3)/2`` of
+    zero, every table entry within ``(p-1)/2``: both below 2^24, so a
+    product is below 2^48 and a parked form exact as float32."""
 
     def __init__(self, n: int, q: int, primes: Sequence[int], bound_bits: int):
         self.n = n
@@ -275,6 +285,8 @@ class _Plan:
         #: worth, and at least one.
         self.transform_rows = max(1, _BATCH_ELEMENTS // (k * n))
         self.p_flat = self.primes.reshape(k, 1)
+        self.p_float = self.p_flat.astype(np.float64)
+        self.p_inverse = 1.0 / self.p_float
         # Base-2^16 digits of the inputs convert to residues via one
         # matmul with 2^(16j) mod p_k.
         self.words = (q.bit_length() + 15) // 16
@@ -289,9 +301,10 @@ class _Plan:
         # tables gathered from each prime's powers of psi.  Step s (r
         # points after P) takes the top digit i of what is left of the
         # index against psi^((n/r)·i·(2j+o)) (o = 1 on the first step, for
-        # the negacyclic twist), the rest m against psi^(P·m·(2j+o)).  A
-        # matrix is its 14-bit digits, low rows above high; inverses / r.
+        # the negacyclic twist), the rest m against psi^(P·m·(2j+o)).
+        # Inverses are / r; every entry balanced.
         p = self.p_flat[:, :, None]
+        balanced = lambda m: (m - p * (2 * m > p)).astype(np.float64)
         power = np.ones((k, 2 * n), dtype=np.int64)
         psi = np.array([[primitive_root_of_unity(2 * n, x)] for x in primes])
         span = 1
@@ -308,46 +321,43 @@ class _Plan:
             exps = (n // r) * np.outer(odd, np.arange(r)) % (2 * n)  # [j, i]
             twist = before * np.outer(odd, np.arange(n // (before * r))) % (2 * n)
             r_inv = np.array([[[pow(r, -1, x)]] for x in primes])
-            inverse = power[:, -exps.T] * r_inv % p
             step = [
-                np.concatenate([m & 0x3FFF, m >> 14], 1)[:, None].astype(np.float64)
-                for m in (power[:, exps], inverse)
+                balanced(m)[:, None]
+                for m in (power[:, exps], power[:, -exps.T] * r_inv % p)
             ]
-            if 0 < s == len(self.radices) - 1:  # (r, 2r): takes the data's rows
+            if 0 < s == len(self.radices) - 1:  # takes the data's rows
                 step = [np.ascontiguousarray(m.transpose(0, 1, 3, 2)) for m in step]
             for exponents in (twist, -twist):
-                table = power[:, exponents][:, None, :, None]
-                step.append((table, table / p[:, :, :, None, None]))
+                step.append(balanced(power[:, exponents])[:, None, :, None])
             self.steps.append(step)
         # The CRT straight into Z_q: with c_k = (M/p_k)·((M/p_k)^-1 mod
-        # p_k), residues r_k lift to x = Σ r_k·c_k - v·M, v = rint(Σ
-        # r_k·inv_k/p_k), exact while |x| <= M/4.  So x mod q is one
-        # product of 14-bit digits of the r_k and of v with 16-bit limbs
-        # of c_k mod q and -M mod q; nothing of M's size per column.
+        # p_k), residues r_k in [0, p_k) lift to x = Σ r_k·c_k - v·M, v =
+        # rint(Σ r_k·inv_k/p_k) < k·2^25, exact while |x| <= M/4.  So x
+        # mod q is one product of the r_k against 16-bit limbs of c_k mod
+        # q, plus v times those of -M mod q: every partial sum below
+        # 2k·2^41, and nothing of M's size per column.
         self.modulus = math.prod(primes)
         if not self.modulus >> (bound_bits + 1):
             raise ParameterError(f"RNS basis {tuple(primes)} leaves no CRT margin")
         inverses = [pow(self.modulus // p % p, -1, p) for p in primes]
         self.crt_fraction = np.array(inverses) / self.primes
-        self.v_digits = -(-(k << 28).bit_length() // 14)
         rows = [self.modulus // p * inv % q for p, inv in zip(primes, inverses)]
-        rows += [x << 14 for x in rows]
-        rows += [(-self.modulus % q) << (14 * d) for d in range(self.v_digits)]
-        self.limbs = -(-(max(rows).bit_length() + 14 + len(rows).bit_length()) // 16)
-        self.zq_limbs = np.array(
+        rows.append(-self.modulus % q)
+        self.limbs = -(-(q.bit_length() + 26 + k.bit_length()) // 16)
+        zq_limbs = np.array(
             [[(x >> (16 * j)) & 0xFFFF for j in range(self.limbs)] for x in rows],
             dtype=np.float64,
         )
+        self.zq_limbs, self.v_limbs = zq_limbs[:-1], zq_limbs[-1]
 
     def forms(self, operands: Sequence[Operand]) -> np.ndarray:
         """The evaluation forms of ``operands`` on this basis, stacked
-        ``(len(operands), k, n)``.  The operands not yet in this basis'
-        form go through batched :meth:`forward` calls,
+        ``(len(operands), k, n)`` float64.  The operands not yet in this
+        basis' form go through batched :meth:`forward` calls,
         :attr:`transform_rows` at a time, and a :class:`Resident` files
         its form for every later product.  A ternary operand is lifted
-        centered, on every basis: ``q-1`` becomes ``-1``, whose residue
-        is ``p_k - 1``."""
-        out = np.empty((len(operands), len(self.primes), self.n), dtype=np.int64)
+        centered, on every basis: ``q-1`` becomes ``-1``."""
+        out = np.empty((len(operands), len(self.primes), self.n))
         fresh = []
         for i, operand in enumerate(operands):
             form = (
@@ -366,71 +376,61 @@ class _Plan:
             out[chunk] = batch.transpose(1, 0, 2)
             for i in chunk:
                 if isinstance(operands[i], Resident):
-                    # Residues sit below 2^28: parked at half width,
-                    # widened again by every product.
-                    operands[i].forms[self.form_key] = out[i].astype(np.int32)
+                    # Within 2^24 of zero: parked at half width, exactly.
+                    operands[i].forms[self.form_key] = out[i].astype(np.float32)
         return out
 
     def _lift(self, operands: Sequence[Operand]) -> np.ndarray:
-        """``(k, b, n)`` residues of ``b`` operands: the ternary ones
-        from their signs, the rest through one :meth:`to_residues`."""
-        lifted = np.empty((len(self.primes), len(operands), self.n), dtype=np.int64)
+        """``(k, b, n)`` balanced residues of ``b`` operands: the ternary
+        ones their signs, the rest through one :meth:`to_residues`."""
+        lifted = np.empty((len(self.primes), len(operands), self.n))
         signs = [_ternary_signs(operand, self.q) for operand in operands]
         ternary = [i for i, row in enumerate(signs) if row is not None]
         general = [i for i, row in enumerate(signs) if row is None]
         if ternary:
-            rows = np.asarray([signs[i] for i in ternary], dtype=np.int64)
-            lifted[:, ternary] = rows % self.p_flat[:, :, None]
+            lifted[:, ternary] = np.asarray([signs[i] for i in ternary], dtype=np.float64)
         if general:
             lifted[:, general] = self.to_residues([operands[i] for i in general])
         return lifted
 
-    # -- transforms: matrix products on exact float64 digits --------------
+    # -- transforms: exact float64 matrix products ------------------------
 
     def reduce(self, x: np.ndarray) -> np.ndarray:
-        """``(k, ...)`` integers mod p, in place, float64 below 2^53 or
-        int64 below 2^63 in magnitude: the float64 quotient is off by
-        less than one, so what is left lies within ``p/2 + 2^8`` of 0."""
-        p = self.primes.reshape(-1, *[1] * (x.ndim - 1)).astype(x.dtype)
-        quotient = x / p
+        """``(k, ...)`` float64 integers below 2^53 in magnitude, mod p in
+        place.  The quotient, ``x`` times the stored ``1/p``, is off by
+        less than ``|x|·2^-52 < 2`` residues, so what is left lies within
+        ``(p+3)/2`` of 0, and within ``(p+1)/2`` for ``|x| < 2^51``."""
+        shape = (-1,) + (1,) * (x.ndim - 1)
+        quotient = x * self.p_inverse.reshape(shape)
         np.rint(quotient, out=quotient)
-        quotient = quotient.astype(x.dtype, copy=False)
-        quotient *= p
+        quotient *= self.p_float.reshape(shape)
         x -= quotient
         return x
 
     def _step(self, x: np.ndarray, s: int, batch: int, matrix: np.ndarray):
-        """Step ``s``'s matrix along its digit, mod p, on data below 2^28 in
-        magnitude with the batch after the first digit.  A partial sum is
-        below 2^47: exact in float64 in any summation order."""
+        """Step ``s``'s matrix along its digit, mod p, with the batch
+        after the first digit: one matrix product, one reduction."""
         k, r, before = len(self.primes), self.radices[s], math.prod(self.radices[:s])
         rest = self.n // (before * r)
         a, c = (1, batch * rest) if s == 0 else (before * batch, rest)
-        if matrix.shape[2] > r:
-            both = np.matmul(matrix, x.reshape(k, a, r, c))
-            low, high = both[:, :, :r], both[:, :, r:]
-        else:  # the last of several steps: its digit is the data's last axis
-            both = np.matmul(x.reshape(k, 1, a, r), matrix)
-            low, high = both[..., :r], both[..., r:]
-        out = self.reduce(high) * (1 << 14)
-        out += low
+        if 0 < s == len(self.radices) - 1:  # its digit is the data's last axis
+            out = np.matmul(x.reshape(k, 1, a, r), matrix)
+        else:
+            out = np.matmul(matrix, x.reshape(k, a, r, c))
         return self.reduce(out).reshape(k, a, r, c)
 
-    def _twiddle(self, x: np.ndarray, s: int, table: tuple) -> np.ndarray:
-        """``x · twiddle mod p`` after step ``s``: the int64 product (below
-        2^55) less p times its float64 quotient estimate."""
-        whole, scaled = table
-        k, r, rest = len(self.primes), whole.shape[2], whole.shape[4]
+    def _twiddle(self, x: np.ndarray, s: int, table: np.ndarray) -> np.ndarray:
+        """``x · twiddle mod p`` after step ``s``: one product, below
+        2^48, and one reduction."""
+        k, r, rest = len(self.primes), table.shape[2], table.shape[4]
         view = x.reshape((k, 1, r, -1, rest) if s == 0 else (k, -1, r, 1, rest))
-        out = view.astype(np.int64) * whole
-        p = self.p_flat[:, :, None, None, None]
-        out -= np.rint(view * scaled).astype(np.int64) * p
-        return out.astype(np.float64)
+        return self.reduce(view * table)
 
     def forward(self, a: np.ndarray) -> np.ndarray:
-        """Negacyclic NTT of every ``(k, b, n)`` row of residues: a matrix
-        product per step, a twiddle between steps; int64 within ``p/2 +
-        2^8`` of zero, in an evaluation order only :meth:`inverse` reads."""
+        """Negacyclic NTT of every ``(k, b, n)`` row of residues within
+        ``(p+3)/2`` of zero: a matrix product per step, a twiddle between
+        steps; float64 as balanced, in an evaluation order only
+        :meth:`inverse` reads."""
         k, b, n = a.shape
         r0 = self.radices[0]
         x = a.reshape(k, b, r0, -1).transpose(0, 2, 1, 3).astype(np.float64, order="C")
@@ -439,11 +439,11 @@ class _Plan:
             if s < len(self.steps) - 1:
                 x = self._twiddle(x, s, twiddle)
         x = x.reshape(k, r0, b, -1).transpose(0, 2, 1, 3)
-        return x.astype(np.int64, order="C").reshape(k, b, n)
+        return np.ascontiguousarray(x).reshape(k, b, n)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
-        """:meth:`forward` undone on ``(k, m, n)`` residues below 2^28 in
-        magnitude: coefficient order, float64 in ``[0, p)``."""
+        """:meth:`forward` undone on ``(k, m, n)`` residues within
+        ``(p+3)/2`` of zero: coefficient order, float64 in ``[0, p)``."""
         k, m, n = a.shape
         r0 = self.radices[0]
         x = a.reshape(k, m, r0, -1).transpose(0, 2, 1, 3).astype(np.float64, order="C")
@@ -452,24 +452,22 @@ class _Plan:
             if s < len(self.steps) - 1:
                 x = self._twiddle(x, s, untwiddle)
             x = self._step(x, s, m, matrix)
-        x += self.primes.reshape(-1, 1, 1, 1) * (x < 0)
+        x += self.p_float.reshape(-1, 1, 1, 1) * (x < 0)
         x = x.reshape(k, r0, m, -1).transpose(0, 2, 1, 3)
         return np.ascontiguousarray(x).reshape(k, m, n)
 
     # -- residue conversion / CRT reconstruction --------------------------
 
     def to_residues(self, operands: Sequence[Sequence[int]]) -> np.ndarray:
-        """Python ints in [0, q), ``b`` polynomials of them -> int64
-        residues ``(k, b, n)``: one byte string, one matmul."""
+        """Python ints in [0, q), ``b`` polynomials of them -> balanced
+        float64 residues ``(k, b, n)``: one byte string, one matmul."""
         width = 2 * self.words
         reduced = map(mod, chain.from_iterable(operands), repeat(self.q))
         buf = b"".join(map(int.to_bytes, reduced, repeat(width), repeat("big")))
-        # Base-2^16 digits (b·n, words); digit · (2^16j mod p) < 2^44 and
-        # sums over <= 64 words stay < 2^50: float64 matmul is exact.
+        # Base-2^16 digits (b·n, words); digit · (2^16j mod p) < 2^41 and
+        # sums over <= 64 words stay < 2^47: float64 matmul is exact.
         digits = np.frombuffer(buf, dtype=">u2").reshape(-1, self.words)
-        res = self.pow16.T @ digits.T.astype(np.float64)  # (k, b·n), exact
-        residues = res.astype(np.int64)
-        residues %= self.p_flat
+        residues = self.reduce(self.pow16.T @ digits.T.astype(np.float64))
         return residues.reshape(len(self.primes), len(operands), self.n)
 
     def outputs(self, acc: np.ndarray) -> list[list[int]]:
@@ -489,14 +487,13 @@ class _Plan:
         columns' centered exact values, each reduced mod q, converted
         :data:`_CRT_COLUMNS` columns at a time."""
         out: list[int] = []
-        k, row_bytes = len(self.primes), 2 * self.limbs
+        row_bytes = 2 * self.limbs
         for start in range(0, res.shape[1], _CRT_COLUMNS):
             r = res[:, start : start + _CRT_COLUMNS].T  # (columns, k)
-            v = np.rint(r @ self.crt_fraction).astype(np.int64)[:, None]
-            whole = r.astype(np.int64)
-            shifts = 14 * np.arange(self.v_digits)
-            digits = np.hstack([whole & 0x3FFF, whole >> 14, (v >> shifts) & 0x3FFF])
-            limbs = (digits.astype(np.float64) @ self.zq_limbs).astype(np.int64)
+            v = np.rint(r @ self.crt_fraction)
+            limbs = r @ self.zq_limbs
+            limbs += v[:, None] * self.v_limbs
+            limbs = limbs.astype(np.int64)
             while (limbs >> 16).any():
                 carry = limbs >> 16
                 limbs &= 0xFFFF
@@ -651,8 +648,8 @@ def _direct_sums(group: Sequence[Sequence[tuple]], n: int, q: int) -> list[list[
 def _accumulate(plan: _Plan, group: Sequence[Sum]) -> np.ndarray:
     """The sums of ``group`` in the evaluation domain, ``(k, m, n)``:
     every distinct operand's form once, then per term position one
-    gathered product of every sum that has a term there, and one
-    reduction."""
+    gathered product of every sum that has a term there, reduced once
+    per :data:`_EXACT_TERMS` terms and at the end."""
     slots: dict[int, int] = {}  # id(operand) -> row of ``forms``
     operands = []
     for x in (x for terms in group for pair in terms for x in pair):
@@ -660,19 +657,19 @@ def _accumulate(plan: _Plan, group: Sequence[Sum]) -> np.ndarray:
             slots[id(x)] = len(operands)
             operands.append(x)
     forms = plan.forms(operands).transpose(1, 0, 2)
-    acc = np.zeros((len(plan.primes), len(group), plan.n), dtype=np.int64)
+    acc = np.zeros((len(plan.primes), len(group), plan.n))
     for position in range(max(map(len, group))):
+        if position and position % (_EXACT_TERMS - 1) == 0:
+            plan.reduce(acc)
         rows = [i for i, terms in enumerate(group) if len(terms) > position]
         left = [slots[id(group[i][position][0])] for i in rows]
         right = [slots[id(group[i][position][1])] for i in rows]
-        # Forms lie within 2^27 + 2^8 of zero: a product is below 2^55.
         product = np.multiply(forms[:, left], forms[:, right])
         if len(rows) == len(group):
             acc += product
         else:
             acc[:, rows] += product
-        plan.reduce(acc)
-    return acc
+    return plan.reduce(acc)
 
 
 class NumpyBackend:
@@ -784,18 +781,19 @@ class NumpyBackend:
         width = count * base_bits // 8
         buf = b"".join(c.to_bytes(width, "little") for c in coeffs)
         words = np.frombuffer(buf, dtype=f"<u{base_bits // 8}")
-        digits = words.reshape(n, count).T.astype(np.int64)[None]
-        acc = np.zeros((len(plan.primes), 2, n), dtype=np.int64)
+        digits = words.reshape(n, count).T.astype(np.float64)[None]
+        acc = np.zeros((len(plan.primes), 2, n))
         step = plan.transform_rows
         for start in range(0, count, step):
-            batch = digits[:, start : start + step] % plan.p_flat[:, :, None]
-            transformed = plan.forward(batch)  # (primes, step, n)
-            for (b_i, a_i), fd in zip(pairs[start:], transformed.transpose(1, 0, 2)):
-                f_b, f_a = plan.forms([b_i, a_i])
+            batch = digits[:, start : start + step].repeat(len(plan.primes), 0)
+            transformed = plan.forward(plan.reduce(batch))  # (primes, step, n)
+            for i, fd in enumerate(transformed.transpose(1, 0, 2), start):
+                if i and i % (_EXACT_TERMS - 1) == 0:
+                    plan.reduce(acc)
+                f_b, f_a = plan.forms(pairs[i])
                 acc[:, 0] += f_b * fd
                 acc[:, 1] += f_a * fd
-                plan.reduce(acc)
-        d0, d1 = plan.outputs(acc)
+        d0, d1 = plan.outputs(plan.reduce(acc))
         return d0, d1
 
     def chacha20_keystreams(

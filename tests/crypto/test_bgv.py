@@ -1,6 +1,8 @@
 """BGV correctness, homomorphism, noise-soundness, and budget tests."""
 
 import dataclasses
+import hashlib
+import pickle
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from repro.crypto import bgv, noise
 from repro.crypto.polyring import RingElement, RingParams
 from repro.errors import CryptoError, NoiseBudgetExceeded, ParameterError
 from repro.params import PAPER, SMALL, TEST
+from repro.runtime.backends import Resident, use_backend
 
 
 def _nonzero_coeffs(plain):
@@ -269,3 +272,62 @@ class TestRandomnessWitness:
             public_key, 5, random.Random(1), randomness=randomness
         )
         assert a.components == b.components
+
+    def test_drawn_randomness_carries_its_signs(self, rng):
+        """``generate`` files the ternary signs it drew beside ``u``: the
+        values a scan would find."""
+        randomness = bgv.EncryptionRandomness.generate(TEST, rng)
+        signs = randomness.operand.forms[Resident.signs_key(TEST.q)]
+        assert [s % TEST.q for s in signs] == list(randomness.u.coeffs)
+        assert set(signs) == {-1, 0, 1}
+
+    @pytest.mark.parametrize(
+        "profile,pin",
+        [
+            (TEST, "7f689c3053890a6ff2b8f05b1437339a1afd731e01769ad026c4017cf73e9db3"),
+            (SMALL, "248cfaff259bda44bfb0e16c4c929ff2e7355dba162a460ed1a41f8230389076"),
+        ],
+        ids=["test", "small"],
+    )
+    def test_a_batch_scans_no_u_and_hashes_as_pinned(self, monkeypatch, profile, pin):
+        """A seeded 16-leaf batch, both kernel paths: no ``u`` reaches the
+        kernel's ternary scan, and the ciphertexts are byte for byte those
+        pinned from before the signs were filed."""
+        nb = pytest.importorskip("repro.runtime.numpy_backend")
+        scanned = []
+        original = nb._ternary_signs
+
+        def spy(operand, q):
+            key = Resident.signs_key(q)
+            if not (isinstance(operand, Resident) and key in operand.forms):
+                scanned.append(tuple(operand))
+            return original(operand, q)
+
+        monkeypatch.setattr(nb, "_ternary_signs", spy)
+        _, pk = bgv.keygen(profile, random.Random(49))
+        plains = [bgv.monomial(profile, 3 * i % profile.n) for i in range(16)]
+        randomness = [
+            bgv.EncryptionRandomness.generate(profile, random.Random(50 + i))
+            for i in range(16)
+        ]
+        scanned.clear()
+        with use_backend("numpy"):
+            cts = bgv.encrypt(pk, plains, random.Random(50))
+            bgv.encrypt(pk, plains, None, randomness=randomness)
+        # Only the key halves, once each: their answer is filed too.
+        assert sorted(scanned) == sorted([pk.pk0.coeffs, pk.pk1.coeffs])
+        digest = hashlib.sha256(b"".join(ct.serialize() for ct in cts)).hexdigest()
+        assert digest == pin
+
+
+class TestPublicKeyFingerprint:
+    def test_cached_value_is_the_recompute_and_never_pickled(self, public_key):
+        first = public_key.fingerprint()
+        assert public_key.fingerprint() is first
+        fresh = hashlib.sha256(
+            bgv._ring_bytes(public_key.pk0) + bgv._ring_bytes(public_key.pk1)
+        ).digest()
+        assert first == fresh
+        copy = pickle.loads(pickle.dumps(public_key))
+        assert "_fingerprint" not in copy.__dict__
+        assert copy == public_key and copy.fingerprint() == first

@@ -20,7 +20,7 @@ from repro.params import SMALL, TEST
 from repro.runtime import available_backends, backends, resolve_backend, use_backend
 
 #: (n, q) for the hypothesis property: the TEST ring, the SMALL modulus
-#: at a short degree, and a prime far below the 28-bit basis primes.
+#: at a short degree, and a prime far below the 25-bit basis primes.
 PROPERTY_RINGS = [(TEST.n, TEST.q), (16, SMALL.q), (16, 97)]
 
 

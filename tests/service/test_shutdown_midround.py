@@ -38,8 +38,15 @@ def test_shutdown_midround_journal_resumes_without_double_charge(tmp_path):
             )
             for i in range(2)
         ]
-        await asyncio.sleep(0.05)  # the real round is now in flight
-        assert not any(task.done() for task in tasks)
+        # Wait for the round to launch (its batch is logged as the
+        # campaign goes to the executor), not a fixed time: a warm
+        # TEST-ring round can finish inside 50 ms.
+        for _ in range(10_000):  # at most ~10 s
+            if service.scheduler.batch_log:
+                break
+            await asyncio.sleep(0.001)
+        assert service.scheduler.batch_log
+        assert not any(task.done() for task in tasks)  # in flight
         await service.shutdown()  # drains the round before returning
         outcomes = [task.result() for task in tasks]
         return service, outcomes
